@@ -8,6 +8,7 @@ malformed input. Reports go to standard output unless ``--out`` is given.
 from __future__ import annotations
 
 import argparse
+import math
 from dataclasses import dataclass
 
 from . import ecm, error_lab, fileio, modes, oracle, peak_cc
@@ -275,6 +276,12 @@ def _parse_grid(text: str) -> list[float]:
     return [fileio.parse_float(cell, "grid value") for cell in text.split(",")]
 
 
+def _tolerance(value: float, flag: str) -> float:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise InputError(f"{flag} must be finite and > 0, got {value}")
+    return value
+
+
 def _parse_steps_list(text: str) -> list[int]:
     out = []
     for cell in text.split(","):
@@ -317,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="end_of_window",
         help="CC power convention: end-of-window voltage or the literal window minimum",
     )
-    p_sop.add_argument("--tol-watts", type=float, default=1e-6, help="CP bisection tolerance")
+    p_sop.add_argument("--tol-watts", type=float, default=1e-6, help="CP power tolerance [W]")
 
     p_sweep = sub.add_parser("sweep-error", help="error-source sensitivity sweep")
     add_common(p_sweep)
@@ -357,7 +364,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = _scenario_from_args(args)
         if args.command == "sop":
-            code, report = cmd_sop(scenario, args.power_eval, args.tol_watts)
+            tol_watts = _tolerance(args.tol_watts, "--tol-watts")
+            code, report = cmd_sop(scenario, args.power_eval, tol_watts)
         elif args.command == "sweep-error":
             grid = _parse_grid(args.grid)
             code, report = cmd_sweep_error(scenario, args.source, args.constraint, grid)
@@ -371,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
                 _parse_grid(args.soc_grid),
                 _parse_steps_list(args.steps_list),
                 directions,
-                args.tol,
+                _tolerance(args.tol, "--tol"),
             )
         else:
             code, report = cmd_simulate(scenario, args.profile)
@@ -388,3 +396,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .exceptions import ConfigurationError, InputError
@@ -57,13 +57,18 @@ class OcvCurve:
     """Monotone SOC -> OCV table, interpolated piecewise-linearly."""
 
     points: tuple[tuple[float, float], ...]
+    # Knot SOCs, derived once so that lookups bisect without rebuilding them.
+    socs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple((float(s), float(v)) for s, v in self.points)
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise ConfigurationError("OCV curve needs at least two points")
-        socs = [s for s, _ in pts]
+        if not all(math.isfinite(x) for pt in pts for x in pt):
+            raise ConfigurationError("OCV curve values must be finite")
+        socs = tuple(s for s, _ in pts)
+        object.__setattr__(self, "socs", socs)
         vs = [v for _, v in pts]
         if any(b <= a for a, b in zip(socs, socs[1:])):
             raise ConfigurationError("OCV curve SOC values must be strictly increasing")
@@ -95,10 +100,13 @@ class Window:
     dt: float
 
     def __post_init__(self) -> None:
+        # Integral means usable as an index (int, numpy integers), as range() needs.
+        if isinstance(self.steps, bool) or not hasattr(self.steps, "__index__"):
+            raise ConfigurationError(f"window steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ConfigurationError(f"window steps must be >= 1, got {self.steps}")
-        if not (self.dt > 0.0):
-            raise ConfigurationError(f"window dt must be > 0, got {self.dt}")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ConfigurationError(f"window dt must be finite and > 0, got {self.dt}")
 
     @property
     def duration(self) -> float:
@@ -144,8 +152,7 @@ def ocv(curve: OcvCurve, soc: float) -> float:
         return pts[0][1]
     if soc >= pts[-1][0]:
         return pts[-1][1]
-    socs = [s for s, _ in pts]
-    i = bisect_right(socs, soc)
+    i = bisect_right(curve.socs, soc)
     x0, y0 = pts[i - 1]
     x1, y1 = pts[i]
     if soc == x0:  # exact knot hit
@@ -156,8 +163,7 @@ def ocv(curve: OcvCurve, soc: float) -> float:
 def _segment_slope(curve: OcvCurve, soc: float) -> float:
     """Slope of the table segment containing ``soc`` (right segment at knots)."""
     pts = curve.points
-    socs = [s for s, _ in pts]
-    i = bisect_right(socs, soc)
+    i = bisect_right(curve.socs, soc)
     i = min(max(i, 1), len(pts) - 1)
     x0, y0 = pts[i - 1]
     x1, y1 = pts[i]

@@ -251,6 +251,18 @@ def sop_cccv(
     return result, trace
 
 
+def _cp_current(emf: float, r0: float, power: float) -> float | None:
+    """Physical-branch root of R0*I^2 - emf*I + power = 0: the smaller-magnitude
+    current, continuous through I = 0 as power -> 0. None above the step's
+    power ceiling emf^2 / (4 R0)."""
+    if power == 0.0:
+        return power  # no power, no current (with the sign of zero), whatever the emf
+    disc = emf * emf - 4.0 * r0 * power
+    if disc < 0.0:
+        return None
+    return 2.0 * power / (emf + math.sqrt(disc))
+
+
 def solve_cp_step(
     state: BatteryState,
     params: BatteryParams,
@@ -269,13 +281,21 @@ def solve_cp_step(
             f"power {power} has the wrong sign for {direction.value}"
         )
     emf = ecm.ocv(curve, state.soc) - state.vp
-    disc = emf * emf - 4.0 * params.r0 * power
-    if disc < 0.0:
+    current = _cp_current(emf, params.r0, power)
+    if current is None:
         raise PowerInfeasibleError(
             f"power {power} W exceeds the step ceiling {emf * emf / (4.0 * params.r0)} W"
         )
-    current = 2.0 * power / (emf + math.sqrt(disc))
     return current, emf - current * params.r0
+
+
+class _CpMargins(NamedTuple):
+    """Smallest direction-signed margin to each bound the direction pushes
+    towards, over a whole window; negative once that bound is crossed."""
+
+    voltage: float
+    current: float
+    soc: float
 
 
 def _cp_probe(
@@ -286,28 +306,60 @@ def _cp_probe(
     window: Window,
     direction: Direction,
     soa: Soa,
-) -> tuple[PomStep, ...] | None:
-    """Simulate a constant-|power| window; None when any step is infeasible
-    or leaves the safe operation area."""
+) -> tuple[tuple[PomStep, ...] | None, _CpMargins | None]:
+    """Simulate a constant-|power| window to its last step.
+
+    Returns the trace, or None when any step leaves the safe operation area,
+    with the window's margins. Both are None when a step exceeds its power
+    ceiling: the window has no continuation there.
+    """
     alpha = math.exp(-window.dt / params.tau)
-    power = power_abs * direction.sign
+    # Loop invariants hoisted; the arithmetic keeps solve_cp_step's operation
+    # order, so a probe step is bit-identical to one simulated through it.
+    one_minus_alpha = 1.0 - alpha
+    r0, r1, dt, soc_per_as = params.r0, params.r1, window.dt, params.soc_per_amp_second
+    sign = direction.sign
+    power = power_abs * sign
+    cutoff = direction.vt_cutoff(soa)
+    i_lim = direction.current_limit(soa)
+    bound = direction.soc_bound(soa)
+    ocv = ecm.ocv
     soc, vp = state.soc, state.vp
-    steps: list[PomStep] = []
+    v_margin = i_margin = soc_margin = math.inf
+    steps: list[PomStep] | None = []
     for j in range(1, window.steps + 1):
         vp_rel = vp * alpha
-        try:
-            current, vt = solve_cp_step(
-                BatteryState(soc, vp_rel), params, curve, power, direction
-            )
-        except PowerInfeasibleError:
-            return None
-        soc_next = min(max(soc - current * window.dt * params.soc_per_amp_second, 0.0), 1.0)
-        if check_point(vt, current, soc_next, soa):
-            return None
-        vp = vp_rel + current * params.r1 * (1.0 - alpha)
+        emf = ocv(curve, soc) - vp_rel
+        current = _cp_current(emf, r0, power)
+        if current is None:
+            return None, None
+        vt = emf - current * r0
+        soc_next = min(max(soc - current * dt * soc_per_as, 0.0), 1.0)
+        m = (vt - cutoff) * sign
+        if m < v_margin:
+            v_margin = m
+        m = (i_lim - current) * sign
+        if m < i_margin:
+            i_margin = m
+        m = (soc_next - bound) * sign
+        if m < soc_margin:
+            soc_margin = m
+        vp = vp_rel + current * r1 * one_minus_alpha
         soc = soc_next
-        steps.append(PomStep(j, current, vt, soc, vp, current * vt))
-    return tuple(steps)
+        if steps is not None:
+            if check_point(vt, current, soc_next, soa):
+                steps = None  # the verdict is in; only the margins go on
+            else:
+                steps.append(PomStep(j, current, vt, soc, vp, current * vt))
+    return (None if steps is None else tuple(steps)), _CpMargins(v_margin, i_margin, soc_margin)
+
+
+def _normalised_margin(margins: _CpMargins | None, scales: _CpMargins) -> float | None:
+    """g(P) = min_c m_c(P) / m_c(0): 1 at zero power (0 if a bound is already
+    reached there), 0 at the peak, negative once a directional bound fails."""
+    if margins is None:
+        return None
+    return min(m / s for m, s in zip(margins, scales))
 
 
 def sop_cp(
@@ -320,12 +372,26 @@ def sop_cp(
     tol_watts: float = 1e-6,
     max_iter: int = 200,
 ) -> tuple[SopResult, PomTrace]:
-    """Constant-power window: the largest sustainable power magnitude, found
-    by bisection over full-window feasibility probes."""
-    if not (tol_watts > 0.0):
-        raise ValueError(f"tol_watts must be > 0, got {tol_watts}")
+    """Constant-power window: the largest sustainable power magnitude.
 
-    zero_trace = _cp_probe(0.0, state, params, curve, window, direction, soa)
+    Whole-window probes keep a bracket with a feasible ``lo`` and an
+    infeasible ``hi``. The search stops once ``hi - lo <= tol_watts`` (or
+    after ``max_iter`` probes) and returns ``lo`` with its trace.
+
+    Probes are placed by regula falsi with the Illinois modification on the
+    normalised SOA margin g(P) = min_c m_c(P) / m_c(0), which is close to
+    linear in P whichever constraint binds. A probe bisects instead when the
+    infeasible end has no usable margin (it hit a power ceiling, or only an
+    opposite-direction bound failed there), or when the last two probes did
+    not halve the bracket; of any three probes one therefore halves it, which
+    caps the count at about three times plain bisection's. Every probe keeps
+    tol/2 clear of both ends, so an estimate within tol/2 of the root closes
+    the bracket on the next probe.
+    """
+    if not (tol_watts > 0.0 and math.isfinite(tol_watts)):
+        raise ValueError(f"tol_watts must be finite and > 0, got {tol_watts}")
+
+    zero_trace, zero_margins = _cp_probe(0.0, state, params, curve, window, direction, soa)
     if zero_trace is None:
         empty = PomTrace(())
         result = SopResult(
@@ -340,39 +406,60 @@ def sop_cp(
             feasible=False,
         )
         return result, empty
+    # A bound already reached at zero power has no scale; its native units serve.
+    scales = _CpMargins(*(m if m > 0.0 else 1.0 for m in zero_margins))
 
     i_lim = direction.current_limit(soa)
     if direction is Direction.DISCHARGE:
         p_hi = abs(i_lim) * ecm.ocv(curve, state.soc)
     else:
         p_hi = abs(i_lim) * soa.vt_max
+    g_hi = None
     for _ in range(10):  # p_hi is an over-bound; expand defensively if not
-        if _cp_probe(p_hi, state, params, curve, window, direction, soa) is None:
+        hi_trace, hi_margins = _cp_probe(p_hi, state, params, curve, window, direction, soa)
+        if hi_trace is None:
+            g_hi = _normalised_margin(hi_margins, scales)
             break
         p_hi *= 2.0
 
-    lo, lo_trace = 0.0, zero_trace
+    lo, lo_trace, lo_margins = 0.0, zero_trace, zero_margins
+    g_lo = _normalised_margin(zero_margins, scales)  # 1, or 0 with a bound already reached
     hi = p_hi
+    half_tol = 0.5 * tol_watts
+    widths = (math.inf, math.inf)  # bracket width before each of the last two probes
+    kept = "lo"  # the end the last probe left in place; the p_hi probe moved hi
     iterations = 0
     while hi - lo > tol_watts and iterations < max_iter:
-        mid = 0.5 * (lo + hi)
-        probe = _cp_probe(mid, state, params, curve, window, direction, soa)
-        if probe is None:
-            hi = mid
+        width = hi - lo
+        if g_hi is None or g_hi >= 0.0 or width > 0.5 * widths[0]:
+            p = 0.5 * (lo + hi)
         else:
-            lo, lo_trace = mid, probe
+            p = lo + width * g_lo / (g_lo - g_hi)
+            p = min(max(p, lo + half_tol), hi - half_tol)
+        widths = (widths[1], width)
+        probe, margins = _cp_probe(p, state, params, curve, window, direction, soa)
+        g = _normalised_margin(margins, scales)
+        if probe is None:
+            hi, g_hi = p, g
+            if kept == "lo":  # Illinois: halve the weight of an end kept twice
+                g_lo *= 0.5
+            kept = "lo"
+        else:
+            lo, lo_trace, lo_margins, g_lo = p, probe, margins, g
+            if kept == "hi" and g_hi is not None:
+                g_hi *= 0.5
+            kept = "hi"
         iterations += 1
 
     trace = PomTrace(lo_trace)
     sop = lo
-    dominant = _cp_dominant(lo_trace, direction, soa)
     binding_current = lo_trace[-1].current if direction is Direction.DISCHARGE else lo_trace[0].current
     result = SopResult(
         i_current_limit=None,
         i_voltage_limit=None,
         i_soc_limit=None,
         i_mc=binding_current,
-        dominant=dominant,
+        dominant=_cp_dominant(lo_margins),
         vt_end=lo_trace[-1].vt,
         power_signed=sop * direction.sign,
         sop=sop,
@@ -381,14 +468,7 @@ def sop_cp(
     return result, trace
 
 
-def _cp_dominant(steps: tuple[PomStep, ...], direction: Direction, soa: Soa) -> str:
+def _cp_dominant(margins: _CpMargins) -> str:
     """Constraint with the smallest margin anywhere along the trace."""
-    sign = direction.sign
-    cutoff = direction.vt_cutoff(soa)
-    i_lim = direction.current_limit(soa)
-    bound = direction.soc_bound(soa)
-    v_margin = min((s.vt - cutoff) * sign for s in steps)
-    i_margin = min((i_lim - s.current) * sign for s in steps)
-    soc_margin = min((s.soc - bound) * sign for s in steps)
-    margins = [(v_margin, "voltage"), (soc_margin, "soc"), (i_margin, "current")]
-    return min(margins, key=lambda m: m[0])[1]
+    ranked = [(margins.voltage, "voltage"), (margins.soc, "soc"), (margins.current, "current")]
+    return min(ranked, key=lambda m: m[0])[1]

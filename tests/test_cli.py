@@ -1,7 +1,13 @@
 """Command-line contract tests: exit codes, report shapes, round-trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import soplab
 import soplab.oracle
 from soplab import BatteryParams, BatteryState, Window, predict_cc
 from soplab.cli import main
@@ -85,6 +91,23 @@ class TestSopCommand:
         assert "step,current_a,vt_v,soc,vp_v,power_w" in report
         assert "mode_shift_step=9" in report
         assert len([l for l in report.splitlines() if l and l[0].isdigit()]) == 10
+
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
+    def test_bad_cp_tolerance_exits_two(self, files, capsys, tol):
+        code = main(["sop", *_base_args(files), "--mode", "cp", "--tol-watts", tol])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("error:")
+
+    @pytest.mark.parametrize("mode", ["cc", "cp"])
+    def test_non_finite_dt_exits_two(self, files, capsys, mode):
+        code = main(["sop", *_base_args(files), "--mode", mode, "--dt", "inf"])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("error:")
+
+    def test_cp_vp_above_ocv_exits_one(self, files, capsys):
+        code = main(["sop", *_base_args(files), "--mode", "cp", "--vp", "5"])
+        assert code == 1
+        assert "feasible=false" in capsys.readouterr().out
 
     def test_missing_ocv_file_exits_two(self, files, capsys):
         code = main(
@@ -250,6 +273,17 @@ class TestValidateCommand:
             == 2
         )
 
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf"])
+    def test_bad_tolerance_exits_two(self, files, capsys, tol):
+        code = main(
+            [
+                "validate", *_base_args(files),
+                "--soc-grid", "0.5", "--steps-list", "10", "--tol", tol,
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().out.startswith("error:")
+
     def test_injected_fault_exits_one(self, files, capsys, monkeypatch):
         # Corrupt the oracle's view of the polarization resistance; the
         # closed form and the oracle must now disagree.
@@ -276,3 +310,19 @@ class TestValidateCommand:
 
 def test_unknown_command_exits_two(files):
     assert main(["frobnicate", *_base_args(files)]) == 2
+
+
+@pytest.mark.parametrize("module", ["soplab", "soplab.cli"])
+@pytest.mark.parametrize("extra", [["--mode", "cp", "-K", "5"], ["--tol-watts", "nan"]])
+def test_module_entry_points_match_main(files, capsys, module, extra):
+    argv = ["sop", *_base_args(files), *extra]
+    code = main(argv)
+    expected = capsys.readouterr().out
+    src = str(Path(soplab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == code
+    assert proc.stdout == expected.encode()

@@ -22,6 +22,19 @@ from soplab import (
 
 
 class TestOcv:
+    def test_knot_socs_derived_once(self, knee_curve):
+        assert knee_curve.socs == (0.0, 0.5, 1.0)
+        assert "socs" not in repr(knee_curve)
+        assert knee_curve == OcvCurve(((0.0, 3.0), (0.5, 3.5), (1.0, 4.2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_knot_rejected(self, bad):
+        # A NaN knot passes the ordering checks, since every comparison with it is false.
+        with pytest.raises(ConfigurationError):
+            OcvCurve(((0.0, 3.0), (0.5, bad), (1.0, 4.2)))
+        with pytest.raises(ConfigurationError):
+            OcvCurve(((0.0, 3.0), (bad, 3.5), (1.0, 4.2)))
+
     def test_midpoint_interpolation(self, linear_curve):
         assert ocv(linear_curve, 0.5) == pytest.approx(3.6, abs=1e-15)
 
@@ -244,3 +257,17 @@ class TestValidation:
             Window(0, 1.0)
         with pytest.raises(ConfigurationError):
             Window(10, 0.0)
+
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_window_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ConfigurationError):
+            Window(10, dt)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, "3"])
+    def test_window_rejects_non_integral_steps(self, steps):
+        with pytest.raises(ConfigurationError):
+            Window(steps, 1.0)
+
+    def test_window_accepts_numpy_integer_steps(self):
+        np = pytest.importorskip("numpy")
+        assert Window(np.int64(7), 1.0).duration == 7.0

@@ -1,16 +1,24 @@
-"""Mode-engine tests: CV hold, CC-CV shift dispatch, CP bisection."""
+"""Mode-engine tests: CV hold, CC-CV shift dispatch, CP peak-power search."""
 
 import math
+import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import soplab.modes as modes
 from soplab import (
+    BatteryParams,
     BatteryState,
     CcCvCase,
     Direction,
+    InfeasibleStateError,
+    OcvCurve,
     PowerInfeasibleError,
     Soa,
     Window,
+    brute_peak_power_cp,
     check_point,
     check_trace,
     constant_current_trace,
@@ -169,6 +177,12 @@ class TestSolveCpStep:
         with pytest.raises(PowerInfeasibleError):
             solve_cp_step(BatteryState(0.5), params, linear_curve, -5.0, DIS)
 
+    def test_zero_power_with_non_positive_emf(self, params, linear_curve):
+        # vp above the OCV: the quadratic form would divide 0 by 0 here.
+        current, vt = solve_cp_step(BatteryState(0.5, 5.0), params, linear_curve, 0.0, DIS)
+        assert current == 0.0
+        assert vt == pytest.approx(3.6 - 5.0, abs=1e-15)
+
 
 def _cp_window_feasible(power_abs, state, params, curve, window, direction, soa):
     """Independent feasibility probe built from the public step solver."""
@@ -240,3 +254,91 @@ class TestSopCp:
     def test_bad_tolerance_rejected(self, params, linear_curve, soa, state_half, window_10):
         with pytest.raises(ValueError):
             sop_cp(state_half, params, linear_curve, window_10, DIS, soa, tol_watts=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tolerance_rejected(
+        self, params, linear_curve, soa, state_half, window_10, tol
+    ):
+        with pytest.raises(ValueError):
+            sop_cp(state_half, params, linear_curve, window_10, DIS, soa, tol_watts=tol)
+
+    def test_vp_above_ocv_infeasible_not_crash(self, params, linear_curve, soa, window_10):
+        result, trace = sop_cp(BatteryState(0.5, 5.0), params, linear_curve, window_10, DIS, soa)
+        assert not result.feasible
+        assert result.sop == 0.0
+        assert trace.steps == ()
+
+
+@st.composite
+def _monotone_ocv(draw):
+    """A random non-decreasing OCV table of 2-12 knots spanning SOC [0, 1]."""
+    n = draw(st.integers(2, 12))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+    rises = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1))
+    v0 = draw(st.floats(3.0, 3.4))
+    span = draw(st.floats(0.2, 0.9))
+    socs, volts = [0.0], [0.0]
+    for gap, rise in zip(gaps, rises):
+        socs.append(socs[-1] + gap)
+        volts.append(volts[-1] + rise)
+    total_rise = volts[-1] or 1.0
+    return OcvCurve(
+        tuple((s / socs[-1], v0 + span * v / total_rise) for s, v in zip(socs, volts))
+    )
+
+
+class TestSopCpSolver:
+    """The bracketing search against an independent re-simulation and the
+    bisection oracle, plus its probe budget."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        curve=_monotone_ocv(),
+        soc=st.floats(0.12, 0.88),
+        vp=st.floats(-0.4, 0.4),
+        steps=st.sampled_from([1, 10, 30, 60]),
+        direction=st.sampled_from([DIS, CHG]),
+        tol=st.sampled_from([1e-6, 1e-9]),
+    )
+    def test_feasible_at_result_and_agrees_with_oracle(
+        self, curve, soc, vp, steps, direction, tol
+    ):
+        # The conftest cell and SOA, built here: hypothesis reuses fixtures across examples.
+        params = BatteryParams(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
+        soa = Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9)
+        state, window = BatteryState(soc, vp), Window(steps, 1.0)
+        result, _ = sop_cp(state, params, curve, window, direction, soa, tol_watts=tol)
+        if not _cp_window_feasible(0.0, state, params, curve, window, direction, soa):
+            assert not result.feasible and result.sop == 0.0
+            with pytest.raises(InfeasibleStateError):
+                brute_peak_power_cp(state, params, curve, window, direction, soa)
+            return
+        assert _cp_window_feasible(result.sop, state, params, curve, window, direction, soa)
+        assert not _cp_window_feasible(
+            result.sop + 2 * tol, state, params, curve, window, direction, soa
+        )
+        brute = brute_peak_power_cp(state, params, curve, window, direction, soa, tol_watts=tol)
+        assert not brute.saturated
+        assert abs(result.sop - brute.watts) <= 2 * tol
+
+    def test_probe_budget_on_acceptance_grid(self, params, linear_curve, soa, monkeypatch):
+        calls = [0]
+        probe = modes._cp_probe
+
+        def counting_probe(*args, **kwargs):
+            calls[0] += 1
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(modes, "_cp_probe", counting_probe)
+        per_solve = []
+        for soc in [round(0.1 * i, 1) for i in range(1, 10)]:
+            for steps in (1, 10, 30, 60):
+                for direction in (DIS, CHG):
+                    calls[0] = 0
+                    sop_cp(
+                        BatteryState(soc), params, linear_curve, Window(steps, 1.0),
+                        direction, soa, tol_watts=1e-6,
+                    )
+                    per_solve.append(calls[0])
+        assert statistics.mean(per_solve) <= 10
+        assert max(per_solve) <= 20

@@ -1,5 +1,6 @@
 """Oracle tests: bisection validators and the comparison record."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -165,3 +166,5 @@ def test_oracle_module_does_not_call_closed_forms():
     source = Path(oracle_module.__file__).read_text()
     for forbidden in ("sop_cc(", "predict_cc(", "sop_cv(", "sop_cccv(", "sop_cp(", "solve_cp_step("):
         assert forbidden not in source
+    # Nor the engine's per-step CP solver (the oracle's own is _secant_cp_current).
+    assert not re.search(r"\b_cp_current\(", source)
