@@ -209,11 +209,16 @@ def cmd_validate(
     tol_amps: float,
 ) -> tuple[int, str]:
     """Closed-form versus brute-force peak current over a grid; exit 1 on any
-    disagreement beyond tolerance."""
+    disagreement beyond tolerance or any skipped point.
+
+    A point whose rested state lies outside the SOA has no oracle bracket: its
+    row reads ``nan`` for the oracle and residual and ``skipped`` for the
+    verdict, it counts in ``points`` but not in ``passed``, and the grid runs on.
+    """
     if not soc_grid or not steps_list or not directions:
         raise InputError("validation grid is empty")
     lines = ["soc,steps,direction,analytic_a,oracle_a,residual_a,pass"]
-    failures = 0
+    failures = skipped = 0
     max_residual = 0.0
     count = 0
     for soc in soc_grid:
@@ -227,32 +232,31 @@ def cmd_validate(
                 result = peak_cc.sop_cc(
                     state, scenario.params, scenario.curve, window, direction, scenario.soa
                 )
-                brute = oracle.brute_peak_current_cc(
-                    state, scenario.params, scenario.curve, window, direction, scenario.soa,
-                    tol_amps=tol_amps,
-                )
-                record = oracle.compare_report(result, brute, tol_amps, quantity="current")
                 count += 1
-                max_residual = max(max_residual, abs(record.residual))
-                if not record.passed:
-                    failures += 1
-                lines.append(
-                    ",".join(
-                        (
-                            ff(soc),
-                            str(steps),
-                            direction.value,
-                            ff(record.analytic),
-                            ff(record.brute),
-                            ff(record.residual),
-                            "true" if record.passed else "false",
-                        )
+                try:
+                    brute = oracle.brute_peak_current_cc(
+                        state, scenario.params, scenario.curve, window, direction, scenario.soa,
+                        tol_amps=tol_amps,
                     )
-                )
+                except InfeasibleStateError:
+                    skipped += 1
+                    cells = (ff(result.i_mc), "nan", "nan", "skipped")
+                else:
+                    record = oracle.compare_report(result, brute, tol_amps, quantity="current")
+                    max_residual = max(max_residual, abs(record.residual))
+                    if not record.passed:
+                        failures += 1
+                    cells = (
+                        ff(record.analytic),
+                        ff(record.brute),
+                        ff(record.residual),
+                        "true" if record.passed else "false",
+                    )
+                lines.append(",".join((ff(soc), str(steps), direction.value, *cells)))
     lines.append(f"points={count}")
-    lines.append(f"passed={count - failures}")
+    lines.append(f"passed={count - failures - skipped}")
     lines.append(f"max_residual_a={ff(max_residual)}")
-    code = EXIT_OK if failures == 0 else EXIT_INFEASIBLE
+    code = EXIT_OK if failures + skipped == 0 else EXIT_INFEASIBLE
     return code, "\n".join(lines) + "\n"
 
 

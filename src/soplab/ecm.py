@@ -33,6 +33,10 @@ class BatteryParams:
     coulombic_eff: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("r0", "r1", "tau", "capacity_ah"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if not (self.r0 > 0.0):
             raise ConfigurationError(f"r0 must be > 0, got {self.r0}")
         if not (self.r1 >= 0.0):

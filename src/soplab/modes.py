@@ -50,22 +50,6 @@ class ModeShift(NamedTuple):
     k_c: int | None  # populated only for TRANSITIONAL
 
 
-def _clip_current(raw: float, direction: Direction, i_lim: float, headroom: float) -> float:
-    """Clip a step current to the direction's sign, the manufacturer limit,
-    and the remaining SOC headroom of this step."""
-    if direction is Direction.DISCHARGE:
-        return max(0.0, min(raw, i_lim, headroom))
-    return min(0.0, max(raw, i_lim, headroom))
-
-
-def _soc_headroom_current(
-    soc: float, params: BatteryParams, direction: Direction, soa: Soa, dt: float
-) -> float:
-    """Current that lands this step's SOC exactly on its bound."""
-    bound = direction.soc_bound(soa)
-    return (soc - bound) / (dt * params.soc_per_amp_second)
-
-
 def constant_current_trace(
     state: BatteryState,
     params: BatteryParams,
@@ -87,8 +71,88 @@ def constant_current_trace(
     return PomTrace(tuple(steps))
 
 
-def _min_power_step(steps: tuple[PomStep, ...]) -> PomStep:
-    return min(steps, key=lambda s: abs(s.power))
+def _hold_trace(
+    state: BatteryState,
+    params: BatteryParams,
+    curve: OcvCurve,
+    window: Window,
+    direction: Direction,
+    soa: Soa,
+    v_star: float,
+    first_at_limit: bool,
+) -> tuple[tuple[PomStep, ...], int | None, PomStep]:
+    """Hold ``v_star`` across the window, each step's hold current clipped to
+    the direction's sign, the current limit and the SOC headroom; a clipped
+    step carries its own ohmic drop. With ``first_at_limit`` step one runs the
+    limit itself (``v_star`` is the voltage that results). Returns the steps,
+    the first step whose hold current went unclipped (or None) and the first
+    step of minimum |power|."""
+    alpha = math.exp(-window.dt / params.tau)
+    # Loop invariants hoisted. The step products stay left to right and are not
+    # pre-multiplied (current * r1 * (1 - alpha), current * dt * soc_per_as), so
+    # a current-limited step rounds exactly as in constant_current_trace.
+    one_minus_alpha = 1.0 - alpha
+    r0, r1, dt, soc_per_as = params.r0, params.r1, window.dt, params.soc_per_amp_second
+    headroom_div = dt * soc_per_as
+    i_lim, bound = direction.current_limit(soa), direction.soc_bound(soa)
+    discharge = direction is Direction.DISCHARGE
+    ocv = ecm.ocv
+    soc, vp = state.soc, state.vp
+    steps: list[PomStep] = []
+    append = steps.append
+    k_c = None
+    best, binding = math.inf, 0
+    for j in range(1, window.steps + 1):
+        vp_rel = vp * alpha
+        emf = ocv(curve, soc) - vp_rel
+        hold = (emf - v_star) / r0
+        if first_at_limit:
+            hold, first_at_limit = i_lim, False
+        # max(0.0, min(hold, i_lim, headroom)) and its charge mirror, inlined.
+        headroom = (soc - bound) / headroom_div
+        current = hold
+        if discharge:
+            if i_lim < current:
+                current = i_lim
+            if headroom < current:
+                current = headroom
+            if not current > 0.0:
+                current = 0.0
+        else:
+            if i_lim > current:
+                current = i_lim
+            if headroom > current:
+                current = headroom
+            if not current < 0.0:
+                current = 0.0
+        if current == hold:
+            vt = v_star
+            if k_c is None:
+                k_c = j
+        else:
+            vt = emf - current * r0
+        vp = vp_rel + current * r1 * one_minus_alpha
+        soc = min(max(soc - current * dt * soc_per_as, 0.0), 1.0)
+        power = current * vt
+        append(PomStep(j, current, vt, soc, vp, power))
+        if abs(power) < best:  # strict: the first minimum binds
+            best, binding = abs(power), j - 1
+    return tuple(steps), k_c, steps[binding]
+
+
+def _hold_result(steps: tuple[PomStep, ...], binding: PomStep, dominant: str) -> SopResult:
+    sop = abs(binding.power)
+    return SopResult(
+        i_current_limit=None,
+        i_voltage_limit=None,
+        i_soc_limit=None,
+        i_mc=binding.current,
+        dominant=dominant,
+        vt_end=steps[-1].vt,
+        power_signed=binding.power,
+        sop=sop,
+        feasible=sop > 0.0,
+    )
 
 
 def sop_cv(
@@ -113,51 +177,19 @@ def sop_cv(
     i_lim = direction.current_limit(soa)
     cutoff = direction.vt_cutoff(soa)
 
-    vp_rel_1 = state.vp * alpha
-    need = (ecm.ocv(curve, state.soc) - vp_rel_1 - cutoff) / params.r0
+    emf_1 = ecm.ocv(curve, state.soc) - state.vp * alpha
+    need = (emf_1 - cutoff) / params.r0
     if abs(need) > abs(i_lim):
-        v_star = ecm.ocv(curve, state.soc) - vp_rel_1 - i_lim * params.r0
+        v_star = emf_1 - i_lim * params.r0
         governed = "current"
     else:
         v_star = cutoff
         governed = "voltage"
 
-    soc, vp = state.soc, state.vp
-    steps: list[PomStep] = []
-    for j in range(1, window.steps + 1):
-        vp_rel = vp * alpha
-        headroom = _soc_headroom_current(soc, params, direction, soa, window.dt)
-        if j == 1 and governed == "current":
-            # The first step runs the limit itself; v_star was defined as the
-            # voltage that results, so pin both rather than re-deriving them.
-            current = _clip_current(i_lim, direction, i_lim, headroom)
-            held = current == i_lim
-        else:
-            hold = (ecm.ocv(curve, soc) - vp_rel - v_star) / params.r0
-            current = _clip_current(hold, direction, i_lim, headroom)
-            held = current == hold
-        # An uncapped step holds v_star by construction; a capped one is
-        # recomputed and sits strictly inside the cut-off.
-        vt = v_star if held else ecm.ocv(curve, soc) - vp_rel - current * params.r0
-        vp = vp_rel + current * params.r1 * (1.0 - alpha)
-        soc = min(max(soc - current * window.dt * params.soc_per_amp_second, 0.0), 1.0)
-        steps.append(PomStep(j, current, vt, soc, vp, current * vt))
-
-    trace = PomTrace(tuple(steps))
-    binding = _min_power_step(trace.steps)
-    sop = abs(binding.power)
-    result = SopResult(
-        i_current_limit=None,
-        i_voltage_limit=None,
-        i_soc_limit=None,
-        i_mc=binding.current,
-        dominant=governed,
-        vt_end=steps[-1].vt,
-        power_signed=binding.power,
-        sop=sop,
-        feasible=sop > 0.0,
+    steps, _, binding = _hold_trace(
+        state, params, curve, window, direction, soa, v_star, governed == "current"
     )
-    return result, trace
+    return _hold_result(steps, binding, governed), PomTrace(steps)
 
 
 def find_mode_shift_kc(
@@ -197,58 +229,25 @@ def sop_cccv(
 ) -> tuple[SopResult, PomTrace]:
     """Constant-current / constant-voltage window with an in-window shift.
 
-    Degenerate cases delegate: a never-reached cut-off reproduces the CC
-    trace at the current limit, a pre-window shift reproduces the CV window.
-    Otherwise each step takes the smaller of the current limit and the
-    cut-off hold current, so the current binds up to the shift and the
-    voltage binds from the shift step onward.
+    A shift that predates the window (``CcCvCase.CV_ONLY``) is decided from
+    step one alone: if the current limit already crosses the cut-off there,
+    the CV window is returned. ``find_mode_shift_kc`` remains a public helper
+    but is not called here. Otherwise each step takes the smaller of the
+    current limit and the cut-off hold current, so the current binds up to
+    the shift and the voltage from the shift step onward; a never-reached
+    cut-off reproduces the CC trace at the current limit.
     """
-    shift = find_mode_shift_kc(state, params, curve, window, direction, soa)
-    if shift.case is CcCvCase.CV_ONLY:
-        result, trace = sop_cv(state, params, curve, window, direction, soa)
-        return result, trace
-
     i_lim = direction.current_limit(soa)
     cutoff = direction.vt_cutoff(soa)
     alpha = math.exp(-window.dt / params.tau)
+    # Step one of constant_current_trace at the limit, in the same operation order.
+    vt_1 = ecm.ocv(curve, state.soc) - state.vp * alpha - i_lim * params.r0
+    if (cutoff - vt_1) * direction.sign > 0.0:
+        return sop_cv(state, params, curve, window, direction, soa)
 
-    # Unified step rule for the CC-only and transitional cases: each step takes
-    # the smaller of the current limit and the cut-off hold current (plus the
-    # SOC headroom). While the limit wins this is bit-for-bit the constant-
-    # current trace; once the hold wins the voltage is pinned for good.
-    soc, vp = state.soc, state.vp
-    steps: list[PomStep] = []
-    k_c: int | None = None
-    for j in range(1, window.steps + 1):
-        vp_rel = vp * alpha
-        hold = (ecm.ocv(curve, soc) - vp_rel - cutoff) / params.r0
-        headroom = _soc_headroom_current(soc, params, direction, soa, window.dt)
-        current = _clip_current(hold, direction, i_lim, headroom)
-        if current == hold:
-            if k_c is None:
-                k_c = j
-            vt = cutoff
-        else:
-            vt = ecm.ocv(curve, soc) - vp_rel - current * params.r0
-        vp = vp_rel + current * params.r1 * (1.0 - alpha)
-        soc = min(max(soc - current * window.dt * params.soc_per_amp_second, 0.0), 1.0)
-        steps.append(PomStep(j, current, vt, soc, vp, current * vt))
-
-    trace = PomTrace(tuple(steps), mode_shift_index=k_c)
-    binding = _min_power_step(trace.steps)
-    sop = abs(binding.power)
-    result = SopResult(
-        i_current_limit=None,
-        i_voltage_limit=None,
-        i_soc_limit=None,
-        i_mc=binding.current,
-        dominant="current" if k_c is None else "dual",
-        vt_end=steps[-1].vt,
-        power_signed=binding.power,
-        sop=sop,
-        feasible=sop > 0.0,
-    )
-    return result, trace
+    steps, k_c, binding = _hold_trace(state, params, curve, window, direction, soa, cutoff, False)
+    result = _hold_result(steps, binding, "current" if k_c is None else "dual")
+    return result, PomTrace(steps, mode_shift_index=k_c)
 
 
 def _cp_current(emf: float, r0: float, power: float) -> float | None:

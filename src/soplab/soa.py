@@ -6,7 +6,8 @@ so boundary conditions can be expressed as exact equalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple, Protocol
 
 from .exceptions import ConfigurationError
@@ -24,6 +25,10 @@ class Soa:
     soc_max: float
 
     def __post_init__(self) -> None:
+        for limit in fields(self):
+            value = getattr(self, limit.name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{limit.name} must be finite, got {value}")
         if not (self.vt_min < self.vt_max):
             raise ConfigurationError("vt_min must be < vt_max")
         if not (self.i_max_chg < 0.0 < self.i_max_dis):

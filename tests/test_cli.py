@@ -284,6 +284,27 @@ class TestValidateCommand:
         assert code == 2
         assert capsys.readouterr().out.startswith("error:")
 
+    def test_out_of_soa_point_skipped_not_fatal(self, files, capsys):
+        # vp = 0.5 puts the rested voltage at soc 0.1 at 2.62 V, below vt_min.
+        code = main(
+            [
+                "validate", *_base_args(files, "--vp", "0.5"),
+                "--soc-grid", "0.1:0.9:0.2", "--steps-list", "1,10",
+            ]
+        )
+        report = capsys.readouterr().out
+        rows = [line.split(",") for line in report.splitlines()[1:] if "," in line]
+        skipped = [row for row in rows if row[-1] == "skipped"]
+        checked = [row for row in rows if row[-1] != "skipped"]
+        assert code == 1
+        assert len(rows) == 20
+        assert len(skipped) == 4 and {row[0] for row in skipped} == {"0.1"}
+        assert all(row[4:6] == ["nan", "nan"] for row in skipped)
+        kv = _kv(report)
+        assert kv["points"] == "20"
+        assert int(kv["passed"]) == sum(row[-1] == "true" for row in checked)
+        assert float(kv["max_residual_a"]) == max(abs(float(row[5])) for row in checked)
+
     def test_injected_fault_exits_one(self, files, capsys, monkeypatch):
         # Corrupt the oracle's view of the polarization resistance; the
         # closed form and the oracle must now disagree.

@@ -246,6 +246,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             BatteryParams(0.05, 0.03, 10.0, -2.0, 1.0)
 
+    @pytest.mark.parametrize("field", ["r0", "r1", "tau", "capacity_ah"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_params_reject_non_finite(self, field, bad):
+        values = dict(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
+        values[field] = bad
+        with pytest.raises(ConfigurationError, match=field):
+            BatteryParams(**values)
+
     def test_state_invariants(self):
         with pytest.raises(ConfigurationError):
             BatteryState(1.0001)

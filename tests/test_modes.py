@@ -342,3 +342,99 @@ class TestSopCpSolver:
                     per_solve.append(calls[0])
         assert statistics.mean(per_solve) <= 10
         assert max(per_solve) <= 20
+
+
+# 12-knot NMC-like table: a steep knee below 10% SOC on a convex rise, 3.0-4.2 V.
+NMC_CURVE = OcvCurve(
+    tuple(
+        (s, 3.0 + 1.2 * (0.35 * (1.0 - math.exp(-s / 0.04)) + 0.65 * s**1.3))
+        for s in (0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+    )
+)
+
+
+class TestCccvShiftDecision:
+    """sop_cccv decides a pre-window shift from step one; the public
+    full-window classifier must agree with that decision."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        curve=_monotone_ocv(),
+        soc=st.floats(0.0, 1.0),
+        vp=st.floats(-0.6, 0.6),
+        steps=st.sampled_from([1, 2, 10, 30, 60]),
+        dt=st.sampled_from([0.1, 1.0, 5.0]),
+        direction=st.sampled_from([DIS, CHG]),
+    )
+    def test_step_one_decision_matches_find_mode_shift_kc(
+        self, curve, soc, vp, steps, dt, direction
+    ):
+        params = BatteryParams(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
+        soa = Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9)
+        args = (BatteryState(soc, vp), params, curve, Window(steps, dt), direction, soa)
+        delegated = []
+
+        def spy(*a):
+            delegated.append(a)
+            return sop_cv(*a)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modes, "sop_cv", spy)
+            result, trace = sop_cccv(*args)
+        cv_only = find_mode_shift_kc(*args).case is CcCvCase.CV_ONLY
+        # Delegation is exact, not approximate. (Equal outputs alone would not
+        # do: K = 1 or a window clipped to zero SOC headroom can coincide.)
+        assert bool(delegated) == cv_only
+        if cv_only:
+            assert (result, trace) == sop_cv(*args)
+        else:
+            assert (result.dominant == "current") == (trace.mode_shift_index is None)
+
+    def test_no_pre_pass_on_acceptance_grid(self, params, linear_curve, soa, monkeypatch):
+        grid = [
+            (BatteryState(round(0.1 * i, 1)), Window(steps, 1.0), direction)
+            for i in range(1, 10)
+            for steps in (1, 10, 30, 60)
+            for direction in (DIS, CHG)
+        ]
+        expected = [
+            sop_cccv(state, params, linear_curve, window, direction, soa)
+            for state, window, direction in grid
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sop_cccv must not simulate a pre-pass")
+
+        monkeypatch.setattr(modes, "find_mode_shift_kc", forbidden)
+        monkeypatch.setattr(modes, "constant_current_trace", forbidden)
+        got = [
+            sop_cccv(state, params, linear_curve, window, direction, soa)
+            for state, window, direction in grid
+        ]
+        assert got == expected
+
+    @pytest.mark.parametrize("engine", [sop_cv, sop_cccv])
+    @pytest.mark.parametrize("direction", [DIS, CHG])
+    def test_ocv_calls_per_window(self, params, soa, monkeypatch, engine, direction):
+        # Algorithmic work, not wall time: one OCV lookup per step plus at
+        # most two for the level or shift decision.
+        steps = 300
+        window = Window(steps, 1.0)
+        states = [BatteryState(soc, vp) for soc in (0.15, 0.5, 0.85) for vp in (-0.2, 0.0, 0.2)]
+        shifts = {
+            find_mode_shift_kc(state, params, NMC_CURVE, window, direction, soa).case
+            for state in states
+        }
+        assert CcCvCase.CV_ONLY in shifts and len(shifts) > 1  # both sop_cccv paths
+        calls = [0]
+        lookup = modes.ecm.ocv
+
+        def counting_ocv(curve, soc):
+            calls[0] += 1
+            return lookup(curve, soc)
+
+        monkeypatch.setattr(modes.ecm, "ocv", counting_ocv)
+        for state in states:
+            calls[0] = 0
+            engine(state, params, NMC_CURVE, window, direction, soa)
+            assert 0 < calls[0] <= steps + 2

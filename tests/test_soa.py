@@ -1,5 +1,7 @@
 """SOA box and compliance-check tests."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,15 @@ def test_soa_invariants():
         Soa(2.8, 4.3, 10.0, 4.0, 0.1, 0.9)
     with pytest.raises(ConfigurationError):
         Soa(2.8, 4.3, 10.0, -4.0, 0.9, 0.1)
+
+
+@pytest.mark.parametrize("field", ["vt_min", "vt_max", "i_max_dis", "i_max_chg", "soc_min", "soc_max"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_soa_rejects_non_finite_limit(field, bad):
+    limits = dict(vt_min=2.8, vt_max=4.3, i_max_dis=10.0, i_max_chg=-4.0, soc_min=0.1, soc_max=0.9)
+    limits[field] = bad
+    with pytest.raises(ConfigurationError, match=field):
+        Soa(**limits)
 
 
 class TestCheckPoint:
