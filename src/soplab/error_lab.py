@@ -5,7 +5,7 @@ OCV window slope, and the capacity/efficiency composite x = eta/(3600*C_a))
 are each propagated through the three constraint closed forms, twice over:
 
 * ``analytic_error`` evaluates the closed-form error expressions directly;
-* ``empirical_error`` runs the reference estimator twice -- once with true
+* ``empirical_error`` runs ``peak_cc``'s closed forms twice -- once with true
   inputs, once with the one corrupted input -- and differences the outputs.
 
 Conventions, applied uniformly: every error is "true minus estimated"
@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import ecm
+from . import ecm, peak_cc
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
 from .exceptions import AnalyticDomainError
-from .peak_cc import Direction
+from .peak_cc import Direction, WindowTerms
 from .soa import Soa
 
 CONSTRAINTS = ("current", "voltage", "soc")
@@ -56,20 +56,12 @@ class TrueContext:
     state: BatteryState
     params: BatteryParams
     curve: OcvCurve
-    kappa: float
     window: Window
     direction: Direction
     soa: Soa
-    # derived, all true-valued
-    f_soc: float  # OCV at the window-start SOC
-    vp_relax: float  # initial polarization voltage decayed across the window
-    r_sum: float  # R0 + R1*(1-exp(-K*dt/tau))
+    terms: WindowTerms  # true-valued closed-form inputs, slope included
     x: float  # eta / (3600 * C_a)
     k_dt: float  # K * dt
-    y: float  # k_dt * x
-    cutoff: float
-    soc_bound: float
-    i_lim: float
 
 
 def build_true_context(
@@ -85,95 +77,55 @@ def build_true_context(
     segment slope at the starting SOC."""
     if kappa is None:
         kappa = ecm.ocv_slope(curve, state.soc, state.soc)
-    k_dt = window.duration
-    x = params.soc_per_amp_second
     return TrueContext(
         state=state,
         params=params,
         curve=curve,
-        kappa=kappa,
         window=window,
         direction=direction,
         soa=soa,
-        f_soc=ecm.ocv(curve, state.soc),
-        vp_relax=state.vp * math.exp(-k_dt / params.tau),
-        r_sum=params.r0 + params.r1 * (1.0 - math.exp(-k_dt / params.tau)),
-        x=x,
-        k_dt=k_dt,
-        y=k_dt * x,
-        cutoff=direction.vt_cutoff(soa),
-        soc_bound=direction.soc_bound(soa),
-        i_lim=direction.current_limit(soa),
+        terms=peak_cc.window_terms(state, params, curve, kappa, window, direction, soa),
+        x=params.soc_per_amp_second,
+        k_dt=window.duration,
     )
 
 
-class _EstimatorInputs(NamedTuple):
-    f_soc: float
-    vp_relax: float
-    r_sum: float
-    kappa: float
-    y: float
-    soc: float
-    soc_bound: float
-    cutoff: float
-    i_lim: float
-
-
-def _true_inputs(ctx: TrueContext) -> _EstimatorInputs:
-    return _EstimatorInputs(
-        ctx.f_soc,
-        ctx.vp_relax,
-        ctx.r_sum,
-        ctx.kappa,
-        ctx.y,
-        ctx.state.soc,
-        ctx.soc_bound,
-        ctx.cutoff,
-        ctx.i_lim,
-    )
-
-
-def _corrupt(ctx: TrueContext, source: ErrorSource, delta: float) -> _EstimatorInputs:
-    """Estimator-side inputs with one quantity biased to (true - delta)."""
-    inp = _true_inputs(ctx)
+def _corrupt(ctx: TrueContext, source: ErrorSource, delta: float) -> WindowTerms:
+    """Estimator-side terms with one quantity biased to (true - delta)."""
+    t = ctx.terms
     if source is ErrorSource.SOC:
-        soc_hat = ctx.state.soc - delta
-        return inp._replace(soc=soc_hat, f_soc=ecm.ocv(ctx.curve, soc_hat))
+        soc_hat = t.soc - delta
+        return t._replace(soc=soc_hat, f_soc=ecm.ocv(ctx.curve, soc_hat))
     if source is ErrorSource.VP_RELAX:
-        return inp._replace(vp_relax=ctx.vp_relax - delta)
+        return t._replace(vp_relax=t.vp_relax - delta)
     if source is ErrorSource.R_SUM:
-        return inp._replace(r_sum=ctx.r_sum - delta)
+        return t._replace(r_sum=t.r_sum - delta)
     if source is ErrorSource.KAPPA:
-        return inp._replace(kappa=ctx.kappa - delta)
+        return t._replace(kappa=t.kappa - delta)
     if source is ErrorSource.X:
-        return inp._replace(y=ctx.k_dt * (ctx.x - delta))
+        return t._replace(y=ctx.k_dt * (ctx.x - delta))
     raise AssertionError(f"unhandled source {source}")
 
 
-def _estimate(constraint: str, inp: _EstimatorInputs) -> tuple[float, float, float]:
-    """Reference estimator for one constraint: (peak current, end voltage, sop).
+def _estimate(constraint: str, terms: WindowTerms) -> tuple[float, float, float]:
+    """The shipped closed forms for one constraint, before the direction
+    clamp: (peak current, end voltage, sop).
 
-    The end voltage is always the linearized window prediction at the
-    constraint's peak current; under the voltage constraint it reduces to the
-    cut-off identically, which is therefore assigned rather than recomputed.
+    Under the voltage constraint the end voltage reduces to the cut-off
+    identically, which is therefore assigned rather than recomputed.
     """
     if constraint == "current":
-        current = inp.i_lim
-        vt = inp.f_soc - inp.vp_relax - current * (inp.kappa * inp.y + inp.r_sum)
-        return current, vt, current * vt
-    if constraint == "voltage":
-        denom = inp.kappa * inp.y + inp.r_sum
-        if not (denom > 0.0):
-            raise AnalyticDomainError(f"voltage-constraint denominator {denom} <= 0")
-        current = (inp.f_soc - inp.vp_relax - inp.cutoff) / denom
-        return current, inp.cutoff, current * inp.cutoff
-    if constraint == "soc":
-        if not (inp.y > 0.0):
-            raise AnalyticDomainError(f"soc-constraint denominator {inp.y} <= 0")
-        current = (inp.soc - inp.soc_bound) / inp.y
-        vt = inp.f_soc - inp.kappa * inp.y * current - inp.vp_relax - current * inp.r_sum
-        return current, vt, current * vt
-    raise ValueError(f"unknown constraint: {constraint!r}")
+        current = terms.i_lim
+        vt = peak_cc.end_voltage(terms, current)
+    elif constraint == "voltage":
+        current = peak_cc.cutoff_current(terms)
+        vt = terms.cutoff
+    elif constraint == "soc":
+        current = peak_cc.soc_bound_current(terms)
+        vt = peak_cc.end_voltage(terms, current)
+    else:
+        raise ValueError(f"unknown constraint: {constraint!r}")
+    return current, vt, current * vt
 
 
 def _check_constraint(constraint: str) -> None:
@@ -190,7 +142,7 @@ def empirical_error(
     power as (true - estimated).
     """
     _check_constraint(constraint)
-    i_true, vt_true, sop_true = _estimate(constraint, _true_inputs(ctx))
+    i_true, vt_true, sop_true = _estimate(constraint, ctx.terms)
     i_hat, vt_hat, sop_hat = _estimate(constraint, _corrupt(ctx, source, delta))
     return ErrorBreakdown(
         delta_i=i_true - i_hat,
@@ -213,12 +165,12 @@ def analytic_error(
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
 
-    kappa, y, r_sum, k_dt, x = ctx.kappa, ctx.y, ctx.r_sum, ctx.k_dt, ctx.x
+    t = ctx.terms
+    kappa, y, r_sum, k_dt, x = t.kappa, t.y, t.r_sum, ctx.k_dt, ctx.x
     denom = kappa * y + r_sum  # voltage-constraint denominator, true-valued
-    numer = ctx.f_soc - ctx.vp_relax - ctx.cutoff
-    c_soc = ctx.state.soc - ctx.soc_bound
-    i_cc = ctx.i_lim
-    i_soc = c_soc / y
+    numer = t.f_soc - t.vp_relax - t.cutoff
+    c_soc = t.soc - t.soc_bound
+    i_cc = t.i_lim
 
     if constraint == "current":
         if source is ErrorSource.SOC:
@@ -253,10 +205,11 @@ def analytic_error(
                     f"perturbed voltage-constraint denominator {denom_hat} <= 0"
                 )
             di = -numer * shift / (denom * denom_hat)
-        return ErrorBreakdown(delta_i=di, delta_vt=0.0, delta_sop=ctx.cutoff * di)
+        return ErrorBreakdown(delta_i=di, delta_vt=0.0, delta_sop=t.cutoff * di)
 
     # soc constraint
-    a_emf = ctx.f_soc - kappa * c_soc - ctx.vp_relax  # end EMF less relaxation
+    i_soc = peak_cc.soc_bound_current(t)
+    a_emf = t.f_soc - kappa * c_soc - t.vp_relax  # end EMF less relaxation
     if source is ErrorSource.SOC:
         a_coef = r_sum / (y * y)
         b_coef = a_emf / y - 2.0 * c_soc * r_sum / (y * y)

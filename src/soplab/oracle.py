@@ -62,8 +62,8 @@ def brute_peak_current_cc(
     Saturates exactly at the manufacturer limit when that limit is itself
     sustainable.
     """
-    if not (tol_amps > 0.0):
-        raise ValueError(f"tol_amps must be > 0, got {tol_amps}")
+    if not (tol_amps > 0.0 and math.isfinite(tol_amps)):
+        raise ValueError(f"tol_amps must be finite and > 0, got {tol_amps}")
     rested_vt = ecm.ocv(curve, state.soc) - state.vp
     if check_point(rested_vt, 0.0, state.soc, soa):
         raise InfeasibleStateError("rested state lies outside the SOA")
@@ -164,8 +164,8 @@ def brute_peak_power_cp(
 ) -> BrutePower:
     """Largest sustainable constant power magnitude, with the per-step current
     recovered by secant iteration instead of the closed-form quadratic."""
-    if not (tol_watts > 0.0):
-        raise ValueError(f"tol_watts must be > 0, got {tol_watts}")
+    if not (tol_watts > 0.0 and math.isfinite(tol_watts)):
+        raise ValueError(f"tol_watts must be finite and > 0, got {tol_watts}")
     if not _cp_feasible_trace(0.0, state, params, curve, window, direction, soa):
         raise InfeasibleStateError("rested state lies outside the SOA")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ecm
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
@@ -65,12 +66,73 @@ def peak_current_current_constraint(direction: Direction, soa: Soa) -> float:
     return direction.current_limit(soa)
 
 
-def window_denominator(params: BatteryParams, kappa: float, window: Window) -> float:
-    """Shared denominator: OCV-drift term plus ohmic and built-up polarization
-    resistance, eta*K*dt*kappa/(3600*C_a) + R0 + R1*(1-exp(-K*dt/tau))."""
+class WindowTerms(NamedTuple):
+    """Window quantities the constant-current closed forms read: OCV at the
+    start SOC, decayed polarization, R0 + R1*(1-exp(-K*dt/tau)), the OCV slope
+    and the SOC throughput per ampere y = K*dt*eta/(3600*C_a)."""
+
+    soc: float
+    f_soc: float
+    vp_relax: float
+    r_sum: float
+    kappa: float
+    y: float
+    cutoff: float
+    soc_bound: float
+    i_lim: float
+
+
+def window_terms(
+    state: BatteryState,
+    params: BatteryParams,
+    curve: OcvCurve,
+    kappa: float,
+    window: Window,
+    direction: Direction,
+    soa: Soa,
+) -> WindowTerms:
+    """True-valued window terms for one state, window and direction."""
     k_dt = window.duration
-    eff_r1 = params.r1 * (1.0 - math.exp(-k_dt / params.tau))
-    return kappa * k_dt * params.soc_per_amp_second + params.r0 + eff_r1
+    alpha_k = math.exp(-k_dt / params.tau)
+    return WindowTerms(
+        soc=state.soc,
+        f_soc=ecm.ocv(curve, state.soc),
+        vp_relax=state.vp * alpha_k,
+        r_sum=params.r0 + params.r1 * (1.0 - alpha_k),
+        kappa=kappa,
+        y=k_dt * params.soc_per_amp_second,
+        cutoff=direction.vt_cutoff(soa),
+        soc_bound=direction.soc_bound(soa),
+        i_lim=direction.current_limit(soa),
+    )
+
+
+def end_voltage(terms: WindowTerms, current: float) -> float:
+    """End-of-window terminal voltage under a constant current, OCV
+    linearized at ``terms.kappa``."""
+    t = terms
+    return t.f_soc - t.vp_relax - current * (t.kappa * t.y + t.r_sum)
+
+
+def cutoff_current(terms: WindowTerms) -> float:
+    """Constant current that lands the end-of-window voltage on the cut-off."""
+    t = terms
+    denom = t.kappa * t.y + t.r_sum
+    if not (denom > 0.0):
+        raise AnalyticDomainError(f"voltage-constraint denominator must be > 0, got {denom}")
+    return (t.f_soc - t.vp_relax - t.cutoff) / denom
+
+
+def soc_bound_current(terms: WindowTerms) -> float:
+    """Constant current that lands the end-of-window SOC on its bound."""
+    if not (terms.y > 0.0):
+        raise AnalyticDomainError(f"soc-constraint denominator must be > 0, got {terms.y}")
+    return (terms.soc - terms.soc_bound) / terms.y
+
+
+def _toward(current: float, direction: Direction) -> float:
+    """0 when the rested state already sits past the bound for the direction."""
+    return 0.0 if current * direction.sign < 0.0 else current
 
 
 def peak_current_voltage_constraint(
@@ -87,17 +149,8 @@ def peak_current_voltage_constraint(
     Returns 0 when the rested voltage already sits past the cut-off for the
     direction (the window is voltage-infeasible).
     """
-    denom = window_denominator(params, kappa, window)
-    if not (denom > 0.0):
-        raise AnalyticDomainError(
-            f"voltage-constraint denominator must be > 0, got {denom}"
-        )
-    vp_relax = state.vp * math.exp(-window.duration / params.tau)
-    numer = ecm.ocv(curve, state.soc) - vp_relax - direction.vt_cutoff(soa)
-    current = numer / denom
-    if current * direction.sign < 0.0:
-        return 0.0
-    return current
+    terms = window_terms(state, params, curve, kappa, window, direction, soa)
+    return _toward(cutoff_current(terms), direction)
 
 
 def peak_current_soc_constraint(
@@ -108,12 +161,12 @@ def peak_current_soc_constraint(
     soa: Soa,
 ) -> float:
     """Constant current that lands the end-of-window SOC on its bound."""
-    current = (state.soc - direction.soc_bound(soa)) / (
-        window.duration * params.soc_per_amp_second
-    )
-    if current * direction.sign < 0.0:
-        return 0.0
-    return current
+    # The SOC bound reads only soc, y and soc_bound; no curve is at hand for
+    # the voltage terms, so they stay NaN.
+    nan = math.nan
+    y = window.duration * params.soc_per_amp_second
+    terms = WindowTerms(state.soc, nan, nan, nan, nan, y, nan, direction.soc_bound(soa), nan)
+    return _toward(soc_bound_current(terms), direction)
 
 
 def _compose(candidates: list[tuple[float, str]]) -> tuple[float, str]:
@@ -149,13 +202,11 @@ def sop_cc(
     if power_eval not in ("end_of_window", "min_over_window"):
         raise ValueError(f"unknown power_eval mode: {power_eval!r}")
 
-    i_current = peak_current_current_constraint(direction, soa)
-    i_soc = peak_current_soc_constraint(state, window, params, direction, soa)
-
     kappa = ecm.ocv_slope(curve, state.soc, state.soc)
-    i_voltage = peak_current_voltage_constraint(
-        state, params, curve, kappa, window, direction, soa
-    )
+    terms = window_terms(state, params, curve, kappa, window, direction, soa)
+    i_current = terms.i_lim
+    i_soc = _toward(soc_bound_current(terms), direction)
+    i_voltage = _toward(cutoff_current(terms), direction)
     i_mc, _ = _compose(
         [(i_voltage, "voltage"), (i_soc, "soc"), (i_current, "current")]
     )
@@ -163,30 +214,23 @@ def sop_cc(
     # Second pass: secant slope to the SOC the candidate current would reach.
     soc_reach = state.soc - i_mc * window.duration * params.soc_per_amp_second
     soc_reach = min(max(soc_reach, 0.0), 1.0)
-    kappa = ecm.ocv_slope(curve, state.soc, soc_reach)
-    i_voltage = peak_current_voltage_constraint(
-        state, params, curve, kappa, window, direction, soa
-    )
+    terms = terms._replace(kappa=ecm.ocv_slope(curve, state.soc, soc_reach))
+    i_voltage = _toward(cutoff_current(terms), direction)
     i_mc, dominant = _compose(
         [(i_voltage, "voltage"), (i_soc, "soc"), (i_current, "current")]
     )
 
-    prediction = ecm.predict_cc(state, params, curve, kappa, i_mc, window)
-    vt_end = prediction.vt_end
+    vt_end = end_voltage(terms, i_mc)
     power_signed = i_mc * vt_end
     sop = abs(power_signed)
 
     if power_eval == "min_over_window":
-        sim_state = state
-        best: float | None = None
+        sim_state, powers = state, []
         for _ in range(window.steps):
             sim_state, vt, _ = ecm.step(sim_state, params, curve, i_mc, window.dt)
-            p = i_mc * vt
-            if best is None or abs(p) < abs(best):
-                best = p
-        assert best is not None
-        power_signed = best
-        sop = abs(best)
+            powers.append(i_mc * vt)
+        power_signed = min(powers, key=abs)  # first smallest magnitude
+        sop = abs(power_signed)
 
     return SopResult(
         i_current_limit=i_current,

@@ -186,9 +186,9 @@ def test_criterion_2_table_boundary_occupancy():
 def _nominal(ctx, source):
     return {
         ErrorSource.SOC: ctx.state.soc,
-        ErrorSource.VP_RELAX: ctx.vp_relax,
-        ErrorSource.R_SUM: ctx.r_sum,
-        ErrorSource.KAPPA: ctx.kappa,
+        ErrorSource.VP_RELAX: ctx.terms.vp_relax,
+        ErrorSource.R_SUM: ctx.terms.r_sum,
+        ErrorSource.KAPPA: ctx.terms.kappa,
         ErrorSource.X: ctx.x,
     }[source]
 

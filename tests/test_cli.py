@@ -10,7 +10,7 @@ import pytest
 import soplab
 import soplab.oracle
 from soplab import BatteryParams, BatteryState, Window, predict_cc
-from soplab.cli import main
+from soplab.cli import _parse_grid, main
 from soplab.fileio import format_float
 
 PARAMS_TEXT = """\
@@ -305,6 +305,40 @@ class TestValidateCommand:
         assert int(kv["passed"]) == sum(row[-1] == "true" for row in checked)
         assert float(kv["max_residual_a"]) == max(abs(float(row[5])) for row in checked)
 
+    def test_range_grid_ends_on_its_stop(self, files, capsys):
+        # 0.3 + 6 * 0.1 is 0.9000000000000001, past soc_max; each point must be
+        # the decimal the range names, so no row is skipped.
+        main(
+            [
+                "validate", *_base_args(files, "--vp", "0.3"),
+                "--soc-grid", "0.3:0.9:0.1", "--steps-list", "1,10,30",
+            ]
+        )
+        report = capsys.readouterr().out
+        rows = [line.split(",") for line in report.splitlines()[1:] if "," in line]
+        assert _kv(report)["points"] == "42"
+        assert not [row for row in rows if row[-1] == "skipped"]
+        assert [row[-1] for row in rows if row[0] == "0.9"] == ["true"] * 6
+
+    def test_oracle_bisects_finer_than_the_pass_bound(self, files, capsys, monkeypatch):
+        original = soplab.oracle.brute_peak_current_cc
+        seen = []
+
+        def spy(*args, tol_amps, **kwargs):
+            seen.append(tol_amps)
+            return original(*args, tol_amps=tol_amps, **kwargs)
+
+        monkeypatch.setattr(soplab.oracle, "brute_peak_current_cc", spy)
+        code = main(
+            [
+                "validate", *_base_args(files),
+                "--soc-grid", "0.2,0.5", "--steps-list", "1,10", "--tol", "1e-4",
+            ]
+        )
+        assert code == 0
+        assert len(seen) == 8
+        assert all(tol <= 1e-4 / 1000 for tol in seen)
+
     def test_injected_fault_exits_one(self, files, capsys, monkeypatch):
         # Corrupt the oracle's view of the polarization resistance; the
         # closed form and the oracle must now disagree.
@@ -327,6 +361,18 @@ class TestValidateCommand:
         report = capsys.readouterr().out
         assert code == 1
         assert "passed=0" in report
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("0.3:0.9:0.1", [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+        ("0.1:0.9:0.1", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+        ("-0.3:0.3:0.1", [-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3]),
+    ],
+)
+def test_range_grid_points_are_exact_decimals(text, want):
+    assert _parse_grid(text) == want
 
 
 def test_unknown_command_exits_two(files):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import soplab.error_lab as error_lab
 from soplab import (
     AnalyticDomainError,
     BatteryState,
@@ -14,10 +15,13 @@ from soplab import (
     analytic_error,
     build_true_context,
     empirical_error,
+    sop_cc,
     sweep,
 )
+from support import second_pass_slope
 
 DIS = Direction.DISCHARGE
+CHG = Direction.CHARGE
 CONSTRAINTS = ("current", "voltage", "soc")
 
 # Sources whose peak current is structurally untouched by the soc constraint.
@@ -34,9 +38,9 @@ def ctx(params, linear_curve, soa):
 def _nominal(ctx, source):
     return {
         ErrorSource.SOC: ctx.state.soc,
-        ErrorSource.VP_RELAX: ctx.vp_relax,
-        ErrorSource.R_SUM: ctx.r_sum,
-        ErrorSource.KAPPA: ctx.kappa,
+        ErrorSource.VP_RELAX: ctx.terms.vp_relax,
+        ErrorSource.R_SUM: ctx.terms.r_sum,
+        ErrorSource.KAPPA: ctx.terms.kappa,
         ErrorSource.X: ctx.x,
     }[source]
 
@@ -62,6 +66,44 @@ class TestAnalyticExamples:
                 e = empirical_error(source, 0.0, ctx, constraint)
                 assert (a.delta_i, a.delta_vt, a.delta_sop) == (0.0, 0.0, 0.0)
                 assert (e.delta_i, e.delta_vt, e.delta_sop) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("direction", [DIS, CHG])
+    @pytest.mark.parametrize("curve_name", ["linear_curve", "knee_curve"])
+    def test_zero_delta_runs_the_shipped_estimator(
+        self, request, params, soa, curve_name, direction
+    ):
+        # At sop_cc's second-pass slope, the true-side run of the error
+        # calculus yields sop_cc's own per-constraint currents, bit for bit,
+        # wherever sop_cc's direction clamp leaves them unchanged.
+        curve = request.getfixturevalue(curve_name)
+        clamped = unclamped = 0
+        for soc in (0.05, 0.3, 0.5, 0.85, 0.95):
+            for vp in (-0.3, 0.0, 0.3):
+                for steps in (1, 10, 60):
+                    state, window = BatteryState(soc, vp), Window(steps, 1.0)
+                    result, kappa = second_pass_slope(
+                        lambda: sop_cc(state, params, curve, window, direction, soa)
+                    )
+                    ctx = build_true_context(
+                        state, params, curve, window, direction, soa, kappa=kappa
+                    )
+                    for source in ErrorSource:
+                        for constraint in CONSTRAINTS:
+                            e = empirical_error(source, 0.0, ctx, constraint)
+                            assert (e.delta_i, e.delta_vt, e.delta_sop) == (0.0, 0.0, 0.0)
+                    for constraint, shipped in (
+                        ("current", result.i_current_limit),
+                        ("voltage", result.i_voltage_limit),
+                        ("soc", result.i_soc_limit),
+                    ):
+                        current = error_lab._estimate(constraint, ctx.terms)[0]
+                        if current * direction.sign < 0.0:
+                            assert shipped == 0.0
+                            clamped += 1
+                        else:
+                            assert current == shipped
+                            unclamped += 1
+        assert clamped and unclamped
 
     def test_soc_error_parabola_even_part(self, ctx):
         # The even part of the soc-constraint power error is a*delta^2 exactly.
@@ -145,7 +187,7 @@ class TestShapes:
 
 class TestDomainGuards:
     def test_r_sum_past_denominator_raises(self, ctx):
-        denom = ctx.kappa * ctx.y + ctx.r_sum
+        denom = ctx.terms.kappa * ctx.terms.y + ctx.terms.r_sum
         with pytest.raises(AnalyticDomainError):
             analytic_error(ErrorSource.R_SUM, denom * 1.01, ctx, "voltage")
         with pytest.raises(AnalyticDomainError):

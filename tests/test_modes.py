@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soplab.modes as modes
+from support import NMC_CURVE, monotone_ocv
 from soplab import (
     BatteryParams,
     BatteryState,
     CcCvCase,
     Direction,
     InfeasibleStateError,
-    OcvCurve,
     PowerInfeasibleError,
     Soa,
     Window,
@@ -269,31 +269,13 @@ class TestSopCp:
         assert trace.steps == ()
 
 
-@st.composite
-def _monotone_ocv(draw):
-    """A random non-decreasing OCV table of 2-12 knots spanning SOC [0, 1]."""
-    n = draw(st.integers(2, 12))
-    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
-    rises = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1))
-    v0 = draw(st.floats(3.0, 3.4))
-    span = draw(st.floats(0.2, 0.9))
-    socs, volts = [0.0], [0.0]
-    for gap, rise in zip(gaps, rises):
-        socs.append(socs[-1] + gap)
-        volts.append(volts[-1] + rise)
-    total_rise = volts[-1] or 1.0
-    return OcvCurve(
-        tuple((s / socs[-1], v0 + span * v / total_rise) for s, v in zip(socs, volts))
-    )
-
-
 class TestSopCpSolver:
     """The bracketing search against an independent re-simulation and the
     bisection oracle, plus its probe budget."""
 
     @settings(max_examples=120, deadline=None)
     @given(
-        curve=_monotone_ocv(),
+        curve=monotone_ocv(),
         soc=st.floats(0.12, 0.88),
         vp=st.floats(-0.4, 0.4),
         steps=st.sampled_from([1, 10, 30, 60]),
@@ -344,22 +326,13 @@ class TestSopCpSolver:
         assert max(per_solve) <= 20
 
 
-# 12-knot NMC-like table: a steep knee below 10% SOC on a convex rise, 3.0-4.2 V.
-NMC_CURVE = OcvCurve(
-    tuple(
-        (s, 3.0 + 1.2 * (0.35 * (1.0 - math.exp(-s / 0.04)) + 0.65 * s**1.3))
-        for s in (0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-    )
-)
-
-
 class TestCccvShiftDecision:
     """sop_cccv decides a pre-window shift from step one; the public
     full-window classifier must agree with that decision."""
 
     @settings(max_examples=200, deadline=None)
     @given(
-        curve=_monotone_ocv(),
+        curve=monotone_ocv(),
         soc=st.floats(0.0, 1.0),
         vp=st.floats(-0.6, 0.6),
         steps=st.sampled_from([1, 2, 10, 30, 60]),

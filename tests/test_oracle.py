@@ -1,5 +1,6 @@
 """Oracle tests: bisection validators and the comparison record."""
 
+import math
 import re
 from pathlib import Path
 
@@ -123,6 +124,19 @@ class TestBrutePeakPowerCp:
             brute_peak_power_cp(BatteryState(0.5), params, linear_curve, window_10, DIS, soa)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "oracle, keyword",
+    [(brute_peak_current_cc, "tol_amps"), (brute_peak_power_cp, "tol_watts")],
+)
+def test_non_finite_tolerance_rejected(
+    params, linear_curve, soa, state_half, window_10, oracle, keyword, tol
+):
+    # An infinite tolerance used to skip the bisection and return 0.
+    with pytest.raises(ValueError):
+        oracle(state_half, params, linear_curve, window_10, DIS, soa, **{keyword: tol})
+
+
 class TestCompareReport:
     def test_identical_inputs_zero_residual(self, params, linear_curve, soa, state_half, window_10):
         result = sop_cc(state_half, params, linear_curve, window_10, DIS, soa)
@@ -164,7 +178,10 @@ def test_oracle_module_does_not_call_closed_forms():
     import soplab.oracle as oracle_module
 
     source = Path(oracle_module.__file__).read_text()
-    for forbidden in ("sop_cc(", "predict_cc(", "sop_cv(", "sop_cccv(", "sop_cp(", "solve_cp_step("):
+    for forbidden in (
+        "sop_cc(", "predict_cc(", "sop_cv(", "sop_cccv(", "sop_cp(", "solve_cp_step(",
+        "window_terms(", "cutoff_current(", "soc_bound_current(", "end_voltage(",
+    ):
         assert forbidden not in source
     # Nor the engine's per-step CP solver (the oracle's own is _secant_cp_current).
     assert not re.search(r"\b_cp_current\(", source)

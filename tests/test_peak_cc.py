@@ -3,7 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import soplab.peak_cc as peak_cc
+from support import NMC_CURVE, monotone_ocv, second_pass_slope
 from soplab import (
     AnalyticDomainError,
     BatteryParams,
@@ -290,3 +294,50 @@ class TestMinOverWindowMode:
     def test_unknown_mode_rejected(self, params, linear_curve, soa, state_half, window_10):
         with pytest.raises(ValueError):
             sop_cc(state_half, params, linear_curve, window_10, DIS, soa, power_eval="median")
+
+
+class TestCostFlatInK:
+    """The end-of-window report is O(1) in K: no simulated window and at most
+    three OCV lookups, one for the start OCV and two for the secant."""
+
+    @pytest.mark.parametrize("direction", [DIS, CHG])
+    def test_no_window_loop(self, params, soa, monkeypatch, direction):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sop_cc walked the window")
+
+        monkeypatch.setattr(peak_cc.ecm, "predict_cc", forbidden)
+        monkeypatch.setattr(peak_cc.ecm, "step", forbidden)
+        calls = [0]
+        lookup = peak_cc.ecm.ocv
+
+        def counting_ocv(curve, soc):
+            calls[0] += 1
+            return lookup(curve, soc)
+
+        monkeypatch.setattr(peak_cc.ecm, "ocv", counting_ocv)
+        window = Window(300, 1.0)
+        for soc in (0.15, 0.5, 0.85):
+            for vp in (-0.2, 0.0, 0.2):
+                calls[0] = 0
+                sop_cc(BatteryState(soc, vp), params, NMC_CURVE, window, direction, soa)
+                assert 0 < calls[0] <= 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        curve=monotone_ocv(),
+        soc=st.floats(0.0, 1.0),
+        vp=st.floats(-0.5, 0.5),
+        steps=st.sampled_from([1, 10, 30, 300]),
+        dt=st.sampled_from([0.1, 1.0, 5.0]),
+        direction=st.sampled_from([DIS, CHG]),
+    )
+    def test_vt_end_is_the_model_prediction(self, curve, soc, vp, steps, dt, direction):
+        # The conftest cell and SOA, built here: hypothesis reuses fixtures across examples.
+        params = BatteryParams(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
+        soa = Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9)
+        state, window = BatteryState(soc, vp), Window(steps, dt)
+        result, kappa = second_pass_slope(
+            lambda: sop_cc(state, params, curve, window, direction, soa)
+        )
+        pred = predict_cc(state, params, curve, kappa, result.i_mc, window)
+        assert abs(result.vt_end - pred.vt_end) <= 1e-12
