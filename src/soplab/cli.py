@@ -31,6 +31,10 @@ EXIT_INPUT = 2
 DEFAULT_DT = 1.0
 DEFAULT_STEPS = 30
 
+# A range grid is sized before any point is built: 0:1:1e-12 would otherwise
+# exhaust memory, and a subnormal step makes the count infinite.
+MAX_GRID_POINTS = 10**6
+
 MODES = ("cc", "cv", "cccv", "cp")
 _TRACE_HEADER = "step,current_a,vt_v,soc,vp_v,power_w"
 
@@ -276,7 +280,10 @@ def _parse_grid(text: str) -> list[float]:
         step = fileio.parse_float(parts[2], "grid step")
         if step <= 0 or stop < start:
             raise InputError(f"bad grid range: {text!r}")
-        n = int(round((stop - start) / step))
+        n = (stop - start) / step  # the grid has round(n) + 1 points
+        if not n < MAX_GRID_POINTS - 0.5:  # also rejects an infinite n
+            raise InputError(f"range grid {text!r} has more than {MAX_GRID_POINTS} points")
+        n = int(round(n))
         # Round each point to 12 significant digits of the grid's scale, the
         # precision reports print: 0.3:0.9:0.1 then ends on 0.9, not on
         # 0.9000000000000001, and -0.3:0.3:0.1 passes through 0, not 5.6e-17.

@@ -3,11 +3,12 @@
 Each engine returns the full per-step trace plus a SopResult whose ``sop`` is
 the minimum per-step power magnitude across the window.
 
-Stepwise traces use a hold-style step: entering step j the polarization
-voltage relaxes by one interval, the step current is chosen against that
-relaxed state, and the recorded terminal voltage carries that current's ohmic
-drop. A voltage hold therefore pins the recorded voltage exactly, and a
-current cap leaves it strictly inside the cut-off.
+Every trace runs on one hold-style step, ``_trace``: entering step j the
+polarization voltage relaxes by one interval, each mode's rule picks the step
+current against that relaxed state, and the recorded terminal voltage carries
+that current's ohmic drop. A voltage hold therefore pins the recorded voltage
+exactly, and a current cap leaves it strictly inside the cut-off. The CP probe
+checks the SOA box at the two corner points of its trace, not step by step.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import ecm
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
@@ -50,6 +51,37 @@ class ModeShift(NamedTuple):
     k_c: int | None  # populated only for TRANSITIONAL
 
 
+def _trace(
+    state: BatteryState,
+    params: BatteryParams,
+    curve: OcvCurve,
+    window: Window,
+    drive: Callable[[int, float, float], tuple[float, float] | None],
+) -> tuple[PomStep, ...] | None:
+    """Run the hold step across the window: one OCV lookup per step, then
+    ``drive(j, soc, emf)``, emf being the OCV less the relaxed vp, returns the
+    step's ``(current, vt)``, or None to abandon the window (and return None)."""
+    alpha = math.exp(-window.dt / params.tau)
+    # Products stay left to right, never pre-multiplied (current * r1 * (1 - alpha),
+    # current * dt * soc_per_as): the state then matches ecm.step's bit for bit.
+    one_minus_alpha = 1.0 - alpha
+    r1, dt, soc_per_as = params.r1, window.dt, params.soc_per_amp_second
+    ocv = ecm.ocv
+    row = tuple.__new__  # PomStep(...) would add a Python frame per row
+    soc, vp = state.soc, state.vp
+    steps: list[PomStep] = []
+    for j in range(1, window.steps + 1):
+        vp_rel = vp * alpha
+        step = drive(j, soc, ocv(curve, soc) - vp_rel)
+        if step is None:
+            return None
+        current, vt = step
+        vp = vp_rel + current * r1 * one_minus_alpha
+        soc = min(max(soc - current * dt * soc_per_as, 0.0), 1.0)
+        steps.append(row(PomStep, (j, current, vt, soc, vp, current * vt)))
+    return tuple(steps)
+
+
 def constant_current_trace(
     state: BatteryState,
     params: BatteryParams,
@@ -59,16 +91,9 @@ def constant_current_trace(
 ) -> PomTrace:
     """Hold-style trace of a constant current, used by the CC leg of CC-CV
     and for cross-mode comparisons."""
-    alpha = math.exp(-window.dt / params.tau)
-    soc, vp = state.soc, state.vp
-    steps: list[PomStep] = []
-    for j in range(1, window.steps + 1):
-        vp_rel = vp * alpha
-        vt = ecm.ocv(curve, soc) - vp_rel - current * params.r0
-        vp = vp_rel + current * params.r1 * (1.0 - alpha)
-        soc = min(max(soc - current * window.dt * params.soc_per_amp_second, 0.0), 1.0)
-        steps.append(PomStep(j, current, vt, soc, vp, current * vt))
-    return PomTrace(tuple(steps))
+    return PomTrace(
+        _trace(state, params, curve, window, lambda j, soc, emf: (current, emf - current * params.r0))
+    )
 
 
 def _hold_trace(
@@ -87,24 +112,14 @@ def _hold_trace(
     limit itself (``v_star`` is the voltage that results). Returns the steps,
     the first step whose hold current went unclipped (or None) and the first
     step of minimum |power|."""
-    alpha = math.exp(-window.dt / params.tau)
-    # Loop invariants hoisted. The step products stay left to right and are not
-    # pre-multiplied (current * r1 * (1 - alpha), current * dt * soc_per_as), so
-    # a current-limited step rounds exactly as in constant_current_trace.
-    one_minus_alpha = 1.0 - alpha
-    r0, r1, dt, soc_per_as = params.r0, params.r1, window.dt, params.soc_per_amp_second
-    headroom_div = dt * soc_per_as
+    r0 = params.r0
+    headroom_div = window.dt * params.soc_per_amp_second
     i_lim, bound = direction.current_limit(soa), direction.soc_bound(soa)
     discharge = direction is Direction.DISCHARGE
-    ocv = ecm.ocv
-    soc, vp = state.soc, state.vp
-    steps: list[PomStep] = []
-    append = steps.append
     k_c = None
-    best, binding = math.inf, 0
-    for j in range(1, window.steps + 1):
-        vp_rel = vp * alpha
-        emf = ocv(curve, soc) - vp_rel
+
+    def drive(j: int, soc: float, emf: float) -> tuple[float, float]:
+        nonlocal first_at_limit, k_c
         hold = (emf - v_star) / r0
         if first_at_limit:
             hold, first_at_limit = i_lim, False
@@ -131,13 +146,10 @@ def _hold_trace(
                 k_c = j
         else:
             vt = emf - current * r0
-        vp = vp_rel + current * r1 * one_minus_alpha
-        soc = min(max(soc - current * dt * soc_per_as, 0.0), 1.0)
-        power = current * vt
-        append(PomStep(j, current, vt, soc, vp, power))
-        if abs(power) < best:  # strict: the first minimum binds
-            best, binding = abs(power), j - 1
-    return tuple(steps), k_c, steps[binding]
+        return current, vt
+
+    steps = _trace(state, params, curve, window, drive)
+    return steps, k_c, min(steps, key=lambda row: abs(row.power))  # the first minimum binds
 
 
 def _hold_result(steps: tuple[PomStep, ...], binding: PomStep, dominant: str) -> SopResult:
@@ -311,46 +323,33 @@ def _cp_probe(
     Returns the trace, or None when any step leaves the safe operation area,
     with the window's margins. Both are None when a step exceeds its power
     ceiling: the window has no continuation there.
+
+    The SOA is a box, so every step lies in it iff the trace's two corners do:
+    (min vt, max current, min soc) and (max vt, min current, max soc). The
+    margins come from the corner on the direction's side; rounding ``x - c``
+    is monotone in x, so each equals its per-step minimum bit for bit.
     """
-    alpha = math.exp(-window.dt / params.tau)
-    # Loop invariants hoisted; the arithmetic keeps solve_cp_step's operation
-    # order, so a probe step is bit-identical to one simulated through it.
-    one_minus_alpha = 1.0 - alpha
-    r0, r1, dt, soc_per_as = params.r0, params.r1, window.dt, params.soc_per_amp_second
-    sign = direction.sign
-    power = power_abs * sign
-    cutoff = direction.vt_cutoff(soa)
-    i_lim = direction.current_limit(soa)
-    bound = direction.soc_bound(soa)
-    ocv = ecm.ocv
-    soc, vp = state.soc, state.vp
-    v_margin = i_margin = soc_margin = math.inf
-    steps: list[PomStep] | None = []
-    for j in range(1, window.steps + 1):
-        vp_rel = vp * alpha
-        emf = ocv(curve, soc) - vp_rel
+    r0 = params.r0
+    power = power_abs * direction.sign
+
+    def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
+        # solve_cp_step's operation order: a probe step is bit-identical to it.
         current = _cp_current(emf, r0, power)
-        if current is None:
-            return None, None
-        vt = emf - current * r0
-        soc_next = min(max(soc - current * dt * soc_per_as, 0.0), 1.0)
-        m = (vt - cutoff) * sign
-        if m < v_margin:
-            v_margin = m
-        m = (i_lim - current) * sign
-        if m < i_margin:
-            i_margin = m
-        m = (soc_next - bound) * sign
-        if m < soc_margin:
-            soc_margin = m
-        vp = vp_rel + current * r1 * one_minus_alpha
-        soc = soc_next
-        if steps is not None:
-            if check_point(vt, current, soc_next, soa):
-                steps = None  # the verdict is in; only the margins go on
-            else:
-                steps.append(PomStep(j, current, vt, soc, vp, current * vt))
-    return (None if steps is None else tuple(steps)), _CpMargins(v_margin, i_margin, soc_margin)
+        return None if current is None else (current, emf - current * r0)
+
+    steps = _trace(state, params, curve, window, drive)
+    if steps is None:
+        return None, None
+    _, currents, vts, socs, _, _ = zip(*steps)
+    low = (min(vts), max(currents), min(socs))
+    high = (max(vts), min(currents), max(socs))
+    vt, current, soc = low if direction is Direction.DISCHARGE else high
+    margins = _CpMargins(
+        (vt - direction.vt_cutoff(soa)) * direction.sign,
+        (direction.current_limit(soa) - current) * direction.sign,
+        (soc - direction.soc_bound(soa)) * direction.sign,
+    )
+    return (None if check_point(*low, soa) or check_point(*high, soa) else steps), margins
 
 
 def _normalised_margin(margins: _CpMargins | None, scales: _CpMargins) -> float | None:

@@ -375,6 +375,32 @@ def test_range_grid_points_are_exact_decimals(text, want):
     assert _parse_grid(text) == want
 
 
+@pytest.mark.parametrize("grid", ["0:1:1e-12", "0:1:5e-324"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--steps-list", "10", "--soc-grid"],
+        ["sweep-error", "--source", "soc", "--constraint", "soc", "--grid"],
+    ],
+)
+def test_oversized_range_grid_exits_two_before_building(files, capsys, monkeypatch, argv, grid):
+    # 1e12 points would exhaust memory; a subnormal step makes the count infinite.
+    def no_points(*args):
+        raise AssertionError("grid points built before the size check")
+
+    monkeypatch.setattr(soplab.cli, "range", no_points, raising=False)
+    code = main([argv[0], *_base_args(files), *argv[1:], grid])
+    assert code == 2
+    assert capsys.readouterr().out.startswith("error:")
+
+
+def test_range_grid_size_limit_is_exact(monkeypatch):
+    monkeypatch.setattr(soplab.cli, "MAX_GRID_POINTS", 10)
+    assert len(_parse_grid("0:9:1")) == 10
+    with pytest.raises(soplab.InputError, match="more than 10 points"):
+        _parse_grid("0:10:1")
+
+
 def test_unknown_command_exits_two(files):
     assert main(["frobnicate", *_base_args(files)]) == 2
 

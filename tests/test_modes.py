@@ -4,7 +4,7 @@ import math
 import statistics
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soplab.modes as modes
@@ -28,6 +28,7 @@ from soplab import (
     sop_cccv,
     sop_cp,
     sop_cv,
+    step,
 )
 
 DIS = Direction.DISCHARGE
@@ -184,24 +185,38 @@ class TestSolveCpStep:
         assert vt == pytest.approx(3.6 - 5.0, abs=1e-15)
 
 
-def _cp_window_feasible(power_abs, state, params, curve, window, direction, soa):
-    """Independent feasibility probe built from the public step solver."""
+def _cp_resimulate(power_abs, state, params, curve, window, direction, soa):
+    """Independent re-simulation built from the public step solver, checked
+    step by step: whether the window stays in the SOA, and the per-step
+    minimum of each direction-signed margin (voltage, current, soc). Both are
+    (False, None) once a step exceeds its power ceiling."""
     alpha = math.exp(-window.dt / params.tau)
+    sign = direction.sign
     soc, vp = state.soc, state.vp
+    feasible, margins = True, (math.inf, math.inf, math.inf)
     for _ in range(window.steps):
         vp_rel = vp * alpha
         try:
             current, vt = solve_cp_step(
-                BatteryState(soc, vp_rel), params, curve, power_abs * direction.sign, direction
+                BatteryState(soc, vp_rel), params, curve, power_abs * sign, direction
             )
         except PowerInfeasibleError:
-            return False
+            return False, None
         soc_next = min(max(soc - current * window.dt * params.soc_per_amp_second, 0.0), 1.0)
-        if check_point(vt, current, soc_next, soa):
-            return False
+        feasible = feasible and not check_point(vt, current, soc_next, soa)
+        step_margins = (
+            (vt - direction.vt_cutoff(soa)) * sign,
+            (direction.current_limit(soa) - current) * sign,
+            (soc_next - direction.soc_bound(soa)) * sign,
+        )
+        margins = tuple(map(min, margins, step_margins))
         vp = vp_rel + current * params.r1 * (1.0 - alpha)
         soc = soc_next
-    return True
+    return feasible, margins
+
+
+def _cp_window_feasible(power_abs, state, params, curve, window, direction, soa):
+    return _cp_resimulate(power_abs, state, params, curve, window, direction, soa)[0]
 
 
 class TestSopCp:
@@ -324,6 +339,108 @@ class TestSopCpSolver:
                     per_solve.append(calls[0])
         assert statistics.mean(per_solve) <= 10
         assert max(per_solve) <= 20
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        curve=monotone_ocv(),
+        # Near the SOC bounds a window can cross the bound its direction moves
+        # away from: only the opposite corner sees that violation.
+        soc=st.one_of(st.floats(0.0, 1.0), st.floats(0.09, 0.11), st.floats(0.89, 0.91)),
+        vp=st.floats(-0.6, 0.6),
+        steps=st.sampled_from([1, 2, 10, 30, 60]),
+        direction=st.sampled_from([DIS, CHG]),
+        share=st.floats(0.0, 1.5),
+    )
+    @example(curve=NMC_CURVE, soc=0.905, vp=0.0, steps=30, direction=DIS, share=0.3)
+    @example(curve=NMC_CURVE, soc=0.095, vp=0.0, steps=30, direction=CHG, share=0.3)
+    def test_corner_verdict_matches_per_step_check(
+        self, curve, soc, vp, steps, direction, share
+    ):
+        # The probe checks the SOA at the trace's two corner points only; the
+        # re-simulation checks every step. Powers reach 1.5x sop_cp's p_hi.
+        params = BatteryParams(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
+        soa = Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9)
+        state, window = BatteryState(soc, vp), Window(steps, 1.0)
+        top = ocv(curve, soc) if direction is DIS else soa.vt_max
+        power = share * abs(direction.current_limit(soa)) * top
+        args = (power, state, params, curve, window, direction, soa)
+        trace, margins = modes._cp_probe(*args)
+        feasible, want = _cp_resimulate(*args)
+        assert (trace is not None) == feasible
+        assert margins == (None if want is None else modes._CpMargins(*want))
+
+    @pytest.mark.parametrize("direction", [DIS, CHG])
+    def test_ocv_calls_per_solve(self, params, soa, monkeypatch, direction):
+        # One OCV lookup per probe step, plus the discharge bracket top's.
+        steps = 300
+        window = Window(steps, 1.0)
+        probes, lookups = [0], [0]
+        probe, lookup = modes._cp_probe, modes.ecm.ocv
+
+        def counting_probe(*args):
+            probes[0] += 1
+            return probe(*args)
+
+        def counting_ocv(curve, soc):
+            lookups[0] += 1
+            return lookup(curve, soc)
+
+        monkeypatch.setattr(modes, "_cp_probe", counting_probe)
+        monkeypatch.setattr(modes.ecm, "ocv", counting_ocv)
+        for soc in (0.15, 0.5, 0.85):
+            for vp in (-0.2, 0.0, 0.2):
+                probes[0] = lookups[0] = 0
+                sop_cp(BatteryState(soc, vp), params, NMC_CURVE, window, direction, soa)
+                assert probes[0] > 0
+                assert 0 < lookups[0] <= probes[0] * steps + 1
+
+
+class TestTraceKernel:
+    """Every stepwise trace runs on modes._trace, whose state recurrence is
+    ecm.step's."""
+
+    @pytest.mark.parametrize(
+        "soc, run",
+        [
+            (0.44, lambda *a: constant_current_trace(*a[:3], 10.0, a[3])),
+            (0.44, find_mode_shift_kc),
+            (0.44, sop_cv),
+            (0.22, sop_cccv),  # CV_ONLY: delegated to sop_cv
+            (0.38, sop_cccv),  # the shift falls inside the window
+            (0.44, sop_cp),
+        ],
+    )
+    def test_every_trace_runs_on_the_kernel(
+        self, params, linear_curve, soa, window_10, monkeypatch, soc, run
+    ):
+        class KernelCalled(Exception):
+            pass
+
+        def kernel(*args):
+            raise KernelCalled
+
+        monkeypatch.setattr(modes, "_trace", kernel)
+        with pytest.raises(KernelCalled):
+            run(BatteryState(soc), params, linear_curve, window_10, DIS, soa)
+
+    @pytest.mark.parametrize(
+        "soc, current, window, clamped",
+        [
+            (0.5, 10.0, Window(30, 1.0), False),
+            (0.5, -4.0, Window(30, 1.0), False),
+            (0.02, 10.0, Window(60, 5.0), True),  # empties the cell mid-window
+            (0.98, -4.0, Window(60, 5.0), True),  # fills it
+        ],
+    )
+    def test_constant_current_state_is_ecm_step(self, params, soc, current, window, clamped):
+        # The hold step samples vt before the interval and ecm.step after it,
+        # but both advance (soc, vp) by one recurrence, bit for bit.
+        state = BatteryState(soc, 0.1)
+        trace = constant_current_trace(state, params, NMC_CURVE, current, window)
+        assert (trace.steps[-1].soc in (0.0, 1.0)) == clamped
+        for row in trace.steps:
+            state = step(state, params, NMC_CURVE, current, window.dt).state
+            assert (row.soc, row.vp) == (state.soc, state.vp)
 
 
 class TestCccvShiftDecision:

@@ -181,7 +181,10 @@ def test_oracle_module_does_not_call_closed_forms():
     for forbidden in (
         "sop_cc(", "predict_cc(", "sop_cv(", "sop_cccv(", "sop_cp(", "solve_cp_step(",
         "window_terms(", "cutoff_current(", "soc_bound_current(", "end_voltage(",
+        "_hold_trace(", "_cp_probe(",
     ):
         assert forbidden not in source
-    # Nor the engine's per-step CP solver (the oracle's own is _secant_cp_current).
+    # Nor the engine's per-step CP solver (the oracle's own is _secant_cp_current),
+    # nor its trace kernel (the oracle's own loop is _cp_feasible_trace).
     assert not re.search(r"\b_cp_current\(", source)
+    assert not re.search(r"\b_trace\(", source)
