@@ -402,14 +402,13 @@ def main(argv: list[str] | None = None) -> int:
             )
         else:
             code, report = cmd_simulate(scenario, args.profile)
+        fileio.write_text(report, args.out)
     except (InputError, ConfigurationError) as exc:
         print(f"error: {exc}")
         return EXIT_INPUT
     except (AnalyticDomainError, InfeasibleStateError) as exc:
         print(f"infeasible: {exc}")
         return EXIT_INFEASIBLE
-
-    fileio.write_text(report, args.out)
     return code
 
 

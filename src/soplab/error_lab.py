@@ -53,12 +53,7 @@ class ErrorBreakdown:
 class TrueContext:
     """Unbiased quantities every error formula consumes, precomputed once."""
 
-    state: BatteryState
-    params: BatteryParams
     curve: OcvCurve
-    window: Window
-    direction: Direction
-    soa: Soa
     terms: WindowTerms  # true-valued closed-form inputs, slope included
     x: float  # eta / (3600 * C_a)
     k_dt: float  # K * dt
@@ -78,12 +73,7 @@ def build_true_context(
     if kappa is None:
         kappa = ecm.ocv_slope(curve, state.soc, state.soc)
     return TrueContext(
-        state=state,
-        params=params,
         curve=curve,
-        window=window,
-        direction=direction,
-        soa=soa,
         terms=peak_cc.window_terms(state, params, curve, kappa, window, direction, soa),
         x=params.soc_per_amp_second,
         k_dt=window.duration,

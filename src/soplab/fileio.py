@@ -38,8 +38,8 @@ def parse_float(text: str, where: str) -> float:
 def _read_lines(path: str | Path, what: str) -> list[str]:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} file {p}: {exc}") from exc
     return text.splitlines()
 
@@ -138,5 +138,8 @@ def write_text(text: str, out: str | Path | None) -> None:
     """Write a report to ``out``, or to standard output when ``out`` is None."""
     if out is None:
         print(text, end="")
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write report file {out}: {exc}") from exc

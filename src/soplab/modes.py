@@ -152,16 +152,18 @@ def _hold_trace(
     return steps, k_c, min(steps, key=lambda row: abs(row.power))  # the first minimum binds
 
 
-def _hold_result(steps: tuple[PomStep, ...], binding: PomStep, dominant: str) -> SopResult:
-    sop = abs(binding.power)
+def _stepwise_result(i_mc: float, dominant: str, vt_end: float, power_signed: float) -> SopResult:
+    """What every stepwise engine reports: no per-constraint currents, and a
+    window that is feasible iff its power magnitude is nonzero."""
+    sop = abs(power_signed)
     return SopResult(
         i_current_limit=None,
         i_voltage_limit=None,
         i_soc_limit=None,
-        i_mc=binding.current,
+        i_mc=i_mc,
         dominant=dominant,
-        vt_end=steps[-1].vt,
-        power_signed=binding.power,
+        vt_end=vt_end,
+        power_signed=power_signed,
         sop=sop,
         feasible=sop > 0.0,
     )
@@ -201,7 +203,8 @@ def sop_cv(
     steps, _, binding = _hold_trace(
         state, params, curve, window, direction, soa, v_star, governed == "current"
     )
-    return _hold_result(steps, binding, governed), PomTrace(steps)
+    result = _stepwise_result(binding.current, governed, steps[-1].vt, binding.power)
+    return result, PomTrace(steps)
 
 
 def find_mode_shift_kc(
@@ -214,21 +217,33 @@ def find_mode_shift_kc(
 ) -> ModeShift:
     """Locate the CC-to-CV shift step for a CC-CV window.
 
-    Simulates the current limit across the window; the shift is the first
-    step whose voltage reaches the cut-off. No crossing means the window is
+    Simulates the current limit until the first step whose voltage reaches
+    the cut-off: that step is the shift. No crossing means the window is
     current-governed throughout; a crossing already at step one means the
     shift predates the window and the whole window is voltage-governed.
     """
     i_lim = direction.current_limit(soa)
     cutoff = direction.vt_cutoff(soa)
     sign = direction.sign
-    trace = constant_current_trace(state, params, curve, i_lim, window)
-    for step_row in trace.steps:
-        if (cutoff - step_row.vt) * sign >= 0.0:  # cut-off reached or crossed
-            if step_row.index == 1 and (cutoff - step_row.vt) * sign > 0.0:
-                return ModeShift(CcCvCase.CV_ONLY, None)
-            return ModeShift(CcCvCase.TRANSITIONAL, step_row.index)
-    return ModeShift(CcCvCase.CC_ONLY, None)
+    r0 = params.r0
+    crossing = None  # (step, signed overshoot) of the first crossing
+
+    def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
+        nonlocal crossing
+        vt = emf - i_lim * r0  # constant_current_trace's step at the limit
+        overshoot = (cutoff - vt) * sign
+        if overshoot >= 0.0:  # cut-off reached or crossed: stop here
+            crossing = (j, overshoot)
+            return None
+        return i_lim, vt
+
+    _trace(state, params, curve, window, drive)
+    if crossing is None:
+        return ModeShift(CcCvCase.CC_ONLY, None)
+    k_c, overshoot = crossing
+    if k_c == 1 and overshoot > 0.0:
+        return ModeShift(CcCvCase.CV_ONLY, None)
+    return ModeShift(CcCvCase.TRANSITIONAL, k_c)
 
 
 def sop_cccv(
@@ -258,7 +273,8 @@ def sop_cccv(
         return sop_cv(state, params, curve, window, direction, soa)
 
     steps, k_c, binding = _hold_trace(state, params, curve, window, direction, soa, cutoff, False)
-    result = _hold_result(steps, binding, "current" if k_c is None else "dual")
+    dominant = "current" if k_c is None else "dual"
+    result = _stepwise_result(binding.current, dominant, steps[-1].vt, binding.power)
     return result, PomTrace(steps, mode_shift_index=k_c)
 
 
@@ -391,19 +407,8 @@ def sop_cp(
 
     zero_trace, zero_margins = _cp_probe(0.0, state, params, curve, window, direction, soa)
     if zero_trace is None:
-        empty = PomTrace(())
-        result = SopResult(
-            i_current_limit=None,
-            i_voltage_limit=None,
-            i_soc_limit=None,
-            i_mc=0.0,
-            dominant="voltage",
-            vt_end=ecm.ocv(curve, state.soc) - state.vp,
-            power_signed=0.0,
-            sop=0.0,
-            feasible=False,
-        )
-        return result, empty
+        vt_rest = ecm.ocv(curve, state.soc) - state.vp
+        return _stepwise_result(0.0, "voltage", vt_rest, 0.0), PomTrace(())
     # A bound already reached at zero power has no scale; its native units serve.
     scales = _CpMargins(*(m if m > 0.0 else 1.0 for m in zero_margins))
 
@@ -449,21 +454,11 @@ def sop_cp(
             kept = "hi"
         iterations += 1
 
-    trace = PomTrace(lo_trace)
-    sop = lo
     binding_current = lo_trace[-1].current if direction is Direction.DISCHARGE else lo_trace[0].current
-    result = SopResult(
-        i_current_limit=None,
-        i_voltage_limit=None,
-        i_soc_limit=None,
-        i_mc=binding_current,
-        dominant=_cp_dominant(lo_margins),
-        vt_end=lo_trace[-1].vt,
-        power_signed=sop * direction.sign,
-        sop=sop,
-        feasible=sop > 0.0,
+    result = _stepwise_result(
+        binding_current, _cp_dominant(lo_margins), lo_trace[-1].vt, lo * direction.sign
     )
-    return result, trace
+    return result, PomTrace(lo_trace)
 
 
 def _cp_dominant(margins: _CpMargins) -> str:

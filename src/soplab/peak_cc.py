@@ -61,11 +61,6 @@ class SopResult:
     feasible: bool
 
 
-def peak_current_current_constraint(direction: Direction, soa: Soa) -> float:
-    """Manufacturer current limit for the direction (pass-through)."""
-    return direction.current_limit(soa)
-
-
 class WindowTerms(NamedTuple):
     """Window quantities the constant-current closed forms read: OCV at the
     start SOC, decayed polarization, R0 + R1*(1-exp(-K*dt/tau)), the OCV slope
@@ -133,40 +128,6 @@ def soc_bound_current(terms: WindowTerms) -> float:
 def _toward(current: float, direction: Direction) -> float:
     """0 when the rested state already sits past the bound for the direction."""
     return 0.0 if current * direction.sign < 0.0 else current
-
-
-def peak_current_voltage_constraint(
-    state: BatteryState,
-    params: BatteryParams,
-    curve: OcvCurve,
-    kappa: float,
-    window: Window,
-    direction: Direction,
-    soa: Soa,
-) -> float:
-    """Constant current that lands the end-of-window voltage on the cut-off.
-
-    Returns 0 when the rested voltage already sits past the cut-off for the
-    direction (the window is voltage-infeasible).
-    """
-    terms = window_terms(state, params, curve, kappa, window, direction, soa)
-    return _toward(cutoff_current(terms), direction)
-
-
-def peak_current_soc_constraint(
-    state: BatteryState,
-    window: Window,
-    params: BatteryParams,
-    direction: Direction,
-    soa: Soa,
-) -> float:
-    """Constant current that lands the end-of-window SOC on its bound."""
-    # The SOC bound reads only soc, y and soc_bound; no curve is at hand for
-    # the voltage terms, so they stay NaN.
-    nan = math.nan
-    y = window.duration * params.soc_per_amp_second
-    terms = WindowTerms(state.soc, nan, nan, nan, nan, y, nan, direction.soc_bound(soa), nan)
-    return _toward(soc_bound_current(terms), direction)
 
 
 def _compose(candidates: list[tuple[float, str]]) -> tuple[float, str]:

@@ -185,7 +185,7 @@ def test_criterion_2_table_boundary_occupancy():
 
 def _nominal(ctx, source):
     return {
-        ErrorSource.SOC: ctx.state.soc,
+        ErrorSource.SOC: ctx.terms.soc,
         ErrorSource.VP_RELAX: ctx.terms.vp_relax,
         ErrorSource.R_SUM: ctx.terms.r_sum,
         ErrorSource.KAPPA: ctx.terms.kappa,
@@ -235,7 +235,7 @@ def test_criterion_3_error_calculus_exactness():
 
 def test_criterion_4_soc_parabola_fit():
     ctx = _error_ctx()
-    span = 0.2 * ctx.state.soc
+    span = 0.2 * ctx.terms.soc
     grid = [(-span + 2.0 * span * i / 20) for i in range(21)]
     rows = sweep(ErrorSource.SOC, grid, ctx, "soc")
     a_coef, b_coef = analytic_error(ErrorSource.SOC, grid[0], ctx, "soc").coefficients

@@ -127,6 +127,13 @@ class TestSopCommand:
         assert capsys.readouterr().out == ""
         assert "sop_w=" in out.read_text()
 
+    @pytest.mark.parametrize("where", ["missing-dir/report.txt", "."])
+    def test_unwritable_out_exits_two(self, files, tmp_path, capsys, where):
+        # A path under a missing directory, and a path that is a directory.
+        code = main(["sop", *_base_args(files), "--out", str(tmp_path / where)])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("error: cannot write report file")
+
     def test_report_round_trip(self, files, capsys):
         main(["sop", *_base_args(files), "--soc", "0.5", "-K", "10"])
         report = capsys.readouterr().out
@@ -155,6 +162,18 @@ class TestSopCommand:
             assert format_float(parsed) == cell
             checked += 1
         assert checked > 0
+
+
+@pytest.mark.parametrize("which", ["params", "ocv", "soa", "profile"])
+def test_non_utf8_input_file_exits_two(files, tmp_path, capsys, which):
+    profile = tmp_path / "profile.csv"
+    profile.write_text("t_s,current_a\n0,1\n1,1\n")
+    paths = {**files, "profile": str(profile)}
+    bad = Path(paths[which])
+    bad.write_bytes(bad.read_bytes() + b"# \xff\n")
+    argv = ["simulate", *_base_args(paths), "--profile", paths["profile"]]
+    assert main(argv) == 2
+    assert capsys.readouterr().out.startswith(f"error: cannot read {which} file")
 
 
 class TestSimulateCommand:

@@ -37,7 +37,7 @@ def ctx(params, linear_curve, soa):
 
 def _nominal(ctx, source):
     return {
-        ErrorSource.SOC: ctx.state.soc,
+        ErrorSource.SOC: ctx.terms.soc,
         ErrorSource.VP_RELAX: ctx.terms.vp_relax,
         ErrorSource.R_SUM: ctx.terms.r_sum,
         ErrorSource.KAPPA: ctx.terms.kappa,

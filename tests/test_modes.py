@@ -1,5 +1,6 @@
 """Mode-engine tests: CV hold, CC-CV shift dispatch, CP peak-power search."""
 
+import itertools
 import math
 import statistics
 
@@ -96,6 +97,55 @@ class TestFindModeShift:
         trace = constant_current_trace(state, params, linear_curve, soa.i_max_dis, window_10)
         vts = [s.vt for s in trace.steps]
         assert vts[shift.k_c - 1] <= soa.vt_min < vts[shift.k_c - 2]
+
+    @pytest.mark.parametrize(
+        "soc, direction, want, lookups",
+        [
+            (0.22, DIS, (CcCvCase.CV_ONLY, None), 1),
+            (0.38, DIS, (CcCvCase.TRANSITIONAL, 9), 9),
+            (0.5, CHG, (CcCvCase.CC_ONLY, None), 300),
+        ],
+    )
+    def test_stops_at_the_crossing(
+        self, params, linear_curve, soa, monkeypatch, soc, direction, want, lookups
+    ):
+        # Algorithmic work: one OCV lookup per step up to the crossing, not K.
+        calls = [0]
+        lookup = modes.ecm.ocv
+
+        def counting_ocv(curve, s):
+            calls[0] += 1
+            return lookup(curve, s)
+
+        monkeypatch.setattr(modes.ecm, "ocv", counting_ocv)
+        window = Window(300, 1.0)
+        assert find_mode_shift_kc(BatteryState(soc), params, linear_curve, window, direction, soa) == want
+        assert calls[0] == lookups
+
+    def test_matches_the_constant_current_trace(self, params, linear_curve, soa):
+        # Definition: the first step of the full-limit trace at or past the
+        # cut-off; strictly past it at step one means the shift predates the window.
+        grid = itertools.product(
+            (linear_curve, NMC_CURVE),
+            (0.0, 0.1, 0.22, 0.3, 0.38, 0.5, 0.7, 0.85, 0.9, 1.0),
+            (-0.3, 0.0, 0.3),
+            (1, 2, 10, 60, 300),
+            (DIS, CHG),
+        )
+        for curve, soc, vp, steps, direction in grid:
+            state, window = BatteryState(soc, vp), Window(steps, 1.0)
+            limit, cutoff = direction.current_limit(soa), direction.vt_cutoff(soa)
+            trace = constant_current_trace(state, params, curve, limit, window)
+            gaps = [(cutoff - s.vt) * direction.sign for s in trace.steps]
+            k = next((i for i, gap in enumerate(gaps, 1) if gap >= 0.0), None)
+            if k is None:
+                want = (CcCvCase.CC_ONLY, None)
+            elif k == 1 and gaps[0] > 0.0:
+                want = (CcCvCase.CV_ONLY, None)
+            else:
+                want = (CcCvCase.TRANSITIONAL, k)
+            shift = find_mode_shift_kc(state, params, curve, window, direction, soa)
+            assert shift == want, (soc, vp, steps, direction)
 
 
 class TestSopCccv:

@@ -18,9 +18,6 @@ from soplab import (
     Window,
     brute_peak_current_cc,
     check_point,
-    peak_current_current_constraint,
-    peak_current_soc_constraint,
-    peak_current_voltage_constraint,
     predict_cc,
     sop_cc,
     step,
@@ -31,68 +28,62 @@ CHG = Direction.CHARGE
 
 
 class TestCurrentConstraint:
-    def test_passthrough(self, soa):
-        assert peak_current_current_constraint(DIS, soa) == 10.0
-        assert peak_current_current_constraint(CHG, soa) == -4.0
+    def test_passthrough(self, params, linear_curve, soa, state_half, window_10):
+        assert sop_cc(state_half, params, linear_curve, window_10, DIS, soa).i_current_limit == 10.0
+        assert sop_cc(state_half, params, linear_curve, window_10, CHG, soa).i_current_limit == -4.0
 
-    def test_symmetric_soa(self):
+    def test_symmetric_soa(self, params, linear_curve, state_half, window_10):
         soa = Soa(2.8, 4.3, 7.5, -7.5, 0.1, 0.9)
-        assert peak_current_current_constraint(DIS, soa) == -peak_current_current_constraint(CHG, soa)
+        dis = sop_cc(state_half, params, linear_curve, window_10, DIS, soa)
+        chg = sop_cc(state_half, params, linear_curve, window_10, CHG, soa)
+        assert dis.i_current_limit == -chg.i_current_limit
 
 
 class TestVoltageConstraint:
     def test_hand_evaluated_fixture(self, params, linear_curve, soa, state_half, window_10):
-        current = peak_current_voltage_constraint(
-            state_half, params, linear_curve, 1.2, window_10, DIS, soa
-        )
-        assert current == pytest.approx(11.32658629036377, abs=1e-9)
+        terms = peak_cc.window_terms(state_half, params, linear_curve, 1.2, window_10, DIS, soa)
+        assert peak_cc.cutoff_current(terms) == pytest.approx(11.32658629036377, abs=1e-9)
 
     def test_matches_bisection_oracle(self, params, linear_curve, window_10):
         # Widen the current limit so the voltage constraint is the binding one.
         soa = Soa(2.8, 4.3, 100.0, -100.0, 0.0, 1.0)
         state = BatteryState(0.5)
-        analytic = peak_current_voltage_constraint(
-            state, params, linear_curve, 1.2, window_10, DIS, soa
-        )
+        terms = peak_cc.window_terms(state, params, linear_curve, 1.2, window_10, DIS, soa)
         brute = brute_peak_current_cc(state, params, linear_curve, window_10, DIS, soa)
-        assert analytic == pytest.approx(brute, abs=1e-6)
+        assert peak_cc.cutoff_current(terms) == pytest.approx(brute, abs=1e-6)
 
     def test_zero_numerator(self, params, linear_curve, soa, window_10):
         # vp chosen so the relaxed rested voltage equals the cut-off exactly
         vp = (3.6 - soa.vt_min) / math.exp(-window_10.duration / params.tau)
         state = BatteryState(0.5, vp)
-        assert peak_current_voltage_constraint(
-            state, params, linear_curve, 1.2, window_10, DIS, soa
-        ) == pytest.approx(0.0, abs=1e-12)
+        terms = peak_cc.window_terms(state, params, linear_curve, 1.2, window_10, DIS, soa)
+        assert peak_cc.cutoff_current(terms) == pytest.approx(0.0, abs=1e-12)
+        result = sop_cc(state, params, linear_curve, window_10, DIS, soa)
+        assert result.i_voltage_limit == pytest.approx(0.0, abs=1e-12)
 
     def test_huge_r0_limit(self, linear_curve, soa, state_half, window_10):
         params = BatteryParams(1e6, 0.03, 10.0, 2.0, 1.0)
-        current = peak_current_voltage_constraint(
-            state_half, params, linear_curve, 1.2, window_10, DIS, soa
-        )
-        assert 0.0 < current < 1e-5
+        terms = peak_cc.window_terms(state_half, params, linear_curve, 1.2, window_10, DIS, soa)
+        assert 0.0 < peak_cc.cutoff_current(terms) < 1e-5
 
     def test_sign_disagreement_returns_zero(self, params, linear_curve, soa, window_10):
         # Rested below the discharge cut-off: no discharge current is feasible.
         # 3.6 - 2.5 * exp(-1) = 2.68 < 2.8, so the numerator is negative.
         state = BatteryState(0.5, 2.5)
-        assert (
-            peak_current_voltage_constraint(
-                state, params, linear_curve, 1.2, window_10, DIS, soa
-            )
-            == 0.0
-        )
+        terms = peak_cc.window_terms(state, params, linear_curve, 1.2, window_10, DIS, soa)
+        assert peak_cc.cutoff_current(terms) < 0.0
+        assert sop_cc(state, params, linear_curve, window_10, DIS, soa).i_voltage_limit == 0.0
 
     def test_nonpositive_denominator_raises(self, params, linear_curve, soa, state_half, window_10):
+        terms = peak_cc.window_terms(state_half, params, linear_curve, -1e3, window_10, DIS, soa)
         with pytest.raises(AnalyticDomainError):
-            peak_current_voltage_constraint(
-                state_half, params, linear_curve, -1e3, window_10, DIS, soa
-            )
+            peak_cc.cutoff_current(terms)
 
 
 class TestSocConstraint:
     def test_hand_arithmetic(self, params, linear_curve, soa, state_half, window_10):
-        current = peak_current_soc_constraint(state_half, window_10, params, DIS, soa)
+        terms = peak_cc.window_terms(state_half, params, linear_curve, 1.2, window_10, DIS, soa)
+        current = peak_cc.soc_bound_current(terms)
         assert current == pytest.approx(288.0, abs=1e-12)
         # Simulating that current for the window lands exactly on the bound.
         sim = state_half
@@ -100,13 +91,18 @@ class TestSocConstraint:
             sim, _, _ = step(sim, params, linear_curve, current, window_10.dt)
         assert sim.soc == pytest.approx(soa.soc_min, abs=1e-12)
 
-    def test_at_bound_returns_zero(self, params, soa, window_10):
-        state = BatteryState(soa.soc_min)
-        assert peak_current_soc_constraint(state, window_10, params, DIS, soa) == 0.0
+    def test_at_bound_returns_zero(self, params, linear_curve, soa, window_10):
+        for soc in (soa.soc_min, 0.5 * soa.soc_min):  # on the bound, and past it
+            result = sop_cc(BatteryState(soc), params, linear_curve, window_10, DIS, soa)
+            assert result.i_soc_limit == 0.0
 
-    def test_inverse_proportional_to_window(self, params, soa, state_half):
-        one = peak_current_soc_constraint(state_half, Window(10, 1.0), params, DIS, soa)
-        two = peak_current_soc_constraint(state_half, Window(20, 1.0), params, DIS, soa)
+    def test_inverse_proportional_to_window(self, params, linear_curve, soa, state_half):
+        one, two = (
+            peak_cc.soc_bound_current(
+                peak_cc.window_terms(state_half, params, linear_curve, 1.2, window, DIS, soa)
+            )
+            for window in (Window(10, 1.0), Window(20, 1.0))
+        )
         assert one == pytest.approx(2.0 * two, rel=1e-14)
 
 
@@ -211,9 +207,9 @@ class TestBoundaryConditions:
         state = BatteryState(0.5)
         previous = math.inf
         for steps in (1, 5, 10, 30, 60, 120):
-            current = peak_current_voltage_constraint(
-                state, params, linear_curve, 1.2, Window(steps, 1.0), DIS, soa
-            )
+            window = Window(steps, 1.0)
+            terms = peak_cc.window_terms(state, params, linear_curve, 1.2, window, DIS, soa)
+            current = peak_cc.cutoff_current(terms)
             assert current < previous
             previous = current
 
