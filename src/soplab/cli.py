@@ -34,6 +34,9 @@ DEFAULT_STEPS = 30
 # A range grid is sized before any point is built: 0:1:1e-12 would otherwise
 # exhaust memory, and a subnormal step makes the count infinite.
 MAX_GRID_POINTS = 10**6
+# Every engine and oracle simulates the window step by step, so the step count
+# bounds the work per point; it is checked before anything is simulated.
+MAX_WINDOW_STEPS = 10**5
 
 MODES = ("cc", "cv", "cccv", "cp")
 _TRACE_HEADER = "step,current_a,vt_v,soc,vp_v,power_w"
@@ -58,6 +61,7 @@ def _direction(name: str) -> Direction:
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
+    _check_window_steps(args.steps)
     params = fileio.read_params(args.params)
     curve = fileio.read_ocv(args.ocv)
     soa = fileio.read_soa(args.soa)
@@ -301,6 +305,11 @@ def _tolerance(value: float, flag: str) -> float:
     return value
 
 
+def _check_window_steps(steps: int) -> None:
+    if steps > MAX_WINDOW_STEPS:
+        raise InputError(f"steps must be <= {MAX_WINDOW_STEPS}, got {steps}")
+
+
 def _parse_steps_list(text: str) -> list[int]:
     out = []
     for cell in text.split(","):
@@ -310,6 +319,7 @@ def _parse_steps_list(text: str) -> list[int]:
             raise InputError(f"bad steps value: {cell!r}") from exc
         if out[-1] < 1:
             raise InputError(f"steps must be >= 1, got {out[-1]}")
+        _check_window_steps(out[-1])
     return out
 
 

@@ -116,6 +116,7 @@ def _hold_trace(
     headroom_div = window.dt * params.soc_per_amp_second
     i_lim, bound = direction.current_limit(soa), direction.soc_bound(soa)
     discharge = direction is Direction.DISCHARGE
+    unbounded = math.inf if discharge else -math.inf
     k_c = None
 
     def drive(j: int, soc: float, emf: float) -> tuple[float, float]:
@@ -124,7 +125,10 @@ def _hold_trace(
         if first_at_limit:
             hold, first_at_limit = i_lim, False
         # max(0.0, min(hold, i_lim, headroom)) and its charge mirror, inlined.
-        headroom = (soc - bound) / headroom_div
+        try:
+            headroom = (soc - bound) / headroom_div
+        except ZeroDivisionError:  # dt * soc_per_amp_second underflowed: no SOC moves
+            headroom = unbounded
         current = hold
         if discharge:
             if i_lim < current:

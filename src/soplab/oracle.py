@@ -1,20 +1,32 @@
 """Brute-force validators for the closed-form estimates.
 
-Peak current and power are rediscovered by bisection over forward-simulated
-feasibility, using only the single-step model and the safe-operation-area
-checks. Nothing here calls the closed forms it is meant to validate.
+Peak current and power are rediscovered over forward-simulated feasibility,
+using only the single-step model and the safe-operation-area checks. Probes
+are placed by the ITP method (interpolate, truncate, project) on the
+oracle's own box-normalised slack, which never decides a verdict: every
+verdict is ``check_point`` at every simulated step, and each answer is
+bracketed to the same tolerance as by bisection, within bisection's probe
+count plus one. Nothing here calls the closed forms it is meant to
+validate.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import ecm
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
 from .exceptions import InfeasibleStateError
 from .peak_cc import Direction, SopResult
 from .soa import Soa, check_point
+
+
+# ITP probe placement (Oliveira & Takahashi 2020, ACM TOMS 47(1)): at most
+# ceil(log2(bracket / tol)) + ITP_N0 probes, bisection's worst case plus
+# ITP_N0. The truncation step is ITP_K1 * width**2 / (starting width).
+ITP_N0 = 1
+ITP_K1 = 0.2
 
 
 class BrutePower(NamedTuple):
@@ -31,6 +43,95 @@ class ValidationRecord(NamedTuple):
     passed: bool
 
 
+class Probe(NamedTuple):
+    """One whole-window simulation: the verdict of ``check_point`` at every
+    step, and the box-normalised slack that only places the next probe."""
+
+    feasible: bool
+    slack: float | None  # None when the window has no continuation
+
+
+def _box_slack(
+    vt_lo: float,
+    vt_hi: float,
+    i_lo: float,
+    i_hi: float,
+    soc_lo: float,
+    soc_hi: float,
+    soa: Soa,
+) -> float:
+    """Smallest distance from the window's extremes to a face of the SOA box,
+    each in units of the box's width along that axis: >= 0 inside the box,
+    negative once a face is crossed."""
+    v_width = soa.vt_max - soa.vt_min
+    i_width = soa.i_max_dis - soa.i_max_chg
+    soc_width = soa.soc_max - soa.soc_min
+    return min(
+        (vt_lo - soa.vt_min) / v_width,
+        (soa.vt_max - vt_hi) / v_width,
+        (soa.i_max_dis - i_hi) / i_width,
+        (i_lo - soa.i_max_chg) / i_width,
+        (soc_lo - soa.soc_min) / soc_width,
+        (soa.soc_max - soc_hi) / soc_width,
+    )
+
+
+def _itp_boundary(
+    probe: Callable[[float], Probe],
+    lo: float,
+    slack_lo: float | None,
+    hi: float,
+    slack_hi: float | None,
+    tol: float,
+) -> float:
+    """Narrow a bracket with a feasible ``lo`` and an infeasible ``hi`` until
+    ``hi - lo <= tol``; returns ``lo``, which the last feasible probe
+    simulated.
+
+    Each probe is placed by ITP (interpolate, truncate, project) on the two
+    ends' slacks. The projection keeps every probe within reach of the
+    midpoint, so the bracket after j probes is no wider than bisection's
+    after j - ITP_N0. Only the verdicts move the ends. Without a slack for
+    both ends, the probe is the midpoint. If the bracket can no longer be
+    split in floating point, the search stops there.
+    """
+    if not hi - lo > tol:
+        return lo
+    n_max = math.ceil(math.log2(hi - lo) - math.log2(tol)) + ITP_N0
+    # A probe projected onto the exact edge of the budget can leave the last
+    # bracket an ulp wider than tol, and cost one probe more: aim inside it.
+    budget_tol = tol * (1.0 - 2.0**-10)
+    k1 = ITP_K1 / (hi - lo)
+    j = 0
+    while hi - lo > tol:
+        width = hi - lo
+        mid = lo + 0.5 * width
+        x = mid
+        if slack_lo is not None and slack_hi is not None:
+            above, below = max(slack_lo, 0.0), min(slack_hi, 0.0)
+            if above > below:
+                x_f = lo + width * above / (above - below)  # interpolate
+                sigma = 1.0 if mid > x_f else -1.0
+                delta = k1 * width * width
+                x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid  # truncate
+                reach = max(math.ldexp(budget_tol, n_max - j - 1) - 0.5 * width, 0.0)
+                x = x_t if abs(x_t - mid) <= reach else mid - sigma * reach  # project
+                # tol / 2 inside either end, a probe closes the bracket or
+                # moves an end by at least tol / 2.
+                x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        if not lo < x < hi:
+            x = mid
+        if not lo < x < hi:  # the bracket no longer splits in floating point
+            break
+        result = probe(x)
+        if result.feasible:
+            lo, slack_lo = x, result.slack
+        else:
+            hi, slack_hi = x, result.slack
+        j += 1
+    return lo
+
+
 def _cc_feasible(
     current: float,
     state: BatteryState,
@@ -38,13 +139,28 @@ def _cc_feasible(
     curve: OcvCurve,
     window: Window,
     soa: Soa,
-) -> bool:
+) -> Probe:
+    """Simulate the whole window at a constant ``current``, checking every
+    step; an infeasible window also runs to its end, so its slack is the
+    continuous extension of a feasible one's."""
     sim = state
+    feasible = True
+    vt_lo = soc_lo = math.inf
+    vt_hi = soc_hi = -math.inf
     for _ in range(window.steps):
         sim, vt, _ = ecm.step(sim, params, curve, current, window.dt)
-        if check_point(vt, current, sim.soc, soa):
-            return False
-    return True
+        soc = sim.soc
+        if check_point(vt, current, soc, soa):
+            feasible = False
+        if vt < vt_lo:
+            vt_lo = vt
+        if vt > vt_hi:
+            vt_hi = vt
+        if soc < soc_lo:
+            soc_lo = soc
+        if soc > soc_hi:
+            soc_hi = soc
+    return Probe(feasible, _box_slack(vt_lo, vt_hi, current, current, soc_lo, soc_hi, soa))
 
 
 def brute_peak_current_cc(
@@ -57,10 +173,14 @@ def brute_peak_current_cc(
     tol_amps: float = 1e-6,
 ) -> float:
     """Largest constant current (by magnitude) whose simulated window stays
-    inside the SOA, found by bisection on the current magnitude.
+    inside the SOA, found by ITP-placed probes on the current magnitude.
 
     Saturates exactly at the manufacturer limit when that limit is itself
-    sustainable.
+    sustainable. Otherwise the answer was simulated feasible and a current
+    at most ``tol_amps`` larger was simulated infeasible.
+
+    Raises InfeasibleStateError when the rested state lies outside the SOA,
+    or when the window leaves it even at zero current.
     """
     if not (tol_amps > 0.0 and math.isfinite(tol_amps)):
         raise ValueError(f"tol_amps must be finite and > 0, got {tol_amps}")
@@ -70,32 +190,35 @@ def brute_peak_current_cc(
 
     sign = direction.sign
     i_lim = abs(direction.current_limit(soa))
-    # Cap the bracket with the instantaneous voltage headroom so the
-    # bisection stays within a few dozen iterations.
+    # Cap the bracket with the instantaneous voltage headroom so the search
+    # stays within a few dozen probes.
     if direction is Direction.DISCHARGE:
         headroom = (ecm.ocv(curve, state.soc) - soa.vt_min + abs(state.vp)) / params.r0
     else:
         headroom = (soa.vt_max - ecm.ocv(curve, state.soc) + abs(state.vp)) / params.r0
     hi = min(i_lim, headroom + 1.0)
 
-    if _cc_feasible(sign * hi, state, params, curve, window, soa):
-        return sign * hi  # current bound saturates: the limit itself is the peak
+    def probe(magnitude: float) -> Probe:
+        return _cc_feasible(sign * magnitude, state, params, curve, window, soa)
 
-    lo = 0.0
-    while hi - lo > tol_amps:
-        mid = 0.5 * (lo + hi)
-        if _cc_feasible(sign * mid, state, params, curve, window, soa):
-            lo = mid
-        else:
-            hi = mid
-    return sign * lo
+    top = probe(hi)
+    if top.feasible:
+        return sign * hi  # current bound saturates: the limit itself is the peak
+    zero = probe(0.0)
+    if not zero.feasible:
+        raise InfeasibleStateError("the zero-current window leaves the SOA")
+    return sign * _itp_boundary(probe, 0.0, zero.slack, hi, top.slack, tol_amps)
 
 
 def _secant_cp_current(
-    emf: float, r0: float, power: float, max_iter: int = 60
+    emf: float, r0: float, power: float, guess: float | None = None, max_iter: int = 60
 ) -> float | None:
     """Physical-branch current with I*(emf - I*r0) = power, by secant
-    iteration on the power residual. None when no root is reachable."""
+    iteration on the power residual. None when no root is reachable.
+
+    The iteration starts from ``guess`` (the previous step's current) when it
+    lies short of the power vertex emf / (2 r0), and from power / emf
+    otherwise."""
     if power == 0.0:
         return 0.0
     if emf <= 0.0:
@@ -104,7 +227,7 @@ def _secant_cp_current(
     def residual(i: float) -> float:
         return i * (emf - i * r0) - power
 
-    i0 = power / emf
+    i0 = guess if guess is not None and abs(guess) < emf / (2.0 * r0) else power / emf
     denom = emf - i0 * r0
     if denom <= 0.0:
         return None
@@ -133,23 +256,42 @@ def _cp_feasible_trace(
     window: Window,
     direction: Direction,
     soa: Soa,
-) -> bool:
+) -> Probe:
+    """Simulate the whole window at a constant power magnitude, checking
+    every step; each step's secant starts from the previous step's current.
+    A step with no physical current ends the window without a slack."""
     alpha = math.exp(-window.dt / params.tau)
     power = power_abs * direction.sign
     soc, vp = state.soc, state.vp
+    current = None
+    feasible = True
+    vt_lo = i_lo = soc_lo = math.inf
+    vt_hi = i_hi = soc_hi = -math.inf
     for _ in range(window.steps):
         vp_rel = vp * alpha
         emf = ecm.ocv(curve, soc) - vp_rel
-        current = _secant_cp_current(emf, params.r0, power)
+        current = _secant_cp_current(emf, params.r0, power, current)
         if current is None:
-            return False
+            return Probe(False, None)
         vt = emf - current * params.r0
         soc_next = min(max(soc - current * window.dt * params.soc_per_amp_second, 0.0), 1.0)
         if check_point(vt, current, soc_next, soa):
-            return False
+            feasible = False
+        if vt < vt_lo:
+            vt_lo = vt
+        if vt > vt_hi:
+            vt_hi = vt
+        if current < i_lo:
+            i_lo = current
+        if current > i_hi:
+            i_hi = current
+        if soc_next < soc_lo:
+            soc_lo = soc_next
+        if soc_next > soc_hi:
+            soc_hi = soc_next
         vp = vp_rel + current * params.r1 * (1.0 - alpha)
         soc = soc_next
-    return True
+    return Probe(feasible, _box_slack(vt_lo, vt_hi, i_lo, i_hi, soc_lo, soc_hi, soa))
 
 
 def brute_peak_power_cp(
@@ -163,10 +305,19 @@ def brute_peak_power_cp(
     p_hi: float | None = None,
 ) -> BrutePower:
     """Largest sustainable constant power magnitude, with the per-step current
-    recovered by secant iteration instead of the closed-form quadratic."""
+    recovered by secant iteration instead of the closed-form quadratic.
+
+    Unless saturated, the answer was simulated feasible and a power at most
+    ``tol_watts`` larger was simulated infeasible; the probes are placed by
+    ITP between the zero-power window and ``p_hi``."""
     if not (tol_watts > 0.0 and math.isfinite(tol_watts)):
         raise ValueError(f"tol_watts must be finite and > 0, got {tol_watts}")
-    if not _cp_feasible_trace(0.0, state, params, curve, window, direction, soa):
+
+    def probe(power_abs: float) -> Probe:
+        return _cp_feasible_trace(power_abs, state, params, curve, window, direction, soa)
+
+    zero = probe(0.0)
+    if not zero.feasible:
         raise InfeasibleStateError("rested state lies outside the SOA")
 
     if p_hi is None:
@@ -175,17 +326,12 @@ def brute_peak_power_cp(
             p_hi = i_lim * ecm.ocv(curve, state.soc)
         else:
             p_hi = i_lim * soa.vt_max
-    if _cp_feasible_trace(p_hi, state, params, curve, window, direction, soa):
+    top = probe(p_hi)
+    if top.feasible:
         return BrutePower(p_hi, saturated=True)
-
-    lo, hi = 0.0, p_hi
-    while hi - lo > tol_watts:
-        mid = 0.5 * (lo + hi)
-        if _cp_feasible_trace(mid, state, params, curve, window, direction, soa):
-            lo = mid
-        else:
-            hi = mid
-    return BrutePower(lo, saturated=False)
+    return BrutePower(
+        _itp_boundary(probe, 0.0, zero.slack, p_hi, top.slack, tol_watts), saturated=False
+    )
 
 
 def compare_report(

@@ -1,6 +1,6 @@
 """Helpers shared by the engine tests: a fixed NMC-like OCV table, a
-hypothesis strategy for random monotone ones, and a spy on the OCV slope
-``sop_cc`` settles on."""
+hypothesis strategy for random monotone ones, a spy on the OCV slope
+``sop_cc`` settles on, and plain-bisection references for the oracles."""
 
 import math
 
@@ -8,7 +8,8 @@ import pytest
 from hypothesis import strategies as st
 
 import soplab.peak_cc as peak_cc
-from soplab import OcvCurve
+from soplab import Direction, InfeasibleStateError, OcvCurve, check_point, ecm
+from soplab.oracle import BrutePower, _cp_feasible_trace
 
 # 12-knot NMC-like table: a steep knee below 10% SOC on a convex rise, 3.0-4.2 V.
 NMC_CURVE = OcvCurve(
@@ -52,3 +53,68 @@ def second_pass_slope(run):
         result = run()
     assert len(slopes) == 2
     return result, slopes[-1]
+
+
+# Plain-bisection references: the oracles' loops before their probes were
+# placed by ITP. The CC one simulates each window itself; the CP one takes its
+# verdicts from the oracle's own trace, because a differently started secant
+# can flip a verdict within 1e-12 of the boundary.
+
+
+def cc_window_feasible(current, state, params, curve, window, soa):
+    """Every step of a constant-current window inside the SOA."""
+    sim = state
+    for _ in range(window.steps):
+        sim, vt, _ = ecm.step(sim, params, curve, current, window.dt)
+        if check_point(vt, current, sim.soc, soa):
+            return False
+    return True
+
+
+def cp_window_feasible(power_abs, state, params, curve, window, direction, soa):
+    """Every step of a constant-power window inside the SOA."""
+    return _cp_feasible_trace(power_abs, state, params, curve, window, direction, soa).feasible
+
+
+def bisect_peak_current_cc(state, params, curve, window, direction, soa, tol_amps):
+    rested_vt = ecm.ocv(curve, state.soc) - state.vp
+    if check_point(rested_vt, 0.0, state.soc, soa):
+        raise InfeasibleStateError("rested state lies outside the SOA")
+    sign = direction.sign
+    i_lim = abs(direction.current_limit(soa))
+    if direction is Direction.DISCHARGE:
+        headroom = (ecm.ocv(curve, state.soc) - soa.vt_min + abs(state.vp)) / params.r0
+    else:
+        headroom = (soa.vt_max - ecm.ocv(curve, state.soc) + abs(state.vp)) / params.r0
+    hi = min(i_lim, headroom + 1.0)
+    if cc_window_feasible(sign * hi, state, params, curve, window, soa):
+        return sign * hi
+    lo = 0.0
+    while hi - lo > tol_amps:
+        mid = 0.5 * (lo + hi)
+        if cc_window_feasible(sign * mid, state, params, curve, window, soa):
+            lo = mid
+        else:
+            hi = mid
+    return sign * lo
+
+
+def bisect_peak_power_cp(state, params, curve, window, direction, soa, tol_watts, p_hi=None):
+    if not cp_window_feasible(0.0, state, params, curve, window, direction, soa):
+        raise InfeasibleStateError("rested state lies outside the SOA")
+    if p_hi is None:
+        i_lim = abs(direction.current_limit(soa))
+        if direction is Direction.DISCHARGE:
+            p_hi = i_lim * ecm.ocv(curve, state.soc)
+        else:
+            p_hi = i_lim * soa.vt_max
+    if cp_window_feasible(p_hi, state, params, curve, window, direction, soa):
+        return BrutePower(p_hi, saturated=True)
+    lo, hi = 0.0, p_hi
+    while hi - lo > tol_watts:
+        mid = 0.5 * (lo + hi)
+        if cp_window_feasible(mid, state, params, curve, window, direction, soa):
+            lo = mid
+        else:
+            hi = mid
+    return BrutePower(lo, saturated=False)

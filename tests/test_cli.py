@@ -104,6 +104,18 @@ class TestSopCommand:
         assert code == 2
         assert capsys.readouterr().out.startswith("error:")
 
+    @pytest.mark.parametrize("direction", ["discharge", "charge"])
+    @pytest.mark.parametrize("mode", ["cv", "cccv"])
+    def test_subnormal_dt_reports(self, files, capsys, mode, direction):
+        # dt * soc_per_amp_second underflows to 0: no SOC moves within a
+        # step, so the SOC bound cannot bind (it used to divide by zero).
+        argv = ["--mode", mode, "--direction", direction, "--dt", "1e-320", "-K", "3"]
+        code = main(["sop", *_base_args(files), *argv])
+        kv = _kv(capsys.readouterr().out)
+        assert code == 0
+        assert kv["feasible"] == "true"
+        assert float(kv["i_mc_a"]) == (10.0 if direction == "discharge" else -4.0)
+
     def test_cp_vp_above_ocv_exits_one(self, files, capsys):
         code = main(["sop", *_base_args(files), "--mode", "cp", "--vp", "5"])
         assert code == 1
@@ -418,6 +430,40 @@ def test_range_grid_size_limit_is_exact(monkeypatch):
     assert len(_parse_grid("0:9:1")) == 10
     with pytest.raises(soplab.InputError, match="more than 10 points"):
         _parse_grid("0:10:1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sop", "--mode", "cv", "-K"],
+        ["sweep-error", "--source", "soc", "--constraint", "soc", "--grid", "0", "-K"],
+        ["validate", "--soc-grid", "0.5", "--steps-list"],
+    ],
+)
+def test_oversized_window_exits_two_before_simulating(files, capsys, monkeypatch, argv):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the window size check")
+
+    for module, name in (
+        (soplab.modes, "_trace"), (soplab.ecm, "step"), (soplab.peak_cc, "sop_cc"),
+        (soplab.oracle, "brute_peak_current_cc"),
+    ):
+        monkeypatch.setattr(module, name, no_simulation)
+    code = main([argv[0], *_base_args(files), *argv[1:], "99999999999999999999"])
+    assert code == 2
+    assert capsys.readouterr().out.startswith("error: steps must be <= ")
+
+
+def test_window_step_limit_is_exact(files, capsys, monkeypatch):
+    monkeypatch.setattr(soplab.cli, "MAX_WINDOW_STEPS", 10)
+    validate = ["validate", *_base_args(files, "-K", "10"), "--soc-grid", "0.5", "--steps-list"]
+    assert main(["sop", *_base_args(files), "--mode", "cv", "-K", "10"]) == 0
+    assert main([*validate, "1,10"]) == 0
+    capsys.readouterr()
+    assert main(["sop", *_base_args(files), "--mode", "cv", "-K", "11"]) == 2
+    assert capsys.readouterr().out == "error: steps must be <= 10, got 11\n"
+    assert main([*validate, "1,11"]) == 2
+    assert capsys.readouterr().out == "error: steps must be <= 10, got 11\n"
 
 
 def test_unknown_command_exits_two(files):

@@ -1,37 +1,41 @@
-"""Oracle tests: bisection validators and the comparison record."""
+"""Oracle tests: the ITP-placed validators, their certificate against
+plain bisection, and the comparison record."""
 
 import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import soplab.oracle as oracle_module
 from soplab import (
+    BatteryParams,
     BatteryState,
     Direction,
     InfeasibleStateError,
+    OcvCurve,
     Soa,
     Window,
     brute_peak_current_cc,
     brute_peak_power_cp,
-    check_point,
     compare_report,
+    ocv,
     sop_cc,
     sop_cp,
-    step,
+)
+from soplab.oracle import _secant_cp_current
+from support import (
+    bisect_peak_current_cc,
+    bisect_peak_power_cp,
+    cc_window_feasible,
+    cp_window_feasible,
+    monotone_ocv,
 )
 
 DIS = Direction.DISCHARGE
 CHG = Direction.CHARGE
-
-
-def _cc_window_ok(current, state, params, curve, window, soa):
-    sim = state
-    for _ in range(window.steps):
-        sim, vt, _ = step(sim, params, curve, current, window.dt)
-        if check_point(vt, current, sim.soc, soa):
-            return False
-    return True
 
 
 class TestBrutePeakCurrentCc:
@@ -56,8 +60,20 @@ class TestBrutePeakCurrentCc:
         tol = 1e-6
         state = BatteryState(0.5)
         peak = brute_peak_current_cc(state, params, linear_curve, window_10, DIS, soa, tol_amps=tol)
-        assert _cc_window_ok(peak - 2 * tol, state, params, linear_curve, window_10, soa)
-        assert not _cc_window_ok(peak + 2 * tol, state, params, linear_curve, window_10, soa)
+        assert cc_window_feasible(peak - 2 * tol, state, params, linear_curve, window_10, soa)
+        assert not cc_window_feasible(peak + 2 * tol, state, params, linear_curve, window_10, soa)
+        assert cc_window_feasible(peak, state, params, linear_curve, window_10, soa)
+        assert not cc_window_feasible(peak + tol, state, params, linear_curve, window_10, soa)
+
+    def test_tolerance_below_float_spacing_ends(self, params, linear_curve, soa):
+        # Bisection never closed a bracket narrower than the float spacing at
+        # the peak; the search now stops once the bracket cannot be split.
+        state, window = BatteryState(0.15), Window(60, 1.0)
+        peak = brute_peak_current_cc(state, params, linear_curve, window, DIS, soa, tol_amps=1e-300)
+        assert cc_window_feasible(peak, state, params, linear_curve, window, soa)
+        assert not cc_window_feasible(
+            math.nextafter(peak, math.inf), state, params, linear_curve, window, soa
+        )
 
     def test_rested_state_out_of_soa_raises(self, params, linear_curve, window_10):
         soa = Soa(3.9, 4.3, 10.0, -4.0, 0.0, 1.0)  # rested 3.6 V below vt_min
@@ -123,6 +139,127 @@ class TestBrutePeakPowerCp:
         with pytest.raises(InfeasibleStateError):
             brute_peak_power_cp(BatteryState(0.5), params, linear_curve, window_10, DIS, soa)
 
+    @pytest.mark.parametrize("direction", [DIS, CHG])
+    def test_bracketing_postcondition(self, params, linear_curve, soa, direction):
+        tol = 1e-6
+        state, window = BatteryState(0.5, 0.1), Window(30, 1.0)
+        args = (state, params, linear_curve, window, direction, soa)
+        brute = brute_peak_power_cp(*args, tol_watts=tol)
+        assert not brute.saturated
+        assert cp_window_feasible(brute.watts, *args)
+        assert not cp_window_feasible(brute.watts + tol, *args)
+
+
+def test_zero_load_window_out_of_soa_raises(params, linear_curve, window_10):
+    # The rested 3.4 V is inside, but relaxing towards the 3.6 V OCV the
+    # window crosses vt_max = 3.5 V at zero load, and charging only raises
+    # the voltage: no charge current or power is certified.
+    soa = Soa(2.8, 3.5, 10.0, -4.0, 0.0, 1.0)
+    state = BatteryState(0.5, 0.2)
+    for oracle in (brute_peak_current_cc, brute_peak_power_cp):
+        with pytest.raises(InfeasibleStateError):
+            oracle(state, params, linear_curve, window_10, CHG, soa)
+
+
+def _probe_spy(mp, name):
+    """Record the first argument of every whole-window simulation ``name``."""
+    seen = []
+    original = getattr(oracle_module, name)
+
+    def spy(value, *args):
+        seen.append(value)
+        return original(value, *args)
+
+    mp.setattr(oracle_module, name, spy)
+    return seen
+
+
+def _probe_budget(bracket, tol):
+    """Bisection's probe count for the bracket plus ITP's slack; the two
+    bracket-setting probes (zero and the bracket top) come on top."""
+    return 2 + math.ceil(math.log2(bracket / tol)) + oracle_module.ITP_N0
+
+
+@settings(max_examples=60, deadline=None)
+# Near soc_min the slack's kink misleads interpolation; without the projection
+# this CP solve took 59 probes where the budget allows 38.
+@example(
+    curve=OcvCurve(((0.0, 3.0), (1.0, 4.2))), soc=0.1015625, vp=-0.3, steps=1, direction=DIS
+)
+@given(
+    curve=monotone_ocv(),
+    soc=st.floats(0.1, 0.9),
+    vp=st.floats(-0.6, 0.6),
+    steps=st.sampled_from([1, 2, 10, 30, 60]),
+    direction=st.sampled_from([DIS, CHG]),
+)
+def test_oracles_match_bisection_within_the_probe_budget(curve, soc, vp, steps, direction):
+    params = BatteryParams(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
+    soa = Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9)
+    assume(soa.vt_min <= ocv(curve, soc) - vp <= soa.vt_max)
+    state, window, tol = BatteryState(soc, vp), Window(steps, 1.0), 1e-9
+    args = (state, params, curve, window, direction, soa)
+    sign = direction.sign
+    with pytest.MonkeyPatch.context() as mp:
+        cc_probes = _probe_spy(mp, "_cc_feasible")
+        cp_probes = _probe_spy(mp, "_cp_feasible_trace")
+        peak = brute_peak_current_cc(*args, tol_amps=tol)
+        power = brute_peak_power_cp(*args, tol_watts=tol)
+
+    assert abs(peak - bisect_peak_current_cc(*args, tol)) <= tol
+    reference = bisect_peak_power_cp(*args, tol)
+    assert power.saturated == reference.saturated
+    assert abs(power.watts - reference.watts) <= tol
+
+    assert cc_window_feasible(peak, *args[:4], soa)
+    if abs(peak) < abs(direction.current_limit(soa)):
+        assert not cc_window_feasible(peak + sign * tol, *args[:4], soa)
+        assert len(cc_probes) <= _probe_budget(abs(cc_probes[0]), tol)
+    else:
+        assert len(cc_probes) == 1
+    assert cp_window_feasible(power.watts, *args)
+    if not power.saturated:
+        assert not cp_window_feasible(power.watts + tol, *args)
+        assert len(cp_probes) <= _probe_budget(cp_probes[1], tol)
+
+
+class TestWarmSecant:
+    @staticmethod
+    def _passes_residual_test(current, emf, r0, power):
+        return abs(current * (emf - current * r0) - power) <= 1e-12 * max(1.0, abs(power))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        emf=st.floats(0.1, 5.0),
+        r0=st.floats(0.001, 1.0),
+        share=st.floats(-3.0, 0.999),
+        guess_share=st.floats(-1.0, 1.0, exclude_max=True),
+    )
+    def test_finds_the_cold_start_root(self, emf, r0, share, guess_share):
+        vertex = emf / (2.0 * r0)
+        power = share * emf * vertex / 2.0  # share of the power ceiling emf^2 / (4 r0)
+        cold = _secant_cp_current(emf, r0, power)
+        warm = _secant_cp_current(emf, r0, power, guess_share * vertex)
+        assert (warm is None) == (cold is None)
+        if cold is not None:
+            for current in (cold, warm):
+                assert self._passes_residual_test(current, emf, r0, power)
+                assert abs(current) <= vertex * (1.0 + 1e-9)
+                assert current * power >= 0.0
+
+    @pytest.mark.parametrize("guess", [None, 0.0, 5.0, 17.9])
+    def test_no_root_beyond_the_power_vertex(self, guess):
+        emf, r0 = 3.6, 0.1  # vertex 18 A, ceiling 32.4 W
+        assert _secant_cp_current(emf, r0, 32.5, guess) is None
+        assert _secant_cp_current(-0.1, r0, 1.0, guess) is None
+        assert _secant_cp_current(0.0, r0, 1.0, guess) is None
+
+    @pytest.mark.parametrize("guess", [18.0, 25.0, -18.0, -40.0])
+    def test_guess_at_or_past_the_vertex_starts_cold(self, guess):
+        emf, r0 = 3.6, 0.1
+        for power in (5.0, 30.0, -8.0):
+            assert _secant_cp_current(emf, r0, power, guess) == _secant_cp_current(emf, r0, power)
+
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan])
 @pytest.mark.parametrize(
@@ -182,6 +319,8 @@ def test_oracle_module_does_not_call_closed_forms():
         "sop_cc(", "predict_cc(", "sop_cv(", "sop_cccv(", "sop_cp(", "solve_cp_step(",
         "window_terms(", "cutoff_current(", "soc_bound_current(", "end_voltage(",
         "_hold_trace(", "_cp_probe(",
+        # The engine's probe placement: ITP and its slack are the oracle's own.
+        "_normalised_margin(", "_CpMargins", "_toward(",
     ):
         assert forbidden not in source
     # Nor the engine's per-step CP solver (the oracle's own is _secant_cp_current),
