@@ -4,113 +4,87 @@ Closed-form multi-constraint peak power for constant-current windows,
 stepwise engines for constant-voltage, CC-CV, and constant-power operation,
 an exact error calculus for five input-error sources, and a brute-force
 simulation oracle that validates the closed forms.
+
+The package imports lazily (PEP 562): ``import soplab`` loads no submodule,
+and each exported name, or submodule such as ``soplab.oracle``, loads its
+module on first access. A one-shot CLI process thus pays only for what its
+subcommand runs.
 """
 
-from .ecm import (
-    BatteryParams,
-    BatteryState,
-    CcPrediction,
-    OcvCurve,
-    ProfileSample,
-    StepResult,
-    Window,
-    ocv,
-    ocv_slope,
-    predict_cc,
-    simulate_profile,
-    step,
-)
-from .error_lab import (
-    ErrorBreakdown,
-    ErrorSource,
-    TrueContext,
-    analytic_error,
-    build_true_context,
-    empirical_error,
-    sweep,
-)
-from .exceptions import (
-    AnalyticDomainError,
-    ConfigurationError,
-    InfeasibleStateError,
-    InputError,
-    PowerInfeasibleError,
-)
-from .modes import (
-    CcCvCase,
-    ModeShift,
-    PomStep,
-    PomTrace,
-    constant_current_trace,
-    find_mode_shift_kc,
-    solve_cp_step,
-    sop_cccv,
-    sop_cp,
-    sop_cv,
-)
-from .oracle import (
-    BrutePower,
-    ValidationRecord,
-    brute_peak_current_cc,
-    brute_peak_power_cp,
-    compare_report,
-)
-from .peak_cc import (
-    Direction,
-    SopResult,
-    WindowTerms,
-    sop_cc,
-    window_terms,
-)
-from .soa import Soa, Violation, check_point, check_trace
+from importlib import import_module
 
-__all__ = [
-    "AnalyticDomainError",
-    "BatteryParams",
-    "BatteryState",
-    "BrutePower",
-    "CcCvCase",
-    "CcPrediction",
-    "ConfigurationError",
-    "Direction",
-    "ErrorBreakdown",
-    "ErrorSource",
-    "InfeasibleStateError",
-    "InputError",
-    "ModeShift",
-    "OcvCurve",
-    "PomStep",
-    "PomTrace",
-    "PowerInfeasibleError",
-    "ProfileSample",
-    "Soa",
-    "SopResult",
-    "StepResult",
-    "TrueContext",
-    "ValidationRecord",
-    "Violation",
-    "Window",
-    "WindowTerms",
-    "analytic_error",
-    "brute_peak_current_cc",
-    "brute_peak_power_cp",
-    "build_true_context",
-    "check_point",
-    "check_trace",
-    "compare_report",
-    "constant_current_trace",
-    "empirical_error",
-    "find_mode_shift_kc",
-    "ocv",
-    "ocv_slope",
-    "predict_cc",
-    "simulate_profile",
-    "solve_cp_step",
-    "sop_cc",
-    "sop_cccv",
-    "sop_cp",
-    "sop_cv",
-    "step",
-    "sweep",
-    "window_terms",
-]
+# Each submodule and the names it exports; the package's only import list.
+_EXPORTS_BY_MODULE = {
+    "ecm": (
+        "BatteryParams",
+        "BatteryState",
+        "CcPrediction",
+        "OcvCurve",
+        "ProfileSample",
+        "StepResult",
+        "Window",
+        "ocv",
+        "ocv_slope",
+        "predict_cc",
+        "simulate_profile",
+        "step",
+    ),
+    "error_lab": (
+        "ErrorBreakdown",
+        "ErrorSource",
+        "TrueContext",
+        "analytic_error",
+        "build_true_context",
+        "empirical_error",
+        "sweep",
+    ),
+    "exceptions": (
+        "AnalyticDomainError",
+        "ConfigurationError",
+        "InfeasibleStateError",
+        "InputError",
+        "PowerInfeasibleError",
+    ),
+    "modes": (
+        "CcCvCase",
+        "ModeShift",
+        "PomStep",
+        "PomTrace",
+        "constant_current_trace",
+        "find_mode_shift_kc",
+        "solve_cp_step",
+        "sop_cccv",
+        "sop_cp",
+        "sop_cv",
+    ),
+    "oracle": (
+        "BrutePower",
+        "ValidationRecord",
+        "brute_peak_current_cc",
+        "brute_peak_power_cp",
+        "compare_report",
+    ),
+    "peak_cc": ("Direction", "SopResult", "WindowTerms", "sop_cc", "window_terms"),
+    "soa": ("Soa", "Violation", "check_point", "check_trace"),
+}
+_EXPORTS = {name: module for module, names in _EXPORTS_BY_MODULE.items() for name in names}
+
+_SUBMODULES = frozenset((*_EXPORTS_BY_MODULE, "cli", "fileio"))
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -3,15 +3,18 @@ runs, and profile replay.
 
 Exit codes: 0 success, 1 infeasible scenario or validation failure, 2
 malformed input. Reports go to standard output unless ``--out`` is given.
+
+Each process is one request, so the stepwise engines, the oracle and the
+error calculus are imported by the command that runs them, not here.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import ecm, error_lab, fileio, modes, oracle, peak_cc
+from . import ecm, fileio, peak_cc
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
 from .exceptions import (
     AnalyticDomainError,
@@ -22,6 +25,9 @@ from .exceptions import (
 from .fileio import format_float as ff
 from .peak_cc import Direction
 from .soa import Soa, check_point
+
+if TYPE_CHECKING:
+    from .modes import PomTrace
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -39,11 +45,14 @@ MAX_GRID_POINTS = 10**6
 MAX_WINDOW_STEPS = 10**5
 
 MODES = ("cc", "cv", "cccv", "cp")
+# sweep-error's choices, spelled out so that building the parser does not
+# import error_lab; a test pins them to error_lab.ErrorSource and CONSTRAINTS.
+ERROR_SOURCES = ("soc", "vp_relax", "r_sum", "kappa", "x")
+CONSTRAINTS = ("current", "voltage", "soc")
 _TRACE_HEADER = "step,current_a,vt_v,soc,vp_v,power_w"
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     state: BatteryState
     params: BatteryParams
     curve: OcvCurve
@@ -76,7 +85,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     return Scenario(state, params, curve, soa, window, mode, _direction(args.direction))
 
 
-def _trace_csv(trace: modes.PomTrace) -> str:
+def _trace_csv(trace: PomTrace) -> str:
     lines = [_TRACE_HEADER]
     for s in trace.steps:
         lines.append(
@@ -90,6 +99,9 @@ def _trace_csv(trace: modes.PomTrace) -> str:
 def cmd_sop(scenario: Scenario, power_eval: str, tol_watts: float) -> tuple[int, str]:
     """Peak-power report for one scenario; exit 1 when infeasible."""
     trace = None
+    if scenario.mode != "cc":
+        from . import modes  # a CC report never loads the stepwise engines
+
     if scenario.mode == "cc":
         result = peak_cc.sop_cc(
             scenario.state,
@@ -140,9 +152,15 @@ def cmd_sop(scenario: Scenario, power_eval: str, tol_watts: float) -> tuple[int,
         f"i_mc_a={ff(result.i_mc)}",
     ]
     if result.i_current_limit is not None:
-        lines.append(f"i_current_limit_a={ff(result.i_current_limit)}")
-        lines.append(f"i_voltage_limit_a={ff(result.i_voltage_limit)}")
-        lines.append(f"i_soc_limit_a={ff(result.i_soc_limit)}")
+        # A constraint that cannot bind reports an infinite current, which no
+        # report could re-parse: its line is left out.
+        for key, current in (
+            ("i_current_limit_a", result.i_current_limit),
+            ("i_voltage_limit_a", result.i_voltage_limit),
+            ("i_soc_limit_a", result.i_soc_limit),
+        ):
+            if math.isfinite(current):
+                lines.append(f"{key}={ff(current)}")
     if trace is not None and trace.mode_shift_index is not None:
         lines.append(f"mode_shift_step={trace.mode_shift_index}")
     report = "\n".join(lines) + "\n"
@@ -180,6 +198,8 @@ def cmd_sweep_error(
     scenario: Scenario, source: str, constraint: str, grid: list[float]
 ) -> tuple[int, str]:
     """Analytic-versus-empirical power-error sweep over a delta grid."""
+    from . import error_lab
+
     try:
         src = error_lab.ErrorSource(source)
     except ValueError as exc:
@@ -223,6 +243,8 @@ def cmd_validate(
     row reads ``nan`` for the oracle and residual and ``skipped`` for the
     verdict, it counts in ``points`` but not in ``passed``, and the grid runs on.
     """
+    from . import oracle
+
     if not soc_grid or not steps_list or not directions:
         raise InputError("validation grid is empty")
     # The oracle bisects to a thousandth of the pass bound, so its own error
@@ -357,12 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep-error", help="error-source sensitivity sweep")
     add_common(p_sweep)
-    p_sweep.add_argument(
-        "--source", required=True, choices=[s.value for s in error_lab.ErrorSource]
-    )
-    p_sweep.add_argument(
-        "--constraint", required=True, choices=list(error_lab.CONSTRAINTS)
-    )
+    p_sweep.add_argument("--source", required=True, choices=ERROR_SOURCES)
+    p_sweep.add_argument("--constraint", required=True, choices=CONSTRAINTS)
     p_sweep.add_argument(
         "--grid", required=True, help="delta grid: comma list or start:stop:step"
     )

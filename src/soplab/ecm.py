@@ -117,8 +117,7 @@ class Window:
         return self.steps * self.dt
 
 
-@dataclass(frozen=True)
-class CcPrediction:
+class CcPrediction(NamedTuple):
     """End-of-window quantities under a constant current.
 
     ocv_end          open-circuit voltage after the window's charge throughput

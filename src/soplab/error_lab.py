@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import ecm, peak_cc
@@ -37,8 +36,7 @@ class ErrorSource(enum.Enum):
     X = "x"
 
 
-@dataclass(frozen=True)
-class ErrorBreakdown:
+class ErrorBreakdown(NamedTuple):
     """Peak-current, end-voltage, and power errors for one (source, constraint)
     cell. ``coefficients`` carries the (a, b) pair of the SOC-error parabola or
     the (alpha, beta) pair of the capacity-composite form, where one exists."""
@@ -49,8 +47,7 @@ class ErrorBreakdown:
     coefficients: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True)
-class TrueContext:
+class TrueContext(NamedTuple):
     """Unbiased quantities every error formula consumes, precomputed once."""
 
     curve: OcvCurve

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import ecm
@@ -34,8 +33,7 @@ class PomStep(NamedTuple):
     power: float
 
 
-@dataclass(frozen=True)
-class PomTrace:
+class PomTrace(NamedTuple):
     steps: tuple[PomStep, ...]
     mode_shift_index: int | None = None
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import ecm
@@ -40,12 +39,13 @@ class Direction(enum.Enum):
         return soa.soc_min if self is Direction.DISCHARGE else soa.soc_max
 
 
-@dataclass(frozen=True)
-class SopResult:
+class SopResult(NamedTuple):
     """Peak-power estimate with per-constraint diagnostics.
 
     The per-constraint currents are populated by the constant-current closed
-    forms; stepwise mode engines leave them as None. ``sop`` is the magnitude
+    forms; stepwise mode engines leave them as None. A constraint that cannot
+    bind (the SOC bound of a window whose SOC throughput underflows to 0)
+    reports an infinite current toward the direction. ``sop`` is the magnitude
     of ``power_signed``; ``feasible`` is False when no nonzero current can be
     sustained.
     """
@@ -166,7 +166,10 @@ def sop_cc(
     kappa = ecm.ocv_slope(curve, state.soc, state.soc)
     terms = window_terms(state, params, curve, kappa, window, direction, soa)
     i_current = terms.i_lim
-    i_soc = _toward(soc_bound_current(terms), direction)
+    if terms.y > 0.0:
+        i_soc = _toward(soc_bound_current(terms), direction)
+    else:  # K*dt*soc_per_amp_second underflowed: no SOC moves, as in modes._hold_trace
+        i_soc = math.inf * direction.sign
     i_voltage = _toward(cutoff_current(terms), direction)
     i_mc, _ = _compose(
         [(i_voltage, "voltage"), (i_soc, "soc"), (i_current, "current")]

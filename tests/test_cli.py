@@ -1,5 +1,6 @@
 """Command-line contract tests: exit codes, report shapes, round-trips."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -9,9 +10,9 @@ import pytest
 
 import soplab
 import soplab.oracle
-from soplab import BatteryParams, BatteryState, Window, predict_cc
-from soplab.cli import _parse_grid, main
-from soplab.fileio import format_float
+from soplab import BatteryParams, BatteryState, Window, error_lab, predict_cc
+from soplab.cli import _parse_grid, build_parser, main
+from soplab.fileio import format_float, parse_float
 
 PARAMS_TEXT = """\
 r0_ohm=0.05
@@ -115,6 +116,28 @@ class TestSopCommand:
         assert code == 0
         assert kv["feasible"] == "true"
         assert float(kv["i_mc_a"]) == (10.0 if direction == "discharge" else -4.0)
+
+    @pytest.mark.parametrize("direction", ["discharge", "charge"])
+    @pytest.mark.parametrize(
+        "dt_steps", [("5e-324", "1"), ("1e-320", "3")], ids=["dt5e-324-K1", "dt1e-320-K3"]
+    )
+    def test_subnormal_dt_cc_report_reparses(self, files, capsys, dt_steps, direction):
+        # K*dt*soc_per_amp_second underflows (to 0, or to a subnormal that the
+        # SOC-bound division overflows): the SOC bound cannot bind, so the
+        # current limit does, as in the stepwise modes. The unbounded SOC
+        # current is left out rather than printed as inf.
+        dt, steps = dt_steps
+        argv = ["--direction", direction, "--dt", dt, "-K", steps]
+        code = main(["sop", *_base_args(files), *argv])
+        kv = _kv(capsys.readouterr().out)
+        assert code == 0
+        assert kv["feasible"] == "true"
+        assert kv["dominant"] == "current"
+        assert float(kv["i_mc_a"]) == (10.0 if direction == "discharge" else -4.0)
+        assert "i_soc_limit_a" not in kv
+        for key, value in kv.items():
+            if key not in ("mode", "direction", "feasible", "dominant"):
+                assert format_float(parse_float(value, key)) == value
 
     def test_cp_vp_above_ocv_exits_one(self, files, capsys):
         code = main(["sop", *_base_args(files), "--mode", "cp", "--vp", "5"])
@@ -464,6 +487,17 @@ def test_window_step_limit_is_exact(files, capsys, monkeypatch):
     assert capsys.readouterr().out == "error: steps must be <= 10, got 11\n"
     assert main([*validate, "1,11"]) == 2
     assert capsys.readouterr().out == "error: steps must be <= 10, got 11\n"
+
+
+def _sweep_choices(dest):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return list(next(a for a in sub.choices["sweep-error"]._actions if a.dest == dest).choices)
+
+
+def test_sweep_choices_match_error_lab():
+    # The parser spells these out so that it need not import error_lab.
+    assert _sweep_choices("source") == [s.value for s in error_lab.ErrorSource]
+    assert _sweep_choices("constraint") == list(error_lab.CONSTRAINTS)
 
 
 def test_unknown_command_exits_two(files):

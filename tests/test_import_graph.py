@@ -1,0 +1,88 @@
+"""Each CLI process imports only what its subcommand runs.
+
+Every case runs in a fresh interpreter, because this process has already
+imported the whole package.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SUBMODULES = ("ecm", "error_lab", "exceptions", "fileio", "modes", "oracle", "peak_cc", "soa")
+
+# Prints, as its last line, the soplab modules loaded after ``setup``.
+PROBE = """\
+import json, sys
+{setup}
+print(json.dumps([m for m in sys.modules if m.startswith("soplab")]))
+"""
+
+
+def _loaded(setup, *argv):
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = PROBE.format(setup=setup)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.fixture
+def files(tmp_path):
+    texts = {
+        "params": "r0_ohm=0.05\nr1_ohm=0.03\ntau_s=10\ncapacity_ah=2\ncoulombic_eff=1\n",
+        "ocv": "soc,ocv_volts\n0,3.0\n1,4.2\n",
+        "soa": "vt_min=2.8\nvt_max=4.3\ni_max_dis=10\ni_max_chg=-4\nsoc_min=0.1\nsoc_max=0.9\n",
+        "profile": "t_s,current_a\n0,2\n1,3\n2,-1\n",
+    }
+    paths = {}
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded("import soplab") == {"soplab"}
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["sop", "--mode", "cc"], {"modes", "oracle", "error_lab"}),
+        (["sop", "--mode", "cp"], {"oracle", "error_lab"}),
+        (["simulate", "--profile"], {"modes", "oracle", "error_lab"}),
+        (["validate", "--soc-grid", "0.5", "--steps-list", "1"], {"modes", "error_lab"}),
+        (["sweep-error", "--source", "soc", "--constraint", "soc", "--grid", "0"], {"modes", "oracle"}),
+    ],
+    ids=["sop-cc", "sop-cp", "simulate", "validate", "sweep-error"],
+)
+def test_command_loads_only_what_it_runs(files, argv, absent):
+    command, *extra = argv
+    if command == "simulate":
+        extra.append(files["profile"])
+    common = ["--params", files["params"], "--ocv", files["ocv"], "--soa", files["soa"]]
+    setup = "from soplab.cli import main; assert main(sys.argv[1:]) == 0"
+    loaded = _loaded(setup, command, *common, *extra)
+    assert "soplab.cli" in loaded
+    assert loaded.isdisjoint(f"soplab.{name}" for name in absent)
+
+
+def test_submodules_resolve_after_importing_only_the_cli():
+    # Tests and tools reach soplab.oracle etc. as package attributes (and
+    # monkeypatch them there) after importing soplab.cli alone.
+    setup = f"""\
+import soplab.cli
+for name in {SUBMODULES!r}:
+    assert getattr(soplab, name) is sys.modules["soplab." + name]
+assert soplab.oracle.brute_peak_current_cc.__module__ == "soplab.oracle"
+"""
+    assert _loaded(setup) == {"soplab", "soplab.cli", *(f"soplab.{n}" for n in SUBMODULES)}

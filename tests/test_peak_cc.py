@@ -105,6 +105,19 @@ class TestSocConstraint:
         )
         assert one == pytest.approx(2.0 * two, rel=1e-14)
 
+    @pytest.mark.parametrize("steps, dt", [(1, 5e-324), (3, 1e-320)])
+    @pytest.mark.parametrize("direction", [DIS, CHG])
+    def test_underflowed_throughput_cannot_bind(
+        self, params, linear_curve, soa, state_half, steps, dt, direction
+    ):
+        # K*dt*soc_per_amp_second is 0 or a subnormal the division overflows:
+        # no SOC moves, so the current limit binds, as in the stepwise modes.
+        result = sop_cc(state_half, params, linear_curve, Window(steps, dt), direction, soa)
+        assert result.i_soc_limit == math.inf * direction.sign
+        assert result.i_mc == direction.current_limit(soa)
+        assert result.dominant == "current"
+        assert result.feasible
+
 
 class TestSopCcComposition:
     def test_fixture_discharge(self, params, linear_curve, soa, state_half, window_10):
