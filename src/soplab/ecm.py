@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .exceptions import ConfigurationError, InputError
@@ -22,57 +21,105 @@ SLOPE_SECANT_EPS = 1e-6
 SECONDS_PER_HOUR = 3600.0
 
 
-@dataclass(frozen=True)
-class BatteryParams:
-    """Thevenin cell parameters: series resistance, one RC branch, capacity."""
+class _Value:
+    """Frozen, validated value type.
 
+    A subclass names its fields, in constructor order, in ``__match_args__``;
+    its ``__slots__`` hold those fields and then any derived slot. Its
+    ``__init__`` validates the arguments, then writes every slot once through
+    ``object.__setattr__`` (``_Value.__init__`` does so in slot order).
+    Equality, hashing and ``repr`` cover the fields alone, and ``copy``,
+    ``deepcopy`` and ``pickle`` rebuild a value through its validating
+    constructor.
+    """
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class BatteryParams(_Value):
+    """Thevenin cell parameters: series resistance, one RC branch, capacity.
+
+    ``soc_per_amp_second`` is derived at construction: the SOC drop per
+    ampere-second of discharge, eta / (3600 C_a).
+    """
+
+    __match_args__ = ("r0", "r1", "tau", "capacity_ah", "coulombic_eff")
+    __slots__ = (*__match_args__, "soc_per_amp_second")
     r0: float
     r1: float
     tau: float
     capacity_ah: float
-    coulombic_eff: float = 1.0
+    coulombic_eff: float
+    soc_per_amp_second: float
 
-    def __post_init__(self) -> None:
-        for name in ("r0", "r1", "tau", "capacity_ah"):
-            value = getattr(self, name)
+    def __init__(
+        self, r0: float, r1: float, tau: float, capacity_ah: float, coulombic_eff: float = 1.0
+    ) -> None:
+        for name, value in (("r0", r0), ("r1", r1), ("tau", tau), ("capacity_ah", capacity_ah)):
             if not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
-        if not (self.r0 > 0.0):
-            raise ConfigurationError(f"r0 must be > 0, got {self.r0}")
-        if not (self.r1 >= 0.0):
-            raise ConfigurationError(f"r1 must be >= 0, got {self.r1}")
-        if not (self.tau > 0.0):
-            raise ConfigurationError(f"tau must be > 0, got {self.tau}")
-        if not (self.capacity_ah > 0.0):
-            raise ConfigurationError(f"capacity_ah must be > 0, got {self.capacity_ah}")
-        if not (0.0 < self.coulombic_eff <= 1.0):
-            raise ConfigurationError(
-                f"coulombic_eff must be in (0, 1], got {self.coulombic_eff}"
-            )
-
-    @property
-    def soc_per_amp_second(self) -> float:
-        """SOC drop per ampere-second of discharge (eta / 3600 C_a)."""
-        return self.coulombic_eff / (SECONDS_PER_HOUR * self.capacity_ah)
+        if not (r0 > 0.0):
+            raise ConfigurationError(f"r0 must be > 0, got {r0}")
+        if not (r1 >= 0.0):
+            raise ConfigurationError(f"r1 must be >= 0, got {r1}")
+        if not (tau > 0.0):
+            raise ConfigurationError(f"tau must be > 0, got {tau}")
+        if not (capacity_ah > 0.0):
+            raise ConfigurationError(f"capacity_ah must be > 0, got {capacity_ah}")
+        if not (0.0 < coulombic_eff <= 1.0):
+            raise ConfigurationError(f"coulombic_eff must be in (0, 1], got {coulombic_eff}")
+        soc_per_amp_second = coulombic_eff / (SECONDS_PER_HOUR * capacity_ah)
+        _Value.__init__(self, r0, r1, tau, capacity_ah, coulombic_eff, soc_per_amp_second)
 
 
-@dataclass(frozen=True)
-class OcvCurve:
-    """Monotone SOC -> OCV table, interpolated piecewise-linearly."""
+class OcvCurve(_Value):
+    """Monotone SOC -> OCV table, interpolated piecewise-linearly.
 
+    ``points`` is stored as a tuple of float pairs; ``socs``, the knot SOCs,
+    is derived once so that lookups bisect without rebuilding it.
+    """
+
+    __match_args__ = ("points",)
+    __slots__ = ("points", "socs")
     points: tuple[tuple[float, float], ...]
-    # Knot SOCs, derived once so that lookups bisect without rebuilding them.
-    socs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    socs: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        pts = tuple((float(s), float(v)) for s, v in self.points)
-        object.__setattr__(self, "points", pts)
+    def __init__(self, points: Iterable[tuple[float, float]]) -> None:
+        pts = tuple((float(s), float(v)) for s, v in points)
         if len(pts) < 2:
             raise ConfigurationError("OCV curve needs at least two points")
         if not all(math.isfinite(x) for pt in pts for x in pt):
             raise ConfigurationError("OCV curve values must be finite")
         socs = tuple(s for s, _ in pts)
-        object.__setattr__(self, "socs", socs)
         vs = [v for _, v in pts]
         if any(b <= a for a, b in zip(socs, socs[1:])):
             raise ConfigurationError("OCV curve SOC values must be strictly increasing")
@@ -80,37 +127,44 @@ class OcvCurve:
             raise ConfigurationError("OCV curve must be non-decreasing in voltage")
         if not (0.0 <= socs[0] and socs[-1] <= 1.0):
             raise ConfigurationError("OCV curve SOC values must lie in [0, 1]")
+        _Value.__init__(self, pts, socs)
 
 
-@dataclass(frozen=True)
-class BatteryState:
+class BatteryState(_Value):
     """Electrical state: SOC fraction and polarization voltage."""
 
+    __match_args__ = ("soc", "vp")
+    __slots__ = __match_args__
     soc: float
-    vp: float = 0.0
+    vp: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.soc <= 1.0):
-            raise ConfigurationError(f"soc must be in [0, 1], got {self.soc}")
-        if not math.isfinite(self.vp):
-            raise ConfigurationError(f"vp must be finite, got {self.vp}")
+    def __init__(self, soc: float, vp: float = 0.0) -> None:
+        if not (0.0 <= soc <= 1.0):
+            raise ConfigurationError(f"soc must be in [0, 1], got {soc}")
+        if not math.isfinite(vp):
+            raise ConfigurationError(f"vp must be finite, got {vp}")
+        # Stored directly, not through _Value.__init__: step builds one per step.
+        object.__setattr__(self, "soc", soc)
+        object.__setattr__(self, "vp", vp)
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_Value):
     """Prediction window: number of steps and sampling interval in seconds."""
 
+    __match_args__ = ("steps", "dt")
+    __slots__ = __match_args__
     steps: int
     dt: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, steps: int, dt: float) -> None:
         # Integral means usable as an index (int, numpy integers), as range() needs.
-        if isinstance(self.steps, bool) or not hasattr(self.steps, "__index__"):
-            raise ConfigurationError(f"window steps must be an integer, got {self.steps!r}")
-        if self.steps < 1:
-            raise ConfigurationError(f"window steps must be >= 1, got {self.steps}")
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ConfigurationError(f"window dt must be finite and > 0, got {self.dt}")
+        if isinstance(steps, bool) or not hasattr(steps, "__index__"):
+            raise ConfigurationError(f"window steps must be an integer, got {steps!r}")
+        if steps < 1:
+            raise ConfigurationError(f"window steps must be >= 1, got {steps}")
+        if not (dt > 0.0 and math.isfinite(dt)):
+            raise ConfigurationError(f"window dt must be finite and > 0, got {dt}")
+        _Value.__init__(self, steps, dt)
 
     @property
     def duration(self) -> float:

@@ -7,14 +7,16 @@ Every trace runs on one hold-style step, ``_trace``: entering step j the
 polarization voltage relaxes by one interval, each mode's rule picks the step
 current against that relaxed state, and the recorded terminal voltage carries
 that current's ohmic drop. A voltage hold therefore pins the recorded voltage
-exactly, and a current cap leaves it strictly inside the cut-off. The CP probe
-checks the SOA box at the two corner points of its trace, not step by step.
+exactly, and a current cap leaves it strictly inside the cut-off. Each engine
+checks the SOA box at the two corner points of its finished trace, not step by
+step, and a window that leaves the box delivers no power.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from . import ecm
@@ -31,6 +33,9 @@ class PomStep(NamedTuple):
     soc: float
     vp: float
     power: float
+
+
+_VT = itemgetter(2)  # PomStep.vt as a C-level getter, for map()
 
 
 class PomTrace(NamedTuple):
@@ -103,13 +108,14 @@ def _hold_trace(
     soa: Soa,
     v_star: float,
     first_at_limit: bool,
-) -> tuple[tuple[PomStep, ...], int | None, PomStep]:
+) -> tuple[tuple[PomStep, ...], int | None, PomStep | None]:
     """Hold ``v_star`` across the window, each step's hold current clipped to
     the direction's sign, the current limit and the SOC headroom; a clipped
     step carries its own ohmic drop. With ``first_at_limit`` step one runs the
     limit itself (``v_star`` is the voltage that results). Returns the steps,
     the first step whose hold current went unclipped (or None) and the first
-    step of minimum |power|."""
+    step of minimum |power|, or None in its place when the trace leaves the
+    SOA box."""
     r0 = params.r0
     headroom_div = window.dt * params.soc_per_amp_second
     i_lim, bound = direction.current_limit(soa), direction.soc_bound(soa)
@@ -151,6 +157,15 @@ def _hold_trace(
         return current, vt
 
     steps = _trace(state, params, curve, window, drive)
+    # The SOA check at the trace's corners, as in _cp_probe. Every current lies
+    # between 0 and i_lim, inside the box, so the SOC moves one way: the vt
+    # extremes and the end SOCs are the only coordinates that can leave it.
+    vts = list(map(_VT, steps))
+    soc_first, soc_last = steps[0].soc, steps[-1].soc
+    if check_point(min(vts), i_lim, min(soc_first, soc_last), soa) or check_point(
+        max(vts), 0.0, max(soc_first, soc_last), soa
+    ):
+        return steps, k_c, None
     return steps, k_c, min(steps, key=lambda row: abs(row.power))  # the first minimum binds
 
 
@@ -171,6 +186,13 @@ def _stepwise_result(i_mc: float, dominant: str, vt_end: float, power_signed: fl
     )
 
 
+def _no_power(state: BatteryState, curve: OcvCurve) -> tuple[SopResult, PomTrace]:
+    """The result of a window with no SOA-compliant continuation: zero power at
+    the rested terminal voltage, with an empty trace."""
+    vt_rest = ecm.ocv(curve, state.soc) - state.vp
+    return _stepwise_result(0.0, "voltage", vt_rest, 0.0), PomTrace(())
+
+
 def sop_cv(
     state: BatteryState,
     params: BatteryParams,
@@ -185,7 +207,9 @@ def sop_cv(
     demand more than the current limit, the region is current-governed -- the
     first step runs at the limit and its resulting voltage becomes the hold
     level for the rest of the window. Otherwise the cut-off itself is held
-    throughout.
+    throughout. A window whose trace leaves the SOA box anywhere (a
+    polarization that drives the voltage past either cut-off, or a state
+    already outside the box) delivers no power: ``sop_cp``'s zero result.
     """
     if not (params.r0 > 0.0):
         raise AnalyticDomainError("CV hold current is undefined for r0 = 0")
@@ -205,6 +229,8 @@ def sop_cv(
     steps, _, binding = _hold_trace(
         state, params, curve, window, direction, soa, v_star, governed == "current"
     )
+    if binding is None:
+        return _no_power(state, curve)
     result = _stepwise_result(binding.current, governed, steps[-1].vt, binding.power)
     return result, PomTrace(steps)
 
@@ -264,7 +290,8 @@ def sop_cccv(
     but is not called here. Otherwise each step takes the smaller of the
     current limit and the cut-off hold current, so the current binds up to
     the shift and the voltage from the shift step onward; a never-reached
-    cut-off reproduces the CC trace at the current limit.
+    cut-off reproduces the CC trace at the current limit. A trace that
+    leaves the SOA box gives ``sop_cp``'s zero result, as in ``sop_cv``.
     """
     i_lim = direction.current_limit(soa)
     cutoff = direction.vt_cutoff(soa)
@@ -275,6 +302,8 @@ def sop_cccv(
         return sop_cv(state, params, curve, window, direction, soa)
 
     steps, k_c, binding = _hold_trace(state, params, curve, window, direction, soa, cutoff, False)
+    if binding is None:
+        return _no_power(state, curve)
     dominant = "current" if k_c is None else "dual"
     result = _stepwise_result(binding.current, dominant, steps[-1].vt, binding.power)
     return result, PomTrace(steps, mode_shift_index=k_c)
@@ -409,8 +438,7 @@ def sop_cp(
 
     zero_trace, zero_margins = _cp_probe(0.0, state, params, curve, window, direction, soa)
     if zero_trace is None:
-        vt_rest = ecm.ocv(curve, state.soc) - state.vp
-        return _stepwise_result(0.0, "voltage", vt_rest, 0.0), PomTrace(())
+        return _no_power(state, curve)
     # A bound already reached at zero power has no scale; its native units serve.
     scales = _CpMargins(*(m if m > 0.0 else 1.0 for m in zero_margins))
 

@@ -7,16 +7,17 @@ so boundary conditions can be expressed as exact equalities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple, Protocol
 
+from .ecm import _Value
 from .exceptions import ConfigurationError
 
 
-@dataclass(frozen=True)
-class Soa:
+class Soa(_Value):
     """Voltage, current, and SOC limits enforced at every window step."""
 
+    __match_args__ = ("vt_min", "vt_max", "i_max_dis", "i_max_chg", "soc_min", "soc_max")
+    __slots__ = __match_args__
     vt_min: float
     vt_max: float
     i_max_dis: float
@@ -24,17 +25,26 @@ class Soa:
     soc_min: float
     soc_max: float
 
-    def __post_init__(self) -> None:
-        for limit in fields(self):
-            value = getattr(self, limit.name)
+    def __init__(
+        self,
+        vt_min: float,
+        vt_max: float,
+        i_max_dis: float,
+        i_max_chg: float,
+        soc_min: float,
+        soc_max: float,
+    ) -> None:
+        limits = (vt_min, vt_max, i_max_dis, i_max_chg, soc_min, soc_max)
+        for name, value in zip(self.__match_args__, limits):
             if not math.isfinite(value):
-                raise ConfigurationError(f"{limit.name} must be finite, got {value}")
-        if not (self.vt_min < self.vt_max):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+        if not (vt_min < vt_max):
             raise ConfigurationError("vt_min must be < vt_max")
-        if not (self.i_max_chg < 0.0 < self.i_max_dis):
+        if not (i_max_chg < 0.0 < i_max_dis):
             raise ConfigurationError("need i_max_chg < 0 < i_max_dis")
-        if not (0.0 <= self.soc_min < self.soc_max <= 1.0):
+        if not (0.0 <= soc_min < soc_max <= 1.0):
             raise ConfigurationError("need 0 <= soc_min < soc_max <= 1")
+        _Value.__init__(self, *limits)
 
 
 class Violation(NamedTuple):

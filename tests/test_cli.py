@@ -144,6 +144,13 @@ class TestSopCommand:
         assert code == 1
         assert "feasible=false" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", ["cv", "cccv"])
+    def test_stepwise_window_leaving_soa_exits_one(self, files, capsys, mode):
+        # vp = 1.5 V drives the held voltage below vt_min: no feasible window.
+        code = main(["sop", *_base_args(files), "--mode", mode, "--vp", "1.5", "-K", "10"])
+        assert code == 1
+        assert "feasible=false" in capsys.readouterr().out
+
     def test_missing_ocv_file_exits_two(self, files, capsys):
         code = main(
             [

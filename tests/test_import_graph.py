@@ -1,4 +1,5 @@
-"""Each CLI process imports only what its subcommand runs.
+"""Each CLI process imports only what its subcommand runs, and no process
+loads ``dataclasses`` or ``inspect``.
 
 Every case runs in a fresh interpreter, because this process has already
 imported the whole package.
@@ -15,11 +16,15 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 SUBMODULES = ("ecm", "error_lab", "exceptions", "fileio", "modes", "oracle", "peak_cc", "soa")
 
-# Prints, as its last line, the soplab modules loaded after ``setup``.
+# Start-up cost that no soplab process should pay (``inspect`` alone pulls in
+# ``ast``, ``dis``, ``tokenize`` and ``linecache``).
+HEAVY = {"dataclasses", "inspect"}
+
+# Prints, as its last line, every module loaded after ``setup``.
 PROBE = """\
 import json, sys
 {setup}
-print(json.dumps([m for m in sys.modules if m.startswith("soplab")]))
+print(json.dumps(list(sys.modules)))
 """
 
 
@@ -32,6 +37,10 @@ def _loaded(setup, *argv):
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _soplab(modules):
+    return {m for m in modules if m.startswith("soplab")}
 
 
 @pytest.fixture
@@ -50,11 +59,16 @@ def files(tmp_path):
     return paths
 
 
-def test_package_import_loads_no_submodule():
-    assert _loaded("import soplab") == {"soplab"}
+def _run_main(files, command, *extra):
+    """setup and argv that run one subcommand on the fixture files."""
+    if command == "simulate":
+        extra = (*extra, files["profile"])
+    common = ["--params", files["params"], "--ocv", files["ocv"], "--soa", files["soa"]]
+    setup = "from soplab.cli import main; assert main(sys.argv[1:]) == 0"
+    return setup, command, *common, *extra
 
 
-@pytest.mark.parametrize(
+COMMANDS = pytest.mark.parametrize(
     "argv, absent",
     [
         (["sop", "--mode", "cc"], {"modes", "oracle", "error_lab"}),
@@ -65,15 +79,29 @@ def test_package_import_loads_no_submodule():
     ],
     ids=["sop-cc", "sop-cp", "simulate", "validate", "sweep-error"],
 )
+
+
+def test_package_import_loads_no_submodule():
+    assert _soplab(_loaded("import soplab")) == {"soplab"}
+
+
+@COMMANDS
 def test_command_loads_only_what_it_runs(files, argv, absent):
-    command, *extra = argv
-    if command == "simulate":
-        extra.append(files["profile"])
-    common = ["--params", files["params"], "--ocv", files["ocv"], "--soa", files["soa"]]
-    setup = "from soplab.cli import main; assert main(sys.argv[1:]) == 0"
-    loaded = _loaded(setup, command, *common, *extra)
+    loaded = _soplab(_loaded(*_run_main(files, *argv)))
     assert "soplab.cli" in loaded
     assert loaded.isdisjoint(f"soplab.{name}" for name in absent)
+
+
+@pytest.mark.parametrize("module", ["soplab", "soplab.ecm", "soplab.soa"])
+def test_import_loads_no_heavy_module(module):
+    bare = _loaded("pass")
+    assert (_loaded(f"import {module}") - bare) & HEAVY == set()
+
+
+@COMMANDS
+def test_command_loads_no_heavy_module(files, argv, absent):
+    bare = _loaded("pass")
+    assert (_loaded(*_run_main(files, *argv)) - bare) & HEAVY == set()
 
 
 def test_submodules_resolve_after_importing_only_the_cli():
@@ -85,4 +113,4 @@ for name in {SUBMODULES!r}:
     assert getattr(soplab, name) is sys.modules["soplab." + name]
 assert soplab.oracle.brute_peak_current_cc.__module__ == "soplab.oracle"
 """
-    assert _loaded(setup) == {"soplab", "soplab.cli", *(f"soplab.{n}" for n in SUBMODULES)}
+    assert _soplab(_loaded(setup)) == {"soplab", "soplab.cli", *(f"soplab.{n}" for n in SUBMODULES)}

@@ -73,6 +73,58 @@ class TestSopCv:
         assert check_trace(trace.steps, soa) == []
 
 
+class TestWindowLeavingSoa:
+    """CV and CC-CV check their finished trace against the whole SOA box, not
+    only the direction's own bounds: a polarization strong enough to drive
+    the voltage past a cut-off gives CP's zero result, not a feasible window."""
+
+    # (engine, direction, vp) whose hold trace left the box on the README
+    # fixture (soc 0.5, K 10) while the window was reported feasible.
+    LEFT_SOA = {
+        *((sop_cv, DIS, vp) for vp in (1.5, 3.0, 5.0)),
+        *((sop_cv, CHG, vp) for vp in (-1.0, -1.5, -3.0, -5.0)),
+        *((sop_cccv, DIS, vp) for vp in (1.5, 3.0, 5.0, -1.5, -3.0, -5.0)),
+        *((sop_cccv, CHG, vp) for vp in (1.2, 1.5, 3.0, 5.0, -1.0, -1.5, -3.0, -5.0)),
+    }
+
+    @pytest.mark.parametrize("vp", [1.2, 1.5, 3.0, 5.0, -1.0, -1.5, -3.0, -5.0])
+    @pytest.mark.parametrize("direction", [DIS, CHG])
+    @pytest.mark.parametrize("engine", [sop_cv, sop_cccv])
+    def test_readme_fixture(self, params, linear_curve, soa, window_10, engine, direction, vp):
+        args = (BatteryState(0.5, vp), params, linear_curve, window_10, direction, soa)
+        result, trace = engine(*args)
+        assert check_trace(trace.steps, soa) == []
+        if (engine, direction, vp) in self.LEFT_SOA:
+            cp_result, cp_trace = sop_cp(*args)
+            assert not cp_result.feasible
+            assert (result, trace) == (cp_result, cp_trace)
+
+    def test_cv_discharge_past_the_low_cutoff(self, params, linear_curve, soa, window_10):
+        # Once reported as 17.4 W feasible, with the held voltage below vt_min.
+        result, trace = sop_cv(BatteryState(0.5, 1.5), params, linear_curve, window_10, DIS, soa)
+        assert (result.feasible, result.sop, result.dominant, trace.steps) == (False, 0.0, "voltage", ())
+        assert result.vt_end == ocv(linear_curve, 0.5) - 1.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        curve=monotone_ocv(),
+        soc=st.floats(0.0, 1.0),
+        vp=st.floats(-6.0, 6.0),
+        steps=st.sampled_from([1, 2, 10, 30]),
+        dt=st.sampled_from([0.1, 1.0, 5.0]),
+        direction=st.sampled_from([DIS, CHG]),
+        engine=st.sampled_from([sop_cv, sop_cccv]),
+    )
+    def test_feasible_window_stays_in_soa(self, curve, soc, vp, steps, dt, direction, engine):
+        params = BatteryParams(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
+        soa = Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9)
+        result, trace = engine(BatteryState(soc, vp), params, curve, Window(steps, dt), direction, soa)
+        if result.feasible:
+            assert check_trace(trace.steps, soa) == []
+        else:
+            assert result.sop == 0.0
+
+
 class TestFindModeShift:
     def test_case1_no_crossing(self, params, linear_curve, soa, window_10):
         state = BatteryState(0.44)
@@ -527,6 +579,8 @@ class TestCccvShiftDecision:
         assert bool(delegated) == cv_only
         if cv_only:
             assert (result, trace) == sop_cv(*args)
+        elif not trace.steps:  # the trace left the SOA box: no power, no shift
+            assert not result.feasible and trace.mode_shift_index is None
         else:
             assert (result.dominant == "current") == (trace.mode_shift_index is None)
 
