@@ -98,48 +98,23 @@ def _trace_csv(trace: PomTrace) -> str:
 
 def cmd_sop(scenario: Scenario, power_eval: str, tol_watts: float) -> tuple[int, str]:
     """Peak-power report for one scenario; exit 1 when infeasible."""
+    args = (
+        scenario.state,
+        scenario.params,
+        scenario.curve,
+        scenario.window,
+        scenario.direction,
+        scenario.soa,
+    )
     trace = None
-    if scenario.mode != "cc":
+    if scenario.mode == "cc":
+        result = peak_cc.sop_cc(*args, power_eval=power_eval)
+    else:
         from . import modes  # a CC report never loads the stepwise engines
 
-    if scenario.mode == "cc":
-        result = peak_cc.sop_cc(
-            scenario.state,
-            scenario.params,
-            scenario.curve,
-            scenario.window,
-            scenario.direction,
-            scenario.soa,
-            power_eval=power_eval,
-        )
-    elif scenario.mode == "cv":
-        result, trace = modes.sop_cv(
-            scenario.state,
-            scenario.params,
-            scenario.curve,
-            scenario.window,
-            scenario.direction,
-            scenario.soa,
-        )
-    elif scenario.mode == "cccv":
-        result, trace = modes.sop_cccv(
-            scenario.state,
-            scenario.params,
-            scenario.curve,
-            scenario.window,
-            scenario.direction,
-            scenario.soa,
-        )
-    else:
-        result, trace = modes.sop_cp(
-            scenario.state,
-            scenario.params,
-            scenario.curve,
-            scenario.window,
-            scenario.direction,
-            scenario.soa,
-            tol_watts=tol_watts,
-        )
+        engine = getattr(modes, "sop_" + scenario.mode)
+        kwargs = {"tol_watts": tol_watts} if scenario.mode == "cp" else {}
+        result, trace = engine(*args, **kwargs)
 
     lines = [
         f"mode={scenario.mode}",
@@ -250,6 +225,8 @@ def cmd_validate(
     # The oracle bisects to a thousandth of the pass bound, so its own error
     # cannot decide a verdict.
     oracle_tol = tol_amps / 1000.0
+    if not oracle_tol > 0.0:
+        raise InputError(f"--tol {tol_amps} is too small: the oracle's tol / 1000 underflows to 0")
     lines = ["soc,steps,direction,analytic_a,oracle_a,residual_a,pass"]
     failures = skipped = 0
     max_residual = 0.0

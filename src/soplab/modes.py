@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 from . import ecm
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
-from .exceptions import AnalyticDomainError, PowerInfeasibleError
+from .exceptions import PowerInfeasibleError
 from .peak_cc import Direction, SopResult
 from .soa import Soa, check_point
 
@@ -92,8 +92,9 @@ def constant_current_trace(
     current: float,
     window: Window,
 ) -> PomTrace:
-    """Hold-style trace of a constant current, used by the CC leg of CC-CV
-    and for cross-mode comparisons."""
+    """Hold-style trace of a constant current: the CC window that a CC-CV
+    window reproduces when its cut-off is never reached, for cross-mode
+    comparisons. No engine calls it."""
     return PomTrace(
         _trace(state, params, curve, window, lambda j, soc, emf: (current, emf - current * params.r0))
     )
@@ -106,28 +107,38 @@ def _hold_trace(
     window: Window,
     direction: Direction,
     soa: Soa,
-    v_star: float,
-    first_at_limit: bool,
-) -> tuple[tuple[PomStep, ...], int | None, PomStep | None]:
-    """Hold ``v_star`` across the window, each step's hold current clipped to
-    the direction's sign, the current limit and the SOC headroom; a clipped
-    step carries its own ohmic drop. With ``first_at_limit`` step one runs the
-    limit itself (``v_star`` is the voltage that results). Returns the steps,
-    the first step whose hold current went unclipped (or None) and the first
-    step of minimum |power|, or None in its place when the trace leaves the
-    SOA box."""
+    cv: bool,
+) -> tuple[tuple[PomStep, ...], str, int | None, PomStep | None]:
+    """Hold a voltage level across the window, each step's hold current
+    clipped to the direction's sign, the current limit and the SOC headroom;
+    a clipped step carries its own ohmic drop.
+
+    Step one decides which bound governs: if the current limit keeps that
+    step's terminal voltage short of the cut-off, the window is "current"-
+    governed, otherwise "voltage"-governed. The level is the cut-off, except
+    that a current-governed ``cv`` window runs step one at the limit itself
+    and holds the voltage that results. Returns the steps, the governing
+    bound, the first step whose hold current went unclipped (or None) and the
+    first step of minimum |power|, or None in its place when the trace leaves
+    the SOA box."""
     r0 = params.r0
     headroom_div = window.dt * params.soc_per_amp_second
     i_lim, bound = direction.current_limit(soa), direction.soc_bound(soa)
+    sign = direction.sign
     discharge = direction is Direction.DISCHARGE
     unbounded = math.inf if discharge else -math.inf
-    k_c = None
+    v_star, governed, k_c = direction.vt_cutoff(soa), None, None
 
     def drive(j: int, soc: float, emf: float) -> tuple[float, float]:
-        nonlocal first_at_limit, k_c
+        nonlocal v_star, governed, k_c
         hold = (emf - v_star) / r0
-        if first_at_limit:
-            hold, first_at_limit = i_lim, False
+        if governed is None:  # step one: v_star is still the cut-off
+            vt_lim = emf - i_lim * r0
+            governed = "voltage"
+            if (v_star - vt_lim) * sign <= 0.0:
+                governed = "current"
+                if cv:
+                    hold, v_star = i_lim, vt_lim
         # max(0.0, min(hold, i_lim, headroom)) and its charge mirror, inlined.
         try:
             headroom = (soc - bound) / headroom_div
@@ -165,8 +176,9 @@ def _hold_trace(
     if check_point(min(vts), i_lim, min(soc_first, soc_last), soa) or check_point(
         max(vts), 0.0, max(soc_first, soc_last), soa
     ):
-        return steps, k_c, None
-    return steps, k_c, min(steps, key=lambda row: abs(row.power))  # the first minimum binds
+        return steps, governed, k_c, None
+    # The first minimum binds.
+    return steps, governed, k_c, min(steps, key=lambda row: abs(row.power))
 
 
 def _stepwise_result(i_mc: float, dominant: str, vt_end: float, power_signed: float) -> SopResult:
@@ -203,32 +215,15 @@ def sop_cv(
 ) -> tuple[SopResult, PomTrace]:
     """Constant-terminal-voltage window.
 
-    Level selection is two-phase: if holding the cut-off at step one would
-    demand more than the current limit, the region is current-governed -- the
-    first step runs at the limit and its resulting voltage becomes the hold
-    level for the rest of the window. Otherwise the cut-off itself is held
-    throughout. A window whose trace leaves the SOA box anywhere (a
-    polarization that drives the voltage past either cut-off, or a state
-    already outside the box) delivers no power: ``sop_cp``'s zero result.
+    Level selection is two-phase, decided at step one: if the current limit
+    keeps the terminal voltage short of the cut-off there, the region is
+    current-governed -- the first step runs at the limit and its resulting
+    voltage becomes the hold level for the rest of the window. Otherwise the
+    cut-off itself is held throughout. A window whose trace leaves the SOA box
+    anywhere (a polarization that drives the voltage past either cut-off, or a
+    state already outside the box) delivers no power: ``sop_cp``'s zero result.
     """
-    if not (params.r0 > 0.0):
-        raise AnalyticDomainError("CV hold current is undefined for r0 = 0")
-    alpha = math.exp(-window.dt / params.tau)
-    i_lim = direction.current_limit(soa)
-    cutoff = direction.vt_cutoff(soa)
-
-    emf_1 = ecm.ocv(curve, state.soc) - state.vp * alpha
-    need = (emf_1 - cutoff) / params.r0
-    if abs(need) > abs(i_lim):
-        v_star = emf_1 - i_lim * params.r0
-        governed = "current"
-    else:
-        v_star = cutoff
-        governed = "voltage"
-
-    steps, _, binding = _hold_trace(
-        state, params, curve, window, direction, soa, v_star, governed == "current"
-    )
+    steps, governed, _, binding = _hold_trace(state, params, curve, window, direction, soa, True)
     if binding is None:
         return _no_power(state, curve)
     result = _stepwise_result(binding.current, governed, steps[-1].vt, binding.power)
@@ -284,27 +279,23 @@ def sop_cccv(
 ) -> tuple[SopResult, PomTrace]:
     """Constant-current / constant-voltage window with an in-window shift.
 
-    A shift that predates the window (``CcCvCase.CV_ONLY``) is decided from
-    step one alone: if the current limit already crosses the cut-off there,
-    the CV window is returned. ``find_mode_shift_kc`` remains a public helper
-    but is not called here. Otherwise each step takes the smaller of the
-    current limit and the cut-off hold current, so the current binds up to
-    the shift and the voltage from the shift step onward; a never-reached
-    cut-off reproduces the CC trace at the current limit. A trace that
-    leaves the SOA box gives ``sop_cp``'s zero result, as in ``sop_cv``.
+    Each step takes the smaller of the current limit and the cut-off hold
+    current, so the current binds up to the shift and the voltage from the
+    shift step onward; a never-reached cut-off reproduces the CC trace at the
+    current limit. A shift that predates the window (``CcCvCase.CV_ONLY``:
+    the current limit already past the cut-off at step one) makes the window
+    the voltage-governed CV window, with no shift step. The trace decides this
+    at step one; ``find_mode_shift_kc`` remains a public helper but is not
+    called here. A trace that leaves the SOA box gives ``sop_cp``'s zero
+    result, as in ``sop_cv``.
     """
-    i_lim = direction.current_limit(soa)
-    cutoff = direction.vt_cutoff(soa)
-    alpha = math.exp(-window.dt / params.tau)
-    # Step one of constant_current_trace at the limit, in the same operation order.
-    vt_1 = ecm.ocv(curve, state.soc) - state.vp * alpha - i_lim * params.r0
-    if (cutoff - vt_1) * direction.sign > 0.0:
-        return sop_cv(state, params, curve, window, direction, soa)
-
-    steps, k_c, binding = _hold_trace(state, params, curve, window, direction, soa, cutoff, False)
+    steps, governed, k_c, binding = _hold_trace(state, params, curve, window, direction, soa, False)
     if binding is None:
         return _no_power(state, curve)
-    dominant = "current" if k_c is None else "dual"
+    if governed == "voltage":
+        dominant, k_c = governed, None
+    else:
+        dominant = "current" if k_c is None else "dual"
     result = _stepwise_result(binding.current, dominant, steps[-1].vt, binding.power)
     return result, PomTrace(steps, mode_shift_index=k_c)
 
@@ -415,13 +406,13 @@ def sop_cp(
     direction: Direction,
     soa: Soa,
     tol_watts: float = 1e-6,
-    max_iter: int = 200,
 ) -> tuple[SopResult, PomTrace]:
     """Constant-power window: the largest sustainable power magnitude.
 
     Whole-window probes keep a bracket with a feasible ``lo`` and an
-    infeasible ``hi``. The search stops once ``hi - lo <= tol_watts`` (or
-    after ``max_iter`` probes) and returns ``lo`` with its trace.
+    infeasible ``hi``. The search stops once ``hi - lo <= tol_watts``, or once
+    the bracket can no longer be split in floating point, and returns ``lo``
+    with its trace.
 
     Probes are placed by regula falsi with the Illinois modification on the
     normalised SOA margin g(P) = min_c m_c(P) / m_c(0), which is close to
@@ -461,14 +452,18 @@ def sop_cp(
     half_tol = 0.5 * tol_watts
     widths = (math.inf, math.inf)  # bracket width before each of the last two probes
     kept = "lo"  # the end the last probe left in place; the p_hi probe moved hi
-    iterations = 0
-    while hi - lo > tol_watts and iterations < max_iter:
+    while hi - lo > tol_watts:
         width = hi - lo
+        mid = 0.5 * (lo + hi)
         if g_hi is None or g_hi >= 0.0 or width > 0.5 * widths[0]:
-            p = 0.5 * (lo + hi)
+            p = mid
         else:
             p = lo + width * g_lo / (g_lo - g_hi)
             p = min(max(p, lo + half_tol), hi - half_tol)
+        if not lo < p < hi:
+            p = mid
+        if not lo < p < hi:  # the bracket no longer splits in floating point
+            break
         widths = (widths[1], width)
         probe, margins = _cp_probe(p, state, params, curve, window, direction, soa)
         g = _normalised_margin(margins, scales)
@@ -482,7 +477,6 @@ def sop_cp(
             if kept == "hi" and g_hi is not None:
                 g_hi *= 0.5
             kept = "hi"
-        iterations += 1
 
     binding_current = lo_trace[-1].current if direction is Direction.DISCHARGE else lo_trace[0].current
     result = _stepwise_result(

@@ -345,6 +345,19 @@ class TestValidateCommand:
         assert code == 2
         assert capsys.readouterr().out.startswith("error:")
 
+    @pytest.mark.parametrize("tol, want", [("5e-324", 2), ("2e-321", 2), ("3e-321", 0)])
+    def test_tolerance_underflowing_the_oracle_exits_two(self, files, capsys, tol, want):
+        # The oracle closes its bracket to tol / 1000, which underflows to 0
+        # below ~2.5e-321: that is malformed input, not a traceback.
+        code = main(
+            [
+                "validate", *_base_args(files),
+                "--soc-grid", "0.5", "--steps-list", "10", "--tol", tol,
+            ]
+        )
+        assert code == want
+        assert capsys.readouterr().out.startswith("error:") == (want == 2)
+
     def test_out_of_soa_point_skipped_not_fatal(self, files, capsys):
         # vp = 0.5 puts the rested voltage at soc 0.1 at 2.62 V, below vt_min.
         code = main(

@@ -442,6 +442,27 @@ class TestSopCpSolver:
         assert statistics.mean(per_solve) <= 10
         assert max(per_solve) <= 20
 
+    def test_stops_when_the_bracket_no_longer_splits(self, params, soa, monkeypatch):
+        # A tolerance below one ulp of the answer is never met by the width
+        # test: the search ends on the largest double it finds feasible, with
+        # the next double up infeasible, within 100 probes.
+        calls = [0]
+        probe = modes._cp_probe
+
+        def counting_probe(*args, **kwargs):
+            calls[0] += 1
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(modes, "_cp_probe", counting_probe)
+        grid = itertools.product((0.2, 0.5, 0.8), (10, 30, 300), (DIS, CHG))
+        for soc, steps, direction in grid:
+            args = (BatteryState(soc), params, NMC_CURVE, Window(steps, 1.0), direction, soa)
+            calls[0] = 0
+            result, _ = sop_cp(*args, tol_watts=5e-324)
+            assert calls[0] <= 100, (soc, steps, direction)
+            assert _cp_window_feasible(result.sop, *args)
+            assert not _cp_window_feasible(math.nextafter(result.sop, math.inf), *args)
+
     @settings(max_examples=300, deadline=None)
     @given(
         curve=monotone_ocv(),
@@ -507,7 +528,7 @@ class TestTraceKernel:
             (0.44, lambda *a: constant_current_trace(*a[:3], 10.0, a[3])),
             (0.44, find_mode_shift_kc),
             (0.44, sop_cv),
-            (0.22, sop_cccv),  # CV_ONLY: delegated to sop_cv
+            (0.22, sop_cccv),  # CV_ONLY: voltage-governed from step one
             (0.38, sop_cccv),  # the shift falls inside the window
             (0.44, sop_cp),
         ],
@@ -564,24 +585,17 @@ class TestCccvShiftDecision:
         params = BatteryParams(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
         soa = Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9)
         args = (BatteryState(soc, vp), params, curve, Window(steps, dt), direction, soa)
-        delegated = []
-
-        def spy(*a):
-            delegated.append(a)
-            return sop_cv(*a)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(modes, "sop_cv", spy)
-            result, trace = sop_cccv(*args)
+        result, trace = sop_cccv(*args)
         cv_only = find_mode_shift_kc(*args).case is CcCvCase.CV_ONLY
-        # Delegation is exact, not approximate. (Equal outputs alone would not
-        # do: K = 1 or a window clipped to zero SOC headroom can coincide.)
-        assert bool(delegated) == cv_only
         if cv_only:
             assert (result, trace) == sop_cv(*args)
-        elif not trace.steps:  # the trace left the SOA box: no power, no shift
+        if not trace.steps:  # the trace left the SOA box: no power, no shift
             assert not result.feasible and trace.mode_shift_index is None
-        else:
+            return
+        # The reported decision is the classifier's. (Equal outputs alone would
+        # not show it: K = 1 or a window clipped to zero SOC headroom can coincide.)
+        assert (result.dominant == "voltage") == cv_only
+        if not cv_only:
             assert (result.dominant == "current") == (trace.mode_shift_index is None)
 
     def test_no_pre_pass_on_acceptance_grid(self, params, linear_curve, soa, monkeypatch):
@@ -610,8 +624,8 @@ class TestCccvShiftDecision:
     @pytest.mark.parametrize("engine", [sop_cv, sop_cccv])
     @pytest.mark.parametrize("direction", [DIS, CHG])
     def test_ocv_calls_per_window(self, params, soa, monkeypatch, engine, direction):
-        # Algorithmic work, not wall time: one OCV lookup per step plus at
-        # most two for the level or shift decision.
+        # Algorithmic work, not wall time: one OCV lookup per step, the level
+        # or shift decision included.
         steps = 300
         window = Window(steps, 1.0)
         states = [BatteryState(soc, vp) for soc in (0.15, 0.5, 0.85) for vp in (-0.2, 0.0, 0.2)]
@@ -619,7 +633,7 @@ class TestCccvShiftDecision:
             find_mode_shift_kc(state, params, NMC_CURVE, window, direction, soa).case
             for state in states
         }
-        assert CcCvCase.CV_ONLY in shifts and len(shifts) > 1  # both sop_cccv paths
+        assert CcCvCase.CV_ONLY in shifts and len(shifts) > 1  # both step-one decisions
         calls = [0]
         lookup = modes.ecm.ocv
 
@@ -631,4 +645,4 @@ class TestCccvShiftDecision:
         for state in states:
             calls[0] = 0
             engine(state, params, NMC_CURVE, window, direction, soa)
-            assert 0 < calls[0] <= steps + 2
+            assert calls[0] == steps
