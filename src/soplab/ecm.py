@@ -98,6 +98,10 @@ class BatteryParams(_Value):
         if not (0.0 < coulombic_eff <= 1.0):
             raise ConfigurationError(f"coulombic_eff must be in (0, 1], got {coulombic_eff}")
         soc_per_amp_second = coulombic_eff / (SECONDS_PER_HOUR * capacity_ah)
+        if not math.isfinite(soc_per_amp_second):  # a subnormal capacity overflows it
+            raise ConfigurationError(
+                f"capacity_ah {capacity_ah} is too small: eta / (3600 C_a) overflows"
+            )
         _Value.__init__(self, r0, r1, tau, capacity_ah, coulombic_eff, soc_per_amp_second)
 
 
@@ -164,6 +168,12 @@ class Window(_Value):
             raise ConfigurationError(f"window steps must be >= 1, got {steps}")
         if not (dt > 0.0 and math.isfinite(dt)):
             raise ConfigurationError(f"window dt must be finite and > 0, got {dt}")
+        try:
+            duration = steps * dt
+        except OverflowError:  # an int too large for a float
+            duration = math.inf
+        if not math.isfinite(duration):
+            raise ConfigurationError(f"window duration {steps} * {dt} s is not finite")
         _Value.__init__(self, steps, dt)
 
     @property

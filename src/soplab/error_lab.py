@@ -146,16 +146,28 @@ def analytic_error(
     Structural zeros are returned as exact zeros: the current-constraint peak
     current never moves, the voltage-constraint end voltage is pinned, and the
     SOC-constraint current ignores the polarization, resistance, and slope
-    sources.
+    sources. A cell whose inputs carry it past the floats (any figure not
+    finite) raises AnalyticDomainError, as one outside the closed form's
+    domain does.
     """
     _check_constraint(constraint)
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
+    cell = _analytic_cell(source, delta, ctx, constraint)
+    if not all(map(math.isfinite, (*cell[:3], *(cell.coefficients or ())))):
+        raise AnalyticDomainError(f"{source.value} error under the {constraint} constraint: {cell}")
+    return cell
 
+
+def _analytic_cell(
+    source: ErrorSource, delta: float, ctx: TrueContext, constraint: str
+) -> ErrorBreakdown:
+    """The closed-form error expressions behind ``analytic_error``. Each
+    divides by its factors one at a time, never by their product, which can
+    underflow to 0."""
     t = ctx.terms
     kappa, y, r_sum, k_dt, x = t.kappa, t.y, t.r_sum, ctx.k_dt, ctx.x
     denom = kappa * y + r_sum  # voltage-constraint denominator, true-valued
-    numer = t.f_soc - t.vp_relax - t.cutoff
     c_soc = t.soc - t.soc_bound
     i_cc = t.i_lim
 
@@ -191,15 +203,15 @@ def analytic_error(
                 raise AnalyticDomainError(
                     f"perturbed voltage-constraint denominator {denom_hat} <= 0"
                 )
-            di = -numer * shift / (denom * denom_hat)
+            di = -peak_cc.cutoff_current(t) * shift / denom_hat
         return ErrorBreakdown(delta_i=di, delta_vt=0.0, delta_sop=t.cutoff * di)
 
     # soc constraint
     i_soc = peak_cc.soc_bound_current(t)
     a_emf = t.f_soc - kappa * c_soc - t.vp_relax  # end EMF less relaxation
     if source is ErrorSource.SOC:
-        a_coef = r_sum / (y * y)
-        b_coef = a_emf / y - 2.0 * c_soc * r_sum / (y * y)
+        a_coef = r_sum / y / y
+        b_coef = a_emf / y - 2.0 * c_soc * r_sum / y / y
         di = delta / y
         return ErrorBreakdown(
             delta_i=di,
@@ -222,11 +234,10 @@ def analytic_error(
     if not (x_hat > 0.0):
         raise AnalyticDomainError(f"perturbed capacity composite {x_hat} <= 0")
     alpha = -c_soc * a_emf / k_dt
-    beta = (c_soc / k_dt) ** 2 * r_sum
-    di = -c_soc * delta / (k_dt * x * x_hat)
-    dsop = alpha * delta / (x * x_hat) + beta * (2.0 * x * delta - delta * delta) / (
-        x * x * x_hat * x_hat
-    )
+    c_rate = c_soc / k_dt
+    beta = c_rate * c_rate * r_sum
+    di = -c_rate * delta / x / x_hat
+    dsop = (alpha * delta + beta * (2.0 * x * delta - delta * delta) / x / x_hat) / x / x_hat
     return ErrorBreakdown(
         delta_i=di,
         delta_vt=-di * r_sum,
@@ -248,8 +259,8 @@ def sweep(
 ) -> list[SweepRow]:
     """Analytic-versus-empirical power-error table over a delta grid.
 
-    Deltas outside the analytic domain produce flagged NaN rows instead of
-    aborting the sweep.
+    Deltas outside the analytic domain, and rows with a figure that is not
+    finite, produce flagged NaN rows instead of aborting the sweep.
     """
     if not delta_grid:
         raise ValueError("delta grid must not be empty")
@@ -259,7 +270,10 @@ def sweep(
             ana = analytic_error(source, delta, ctx, constraint).delta_sop
             emp = empirical_error(source, delta, ctx, constraint).delta_sop
         except AnalyticDomainError:
+            ana = emp = math.nan
+        residual = ana - emp  # not finite when either figure is not
+        if math.isfinite(residual):
+            rows.append(SweepRow(delta, ana, emp, residual, True))
+        else:
             rows.append(SweepRow(delta, math.nan, math.nan, math.nan, False))
-            continue
-        rows.append(SweepRow(delta, ana, emp, ana - emp, True))
     return rows

@@ -409,10 +409,12 @@ def sop_cp(
 ) -> tuple[SopResult, PomTrace]:
     """Constant-power window: the largest sustainable power magnitude.
 
-    Whole-window probes keep a bracket with a feasible ``lo`` and an
-    infeasible ``hi``. The search stops once ``hi - lo <= tol_watts``, or once
-    the bracket can no longer be split in floating point, and returns ``lo``
-    with its trace.
+    The bracket starts at zero power and a bound on the peak: no feasible
+    window's step one draws more than the current limit, the cut-off current
+    or, discharging, the power vertex allows. A sustained bound is the peak (as
+    in most one-step windows); otherwise whole-window probes keep a feasible
+    ``lo`` and an infeasible ``hi`` until ``hi - lo <= tol_watts``, or until the
+    bracket no longer splits in floating point, and return ``lo`` with its trace.
 
     Probes are placed by regula falsi with the Illinois modification on the
     normalised SOA margin g(P) = min_c m_c(P) / m_c(0), which is close to
@@ -433,25 +435,22 @@ def sop_cp(
     # A bound already reached at zero power has no scale; its native units serve.
     scales = _CpMargins(*(m if m > 0.0 else 1.0 for m in zero_margins))
 
-    i_lim = direction.current_limit(soa)
+    r0, sign = params.r0, direction.sign
+    emf = zero_trace[0].vt  # no ohmic drop; in the box (hence abs), so above vt_min > 0
+    i_top = min(abs(direction.current_limit(soa)), abs(emf - direction.vt_cutoff(soa)) / r0)
     if direction is Direction.DISCHARGE:
-        p_hi = abs(i_lim) * ecm.ocv(curve, state.soc)
-    else:
-        p_hi = abs(i_lim) * soa.vt_max
-    g_hi = None
-    for _ in range(10):  # p_hi is an over-bound; expand defensively if not
-        hi_trace, hi_margins = _cp_probe(p_hi, state, params, curve, window, direction, soa)
-        if hi_trace is None:
-            g_hi = _normalised_margin(hi_margins, scales)
-            break
-        p_hi *= 2.0
+        i_top = min(i_top, emf / (2.0 * r0))
+    top = i_top * (emf - sign * i_top * r0)
+    top_trace, top_margins = _cp_probe(top, state, params, curve, window, direction, soa)
 
     lo, lo_trace, lo_margins = 0.0, zero_trace, zero_margins
     g_lo = _normalised_margin(zero_margins, scales)  # 1, or 0 with a bound already reached
-    hi = p_hi
+    hi, g_hi = top, _normalised_margin(top_margins, scales)
+    if top_trace is not None:  # |power| rises with |current| to i_top: top is the peak
+        lo, lo_trace, lo_margins = top, top_trace, top_margins
     half_tol = 0.5 * tol_watts
     widths = (math.inf, math.inf)  # bracket width before each of the last two probes
-    kept = "lo"  # the end the last probe left in place; the p_hi probe moved hi
+    kept = "lo"  # the end the last probe left in place; the top probe moved hi
     while hi - lo > tol_watts:
         width = hi - lo
         mid = 0.5 * (lo + hi)

@@ -309,7 +309,9 @@ def brute_peak_power_cp(
 
     Unless saturated, the answer was simulated feasible and a power at most
     ``tol_watts`` larger was simulated infeasible; the probes are placed by
-    ITP between the zero-power window and ``p_hi``."""
+    ITP between the zero-power window and ``p_hi``. Its default, the current
+    limit times ``vt_max``, bounds every step's |power| in the box, so only a
+    peak on the bound itself saturates."""
     if not (tol_watts > 0.0 and math.isfinite(tol_watts)):
         raise ValueError(f"tol_watts must be finite and > 0, got {tol_watts}")
 
@@ -321,11 +323,7 @@ def brute_peak_power_cp(
         raise InfeasibleStateError("rested state lies outside the SOA")
 
     if p_hi is None:
-        i_lim = abs(direction.current_limit(soa))
-        if direction is Direction.DISCHARGE:
-            p_hi = i_lim * ecm.ocv(curve, state.soc)
-        else:
-            p_hi = i_lim * soa.vt_max
+        p_hi = abs(direction.current_limit(soa)) * soa.vt_max
     top = probe(p_hi)
     if top.feasible:
         return BrutePower(p_hi, saturated=True)

@@ -38,6 +38,8 @@ class Soa(_Value):
         for name, value in zip(self.__match_args__, limits):
             if not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
+        if not (vt_min > 0.0):  # a cell's cut-off voltage: the CP power bound needs it
+            raise ConfigurationError(f"vt_min must be > 0, got {vt_min}")
         if not (vt_min < vt_max):
             raise ConfigurationError("vt_min must be < vt_max")
         if not (i_max_chg < 0.0 < i_max_dis):

@@ -103,11 +103,7 @@ def bisect_peak_power_cp(state, params, curve, window, direction, soa, tol_watts
     if not cp_window_feasible(0.0, state, params, curve, window, direction, soa):
         raise InfeasibleStateError("rested state lies outside the SOA")
     if p_hi is None:
-        i_lim = abs(direction.current_limit(soa))
-        if direction is Direction.DISCHARGE:
-            p_hi = i_lim * ecm.ocv(curve, state.soc)
-        else:
-            p_hi = i_lim * soa.vt_max
+        p_hi = abs(direction.current_limit(soa)) * soa.vt_max
     if cp_window_feasible(p_hi, state, params, curve, window, direction, soa):
         return BrutePower(p_hi, saturated=True)
     lo, hi = 0.0, p_hi

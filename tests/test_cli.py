@@ -139,6 +139,31 @@ class TestSopCommand:
             if key not in ("mode", "direction", "feasible", "dominant"):
                 assert format_float(parse_float(value, key)) == value
 
+    @pytest.mark.parametrize(
+        "which, old, new",
+        [
+            # eta / (3600 C_a) overflows: a zero-current step's SOC was NaN.
+            ("params", "capacity_ah=2", "capacity_ah=5e-324"),
+            # A cell's cut-off voltage is positive.
+            ("soa", "vt_min=2.8", "vt_min=0"),
+        ],
+        ids=["tiny-capacity", "zero-vt-min"],
+    )
+    @pytest.mark.parametrize("mode", ["cc", "cp"])
+    def test_unusable_input_file_exits_two(self, files, capsys, which, old, new, mode):
+        text = {"params": PARAMS_TEXT, "soa": SOA_TEXT}[which]
+        Path(files[which]).write_text(text.replace(old, new))
+        code = main(["sop", *_base_args(files), "--mode", mode])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("error:")
+
+    @pytest.mark.parametrize("mode", ["cc", "cp"])
+    def test_overflowing_window_duration_exits_two(self, files, capsys, mode):
+        # K * dt is inf: sop_cc printed sop_w=nan.
+        code = main(["sop", *_base_args(files), "--mode", mode, "--dt", "1.7e308", "-K", "2"])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("error:")
+
     def test_cp_vp_above_ocv_exits_one(self, files, capsys):
         code = main(["sop", *_base_args(files), "--mode", "cp", "--vp", "5"])
         assert code == 1
@@ -307,6 +332,31 @@ class TestSweepErrorCommand:
         lines = report.splitlines()
         assert lines[1].endswith("true")
         assert lines[2].endswith("false")
+
+
+    @pytest.mark.parametrize("source", ["x", "r_sum", "kappa"])
+    def test_underflowing_denominators_flag_or_report(self, files, capsys, source):
+        # r0 = 1e-300, r1 = 0 and a flat table make the voltage-constraint
+        # denominator 1e-300; the cells used to divide by its square, which
+        # underflows to 0, and ended in ZeroDivisionError.
+        params = PARAMS_TEXT.replace("r0_ohm=0.05", "r0_ohm=1e-300")
+        Path(files["params"]).write_text(params.replace("r1_ohm=0.03", "r1_ohm=0"))
+        Path(files["ocv"]).write_text("soc,ocv_volts\n0,3.7\n1,3.7\n")
+        code = main(
+            [
+                "sweep-error", *_base_args(files),
+                "--source", source, "--constraint", "voltage", "--grid=-0.01,0,0.01",
+            ]
+        )
+        report = capsys.readouterr().out
+        assert code == 0
+        rows = [line.split(",") for line in report.splitlines()[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            if row[4] == "true":  # every figure re-parses, so it is finite
+                assert [format_float(parse_float(c, "figure")) for c in row[1:4]] == row[1:4]
+            else:
+                assert row[1:] == ["nan", "nan", "nan", "false"]
 
 
 class TestValidateCommand:

@@ -8,6 +8,7 @@ import pytest
 import soplab.error_lab as error_lab
 from soplab import (
     AnalyticDomainError,
+    BatteryParams,
     BatteryState,
     Direction,
     ErrorSource,
@@ -202,6 +203,23 @@ class TestDomainGuards:
     def test_non_finite_delta_rejected(self, ctx):
         with pytest.raises(ValueError):
             analytic_error(ErrorSource.SOC, math.nan, ctx, "current")
+
+    def test_soc_cells_past_the_floats_are_flagged(self, linear_curve, soa):
+        # A 1e300 Ah cell: y ~ 3e-303 and x ~ 3e-304, so y * y and x * x
+        # underflow to 0. Both cells used to divide by such a product and raise
+        # ZeroDivisionError. The SOC cell's parabola coefficient now overflows,
+        # which is out of domain; the X cell, divided factor by factor, stays
+        # finite. The estimator's power overflows in both, so sweep flags them.
+        params = BatteryParams(0.05, 0.03, 10.0, 1e300)
+        ctx = build_true_context(BatteryState(0.5), params, linear_curve, Window(10, 1.0), DIS, soa)
+        delta = {ErrorSource.SOC: 0.01, ErrorSource.X: -ctx.x / 2}
+        with pytest.raises(AnalyticDomainError):
+            analytic_error(ErrorSource.SOC, delta[ErrorSource.SOC], ctx, "soc")
+        cell = analytic_error(ErrorSource.X, delta[ErrorSource.X], ctx, "soc")
+        assert all(map(math.isfinite, (*cell[:3], *cell.coefficients)))
+        for source, value in delta.items():
+            rows = sweep(source, [value, 0.0], ctx, "soc")
+            assert [row.in_domain for row in rows] == [False, False]
 
     def test_unknown_constraint_rejected(self, ctx):
         with pytest.raises(ValueError):

@@ -2,10 +2,11 @@
 
 import itertools
 import math
+import random
 import statistics
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import soplab.modes as modes
@@ -442,6 +443,62 @@ class TestSopCpSolver:
         assert statistics.mean(per_solve) <= 10
         assert max(per_solve) <= 20
 
+    def test_one_step_windows_end_at_the_bracket_top(self, params, linear_curve, soa, monkeypatch):
+        # Away from its SOC bound a one-step window sustains the bound on its
+        # peak, up to rounding: the zero-power probe, the top, and at most one
+        # probe more when rounding leaves the top just infeasible.
+        calls = [0]
+        probe = modes._cp_probe
+
+        def counting_probe(*args, **kwargs):
+            calls[0] += 1
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(modes, "_cp_probe", counting_probe)
+        rng = random.Random(7)
+        for _ in range(200):
+            curve = rng.choice((linear_curve, NMC_CURVE))
+            state = BatteryState(rng.uniform(0.15, 0.85), rng.uniform(-0.6, 0.6))
+            for direction in (DIS, CHG):
+                calls[0] = 0
+                result, _ = sop_cp(state, params, curve, Window(1, 1.0), direction, soa)
+                assert calls[0] <= 3, (state, direction, calls[0])
+                assert result.feasible or calls[0] == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        curve=monotone_ocv(),
+        soc=st.floats(0.1, 0.9),
+        vp=st.floats(-0.6, 0.6),
+        steps=st.integers(1, 60),
+        direction=st.sampled_from([DIS, CHG]),
+        wide=st.booleans(),
+    )
+    def test_no_window_sustains_more_than_the_step_one_bound(
+        self, curve, soc, vp, steps, direction, wide
+    ):
+        # sop_cp's bracket top: a feasible step one carries its power with a
+        # current no larger than the current limit, the cut-off current and,
+        # discharging, the power vertex, and |power| rises with |current| up
+        # to there. The wide box lets the vertex bind when discharging.
+        params = BatteryParams(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
+        if wide:
+            soa = Soa(0.1, 100.0, 1e6, -1e6, 0.0, 1.0)
+        else:
+            soa = Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9)
+        state, window = BatteryState(soc, vp), Window(steps, 1.0)
+        assume(_cp_window_feasible(0.0, state, params, curve, window, direction, soa))
+        emf = ocv(curve, soc) - vp * math.exp(-window.dt / params.tau)
+        current = min(
+            abs(direction.current_limit(soa)), abs(emf - direction.vt_cutoff(soa)) / params.r0
+        )
+        if direction is DIS:
+            current = min(current, emf / (2.0 * params.r0))
+        bound = current * (emf - direction.sign * current * params.r0)
+        assume(bound > 0.0)
+        over = bound * (1.0 + 1e-9)
+        assert not _cp_window_feasible(over, state, params, curve, window, direction, soa)
+
     def test_stops_when_the_bracket_no_longer_splits(self, params, soa, monkeypatch):
         # A tolerance below one ulp of the answer is never met by the width
         # test: the search ends on the largest double it finds feasible, with
@@ -480,7 +537,8 @@ class TestSopCpSolver:
         self, curve, soc, vp, steps, direction, share
     ):
         # The probe checks the SOA at the trace's two corner points only; the
-        # re-simulation checks every step. Powers reach 1.5x sop_cp's p_hi.
+        # re-simulation checks every step. Powers reach 1.5x the current limit
+        # times the OCV (discharge) or vt_max (charge).
         params = BatteryParams(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
         soa = Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9)
         state, window = BatteryState(soc, vp), Window(steps, 1.0)
@@ -494,7 +552,8 @@ class TestSopCpSolver:
 
     @pytest.mark.parametrize("direction", [DIS, CHG])
     def test_ocv_calls_per_solve(self, params, soa, monkeypatch, direction):
-        # One OCV lookup per probe step, plus the discharge bracket top's.
+        # One OCV lookup per probe step: the bracket top reads step one's emf
+        # off the zero-power probe.
         steps = 300
         window = Window(steps, 1.0)
         probes, lookups = [0], [0]
@@ -515,7 +574,7 @@ class TestSopCpSolver:
                 probes[0] = lookups[0] = 0
                 sop_cp(BatteryState(soc, vp), params, NMC_CURVE, window, direction, soa)
                 assert probes[0] > 0
-                assert 0 < lookups[0] <= probes[0] * steps + 1
+                assert 0 < lookups[0] <= probes[0] * steps
 
 
 class TestTraceKernel:

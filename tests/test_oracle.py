@@ -127,6 +127,19 @@ class TestBrutePeakPowerCp:
         assert brute.saturated
         assert brute.watts == 1.0
 
+    def test_default_top_bounds_the_peak(self, params, linear_curve, soa):
+        # The default top used to be |i_lim| * OCV(soc) when discharging. This
+        # window sustains 10 A * 3.36 V, so the oracle returned 33.6 W,
+        # saturated, below the 34.029 W peak. |i_lim| * vt_max bounds every
+        # step's power in the box.
+        args = (BatteryState(0.3, -0.6), params, linear_curve, Window(1, 1.0), DIS, soa)
+        tol = 1e-6
+        brute = brute_peak_power_cp(*args, tol_watts=tol)
+        assert not brute.saturated
+        assert abs(brute.watts - 34.029024) <= tol
+        result, _ = sop_cp(*args, tol_watts=tol)
+        assert abs(result.sop - brute.watts) <= 2 * tol
+
     def test_zero_headroom(self, params, linear_curve, soa, window_10):
         brute = brute_peak_power_cp(
             BatteryState(soa.soc_min), params, linear_curve, window_10, DIS, soa

@@ -32,6 +32,15 @@ def test_soa_invariants():
         Soa(2.8, 4.3, 10.0, -4.0, 0.9, 0.1)
 
 
+@pytest.mark.parametrize("vt_min", [0.0, -0.0, -1.0, -5e-324])
+def test_soa_needs_a_positive_cut_off(vt_min):
+    # A cell's lower cut-off voltage is positive; sop_cp's power bound needs
+    # step one's emf, which lies above it, to be positive too.
+    with pytest.raises(ConfigurationError, match="vt_min"):
+        Soa(vt_min, 4.3, 10.0, -4.0, 0.1, 0.9)
+    assert Soa(5e-324, 4.3, 10.0, -4.0, 0.1, 0.9).vt_min == 5e-324
+
+
 @pytest.mark.parametrize("field", ["vt_min", "vt_max", "i_max_dis", "i_max_chg", "soc_min", "soc_max"])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_soa_rejects_non_finite_limit(field, bad):

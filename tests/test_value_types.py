@@ -3,6 +3,7 @@ immutability, pattern matching, and copies and pickles that rebuild through
 the validating constructor."""
 
 import copy
+import math
 import pickle
 import weakref
 
@@ -171,3 +172,17 @@ def test_soc_per_amp_second_is_derived_once(capacity_ah, eff):
     assert copy.deepcopy(params).soc_per_amp_second == params.soc_per_amp_second
     with pytest.raises(AttributeError):
         params.soc_per_amp_second = 1.0
+
+
+def test_derived_values_are_finite():
+    # eta / (3600 * 5e-324) overflows to inf; a zero-current step then
+    # computed a NaN SOC (0 * inf) and indexed past the OCV table.
+    with pytest.raises(ConfigurationError, match="capacity_ah"):
+        BatteryParams(0.05, 0.03, 10.0, 5e-324)
+    assert math.isfinite(BatteryParams(0.05, 0.03, 10.0, 1e-300).soc_per_amp_second)
+    # A window whose duration K * dt overflows: sop_cc printed nan for it.
+    with pytest.raises(ConfigurationError, match="duration"):
+        Window(2, 1.7e308)
+    with pytest.raises(ConfigurationError, match="duration"):
+        Window(10**400, 1.0)
+    assert Window(1, 1.7e308).duration == 1.7e308
