@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import ecm, fileio, peak_cc
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
@@ -22,12 +22,8 @@ from .exceptions import (
     InfeasibleStateError,
     InputError,
 )
-from .fileio import format_float as ff
 from .peak_cc import Direction
 from .soa import Soa, check_point
-
-if TYPE_CHECKING:
-    from .modes import PomTrace
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -49,7 +45,6 @@ MODES = ("cc", "cv", "cccv", "cp")
 # import error_lab; a test pins them to error_lab.ErrorSource and CONSTRAINTS.
 ERROR_SOURCES = ("soc", "vp_relax", "r_sum", "kappa", "x")
 CONSTRAINTS = ("current", "voltage", "soc")
-_TRACE_HEADER = "step,current_a,vt_v,soc,vp_v,power_w"
 
 
 class Scenario(NamedTuple):
@@ -85,17 +80,6 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     return Scenario(state, params, curve, soa, window, mode, _direction(args.direction))
 
 
-def _trace_csv(trace: PomTrace) -> str:
-    lines = [_TRACE_HEADER]
-    for s in trace.steps:
-        lines.append(
-            ",".join(
-                (str(s.index), ff(s.current), ff(s.vt), ff(s.soc), ff(s.vp), ff(s.power))
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_sop(scenario: Scenario, power_eval: str, tol_watts: float) -> tuple[int, str]:
     """Peak-power report for one scenario; exit 1 when infeasible."""
     args = (
@@ -116,31 +100,33 @@ def cmd_sop(scenario: Scenario, power_eval: str, tol_watts: float) -> tuple[int,
         kwargs = {"tol_watts": tol_watts} if scenario.mode == "cp" else {}
         result, trace = engine(*args, **kwargs)
 
-    lines = [
-        f"mode={scenario.mode}",
-        f"direction={scenario.direction.value}",
-        f"feasible={'true' if result.feasible else 'false'}",
-        f"dominant={result.dominant}",
-        f"sop_w={ff(result.sop)}",
-        f"power_w={ff(result.power_signed)}",
-        f"vt_end_v={ff(result.vt_end)}",
-        f"i_mc_a={ff(result.i_mc)}",
+    pairs = [
+        ("mode", scenario.mode),
+        ("direction", scenario.direction.value),
+        ("feasible", result.feasible),
+        ("dominant", result.dominant),
+        ("sop_w", result.sop),
+        ("power_w", result.power_signed),
+        ("vt_end_v", result.vt_end),
+        ("i_mc_a", result.i_mc),
     ]
     if result.i_current_limit is not None:
         # A constraint that cannot bind reports an infinite current, which no
         # report could re-parse: its line is left out.
-        for key, current in (
-            ("i_current_limit_a", result.i_current_limit),
-            ("i_voltage_limit_a", result.i_voltage_limit),
-            ("i_soc_limit_a", result.i_soc_limit),
-        ):
-            if math.isfinite(current):
-                lines.append(f"{key}={ff(current)}")
+        pairs += [
+            (key, current)
+            for key, current in (
+                ("i_current_limit_a", result.i_current_limit),
+                ("i_voltage_limit_a", result.i_voltage_limit),
+                ("i_soc_limit_a", result.i_soc_limit),
+            )
+            if math.isfinite(current)
+        ]
     if trace is not None and trace.mode_shift_index is not None:
-        lines.append(f"mode_shift_step={trace.mode_shift_index}")
-    report = "\n".join(lines) + "\n"
+        pairs.append(("mode_shift_step", trace.mode_shift_index))
+    report = fileio.render_keyvalue(pairs)
     if trace is not None and trace.steps:
-        report += _trace_csv(trace)
+        report += fileio.render_csv("step,current_a,vt_v,soc,vp_v,power_w", trace.steps)
     return (EXIT_OK if result.feasible else EXIT_INFEASIBLE), report
 
 
@@ -148,25 +134,11 @@ def cmd_simulate(scenario: Scenario, profile_path: str) -> tuple[int, str]:
     """Replay a current profile and annotate each sample with SOA violations."""
     profile = fileio.read_profile(profile_path)
     trace = ecm.simulate_profile(scenario.state, scenario.params, scenario.curve, profile)
-    lines = ["t_s,current_a,soc,vp_v,vt_v,violations"]
+    rows = []
     for sample in trace:
-        kinds = ";".join(
-            v.kind
-            for v in check_point(sample.vt, sample.current, sample.soc, scenario.soa)
-        )
-        lines.append(
-            ",".join(
-                (
-                    ff(sample.t),
-                    ff(sample.current),
-                    ff(sample.soc),
-                    ff(sample.vp),
-                    ff(sample.vt),
-                    kinds,
-                )
-            )
-        )
-    return EXIT_OK, "\n".join(lines) + "\n"
+        violations = check_point(sample.vt, sample.current, sample.soc, scenario.soa)
+        rows.append((*sample, ";".join(v.kind for v in violations)))
+    return EXIT_OK, fileio.render_csv("t_s,current_a,soc,vp_v,vt_v,violations", rows)
 
 
 def cmd_sweep_error(
@@ -188,20 +160,8 @@ def cmd_sweep_error(
         scenario.soa,
     )
     rows = error_lab.sweep(src, grid, ctx, constraint)
-    lines = ["delta,analytic_dsop_w,empirical_dsop_w,residual_w,in_domain"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    ff(row.delta),
-                    ff(row.analytic_dsop),
-                    ff(row.empirical_dsop),
-                    ff(row.residual),
-                    "true" if row.in_domain else "false",
-                )
-            )
-        )
-    return EXIT_OK, "\n".join(lines) + "\n"
+    header = "delta,analytic_dsop_w,empirical_dsop_w,residual_w,in_domain"
+    return EXIT_OK, fileio.render_csv(header, rows)
 
 
 def cmd_validate(
@@ -227,10 +187,9 @@ def cmd_validate(
     oracle_tol = tol_amps / 1000.0
     if not oracle_tol > 0.0:
         raise InputError(f"--tol {tol_amps} is too small: the oracle's tol / 1000 underflows to 0")
-    lines = ["soc,steps,direction,analytic_a,oracle_a,residual_a,pass"]
+    rows = []
     failures = skipped = 0
     max_residual = 0.0
-    count = 0
     for soc in soc_grid:
         try:
             state = BatteryState(soc=soc, vp=scenario.state.vp)
@@ -242,7 +201,6 @@ def cmd_validate(
                 result = peak_cc.sop_cc(
                     state, scenario.params, scenario.curve, window, direction, scenario.soa
                 )
-                count += 1
                 try:
                     brute = oracle.brute_peak_current_cc(
                         state, scenario.params, scenario.curve, window, direction, scenario.soa,
@@ -250,24 +208,21 @@ def cmd_validate(
                     )
                 except InfeasibleStateError:
                     skipped += 1
-                    cells = (ff(result.i_mc), "nan", "nan", "skipped")
+                    cells = (result.i_mc, "nan", "nan", "skipped")
                 else:
                     record = oracle.compare_report(result, brute, tol_amps, quantity="current")
                     max_residual = max(max_residual, abs(record.residual))
                     if not record.passed:
                         failures += 1
-                    cells = (
-                        ff(record.analytic),
-                        ff(record.brute),
-                        ff(record.residual),
-                        "true" if record.passed else "false",
-                    )
-                lines.append(",".join((ff(soc), str(steps), direction.value, *cells)))
-    lines.append(f"points={count}")
-    lines.append(f"passed={count - failures - skipped}")
-    lines.append(f"max_residual_a={ff(max_residual)}")
+                    cells = (record.analytic, record.brute, record.residual, record.passed)
+                rows.append((soc, steps, direction.value, *cells))
+    report = fileio.render_csv("soc,steps,direction,analytic_a,oracle_a,residual_a,pass", rows)
+    passed = len(rows) - failures - skipped
+    report += fileio.render_keyvalue(
+        (("points", len(rows)), ("passed", passed), ("max_residual_a", max_residual))
+    )
     code = EXIT_OK if failures + skipped == 0 else EXIT_INFEASIBLE
-    return code, "\n".join(lines) + "\n"
+    return code, report
 
 
 def _parse_grid(text: str) -> list[float]:

@@ -201,7 +201,6 @@ class CcPrediction(NamedTuple):
 class StepResult(NamedTuple):
     state: BatteryState
     vt: float
-    soc_clamped: bool
 
 
 class ProfileSample(NamedTuple):
@@ -258,18 +257,16 @@ def step(
     """Advance the model by one interval under ``current``.
 
     The polarization branch relaxes and accumulates the step's load, SOC moves
-    by the step's charge throughput (clamped to [0, 1] and flagged), and the
+    by the step's charge throughput (clamped to [0, 1]), and the
     returned terminal voltage carries the same current's ohmic drop.
     """
     if not (dt > 0.0):
         raise InputError(f"dt must be > 0, got {dt}")
     alpha = math.exp(-dt / params.tau)
     vp_next = state.vp * alpha + current * params.r1 * (1.0 - alpha)
-    soc_raw = state.soc - current * dt * params.soc_per_amp_second
-    soc_next = min(max(soc_raw, 0.0), 1.0)
-    clamped = soc_next != soc_raw
+    soc_next = min(max(state.soc - current * dt * params.soc_per_amp_second, 0.0), 1.0)
     vt = ocv(curve, soc_next) - vp_next - current * params.r0
-    return StepResult(BatteryState(soc_next, vp_next), vt, clamped)
+    return StepResult(BatteryState(soc_next, vp_next), vt)
 
 
 def predict_cc(
@@ -349,7 +346,7 @@ def simulate_profile(
     ]
     for j in range(1, len(rows)):
         dt = times[j] - times[j - 1]
-        state, _, _ = step(state, params, curve, currents[j - 1], dt)
+        state, _ = step(state, params, curve, currents[j - 1], dt)
         vt = ocv(curve, state.soc) - state.vp - currents[j] * params.r0
         trace.append(ProfileSample(times[j], currents[j], state.soc, state.vp, vt))
     return trace

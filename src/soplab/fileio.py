@@ -1,14 +1,17 @@
-"""File formats for parameters, OCV tables, SOA boxes, current profiles, and
-report rendering.
+"""File formats for parameters, OCV tables, SOA boxes and current profiles,
+and the one place where report lines are rendered.
 
-All numeric output is rendered with 12 significant digits; re-parsing a
-report and re-rendering it reproduces the same bytes.
+A report is ``key=value`` lines and CSV tables, every line ending in a
+newline. Each value is rendered by its type: a float with 12 significant
+digits, a bool as ``true`` or ``false``, anything else (an int, a str) as is.
+Re-parsing a report and re-rendering it reproduces the same bytes.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import Iterable
 
 from .ecm import BatteryParams, OcvCurve
 from .exceptions import ConfigurationError, InputError
@@ -23,6 +26,22 @@ _PROFILE_HEADER = "t_s,current_a"
 def format_float(value: float) -> str:
     """Canonical 12-significant-digit rendering used in every report."""
     return f"{value + 0.0:.12g}"  # +0.0 folds negative zero into plain 0
+
+
+def _cell(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format_float(value) if isinstance(value, float) else str(value)
+
+
+def render_keyvalue(pairs: Iterable[tuple[str, object]]) -> str:
+    """One ``key=value`` line per pair."""
+    return "".join([f"{key}={_cell(value)}\n" for key, value in pairs])
+
+
+def render_csv(header: str, rows: Iterable[Iterable[object]]) -> str:
+    """A CSV table: the header line, then one line per row of cells."""
+    return header + "\n" + "".join([",".join(map(_cell, row)) + "\n" for row in rows])
 
 
 def parse_float(text: str, where: str) -> float:

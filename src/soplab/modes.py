@@ -60,10 +60,12 @@ def _trace(
     curve: OcvCurve,
     window: Window,
     drive: Callable[[int, float, float], tuple[float, float] | None],
+    v_oc: float,
 ) -> tuple[PomStep, ...] | None:
-    """Run the hold step across the window: one OCV lookup per step, then
-    ``drive(j, soc, emf)``, emf being the OCV less the relaxed vp, returns the
-    step's ``(current, vt)``, or None to abandon the window (and return None)."""
+    """Run the hold step across the window: one OCV lookup per step (step
+    one's is ``v_oc``, made by the caller), then ``drive(j, soc, emf)``, emf
+    being the OCV less the relaxed vp, returns the step's ``(current, vt)``, or
+    None to abandon the window (and return None)."""
     alpha = math.exp(-window.dt / params.tau)
     # Products stay left to right, never pre-multiplied (current * r1 * (1 - alpha),
     # current * dt * soc_per_as): the state then matches ecm.step's bit for bit.
@@ -74,8 +76,10 @@ def _trace(
     soc, vp = state.soc, state.vp
     steps: list[PomStep] = []
     for j in range(1, window.steps + 1):
+        if j > 1:  # step one's lookup is the caller's
+            v_oc = ocv(curve, soc)
         vp_rel = vp * alpha
-        step = drive(j, soc, ocv(curve, soc) - vp_rel)
+        step = drive(j, soc, v_oc - vp_rel)
         if step is None:
             return None
         current, vt = step
@@ -95,9 +99,10 @@ def constant_current_trace(
     """Hold-style trace of a constant current: the CC window that a CC-CV
     window reproduces when its cut-off is never reached, for cross-mode
     comparisons. No engine calls it."""
-    return PomTrace(
-        _trace(state, params, curve, window, lambda j, soc, emf: (current, emf - current * params.r0))
-    )
+    def drive(j: int, soc: float, emf: float) -> tuple[float, float]:
+        return current, emf - current * params.r0
+
+    return PomTrace(_trace(state, params, curve, window, drive, ecm.ocv(curve, state.soc)))
 
 
 def _hold_trace(
@@ -108,6 +113,7 @@ def _hold_trace(
     direction: Direction,
     soa: Soa,
     cv: bool,
+    v_oc: float,
 ) -> tuple[tuple[PomStep, ...], str, int | None, PomStep | None]:
     """Hold a voltage level across the window, each step's hold current
     clipped to the direction's sign, the current limit and the SOC headroom;
@@ -120,7 +126,7 @@ def _hold_trace(
     and holds the voltage that results. Returns the steps, the governing
     bound, the first step whose hold current went unclipped (or None) and the
     first step of minimum |power|, or None in its place when the trace leaves
-    the SOA box."""
+    the SOA box. ``v_oc`` is the OCV at the state's SOC, step one's lookup."""
     r0 = params.r0
     headroom_div = window.dt * params.soc_per_amp_second
     i_lim, bound = direction.current_limit(soa), direction.soc_bound(soa)
@@ -167,7 +173,7 @@ def _hold_trace(
             vt = emf - current * r0
         return current, vt
 
-    steps = _trace(state, params, curve, window, drive)
+    steps = _trace(state, params, curve, window, drive, v_oc)
     # The SOA check at the trace's corners, as in _cp_probe. Every current lies
     # between 0 and i_lim, inside the box, so the SOC moves one way: the vt
     # extremes and the end SOCs are the only coordinates that can leave it.
@@ -198,11 +204,10 @@ def _stepwise_result(i_mc: float, dominant: str, vt_end: float, power_signed: fl
     )
 
 
-def _no_power(state: BatteryState, curve: OcvCurve) -> tuple[SopResult, PomTrace]:
+def _no_power(state: BatteryState, v_oc: float) -> tuple[SopResult, PomTrace]:
     """The result of a window with no SOA-compliant continuation: zero power at
-    the rested terminal voltage, with an empty trace."""
-    vt_rest = ecm.ocv(curve, state.soc) - state.vp
-    return _stepwise_result(0.0, "voltage", vt_rest, 0.0), PomTrace(())
+    the rested terminal voltage (step one's OCV lookup less vp), no trace."""
+    return _stepwise_result(0.0, "voltage", v_oc - state.vp, 0.0), PomTrace(())
 
 
 def sop_cv(
@@ -223,9 +228,12 @@ def sop_cv(
     anywhere (a polarization that drives the voltage past either cut-off, or a
     state already outside the box) delivers no power: ``sop_cp``'s zero result.
     """
-    steps, governed, _, binding = _hold_trace(state, params, curve, window, direction, soa, True)
+    v_oc = ecm.ocv(curve, state.soc)
+    steps, governed, _, binding = _hold_trace(
+        state, params, curve, window, direction, soa, True, v_oc
+    )
     if binding is None:
-        return _no_power(state, curve)
+        return _no_power(state, v_oc)
     result = _stepwise_result(binding.current, governed, steps[-1].vt, binding.power)
     return result, PomTrace(steps)
 
@@ -260,7 +268,7 @@ def find_mode_shift_kc(
             return None
         return i_lim, vt
 
-    _trace(state, params, curve, window, drive)
+    _trace(state, params, curve, window, drive, ecm.ocv(curve, state.soc))
     if crossing is None:
         return ModeShift(CcCvCase.CC_ONLY, None)
     k_c, overshoot = crossing
@@ -289,9 +297,12 @@ def sop_cccv(
     called here. A trace that leaves the SOA box gives ``sop_cp``'s zero
     result, as in ``sop_cv``.
     """
-    steps, governed, k_c, binding = _hold_trace(state, params, curve, window, direction, soa, False)
+    v_oc = ecm.ocv(curve, state.soc)
+    steps, governed, k_c, binding = _hold_trace(
+        state, params, curve, window, direction, soa, False, v_oc
+    )
     if binding is None:
-        return _no_power(state, curve)
+        return _no_power(state, v_oc)
     if governed == "voltage":
         dominant, k_c = governed, None
     else:
@@ -355,8 +366,10 @@ def _cp_probe(
     window: Window,
     direction: Direction,
     soa: Soa,
+    v_oc: float,
 ) -> tuple[tuple[PomStep, ...] | None, _CpMargins | None]:
-    """Simulate a constant-|power| window to its last step.
+    """Simulate a constant-|power| window to its last step; ``v_oc`` is step
+    one's OCV, which every probe of one solve shares.
 
     Returns the trace, or None when any step leaves the safe operation area,
     with the window's margins. Both are None when a step exceeds its power
@@ -375,7 +388,7 @@ def _cp_probe(
         current = _cp_current(emf, r0, power)
         return None if current is None else (current, emf - current * r0)
 
-    steps = _trace(state, params, curve, window, drive)
+    steps = _trace(state, params, curve, window, drive, v_oc)
     if steps is None:
         return None, None
     _, currents, vts, socs, _, _ = zip(*steps)
@@ -429,9 +442,10 @@ def sop_cp(
     if not (tol_watts > 0.0 and math.isfinite(tol_watts)):
         raise ValueError(f"tol_watts must be finite and > 0, got {tol_watts}")
 
-    zero_trace, zero_margins = _cp_probe(0.0, state, params, curve, window, direction, soa)
+    v_oc = ecm.ocv(curve, state.soc)
+    zero_trace, zero_margins = _cp_probe(0.0, state, params, curve, window, direction, soa, v_oc)
     if zero_trace is None:
-        return _no_power(state, curve)
+        return _no_power(state, v_oc)
     # A bound already reached at zero power has no scale; its native units serve.
     scales = _CpMargins(*(m if m > 0.0 else 1.0 for m in zero_margins))
 
@@ -441,7 +455,7 @@ def sop_cp(
     if direction is Direction.DISCHARGE:
         i_top = min(i_top, emf / (2.0 * r0))
     top = i_top * (emf - sign * i_top * r0)
-    top_trace, top_margins = _cp_probe(top, state, params, curve, window, direction, soa)
+    top_trace, top_margins = _cp_probe(top, state, params, curve, window, direction, soa, v_oc)
 
     lo, lo_trace, lo_margins = 0.0, zero_trace, zero_margins
     g_lo = _normalised_margin(zero_margins, scales)  # 1, or 0 with a bound already reached
@@ -464,7 +478,7 @@ def sop_cp(
         if not lo < p < hi:  # the bracket no longer splits in floating point
             break
         widths = (widths[1], width)
-        probe, margins = _cp_probe(p, state, params, curve, window, direction, soa)
+        probe, margins = _cp_probe(p, state, params, curve, window, direction, soa, v_oc)
         g = _normalised_margin(margins, scales)
         if probe is None:
             hi, g_hi = p, g

@@ -148,7 +148,7 @@ def _cc_feasible(
     vt_lo = soc_lo = math.inf
     vt_hi = soc_hi = -math.inf
     for _ in range(window.steps):
-        sim, vt, _ = ecm.step(sim, params, curve, current, window.dt)
+        sim, vt = ecm.step(sim, params, curve, current, window.dt)
         soc = sim.soc
         if check_point(vt, current, soc, soa):
             feasible = False

@@ -191,7 +191,7 @@ def sop_cc(
     if power_eval == "min_over_window":
         sim_state, powers = state, []
         for _ in range(window.steps):
-            sim_state, vt, _ = ecm.step(sim_state, params, curve, i_mc, window.dt)
+            sim_state, vt = ecm.step(sim_state, params, curve, i_mc, window.dt)
             powers.append(i_mc * vt)
         power_signed = min(powers, key=abs)  # first smallest magnitude
         sop = abs(power_signed)

@@ -44,6 +44,10 @@ class Soa(_Value):
             raise ConfigurationError("vt_min must be < vt_max")
         if not (i_max_chg < 0.0 < i_max_dis):
             raise ConfigurationError("need i_max_chg < 0 < i_max_dis")
+        # A power in the box stays below |i_max| * vt_max; the CP solvers form
+        # twice that (2 * power in the step current), so it must be finite.
+        if not math.isfinite(2.0 * max(i_max_dis, -i_max_chg) * vt_max):
+            raise ConfigurationError("2 * max(i_max_dis, -i_max_chg) * vt_max overflows")
         if not (0.0 <= soc_min < soc_max <= 1.0):
             raise ConfigurationError("need 0 <= soc_min < soc_max <= 1")
         _Value.__init__(self, *limits)

@@ -65,7 +65,7 @@ def cc_window_feasible(current, state, params, curve, window, soa):
     """Every step of a constant-current window inside the SOA."""
     sim = state
     for _ in range(window.steps):
-        sim, vt, _ = ecm.step(sim, params, curve, current, window.dt)
+        sim, vt = ecm.step(sim, params, curve, current, window.dt)
         if check_point(vt, current, sim.soc, soa):
             return False
     return True

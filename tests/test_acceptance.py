@@ -74,7 +74,7 @@ def _cc_rows(state, window, current):
     sim = state
     rows = []
     for _ in range(window.steps):
-        sim, vt, _ = step(sim, PARAMS, CURVE, current, window.dt)
+        sim, vt = step(sim, PARAMS, CURVE, current, window.dt)
         rows.append((current, vt, sim.soc))
     return rows
 

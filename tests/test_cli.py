@@ -12,7 +12,7 @@ import soplab
 import soplab.oracle
 from soplab import BatteryParams, BatteryState, Window, error_lab, predict_cc
 from soplab.cli import _parse_grid, build_parser, main
-from soplab.fileio import format_float, parse_float
+from soplab.fileio import format_float, parse_float, render_csv, render_keyvalue
 
 PARAMS_TEXT = """\
 r0_ohm=0.05
@@ -154,6 +154,16 @@ class TestSopCommand:
         text = {"params": PARAMS_TEXT, "soa": SOA_TEXT}[which]
         Path(files[which]).write_text(text.replace(old, new))
         code = main(["sop", *_base_args(files), "--mode", mode])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("error:")
+
+    def test_overflowing_power_bound_exits_two(self, files, capsys):
+        # |i_max_chg| * vt_max overflows: the CP bracket top was inf, each
+        # probe's step current NaN, and ecm.ocv raised IndexError.
+        text = SOA_TEXT.replace("vt_max=4.3", "vt_max=1.7e308")
+        Path(files["soa"]).write_text(text.replace("i_max_chg=-4", "i_max_chg=-1e300"))
+        argv = ["--mode", "cp", "--direction", "charge", "--soc", "0.5", "--vp=-0.3", "-K", "10"]
+        code = main(["sop", *_base_args(files), *argv])
         assert code == 2
         assert capsys.readouterr().out.startswith("error:")
 
@@ -588,3 +598,18 @@ def test_module_entry_points_match_main(files, capsys, module, extra):
     )
     assert proc.returncode == code
     assert proc.stdout == expected.encode()
+
+
+def test_cli_renders_through_fileio():
+    # fileio is the one place where report lines are rendered: a command
+    # passes values and records, never a formatted number, flag or line.
+    source = Path(soplab.cli.__file__).read_text()
+    for forbidden in ("format_float", '"true"', "'true'", '"false"', "'false'", '"\\n".join'):
+        assert forbidden not in source, forbidden
+
+
+def test_report_cells_render_by_type():
+    pairs = [("a", True), ("b", False), ("c", 3), ("d", -0.0), ("e", 1 / 3), ("f", "x")]
+    assert render_keyvalue(pairs) == "a=true\nb=false\nc=3\nd=0\ne=0.333333333333\nf=x\n"
+    assert render_csv("h1,h2", [(1, 2.5), (False, "nan")]) == "h1,h2\n1,2.5\nfalse,nan\n"
+    assert render_csv("h", []) == "h\n"

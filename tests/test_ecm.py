@@ -88,7 +88,6 @@ class TestStep:
         assert result.state.vp == pytest.approx(decayed, abs=1e-15)
         assert result.state.soc == 0.5
         assert result.vt == pytest.approx(3.6 - decayed, abs=1e-12)
-        assert not result.soc_clamped
 
     def test_soc_decrement_direct_substitution(self, params, linear_curve):
         result = step(BatteryState(0.5, 0.0), params, linear_curve, 2.0, 1.0)
@@ -102,7 +101,8 @@ class TestStep:
     def test_clamp_reported_not_fatal(self, params, linear_curve):
         result = step(BatteryState(0.0, 0.0), params, linear_curve, 100.0, 100.0)
         assert result.state.soc == 0.0
-        assert result.soc_clamped
+        # The voltage is read at the clamped SOC.
+        assert result.vt == ocv(linear_curve, 0.0) - result.state.vp - 100.0 * params.r0
 
     def test_bad_dt_rejected(self, params, linear_curve):
         with pytest.raises(InputError):
@@ -127,7 +127,7 @@ class TestPredictCc:
         pred = predict_cc(state_half, params, linear_curve, 1.2, 10.0, window_10)
         sim = state_half
         for _ in range(window_10.steps):
-            sim, vt, _ = step(sim, params, linear_curve, 10.0, window_10.dt)
+            sim, vt = step(sim, params, linear_curve, 10.0, window_10.dt)
         assert abs(pred.vt_end - vt) <= 1e-12
         assert abs(pred.soc_end - sim.soc) <= 1e-15
 
@@ -161,8 +161,9 @@ class TestPredictCc:
         pred = predict_cc(state, params, curve, 1.2, current, window)
         sim = state
         for _ in range(steps):
-            sim, vt, clamped = step(sim, params, curve, current, 1.0)
-            assert not clamped
+            unclamped = sim.soc - current * 1.0 * params.soc_per_amp_second
+            sim, vt = step(sim, params, curve, current, 1.0)
+            assert sim.soc == unclamped
         assert abs(pred.vt_end - vt) <= 1e-12
         assert abs(pred.soc_end - sim.soc) <= 1e-15
 
@@ -185,7 +186,7 @@ class TestStepProperties:
         curve = OcvCurve(((0.0, 3.0), (1.0, 4.2)))
         state = BatteryState(0.5, vp0)
         for _ in range(n):
-            nxt, _, _ = step(state, params, curve, 0.0, 1.0)
+            nxt, _ = step(state, params, curve, 0.0, 1.0)
             assert nxt.vp < state.vp
             state = nxt
 
@@ -196,9 +197,9 @@ class TestStepProperties:
         curve = OcvCurve(((0.0, 3.0), (1.0, 4.2)))
         dis = chg = BatteryState(0.5)
         for _ in range(n):
-            dis, _, c1 = step(dis, params, curve, current, 1.0)
-            chg, _, c2 = step(chg, params, curve, -current, 1.0)
-            if c1 or c2:
+            dis, _ = step(dis, params, curve, current, 1.0)
+            chg, _ = step(chg, params, curve, -current, 1.0)
+            if {dis.soc, chg.soc} & {0.0, 1.0}:  # clamped
                 return
         # Exact in real arithmetic; iterated rounding leaves a few ulp.
         assert dis.soc - 0.5 == pytest.approx(-(chg.soc - 0.5), abs=1e-14)

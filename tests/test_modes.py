@@ -545,15 +545,15 @@ class TestSopCpSolver:
         top = ocv(curve, soc) if direction is DIS else soa.vt_max
         power = share * abs(direction.current_limit(soa)) * top
         args = (power, state, params, curve, window, direction, soa)
-        trace, margins = modes._cp_probe(*args)
+        trace, margins = modes._cp_probe(*args, ocv(curve, soc))
         feasible, want = _cp_resimulate(*args)
         assert (trace is not None) == feasible
         assert margins == (None if want is None else modes._CpMargins(*want))
 
     @pytest.mark.parametrize("direction", [DIS, CHG])
     def test_ocv_calls_per_solve(self, params, soa, monkeypatch, direction):
-        # One OCV lookup per probe step: the bracket top reads step one's emf
-        # off the zero-power probe.
+        # One OCV lookup per probe step, step one's made once for every probe:
+        # the bracket top reads step one's emf off the zero-power probe.
         steps = 300
         window = Window(steps, 1.0)
         probes, lookups = [0], [0]
@@ -574,7 +574,15 @@ class TestSopCpSolver:
                 probes[0] = lookups[0] = 0
                 sop_cp(BatteryState(soc, vp), params, NMC_CURVE, window, direction, soa)
                 assert probes[0] > 0
-                assert 0 < lookups[0] <= probes[0] * steps
+                assert 0 < lookups[0] <= 1 + probes[0] * (steps - 1)
+        # A window that leaves the SOA: the zero-power probe alone, whose
+        # step-one lookup also gives the rested voltage that the result reports.
+        for state in (BatteryState(0.95), BatteryState(0.95, -1.0), BatteryState(0.5, 1.5)):
+            probes[0] = lookups[0] = 0
+            result, _ = sop_cp(state, params, NMC_CURVE, window, direction, soa)
+            assert not result.feasible
+            assert result.vt_end == lookup(NMC_CURVE, state.soc) - state.vp
+            assert (probes[0], lookups[0]) == (1, steps)
 
 
 class TestTraceKernel:
@@ -704,4 +712,12 @@ class TestCccvShiftDecision:
         for state in states:
             calls[0] = 0
             engine(state, params, NMC_CURVE, window, direction, soa)
+            assert calls[0] == steps
+        # A window that leaves the SOA reports the rested voltage from step
+        # one's lookup: no lookup more.
+        for state in (BatteryState(0.95), BatteryState(0.95, -1.0), BatteryState(0.5, 1.5)):
+            calls[0] = 0
+            result, _ = engine(state, params, NMC_CURVE, window, direction, soa)
+            assert not result.feasible
+            assert result.vt_end == lookup(NMC_CURVE, state.soc) - state.vp
             assert calls[0] == steps

@@ -88,7 +88,7 @@ class TestSocConstraint:
         # Simulating that current for the window lands exactly on the bound.
         sim = state_half
         for _ in range(window_10.steps):
-            sim, _, _ = step(sim, params, linear_curve, current, window_10.dt)
+            sim, _ = step(sim, params, linear_curve, current, window_10.dt)
         assert sim.soc == pytest.approx(soa.soc_min, abs=1e-12)
 
     def test_at_bound_returns_zero(self, params, linear_curve, soa, window_10):
@@ -185,7 +185,7 @@ class TestBoundaryConditions:
         sim = state
         vts = []
         for _ in range(window.steps):
-            sim, vt, _ = step(sim, params, linear_curve, result.i_mc, window.dt)
+            sim, vt = step(sim, params, linear_curve, result.i_mc, window.dt)
             vts.append(vt)
         assert abs(vts[-1] - soa.vt_min) <= 1e-9
         assert all(v > soa.vt_min for v in vts[:-1])
@@ -199,7 +199,7 @@ class TestBoundaryConditions:
         assert result.dominant == "soc"
         sim = state
         for _ in range(window.steps):
-            sim, _, _ = step(sim, params, linear_curve, result.i_mc, window.dt)
+            sim, _ = step(sim, params, linear_curve, result.i_mc, window.dt)
         assert abs(sim.soc - wide.soc_min) <= 1e-12
 
     def test_simulated_trace_stays_in_soa(self, params, linear_curve, soa):
@@ -212,7 +212,7 @@ class TestBoundaryConditions:
                 result = sop_cc(state, params, linear_curve, window, direction, soa)
                 sim = state
                 for _ in range(window.steps):
-                    sim, vt, _ = step(sim, params, linear_curve, result.i_mc, window.dt)
+                    sim, vt = step(sim, params, linear_curve, result.i_mc, window.dt)
                     for v in check_point(vt, result.i_mc, sim.soc, soa):
                         assert v.magnitude <= 1e-9
 
@@ -288,7 +288,7 @@ class TestMinOverWindowMode:
         )
         # Charge power magnitude grows along the window, so the literal
         # minimum sits at the first step and is smaller than the end value.
-        sim, vt1, _ = step(state_half, params, linear_curve, default.i_mc, window_10.dt)
+        sim, vt1 = step(state_half, params, linear_curve, default.i_mc, window_10.dt)
         assert literal.sop == pytest.approx(abs(default.i_mc * vt1), abs=1e-12)
         assert literal.sop < default.sop
 

@@ -41,6 +41,19 @@ def test_soa_needs_a_positive_cut_off(vt_min):
     assert Soa(5e-324, 4.3, 10.0, -4.0, 0.1, 0.9).vt_min == 5e-324
 
 
+@pytest.mark.parametrize(
+    "vt_max, i_max_dis, i_max_chg",
+    [(1.7e308, 10.0, -1e300), (1.7e308, 1e300, -4.0), (9.0, 1e307, -4.0), (9.0, 10.0, -1e307)],
+)
+def test_soa_rejects_a_power_bound_that_overflows(vt_max, i_max_dis, i_max_chg):
+    # The CP bracket tops (sop_cp's, and the oracle's |i_lim| * vt_max) and
+    # the step current's 2 * power stay finite only if this product does:
+    # 2 * 1e307 * 9 is beyond the floats, 2 * 1e307 * 8 is not.
+    with pytest.raises(ConfigurationError, match="overflows"):
+        Soa(2.8, vt_max, i_max_dis, i_max_chg, 0.1, 0.9)
+    assert Soa(2.8, 8.0, 1e307, -1e307, 0.1, 0.9).i_max_dis == 1e307
+
+
 @pytest.mark.parametrize("field", ["vt_min", "vt_max", "i_max_dis", "i_max_chg", "soc_min", "soc_max"])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_soa_rejects_non_finite_limit(field, bad):
@@ -90,7 +103,7 @@ class TestCheckTrace:
         state = BatteryState(0.5)
         rows = []
         for j in range(1, 11):
-            state, vt, _ = step(state, params, linear_curve, 5.0, 1.0)
+            state, vt = step(state, params, linear_curve, 5.0, 1.0)
             rows.append(_Row(j, 5.0, vt, state.soc))
         assert check_trace(rows, soa) == []
 
@@ -108,7 +121,7 @@ class TestCheckTrace:
         sim = state
         crossing = None
         for j in range(1, window.steps + 1):
-            sim, vt, _ = step(sim, params, linear_curve, current, window.dt)
+            sim, vt = step(sim, params, linear_curve, current, window.dt)
             rows.append(_Row(j, current, vt, sim.soc))
             if crossing is None and vt < soa.vt_min:
                 crossing = j
@@ -127,7 +140,7 @@ class TestCheckTrace:
         state = BatteryState(soc0)
         rows = []
         for j in range(1, 9):
-            state, vt, _ = step(state, params_, curve, current, 1.0)
+            state, vt = step(state, params_, curve, current, 1.0)
             rows.append(_Row(j, current, vt, state.soc))
         per_point = [check_point(r.vt, r.current, r.soc, soa) for r in rows]
         assert (check_trace(rows, soa) == []) == all(p == [] for p in per_point)
