@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exceptions import ConfigurationError, InputError
 
@@ -224,6 +224,39 @@ def ocv(curve: OcvCurve, soc: float) -> float:
     if soc == x0:  # exact knot hit
         return y0
     return y0 + (soc - x0) * (y1 - y0) / (x1 - x0)
+
+
+def ocv_cursor(curve: OcvCurve) -> Callable[[float], float]:
+    """A lookup equal to ``ocv(curve, soc)`` bit for bit that remembers the
+    segment it last bisected.
+
+    While the SOC stays strictly inside that segment, the lookup evaluates
+    ``ocv``'s own expression with the segment's rises hoisted; any other SOC
+    is answered by ``ocv`` itself, so knot hits, clamps and NaN behave as
+    there. A repeat of the last such SOC (a window at rest on a knot or
+    clamped at an end) returns ``ocv``'s last answer. Within a window the SOC
+    moves one way, so a window loop that owns one cursor bisects about once
+    per segment it enters.
+    """
+    pts, socs = curve.points, curve.socs
+    first, last = socs[0], socs[-1]
+    # No segment and no answer yet: NaN fails every comparison.
+    x0 = x1 = y0 = rise = run = miss_soc = miss_v = math.nan
+
+    def lookup(soc: float) -> float:
+        nonlocal x0, x1, y0, rise, run, miss_soc, miss_v
+        if x0 < soc < x1:
+            return y0 + (soc - x0) * rise / run
+        if soc == miss_soc:
+            return miss_v
+        miss_v, miss_soc = ocv(curve, soc), soc
+        if first < soc < last:
+            i = bisect_right(socs, soc)
+            (x0, y0), (x1, y1) = pts[i - 1], pts[i]
+            rise, run = y1 - y0, x1 - x0
+        return miss_v
+
+    return lookup
 
 
 def _segment_slope(curve: OcvCurve, soc: float) -> float:

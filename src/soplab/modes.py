@@ -57,27 +57,27 @@ class ModeShift(NamedTuple):
 def _trace(
     state: BatteryState,
     params: BatteryParams,
-    curve: OcvCurve,
+    lookup: Callable[[float], float],
     window: Window,
     drive: Callable[[int, float, float], tuple[float, float] | None],
     v_oc: float,
 ) -> tuple[PomStep, ...] | None:
-    """Run the hold step across the window: one OCV lookup per step (step
-    one's is ``v_oc``, made by the caller), then ``drive(j, soc, emf)``, emf
-    being the OCV less the relaxed vp, returns the step's ``(current, vt)``, or
-    None to abandon the window (and return None)."""
+    """Run the hold step across the window: one OCV lookup per step through
+    the caller's ``ecm.ocv_cursor`` (step one's is ``v_oc``, made by the
+    caller), then ``drive(j, soc, emf)``, emf being the OCV less the relaxed
+    vp, returns the step's ``(current, vt)``, or None to abandon the window
+    (and return None)."""
     alpha = math.exp(-window.dt / params.tau)
     # Products stay left to right, never pre-multiplied (current * r1 * (1 - alpha),
     # current * dt * soc_per_as): the state then matches ecm.step's bit for bit.
     one_minus_alpha = 1.0 - alpha
     r1, dt, soc_per_as = params.r1, window.dt, params.soc_per_amp_second
-    ocv = ecm.ocv
     row = tuple.__new__  # PomStep(...) would add a Python frame per row
     soc, vp = state.soc, state.vp
     steps: list[PomStep] = []
     for j in range(1, window.steps + 1):
         if j > 1:  # step one's lookup is the caller's
-            v_oc = ocv(curve, soc)
+            v_oc = lookup(soc)
         vp_rel = vp * alpha
         step = drive(j, soc, v_oc - vp_rel)
         if step is None:
@@ -102,13 +102,14 @@ def constant_current_trace(
     def drive(j: int, soc: float, emf: float) -> tuple[float, float]:
         return current, emf - current * params.r0
 
-    return PomTrace(_trace(state, params, curve, window, drive, ecm.ocv(curve, state.soc)))
+    lookup = ecm.ocv_cursor(curve)
+    return PomTrace(_trace(state, params, lookup, window, drive, lookup(state.soc)))
 
 
 def _hold_trace(
     state: BatteryState,
     params: BatteryParams,
-    curve: OcvCurve,
+    lookup: Callable[[float], float],
     window: Window,
     direction: Direction,
     soa: Soa,
@@ -126,7 +127,8 @@ def _hold_trace(
     and holds the voltage that results. Returns the steps, the governing
     bound, the first step whose hold current went unclipped (or None) and the
     first step of minimum |power|, or None in its place when the trace leaves
-    the SOA box. ``v_oc`` is the OCV at the state's SOC, step one's lookup."""
+    the SOA box. ``v_oc`` is the OCV at the state's SOC, step one's lookup
+    through the OCV cursor ``lookup``."""
     r0 = params.r0
     headroom_div = window.dt * params.soc_per_amp_second
     i_lim, bound = direction.current_limit(soa), direction.soc_bound(soa)
@@ -173,7 +175,7 @@ def _hold_trace(
             vt = emf - current * r0
         return current, vt
 
-    steps = _trace(state, params, curve, window, drive, v_oc)
+    steps = _trace(state, params, lookup, window, drive, v_oc)
     # The SOA check at the trace's corners, as in _cp_probe. Every current lies
     # between 0 and i_lim, inside the box, so the SOC moves one way: the vt
     # extremes and the end SOCs are the only coordinates that can leave it.
@@ -228,9 +230,10 @@ def sop_cv(
     anywhere (a polarization that drives the voltage past either cut-off, or a
     state already outside the box) delivers no power: ``sop_cp``'s zero result.
     """
-    v_oc = ecm.ocv(curve, state.soc)
+    lookup = ecm.ocv_cursor(curve)
+    v_oc = lookup(state.soc)
     steps, governed, _, binding = _hold_trace(
-        state, params, curve, window, direction, soa, True, v_oc
+        state, params, lookup, window, direction, soa, True, v_oc
     )
     if binding is None:
         return _no_power(state, v_oc)
@@ -268,7 +271,8 @@ def find_mode_shift_kc(
             return None
         return i_lim, vt
 
-    _trace(state, params, curve, window, drive, ecm.ocv(curve, state.soc))
+    lookup = ecm.ocv_cursor(curve)
+    _trace(state, params, lookup, window, drive, lookup(state.soc))
     if crossing is None:
         return ModeShift(CcCvCase.CC_ONLY, None)
     k_c, overshoot = crossing
@@ -297,9 +301,10 @@ def sop_cccv(
     called here. A trace that leaves the SOA box gives ``sop_cp``'s zero
     result, as in ``sop_cv``.
     """
-    v_oc = ecm.ocv(curve, state.soc)
+    lookup = ecm.ocv_cursor(curve)
+    v_oc = lookup(state.soc)
     steps, governed, k_c, binding = _hold_trace(
-        state, params, curve, window, direction, soa, False, v_oc
+        state, params, lookup, window, direction, soa, False, v_oc
     )
     if binding is None:
         return _no_power(state, v_oc)
@@ -362,14 +367,15 @@ def _cp_probe(
     power_abs: float,
     state: BatteryState,
     params: BatteryParams,
-    curve: OcvCurve,
+    lookup: Callable[[float], float],
     window: Window,
     direction: Direction,
     soa: Soa,
     v_oc: float,
 ) -> tuple[tuple[PomStep, ...] | None, _CpMargins | None]:
     """Simulate a constant-|power| window to its last step; ``v_oc`` is step
-    one's OCV, which every probe of one solve shares.
+    one's OCV and ``lookup`` the OCV cursor, which every probe of one solve
+    shares.
 
     Returns the trace, or None when any step leaves the safe operation area,
     with the window's margins. Both are None when a step exceeds its power
@@ -388,7 +394,7 @@ def _cp_probe(
         current = _cp_current(emf, r0, power)
         return None if current is None else (current, emf - current * r0)
 
-    steps = _trace(state, params, curve, window, drive, v_oc)
+    steps = _trace(state, params, lookup, window, drive, v_oc)
     if steps is None:
         return None, None
     _, currents, vts, socs, _, _ = zip(*steps)
@@ -442,8 +448,9 @@ def sop_cp(
     if not (tol_watts > 0.0 and math.isfinite(tol_watts)):
         raise ValueError(f"tol_watts must be finite and > 0, got {tol_watts}")
 
-    v_oc = ecm.ocv(curve, state.soc)
-    zero_trace, zero_margins = _cp_probe(0.0, state, params, curve, window, direction, soa, v_oc)
+    lookup = ecm.ocv_cursor(curve)
+    v_oc = lookup(state.soc)
+    zero_trace, zero_margins = _cp_probe(0.0, state, params, lookup, window, direction, soa, v_oc)
     if zero_trace is None:
         return _no_power(state, v_oc)
     # A bound already reached at zero power has no scale; its native units serve.
@@ -455,7 +462,7 @@ def sop_cp(
     if direction is Direction.DISCHARGE:
         i_top = min(i_top, emf / (2.0 * r0))
     top = i_top * (emf - sign * i_top * r0)
-    top_trace, top_margins = _cp_probe(top, state, params, curve, window, direction, soa, v_oc)
+    top_trace, top_margins = _cp_probe(top, state, params, lookup, window, direction, soa, v_oc)
 
     lo, lo_trace, lo_margins = 0.0, zero_trace, zero_margins
     g_lo = _normalised_margin(zero_margins, scales)  # 1, or 0 with a bound already reached
@@ -478,7 +485,7 @@ def sop_cp(
         if not lo < p < hi:  # the bracket no longer splits in floating point
             break
         widths = (widths[1], width)
-        probe, margins = _cp_probe(p, state, params, curve, window, direction, soa, v_oc)
+        probe, margins = _cp_probe(p, state, params, lookup, window, direction, soa, v_oc)
         g = _normalised_margin(margins, scales)
         if probe is None:
             hi, g_hi = p, g

@@ -6,8 +6,9 @@ are placed by the ITP method (interpolate, truncate, project) on the
 oracle's own box-normalised slack, which never decides a verdict: every
 verdict is ``check_point`` at every simulated step, and each answer is
 bracketed to the same tolerance as by bisection, within bisection's probe
-count plus one. Nothing here calls the closed forms it is meant to
-validate.
+count plus one. The CC oracle runs ``ecm.step``'s recurrence inline, and
+both oracles read the OCV through one ``ecm.ocv_cursor`` per window. Nothing
+here calls the closed forms it is meant to validate.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, NamedTuple
 
 from . import ecm
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
-from .exceptions import InfeasibleStateError
+from .exceptions import ConfigurationError, InfeasibleStateError
 from .peak_cc import Direction, SopResult
 from .soa import Soa, check_point
 
@@ -142,14 +143,27 @@ def _cc_feasible(
 ) -> Probe:
     """Simulate the whole window at a constant ``current``, checking every
     step; an infeasible window also runs to its end, so its slack is the
-    continuous extension of a feasible one's."""
-    sim = state
+    continuous extension of a feasible one's.
+
+    Each step is ``ecm.step``'s recurrence inline, operation for operation,
+    with the step's constants hoisted; like the ``BatteryState`` that
+    ``ecm.step`` builds, a polarization that is not finite raises
+    ConfigurationError."""
+    alpha = math.exp(-window.dt / params.tau)
+    # Products stay left to right, as in ecm.step.
+    one_minus_alpha = 1.0 - alpha
+    r0, r1, dt, soc_per_as = params.r0, params.r1, window.dt, params.soc_per_amp_second
+    lookup = ecm.ocv_cursor(curve)
+    soc, vp = state.soc, state.vp
     feasible = True
     vt_lo = soc_lo = math.inf
     vt_hi = soc_hi = -math.inf
     for _ in range(window.steps):
-        sim, vt = ecm.step(sim, params, curve, current, window.dt)
-        soc = sim.soc
+        vp = vp * alpha + current * r1 * one_minus_alpha
+        soc = min(max(soc - current * dt * soc_per_as, 0.0), 1.0)
+        vt = lookup(soc) - vp - current * r0
+        if not math.isfinite(vp):
+            raise ConfigurationError(f"vp must be finite, got {vp}")
         if check_point(vt, current, soc, soa):
             feasible = False
         if vt < vt_lo:
@@ -214,7 +228,8 @@ def _secant_cp_current(
     emf: float, r0: float, power: float, guess: float | None = None, max_iter: int = 60
 ) -> float | None:
     """Physical-branch current with I*(emf - I*r0) = power, by secant
-    iteration on the power residual. None when no root is reachable.
+    iteration on the power residual I*(emf - I*r0) - power. None when no root
+    is reachable.
 
     The iteration starts from ``guess`` (the previous step's current) when it
     lies short of the power vertex emf / (2 r0), and from power / emf
@@ -223,18 +238,17 @@ def _secant_cp_current(
         return 0.0
     if emf <= 0.0:
         return None
-
-    def residual(i: float) -> float:
-        return i * (emf - i * r0) - power
-
     i0 = guess if guess is not None and abs(guess) < emf / (2.0 * r0) else power / emf
     denom = emf - i0 * r0
     if denom <= 0.0:
         return None
     i1 = power / denom
-    f0, f1 = residual(i0), residual(i1)
+    f0 = i0 * (emf - i0 * r0) - power
+    f1 = i1 * (emf - i1 * r0) - power
+    f_tol = 1e-12 * max(1.0, abs(power))
+    i_cap = abs(emf / r0)
     for _ in range(max_iter):
-        if abs(f1) <= 1e-12 * max(1.0, abs(power)):
+        if abs(f1) <= f_tol:
             # Reject the non-physical branch beyond the power vertex.
             if abs(i1) > abs(emf) / (2.0 * r0) * (1.0 + 1e-9):
                 return None
@@ -242,9 +256,9 @@ def _secant_cp_current(
         if f1 == f0:
             return None
         i2 = i1 - f1 * (i1 - i0) / (f1 - f0)
-        if not math.isfinite(i2) or abs(i2) > abs(emf / r0):
+        if not math.isfinite(i2) or abs(i2) > i_cap:
             return None
-        i0, f0, i1, f1 = i1, f1, i2, residual(i2)
+        i0, f0, i1, f1 = i1, f1, i2, i2 * (emf - i2 * r0) - power
     return None
 
 
@@ -261,6 +275,10 @@ def _cp_feasible_trace(
     every step; each step's secant starts from the previous step's current.
     A step with no physical current ends the window without a slack."""
     alpha = math.exp(-window.dt / params.tau)
+    # Products stay left to right, as in ecm.step.
+    one_minus_alpha = 1.0 - alpha
+    r0, r1, dt, soc_per_as = params.r0, params.r1, window.dt, params.soc_per_amp_second
+    lookup = ecm.ocv_cursor(curve)
     power = power_abs * direction.sign
     soc, vp = state.soc, state.vp
     current = None
@@ -269,12 +287,12 @@ def _cp_feasible_trace(
     vt_hi = i_hi = soc_hi = -math.inf
     for _ in range(window.steps):
         vp_rel = vp * alpha
-        emf = ecm.ocv(curve, soc) - vp_rel
-        current = _secant_cp_current(emf, params.r0, power, current)
+        emf = lookup(soc) - vp_rel
+        current = _secant_cp_current(emf, r0, power, current)
         if current is None:
             return Probe(False, None)
-        vt = emf - current * params.r0
-        soc_next = min(max(soc - current * window.dt * params.soc_per_amp_second, 0.0), 1.0)
+        vt = emf - current * r0
+        soc_next = min(max(soc - current * dt * soc_per_as, 0.0), 1.0)
         if check_point(vt, current, soc_next, soa):
             feasible = False
         if vt < vt_lo:
@@ -289,7 +307,7 @@ def _cp_feasible_trace(
             soc_lo = soc_next
         if soc_next > soc_hi:
             soc_hi = soc_next
-        vp = vp_rel + current * params.r1 * (1.0 - alpha)
+        vp = vp_rel + current * r1 * one_minus_alpha
         soc = soc_next
     return Probe(feasible, _box_slack(vt_lo, vt_hi, i_lo, i_hi, soc_lo, soc_hi, soa))
 

@@ -1,6 +1,7 @@
 """Helpers shared by the engine tests: a fixed NMC-like OCV table, a
 hypothesis strategy for random monotone ones, a spy on the OCV slope
-``sop_cc`` settles on, and plain-bisection references for the oracles."""
+``sop_cc`` settles on, plain-bisection references for the oracles, and
+reference window loops for the oracles' own."""
 
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import soplab.peak_cc as peak_cc
 from soplab import Direction, InfeasibleStateError, OcvCurve, check_point, ecm
-from soplab.oracle import BrutePower, _cp_feasible_trace
+from soplab.oracle import BrutePower, Probe, _box_slack, _cp_feasible_trace
 
 # 12-knot NMC-like table: a steep knee below 10% SOC on a convex rise, 3.0-4.2 V.
 NMC_CURVE = OcvCurve(
@@ -61,14 +62,95 @@ def second_pass_slope(run):
 # can flip a verdict within 1e-12 of the boundary.
 
 
-def cc_window_feasible(current, state, params, curve, window, soa):
-    """Every step of a constant-current window inside the SOA."""
+def cc_window_probe(current, state, params, curve, window, soa):
+    """A constant-current window run to its end through ``ecm.step``: whether
+    every step lies inside the SOA, and the box-normalised slack of its
+    extremes."""
     sim = state
+    feasible = True
+    vts, socs = [], []
     for _ in range(window.steps):
         sim, vt = ecm.step(sim, params, curve, current, window.dt)
         if check_point(vt, current, sim.soc, soa):
-            return False
-    return True
+            feasible = False
+        vts.append(vt)
+        socs.append(sim.soc)
+    slack = _box_slack(min(vts), max(vts), current, current, min(socs), max(socs), soa)
+    return Probe(feasible, slack)
+
+
+def cc_window_feasible(current, state, params, curve, window, soa):
+    """Every step of a constant-current window inside the SOA."""
+    return cc_window_probe(current, state, params, curve, window, soa).feasible
+
+
+def _secant_cp_current(emf, r0, power, guess=None, max_iter=60):
+    """The CP oracle's per-step secant as it was written with a residual
+    closure: the reference that its inline residual must match."""
+    if power == 0.0:
+        return 0.0
+    if emf <= 0.0:
+        return None
+
+    def residual(i):
+        return i * (emf - i * r0) - power
+
+    i0 = guess if guess is not None and abs(guess) < emf / (2.0 * r0) else power / emf
+    denom = emf - i0 * r0
+    if denom <= 0.0:
+        return None
+    i1 = power / denom
+    f0, f1 = residual(i0), residual(i1)
+    for _ in range(max_iter):
+        if abs(f1) <= 1e-12 * max(1.0, abs(power)):
+            if abs(i1) > abs(emf) / (2.0 * r0) * (1.0 + 1e-9):
+                return None
+            return i1
+        if f1 == f0:
+            return None
+        i2 = i1 - f1 * (i1 - i0) / (f1 - f0)
+        if not math.isfinite(i2) or abs(i2) > abs(emf / r0):
+            return None
+        i0, f0, i1, f1 = i1, f1, i2, residual(i2)
+    return None
+
+
+def cp_window_probe(power_abs, state, params, curve, window, direction, soa):
+    """The CP oracle's window loop as it was written with one ``ecm.ocv``
+    bisection per step and the parameters read per step: the reference
+    that its cursor and hoisted loop must match."""
+    alpha = math.exp(-window.dt / params.tau)
+    power = power_abs * direction.sign
+    soc, vp = state.soc, state.vp
+    current = None
+    feasible = True
+    vt_lo = i_lo = soc_lo = math.inf
+    vt_hi = i_hi = soc_hi = -math.inf
+    for _ in range(window.steps):
+        vp_rel = vp * alpha
+        emf = ecm.ocv(curve, soc) - vp_rel
+        current = _secant_cp_current(emf, params.r0, power, current)
+        if current is None:
+            return Probe(False, None)
+        vt = emf - current * params.r0
+        soc_next = min(max(soc - current * window.dt * params.soc_per_amp_second, 0.0), 1.0)
+        if check_point(vt, current, soc_next, soa):
+            feasible = False
+        if vt < vt_lo:
+            vt_lo = vt
+        if vt > vt_hi:
+            vt_hi = vt
+        if current < i_lo:
+            i_lo = current
+        if current > i_hi:
+            i_hi = current
+        if soc_next < soc_lo:
+            soc_lo = soc_next
+        if soc_next > soc_hi:
+            soc_hi = soc_next
+        vp = vp_rel + current * params.r1 * (1.0 - alpha)
+        soc = soc_next
+    return Probe(feasible, _box_slack(vt_lo, vt_hi, i_lo, i_hi, soc_lo, soc_hi, soa))
 
 
 def cp_window_feasible(power_abs, state, params, curve, window, direction, soa):

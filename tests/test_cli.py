@@ -167,6 +167,36 @@ class TestSopCommand:
         assert code == 2
         assert capsys.readouterr().out.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "params, ocv, soa, argv",
+        [
+            # current * r1 was inf and 1 - alpha 0: a trace row printed vp_v=nan at exit 0.
+            (
+                PARAMS_TEXT.replace("r1_ohm=0.03", "r1_ohm=1.7e308")
+                .replace("tau_s=10", "tau_s=1e300")
+                .replace("capacity_ah=2", "capacity_ah=1e300"),
+                OCV_TEXT.replace("0,3.0", "0,-0.0"),
+                SOA_TEXT.replace("i_max_chg=-4", "i_max_chg=-1e300"),
+                ["--mode", "cv", "--soc", "0.5", "--vp=-1e-300", "-K", "1"],
+            ),
+            # The NaN polarization made the next SOC NaN: an IndexError in ecm.ocv.
+            (
+                PARAMS_TEXT.replace("r1_ohm=0.03", "r1_ohm=1.7e308")
+                .replace("capacity_ah=2", "capacity_ah=1.7e308"),
+                OCV_TEXT,
+                SOA_TEXT,
+                ["--mode", "cp", "--soc", "0.5", "--vp", "0.1", "-K", "30", "--dt", "1e-300"],
+            ),
+        ],
+        ids=["cv-nan-vp", "cp-index-error"],
+    )
+    def test_overflowing_polarization_load_exits_two(self, files, capsys, params, ocv, soa, argv):
+        for which, text in (("params", params), ("ocv", ocv), ("soa", soa)):
+            Path(files[which]).write_text(text)
+        code = main(["sop", *_base_args(files), "--direction", "charge", *argv])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("error:")
+
     @pytest.mark.parametrize("mode", ["cc", "cp"])
     def test_overflowing_window_duration_exits_two(self, files, capsys, mode):
         # K * dt is inf: sop_cc printed sop_w=nan.

@@ -1,6 +1,8 @@
 """Model-core tests: OCV services, single steps, window prediction, replay."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from soplab import (
     simulate_profile,
     step,
 )
+from soplab.ecm import ocv_cursor
+from support import monotone_ocv
 
 
 class TestOcv:
@@ -64,6 +68,66 @@ class TestOcv:
     def test_too_few_points_rejected(self):
         with pytest.raises(ConfigurationError):
             OcvCurve(((0.5, 3.6),))
+
+
+@st.composite
+def soc_walks(draw, curve):
+    """SOC walks over ``curve``: pieces of equal steps, each one way (or at
+    rest), starting anywhere in or beyond the knot range, on a knot or at an
+    end."""
+    socs = []
+    for _ in range(draw(st.integers(1, 6))):
+        start = draw(
+            st.one_of(
+                st.floats(-0.2, 1.2),
+                st.sampled_from(curve.socs),
+                st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.0, math.inf, -math.inf]),
+            )
+        )
+        delta = draw(st.one_of(st.just(0.0), st.floats(-0.08, 0.08)))
+        socs.extend(start + j * delta for j in range(draw(st.integers(1, 40))))
+    return socs
+
+
+class TestOcvCursor:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), curve=monotone_ocv())
+    def test_equals_ocv_bit_for_bit(self, data, curve):
+        lookup = ocv_cursor(curve)
+        for soc in data.draw(soc_walks(curve)):
+            assert lookup(soc).hex() == ocv(curve, soc).hex()
+        # NaN raises as in ocv, and leaves the cursor answering as before.
+        with pytest.raises(Exception) as want:
+            ocv(curve, math.nan)
+        with pytest.raises(want.type):
+            lookup(math.nan)
+        for soc in data.draw(soc_walks(curve)):
+            assert lookup(soc).hex() == ocv(curve, soc).hex()
+
+    def test_bisects_once_per_segment_entered(self, knee_curve, monkeypatch):
+        # A walk down both segments of the knee table, at rest on its middle
+        # knot for three steps: one bisection per segment, one for the knot.
+        calls = []
+
+        def counting_ocv(curve, soc):
+            calls.append(soc)
+            return ocv(curve, soc)
+
+        monkeypatch.setattr("soplab.ecm.ocv", counting_ocv)
+        lookup = ocv_cursor(knee_curve)
+        walk = [0.9, 0.8, 0.7, 0.6, 0.5, 0.5, 0.5, 0.4, 0.3]
+        assert [lookup(soc) for soc in walk] == [ocv(knee_curve, soc) for soc in walk]
+        assert calls == [0.9, 0.5, 0.4]
+
+    def test_only_ecm_bisects(self):
+        # One cursor for every window loop: no other module keeps a segment.
+        package = Path(ocv.__code__.co_filename).parent
+        bisecting = sorted(
+            path.name
+            for path in package.glob("*.py")
+            if re.search(r"\bbisect_(left|right)\b", path.read_text())
+        )
+        assert bisecting == ["ecm.py"]
 
 
 class TestOcvSlope:

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import statistics
+from bisect import bisect_right
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -35,6 +36,49 @@ from soplab import (
 
 DIS = Direction.DISCHARGE
 CHG = Direction.CHARGE
+
+
+class OcvCounter:
+    """Counts the engines' OCV lookups, every one made through an
+    ``ecm.ocv_cursor``, with the SOC of each, and the ``ecm.ocv`` calls (the
+    cursors' bisections) behind them."""
+
+    def __init__(self, monkeypatch):
+        self.lookups = self.bisections = 0
+        self.socs = []
+        cursor, ocv_ = modes.ecm.ocv_cursor, modes.ecm.ocv
+
+        def counting_cursor(curve):
+            lookup = cursor(curve)
+
+            def counted(soc):
+                self.lookups += 1
+                self.socs.append(soc)
+                return lookup(soc)
+
+            return counted
+
+        def counting_ocv(curve, soc):
+            self.bisections += 1
+            return ocv_(curve, soc)
+
+        monkeypatch.setattr(modes.ecm, "ocv_cursor", counting_cursor)
+        monkeypatch.setattr(modes.ecm, "ocv", counting_ocv)
+
+    def reset(self):
+        self.lookups = self.bisections = 0
+        self.socs.clear()
+
+    @staticmethod
+    def segments(curve, socs):
+        """OCV segments that lookups at ``socs`` enter; the table's ends count
+        as one segment each."""
+        return len({bisect_right(curve.socs, soc) for soc in socs})
+
+
+@pytest.fixture
+def ocv_counter(monkeypatch):
+    return OcvCounter(monkeypatch)
 
 
 class TestSopCv:
@@ -160,20 +204,15 @@ class TestFindModeShift:
         ],
     )
     def test_stops_at_the_crossing(
-        self, params, linear_curve, soa, monkeypatch, soc, direction, want, lookups
+        self, params, linear_curve, soa, ocv_counter, soc, direction, want, lookups
     ):
-        # Algorithmic work: one OCV lookup per step up to the crossing, not K.
-        calls = [0]
-        lookup = modes.ecm.ocv
-
-        def counting_ocv(curve, s):
-            calls[0] += 1
-            return lookup(curve, s)
-
-        monkeypatch.setattr(modes.ecm, "ocv", counting_ocv)
+        # Algorithmic work: one OCV lookup per step up to the crossing, not K,
+        # and one bisection on the table's one segment (plus one at most).
         window = Window(300, 1.0)
         assert find_mode_shift_kc(BatteryState(soc), params, linear_curve, window, direction, soa) == want
-        assert calls[0] == lookups
+        assert ocv_counter.lookups == lookups
+        entered = ocv_counter.segments(linear_curve, ocv_counter.socs)
+        assert 0 < ocv_counter.bisections <= entered + 1
 
     def test_matches_the_constant_current_trace(self, params, linear_curve, soa):
         # Definition: the first step of the full-limit trace at or past the
@@ -545,44 +584,50 @@ class TestSopCpSolver:
         top = ocv(curve, soc) if direction is DIS else soa.vt_max
         power = share * abs(direction.current_limit(soa)) * top
         args = (power, state, params, curve, window, direction, soa)
-        trace, margins = modes._cp_probe(*args, ocv(curve, soc))
+        lookup = modes.ecm.ocv_cursor(curve)
+        trace, margins = modes._cp_probe(
+            power, state, params, lookup, window, direction, soa, lookup(soc)
+        )
         feasible, want = _cp_resimulate(*args)
         assert (trace is not None) == feasible
         assert margins == (None if want is None else modes._CpMargins(*want))
 
     @pytest.mark.parametrize("direction", [DIS, CHG])
-    def test_ocv_calls_per_solve(self, params, soa, monkeypatch, direction):
+    def test_ocv_calls_per_solve(self, params, soa, monkeypatch, ocv_counter, direction):
         # One OCV lookup per probe step, step one's made once for every probe:
-        # the bracket top reads step one's emf off the zero-power probe.
+        # the bracket top reads step one's emf off the zero-power probe. Each
+        # probe bisects once per OCV segment it enters, plus one at most.
         steps = 300
         window = Window(steps, 1.0)
-        probes, lookups = [0], [0]
-        probe, lookup = modes._cp_probe, modes.ecm.ocv
+        probes = [0]
+        probe = modes._cp_probe
 
         def counting_probe(*args):
             probes[0] += 1
-            return probe(*args)
-
-        def counting_ocv(curve, soc):
-            lookups[0] += 1
-            return lookup(curve, soc)
+            bisections, looked_up = ocv_counter.bisections, len(ocv_counter.socs)
+            result = probe(*args)
+            entered = ocv_counter.segments(NMC_CURVE, ocv_counter.socs[looked_up:])
+            assert ocv_counter.bisections - bisections <= entered + 1
+            return result
 
         monkeypatch.setattr(modes, "_cp_probe", counting_probe)
-        monkeypatch.setattr(modes.ecm, "ocv", counting_ocv)
         for soc in (0.15, 0.5, 0.85):
             for vp in (-0.2, 0.0, 0.2):
-                probes[0] = lookups[0] = 0
+                probes[0] = 0
+                ocv_counter.reset()
                 sop_cp(BatteryState(soc, vp), params, NMC_CURVE, window, direction, soa)
                 assert probes[0] > 0
-                assert 0 < lookups[0] <= 1 + probes[0] * (steps - 1)
+                assert 0 < ocv_counter.lookups <= 1 + probes[0] * (steps - 1)
         # A window that leaves the SOA: the zero-power probe alone, whose
         # step-one lookup also gives the rested voltage that the result reports.
         for state in (BatteryState(0.95), BatteryState(0.95, -1.0), BatteryState(0.5, 1.5)):
-            probes[0] = lookups[0] = 0
+            probes[0] = 0
+            ocv_counter.reset()
             result, _ = sop_cp(state, params, NMC_CURVE, window, direction, soa)
             assert not result.feasible
-            assert result.vt_end == lookup(NMC_CURVE, state.soc) - state.vp
-            assert (probes[0], lookups[0]) == (1, steps)
+            assert result.vt_end == ocv(NMC_CURVE, state.soc) - state.vp
+            assert (probes[0], ocv_counter.lookups) == (1, steps)
+            assert ocv_counter.bisections <= ocv_counter.segments(NMC_CURVE, ocv_counter.socs) + 1
 
 
 class TestTraceKernel:
@@ -690,9 +735,10 @@ class TestCccvShiftDecision:
 
     @pytest.mark.parametrize("engine", [sop_cv, sop_cccv])
     @pytest.mark.parametrize("direction", [DIS, CHG])
-    def test_ocv_calls_per_window(self, params, soa, monkeypatch, engine, direction):
+    def test_ocv_calls_per_window(self, params, soa, ocv_counter, engine, direction):
         # Algorithmic work, not wall time: one OCV lookup per step, the level
-        # or shift decision included.
+        # or shift decision included, and one bisection per OCV segment the
+        # window enters, plus one at most.
         steps = 300
         window = Window(steps, 1.0)
         states = [BatteryState(soc, vp) for soc in (0.15, 0.5, 0.85) for vp in (-0.2, 0.0, 0.2)]
@@ -701,23 +747,17 @@ class TestCccvShiftDecision:
             for state in states
         }
         assert CcCvCase.CV_ONLY in shifts and len(shifts) > 1  # both step-one decisions
-        calls = [0]
-        lookup = modes.ecm.ocv
-
-        def counting_ocv(curve, soc):
-            calls[0] += 1
-            return lookup(curve, soc)
-
-        monkeypatch.setattr(modes.ecm, "ocv", counting_ocv)
         for state in states:
-            calls[0] = 0
+            ocv_counter.reset()
             engine(state, params, NMC_CURVE, window, direction, soa)
-            assert calls[0] == steps
+            assert ocv_counter.lookups == steps
+            assert ocv_counter.bisections <= ocv_counter.segments(NMC_CURVE, ocv_counter.socs) + 1
         # A window that leaves the SOA reports the rested voltage from step
         # one's lookup: no lookup more.
         for state in (BatteryState(0.95), BatteryState(0.95, -1.0), BatteryState(0.5, 1.5)):
-            calls[0] = 0
+            ocv_counter.reset()
             result, _ = engine(state, params, NMC_CURVE, window, direction, soa)
             assert not result.feasible
-            assert result.vt_end == lookup(NMC_CURVE, state.soc) - state.vp
-            assert calls[0] == steps
+            assert result.vt_end == ocv(NMC_CURVE, state.soc) - state.vp
+            assert ocv_counter.lookups == steps
+            assert ocv_counter.bisections <= ocv_counter.segments(NMC_CURVE, ocv_counter.socs) + 1

@@ -1,7 +1,9 @@
 """Oracle tests: the ITP-placed validators, their certificate against
 plain bisection, and the comparison record."""
 
+import itertools
 import math
+import random
 import re
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import soplab.oracle as oracle_module
 from soplab import (
     BatteryParams,
     BatteryState,
+    ConfigurationError,
     Direction,
     InfeasibleStateError,
     OcvCurve,
@@ -27,10 +30,13 @@ from soplab import (
 )
 from soplab.oracle import _secant_cp_current
 from support import (
+    NMC_CURVE,
     bisect_peak_current_cc,
     bisect_peak_power_cp,
     cc_window_feasible,
+    cc_window_probe,
     cp_window_feasible,
+    cp_window_probe,
     monotone_ocv,
 )
 
@@ -234,6 +240,48 @@ def test_oracles_match_bisection_within_the_probe_budget(curve, soc, vp, steps, 
     if not power.saturated:
         assert not cp_window_feasible(power.watts + tol, *args)
         assert len(cp_probes) <= _probe_budget(cp_probes[1], tol)
+
+
+class TestWindowLoops:
+    """The oracles' window loops, run on OCV cursors with their constants
+    hoisted, answer exactly as their references: ``ecm.step`` for the CC
+    loop, the per-step bisecting loop for the CP one."""
+
+    @staticmethod
+    def _grid(linear_curve, soa, seed):
+        rng = random.Random(seed)
+        for curve, vp, steps, direction in itertools.product(
+            (linear_curve, NMC_CURVE), (-0.4, 0.0, 0.4), (1, 10, 300), (DIS, CHG)
+        ):
+            limit = abs(direction.current_limit(soa))
+            for dt in (1.0, 0.7, 0.3):
+                state = BatteryState(rng.uniform(0.05, 0.95), vp)
+                current = direction.sign * rng.uniform(0.0, 1.2 * limit)
+                power = rng.uniform(0.0, 1.2 * limit * soa.vt_max)
+                yield state, curve, Window(steps, dt), direction, current, power
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_identical_to_the_references(self, params, linear_curve, soa, seed):
+        checked = set()
+        for state, curve, window, direction, current, power in self._grid(linear_curve, soa, seed):
+            got = oracle_module._cc_feasible(current, state, params, curve, window, soa)
+            assert repr(got) == repr(cc_window_probe(current, state, params, curve, window, soa))
+            args = (state, params, curve, window, direction, soa)
+            got = oracle_module._cp_feasible_trace(power, *args)
+            assert repr(got) == repr(cp_window_probe(power, *args))
+            checked.add((got.feasible, got.slack is None))
+        assert checked == {(True, False), (False, False), (False, True)}  # every kind of probe
+
+    @pytest.mark.parametrize("current", [-4.0, 10.0])
+    def test_cc_loop_raises_as_ecm_step(self, linear_curve, soa, current):
+        # current * r1 overflows and 1 - alpha rounds to 0: the polarization is
+        # NaN, which ecm.step's BatteryState refuses.
+        params = BatteryParams(r0=0.05, r1=1.7e308, tau=1e300, capacity_ah=2.0)
+        args = (BatteryState(0.5, 0.1), params, linear_curve, Window(3, 1.0), soa)
+        with pytest.raises(ConfigurationError):
+            cc_window_probe(current, *args)
+        with pytest.raises(ConfigurationError):
+            oracle_module._cc_feasible(current, *args)
 
 
 class TestWarmSecant:
