@@ -48,20 +48,15 @@ CONSTRAINTS = ("current", "voltage", "soc")
 
 
 class Scenario(NamedTuple):
+    """One request's model inputs, in the positional order of every engine,
+    both oracles and ``error_lab.build_true_context``."""
+
     state: BatteryState
     params: BatteryParams
     curve: OcvCurve
-    soa: Soa
     window: Window
-    mode: str
     direction: Direction
-
-
-def _direction(name: str) -> Direction:
-    try:
-        return Direction(name)
-    except ValueError as exc:
-        raise InputError(f"unknown direction: {name!r}") from exc
+    soa: Soa
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
@@ -73,39 +68,24 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     # current the box admits (with the CP solvers' factor-2 margin).
     if not math.isfinite(2.0 * params.r1 * max(soa.i_max_dis, -soa.i_max_chg)):
         raise InputError("2 * r1 * max(i_max_dis, -i_max_chg) overflows")
-    try:
-        state = BatteryState(soc=args.soc, vp=args.vp)
-        window = Window(steps=args.steps, dt=args.dt)
-    except ConfigurationError as exc:
-        raise InputError(str(exc)) from exc
-    mode = getattr(args, "mode", "cc")
-    if mode not in MODES:
-        raise InputError(f"unknown mode: {mode!r}")
-    return Scenario(state, params, curve, soa, window, mode, _direction(args.direction))
+    state = BatteryState(soc=args.soc, vp=args.vp)
+    window = Window(steps=args.steps, dt=args.dt)
+    return Scenario(state, params, curve, window, Direction(args.direction), soa)
 
 
-def cmd_sop(scenario: Scenario, power_eval: str, tol_watts: float) -> tuple[int, str]:
+def cmd_sop(scenario: Scenario, mode: str, power_eval: str, tol_watts: float) -> tuple[int, str]:
     """Peak-power report for one scenario; exit 1 when infeasible."""
-    args = (
-        scenario.state,
-        scenario.params,
-        scenario.curve,
-        scenario.window,
-        scenario.direction,
-        scenario.soa,
-    )
     trace = None
-    if scenario.mode == "cc":
-        result = peak_cc.sop_cc(*args, power_eval=power_eval)
+    if mode == "cc":
+        result = peak_cc.sop_cc(*scenario, power_eval=power_eval)
     else:
         from . import modes  # a CC report never loads the stepwise engines
 
-        engine = getattr(modes, "sop_" + scenario.mode)
-        kwargs = {"tol_watts": tol_watts} if scenario.mode == "cp" else {}
-        result, trace = engine(*args, **kwargs)
+        kwargs = {"tol_watts": tol_watts} if mode == "cp" else {}
+        result, trace = getattr(modes, "sop_" + mode)(*scenario, **kwargs)
 
     pairs = [
-        ("mode", scenario.mode),
+        ("mode", mode),
         ("direction", scenario.direction.value),
         ("feasible", result.feasible),
         ("dominant", result.dominant),
@@ -151,19 +131,8 @@ def cmd_sweep_error(
     """Analytic-versus-empirical power-error sweep over a delta grid."""
     from . import error_lab
 
-    try:
-        src = error_lab.ErrorSource(source)
-    except ValueError as exc:
-        raise InputError(f"unknown error source: {source!r}") from exc
-    ctx = error_lab.build_true_context(
-        scenario.state,
-        scenario.params,
-        scenario.curve,
-        scenario.window,
-        scenario.direction,
-        scenario.soa,
-    )
-    rows = error_lab.sweep(src, grid, ctx, constraint)
+    ctx = error_lab.build_true_context(*scenario)
+    rows = error_lab.sweep(error_lab.ErrorSource(source), grid, ctx, constraint)
     header = "delta,analytic_dsop_w,empirical_dsop_w,residual_w,in_domain"
     return EXIT_OK, fileio.render_csv(header, rows)
 
@@ -181,11 +150,11 @@ def cmd_validate(
     A point whose rested state lies outside the SOA has no oracle bracket: its
     row reads ``nan`` for the oracle and residual and ``skipped`` for the
     verdict, it counts in ``points`` but not in ``passed``, and the grid runs on.
+    A point where the closed form has no finite answer is skipped the same
+    way, with ``nan`` for the analytic current too.
     """
     from . import oracle
 
-    if not soc_grid or not steps_list or not directions:
-        raise InputError("validation grid is empty")
     # The oracle bisects to a thousandth of the pass bound, so its own error
     # cannot decide a verdict.
     oracle_tol = tol_amps / 1000.0
@@ -195,24 +164,19 @@ def cmd_validate(
     failures = skipped = 0
     max_residual = 0.0
     for soc in soc_grid:
-        try:
-            state = BatteryState(soc=soc, vp=scenario.state.vp)
-        except ConfigurationError as exc:
-            raise InputError(str(exc)) from exc
+        state = BatteryState(soc=soc, vp=scenario.state.vp)
         for steps in steps_list:
             window = Window(steps=steps, dt=scenario.window.dt)
             for direction in directions:
-                result = peak_cc.sop_cc(
-                    state, scenario.params, scenario.curve, window, direction, scenario.soa
-                )
+                point = scenario._replace(state=state, window=window, direction=direction)
+                analytic = "nan"
                 try:
-                    brute = oracle.brute_peak_current_cc(
-                        state, scenario.params, scenario.curve, window, direction, scenario.soa,
-                        tol_amps=oracle_tol,
-                    )
-                except InfeasibleStateError:
+                    result = peak_cc.sop_cc(*point)
+                    analytic = result.i_mc
+                    brute = oracle.brute_peak_current_cc(*point, tol_amps=oracle_tol)
+                except (AnalyticDomainError, InfeasibleStateError):
                     skipped += 1
-                    cells = (result.i_mc, "nan", "nan", "skipped")
+                    cells = (analytic, "nan", "nan", "skipped")
                 else:
                     record = oracle.compare_report(result, brute, tol_amps, quantity="current")
                     max_residual = max(max_residual, abs(record.residual))
@@ -231,7 +195,7 @@ def cmd_validate(
 
 def _parse_grid(text: str) -> list[float]:
     """Comma list ("0.1,0.2") or start:stop:step range, inclusive of the stop
-    within half a step."""
+    within half a step; a grid keeps at least one point."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -251,7 +215,10 @@ def _parse_grid(text: str) -> list[float]:
         # 0.9000000000000001, and -0.3:0.3:0.1 passes through 0, not 5.6e-17.
         digits = 11 - math.floor(math.log10(max(abs(start), abs(stop), step)))
         points = [round(start + i * step, digits) for i in range(n + 1)]
-        return [p for p in points if p <= stop + step / 2]
+        points = [p for p in points if p <= stop + step / 2]
+        if not points:  # rounding carried the only point past the stop
+            raise InputError(f"range grid {text!r} keeps no point")
+        return points
     if not text:
         raise InputError("empty grid")
     return [fileio.parse_float(cell, "grid value") for cell in text.split(",")]
@@ -288,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_mode: bool = False) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--params", required=True, help="params file (key=value)")
         p.add_argument("--ocv", required=True, help="OCV table csv")
         p.add_argument("--soa", required=True, help="SOA file (key=value)")
@@ -300,11 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--direction", choices=[d.value for d in Direction], default="discharge"
         )
         p.add_argument("--out", default=None, help="write the report to this path")
-        if with_mode:
-            p.add_argument("--mode", choices=MODES, default="cc")
 
     p_sop = sub.add_parser("sop", help="peak-power report for one scenario")
-    add_common(p_sop, with_mode=True)
+    add_common(p_sop)
+    p_sop.add_argument("--mode", choices=MODES, default="cc")
     p_sop.add_argument(
         "--power-eval",
         choices=("end_of_window", "min_over_window"),
@@ -348,20 +314,16 @@ def main(argv: list[str] | None = None) -> int:
         scenario = _scenario_from_args(args)
         if args.command == "sop":
             tol_watts = _tolerance(args.tol_watts, "--tol-watts")
-            code, report = cmd_sop(scenario, args.power_eval, tol_watts)
+            code, report = cmd_sop(scenario, args.mode, args.power_eval, tol_watts)
         elif args.command == "sweep-error":
             grid = _parse_grid(args.grid)
             code, report = cmd_sweep_error(scenario, args.source, args.constraint, grid)
         elif args.command == "validate":
-            if args.directions == "both":
-                directions = [Direction.DISCHARGE, Direction.CHARGE]
-            else:
-                directions = [_direction(args.directions)]
             code, report = cmd_validate(
                 scenario,
                 _parse_grid(args.soc_grid),
                 _parse_steps_list(args.steps_list),
-                directions,
+                list(Direction) if args.directions == "both" else [Direction(args.directions)],
                 _tolerance(args.tol, "--tol"),
             )
         else:

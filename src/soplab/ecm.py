@@ -102,6 +102,13 @@ class BatteryParams(_Value):
             raise ConfigurationError(
                 f"capacity_ah {capacity_ah} is too small: eta / (3600 C_a) overflows"
             )
+        # A subnormal eta or a capacity near the float limit underflows it, and
+        # an overflowing step throughput times 0 would make the SOC NaN.
+        if not soc_per_amp_second > 0.0:
+            raise ConfigurationError(
+                f"coulombic_eff {coulombic_eff} / (3600 * capacity_ah {capacity_ah})"
+                " underflows to 0"
+            )
         _Value.__init__(self, r0, r1, tau, capacity_ah, coulombic_eff, soc_per_amp_second)
 
 
@@ -347,7 +354,9 @@ def simulate_profile(
 
     Each profile current flows from its own timestamp to the next one. Every
     sample reports the state at its timestamp with the just-started current's
-    ohmic drop, so the trace has exactly one row per profile row.
+    ohmic drop, so the trace has exactly one row per profile row. A sample
+    whose terminal voltage is not finite (an ohmic drop past the floats)
+    raises InputError.
     """
     rows = list(profile)
     if not rows:
@@ -368,18 +377,12 @@ def simulate_profile(
     if any(b <= a for a, b in zip(times, times[1:])):
         raise InputError("profile times must be strictly increasing")
 
-    trace = [
-        ProfileSample(
-            times[0],
-            currents[0],
-            state.soc,
-            state.vp,
-            ocv(curve, state.soc) - state.vp - currents[0] * params.r0,
-        )
-    ]
-    for j in range(1, len(rows)):
-        dt = times[j] - times[j - 1]
-        state, _ = step(state, params, curve, currents[j - 1], dt)
-        vt = ocv(curve, state.soc) - state.vp - currents[j] * params.r0
-        trace.append(ProfileSample(times[j], currents[j], state.soc, state.vp, vt))
+    trace = []
+    for j, (t, current) in enumerate(zip(times, currents)):
+        if j:
+            state, _ = step(state, params, curve, currents[j - 1], t - times[j - 1])
+        vt = ocv(curve, state.soc) - state.vp - current * params.r0
+        if not math.isfinite(vt):
+            raise InputError(f"profile row t={t}: terminal voltage {vt} is not finite")
+        trace.append(ProfileSample(t, current, state.soc, state.vp, vt))
     return trace

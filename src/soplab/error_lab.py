@@ -107,11 +107,9 @@ def _estimate(constraint: str, terms: WindowTerms) -> tuple[float, float, float]
     elif constraint == "voltage":
         current = peak_cc.cutoff_current(terms)
         vt = terms.cutoff
-    elif constraint == "soc":
+    else:  # "soc": both callers check the constraint first
         current = peak_cc.soc_bound_current(terms)
         vt = peak_cc.end_voltage(terms, current)
-    else:
-        raise ValueError(f"unknown constraint: {constraint!r}")
     return current, vt, current * vt
 
 

@@ -198,8 +198,8 @@ def brute_peak_current_cc(
     """
     if not (tol_amps > 0.0 and math.isfinite(tol_amps)):
         raise ValueError(f"tol_amps must be finite and > 0, got {tol_amps}")
-    rested_vt = ecm.ocv(curve, state.soc) - state.vp
-    if check_point(rested_vt, 0.0, state.soc, soa):
+    emf = ecm.ocv(curve, state.soc)
+    if check_point(emf - state.vp, 0.0, state.soc, soa):
         raise InfeasibleStateError("rested state lies outside the SOA")
 
     sign = direction.sign
@@ -207,9 +207,9 @@ def brute_peak_current_cc(
     # Cap the bracket with the instantaneous voltage headroom so the search
     # stays within a few dozen probes.
     if direction is Direction.DISCHARGE:
-        headroom = (ecm.ocv(curve, state.soc) - soa.vt_min + abs(state.vp)) / params.r0
+        headroom = (emf - soa.vt_min + abs(state.vp)) / params.r0
     else:
-        headroom = (soa.vt_max - ecm.ocv(curve, state.soc) + abs(state.vp)) / params.r0
+        headroom = (soa.vt_max - emf + abs(state.vp)) / params.r0
     hi = min(i_lim, headroom + 1.0)
 
     def probe(magnitude: float) -> Probe:

@@ -18,7 +18,7 @@ from .exceptions import AnalyticDomainError
 from .soa import Soa
 
 # Dominance label priority when constraint currents tie in magnitude.
-_TIE_PRIORITY = ("voltage", "soc", "current")
+_TIE_RANK = {"voltage": 0, "soc": 1, "current": 2}
 
 
 class Direction(enum.Enum):
@@ -132,12 +132,7 @@ def _toward(current: float, direction: Direction) -> float:
 
 def _compose(candidates: list[tuple[float, str]]) -> tuple[float, str]:
     """Minimum-magnitude current; ties resolved by fixed label priority."""
-    best_mag = min(abs(i) for i, _ in candidates)
-    by_label = {label: i for i, label in candidates}
-    for label in _TIE_PRIORITY:
-        if label in by_label and abs(by_label[label]) == best_mag:
-            return by_label[label], label
-    raise AssertionError("unreachable: tie priority covers all labels")
+    return min(candidates, key=lambda c: (abs(c[0]), _TIE_RANK[c[1]]))
 
 
 def sop_cc(
@@ -159,6 +154,8 @@ def sop_cc(
     "end_of_window" multiplies the peak current by the last-step voltage;
     "min_over_window" takes the smallest per-step power magnitude along the
     simulated window, which moves the binding step to the front for a charge.
+    An end voltage or a reported power past the floats raises
+    AnalyticDomainError.
     """
     if power_eval not in ("end_of_window", "min_over_window"):
         raise ValueError(f"unknown power_eval mode: {power_eval!r}")
@@ -195,6 +192,8 @@ def sop_cc(
             powers.append(i_mc * vt)
         power_signed = min(powers, key=abs)  # first smallest magnitude
         sop = abs(power_signed)
+    if not (math.isfinite(vt_end) and math.isfinite(power_signed)):
+        raise AnalyticDomainError(f"end voltage {vt_end} V or power {power_signed} W not finite")
 
     return SopResult(
         i_current_limit=i_current,

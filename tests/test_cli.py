@@ -182,7 +182,7 @@ class TestSopCommand:
             # The NaN polarization made the next SOC NaN: an IndexError in ecm.ocv.
             (
                 PARAMS_TEXT.replace("r1_ohm=0.03", "r1_ohm=1.7e308")
-                .replace("capacity_ah=2", "capacity_ah=1.7e308"),
+                .replace("capacity_ah=2", "capacity_ah=1e300"),
                 OCV_TEXT,
                 SOA_TEXT,
                 ["--mode", "cp", "--soc", "0.5", "--vp", "0.1", "-K", "30", "--dt", "1e-300"],
@@ -196,6 +196,25 @@ class TestSopCommand:
         code = main(["sop", *_base_args(files), "--direction", "charge", *argv])
         assert code == 2
         assert capsys.readouterr().out.startswith("error:")
+
+    @pytest.mark.parametrize("mode", ["cv", "cccv", "cp"])
+    def test_underflowing_soc_per_amp_second_exits_two(self, files, capsys, mode):
+        # eta / (3600 C_a) underflowed to 0 and current * dt overflowed: a
+        # trace row printed soc=nan at exit 0.
+        text = PARAMS_TEXT.replace("coulombic_eff=1", "coulombic_eff=5e-324")
+        Path(files["params"]).write_text(text)
+        argv = ["--mode", mode, "--dt=1.7e308", "-K", "1", "--direction", "charge"]
+        code = main(["sop", *_base_args(files), *argv])
+        assert code == 2
+        assert capsys.readouterr().out.endswith("underflows to 0\n")
+
+    @pytest.mark.parametrize("power_eval", ["end_of_window", "min_over_window"])
+    def test_overflowing_cc_power_exits_one(self, files, capsys, power_eval):
+        # i_mc * vt_end overflowed: the report said sop_w=inf, feasible=true.
+        argv = ["--vp=1.7e308", "--direction", "charge", "-K", "10", "--power-eval", power_eval]
+        code = main(["sop", *_base_args(files), *argv])
+        assert code == 1
+        assert capsys.readouterr().out.startswith("infeasible: end voltage")
 
     @pytest.mark.parametrize("mode", ["cc", "cp"])
     def test_overflowing_window_duration_exits_two(self, files, capsys, mode):
@@ -321,6 +340,24 @@ class TestSimulateCommand:
         profile = tmp_path / "profile.csv"
         profile.write_text("0,1\n1,1\n")
         assert main(["simulate", *_base_args(files), "--profile", str(profile)]) == 2
+
+    @pytest.mark.parametrize(
+        "params, profile",
+        [
+            # current * r0 overflowed: the row printed vt_v=-inf at exit 0.
+            (PARAMS_TEXT.replace("r0_ohm=0.05", "r0_ohm=1.7e308"), "0,0\n1,2\n"),
+            # eta / (3600 C_a) underflowed to 0: inf * 0 made the SOC NaN, and
+            # ecm.ocv raised IndexError.
+            (PARAMS_TEXT.replace("coulombic_eff=1", "coulombic_eff=5e-324"), "0,2\n1e308,2\n"),
+        ],
+        ids=["ohmic-drop", "soc-throughput"],
+    )
+    def test_overflowing_sample_exits_two(self, files, tmp_path, capsys, params, profile):
+        Path(files["params"]).write_text(params)
+        path = tmp_path / "profile.csv"
+        path.write_text("t_s,current_a\n" + profile)
+        assert main(["simulate", *_base_args(files), "--profile", str(path)]) == 2
+        assert capsys.readouterr().out.startswith("error:")
 
     def test_violation_annotation(self, files, tmp_path, capsys):
         profile = tmp_path / "profile.csv"
@@ -469,6 +506,38 @@ class TestValidateCommand:
         assert int(kv["passed"]) == sum(row[-1] == "true" for row in checked)
         assert float(kv["max_residual_a"]) == max(abs(float(row[5])) for row in checked)
 
+    def test_point_without_closed_form_skipped_not_fatal(self, files, capsys, monkeypatch):
+        # A closed form past the floats at one point flags that point; the
+        # grid runs on.
+        original = soplab.peak_cc.sop_cc
+
+        def overflowing_at_half(state, *args):
+            if state.soc == 0.5:
+                raise soplab.AnalyticDomainError("end voltage nan V or power nan W not finite")
+            return original(state, *args)
+
+        monkeypatch.setattr(soplab.peak_cc, "sop_cc", overflowing_at_half)
+        code = main(
+            [
+                "validate", *_base_args(files),
+                "--soc-grid", "0.3,0.5", "--steps-list", "10", "--directions", "discharge",
+            ]
+        )
+        report = capsys.readouterr().out
+        assert code == 1
+        assert report.splitlines()[2] == "0.5,10,discharge,nan,nan,nan,skipped"
+        assert report.splitlines()[1].endswith(",true")
+        assert (_kv(report)["points"], _kv(report)["passed"]) == ("2", "1")
+
+    def test_infinite_ocv_slope_skipped(self, files, capsys):
+        # Knots 5e-324 apart make the OCV slope inf: the closed form's end
+        # voltage is nan, which the report used to compare as a 0 A answer.
+        Path(files["ocv"]).write_text("soc,ocv_volts\n0,3.0\n5e-324,3.1\n")
+        code = main(["validate", *_base_args(files), "--soc-grid", "0.5", "--steps-list", "2,30"])
+        rows = capsys.readouterr().out.splitlines()[1:5]
+        assert code == 1
+        assert [row.split(",")[3:] for row in rows] == [["nan", "nan", "nan", "skipped"]] * 4
+
     def test_range_grid_ends_on_its_stop(self, files, capsys):
         # 0.3 + 6 * 0.1 is 0.9000000000000001, past soc_max; each point must be
         # the decimal the range names, so no row is skipped.
@@ -556,6 +625,24 @@ def test_oversized_range_grid_exits_two_before_building(files, capsys, monkeypat
     code = main([argv[0], *_base_args(files), *argv[1:], grid])
     assert code == 2
     assert capsys.readouterr().out.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--steps-list", "10", "--soc-grid"],
+        ["sweep-error", "--source", "soc", "--constraint", "soc", "--grid"],
+    ],
+)
+def test_range_grid_keeping_no_point_exits_two(files, capsys, argv):
+    # Rounding carries the only point past stop + step / 2: sweep-error ended
+    # in a ValueError traceback from error_lab.sweep.
+    grid = "0.0001234567890125:0.0001234567890125:1e-20"
+    with pytest.raises(soplab.InputError, match="keeps no point"):
+        _parse_grid(grid)
+    code = main([argv[0], *_base_args(files), *argv[1:], grid])
+    assert code == 2
+    assert capsys.readouterr().out == f"error: range grid {grid!r} keeps no point\n"
 
 
 def test_range_grid_size_limit_is_exact(monkeypatch):

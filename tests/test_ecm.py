@@ -293,6 +293,15 @@ class TestSimulateProfile:
         with pytest.raises(InputError):
             simulate_profile(state_half, params, linear_curve, [(0.0, 1.0), (0.0, 1.0)])
 
+    @pytest.mark.parametrize(
+        "profile", [[(0.0, 0.0), (1.0, 2.0)], [(0.0, -2.0)]], ids=["minus-inf", "plus-inf"]
+    )
+    def test_overflowing_ohmic_drop_rejected(self, linear_curve, state_half, profile):
+        # current * r0 overflows: the sample's terminal voltage was +-inf.
+        params = BatteryParams(1.7e308, 0.03, 10.0, 2.0)
+        with pytest.raises(InputError, match="terminal voltage -?inf is not finite"):
+            simulate_profile(state_half, params, linear_curve, profile)
+
     def test_malformed_row_rejected(self, params, linear_curve, state_half):
         with pytest.raises(InputError):
             simulate_profile(state_half, params, linear_curve, [(0.0, "x")])

@@ -300,6 +300,13 @@ class TestMinOverWindowMode:
         )
         assert literal.sop == pytest.approx(default.sop, abs=1e-11)
 
+    @pytest.mark.parametrize("power_eval", ["end_of_window", "min_over_window"])
+    def test_overflowing_power_raises(self, params, linear_curve, soa, window_10, power_eval):
+        # i_mc * vt_end overflows: the report said sop_w=inf, feasible=true.
+        state = BatteryState(0.5, 1.7e308)
+        with pytest.raises(AnalyticDomainError, match="not finite"):
+            sop_cc(state, params, linear_curve, window_10, CHG, soa, power_eval=power_eval)
+
     def test_unknown_mode_rejected(self, params, linear_curve, soa, state_half, window_10):
         with pytest.raises(ValueError):
             sop_cc(state_half, params, linear_curve, window_10, DIS, soa, power_eval="median")

@@ -82,7 +82,7 @@ def _records(params, curve, soa):
         predict_cc(state, params, curve, 1.2, 5.0, window),
         analytic_error(ErrorSource.SOC, 0.01, ctx, "soc"),
         ctx,
-        Scenario(state, params, curve, soa, window, "cc", direction),
+        Scenario(state, params, curve, window, direction, soa),
     ]
 
 

@@ -186,3 +186,15 @@ def test_derived_values_are_finite():
     with pytest.raises(ConfigurationError, match="duration"):
         Window(10**400, 1.0)
     assert Window(1, 1.7e308).duration == 1.7e308
+
+
+@pytest.mark.parametrize(
+    "capacity_ah, eff", [(2.0, 5e-324), (5e304, 1.0), (1.7e308, 1.0)], ids=["eta", "capacity", "max"]
+)
+def test_soc_per_amp_second_must_not_underflow(capacity_ah, eff):
+    # eta / (3600 C_a) underflows to 0: a step whose throughput current * dt
+    # overflows then computed inf * 0, a NaN SOC.
+    with pytest.raises(ConfigurationError, match="underflows to 0"):
+        BatteryParams(0.05, 0.03, 10.0, capacity_ah, eff)
+    assert BatteryParams(0.05, 0.03, 10.0, 1e300).soc_per_amp_second > 0.0
+    assert BatteryParams(0.05, 0.03, 10.0, 1e-300, 5e-324).soc_per_amp_second > 0.0
