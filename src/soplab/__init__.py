@@ -50,7 +50,6 @@ _EXPORTS_BY_MODULE = {
         "ModeShift",
         "PomStep",
         "PomTrace",
-        "constant_current_trace",
         "find_mode_shift_kc",
         "solve_cp_step",
         "sop_cccv",

@@ -138,6 +138,9 @@ class OcvCurve(_Value):
             raise ConfigurationError("OCV curve must be non-decreasing in voltage")
         if not (0.0 <= socs[0] and socs[-1] <= 1.0):
             raise ConfigurationError("OCV curve SOC values must lie in [0, 1]")
+        for (s0, v0), (s1, v1) in zip(pts, pts[1:]):  # knots too close for the floats
+            if not math.isfinite((v1 - v0) / (s1 - s0)):
+                raise ConfigurationError(f"OCV curve segment {s0}..{s1} has a non-finite slope")
         _Value.__init__(self, pts, socs)
 
 
@@ -377,11 +380,12 @@ def simulate_profile(
     if any(b <= a for a, b in zip(times, times[1:])):
         raise InputError("profile times must be strictly increasing")
 
+    lookup = ocv_cursor(curve)  # the row voltages' OCV; step bisects its own
     trace = []
     for j, (t, current) in enumerate(zip(times, currents)):
         if j:
             state, _ = step(state, params, curve, currents[j - 1], t - times[j - 1])
-        vt = ocv(curve, state.soc) - state.vp - current * params.r0
+        vt = lookup(state.soc) - state.vp - current * params.r0
         if not math.isfinite(vt):
             raise InputError(f"profile row t={t}: terminal voltage {vt} is not finite")
         trace.append(ProfileSample(t, current, state.soc, state.vp, vt))

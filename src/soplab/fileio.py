@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .ecm import BatteryParams, OcvCurve
 from .exceptions import ConfigurationError, InputError
@@ -21,6 +21,8 @@ _PARAMS_KEYS = ("r0_ohm", "r1_ohm", "tau_s", "capacity_ah", "coulombic_eff")
 _SOA_KEYS = ("vt_min", "vt_max", "i_max_dis", "i_max_chg", "soc_min", "soc_max")
 _OCV_HEADER = "soc,ocv_volts"
 _PROFILE_HEADER = "t_s,current_a"
+
+_T = TypeVar("_T")
 
 
 def format_float(value: float) -> str:
@@ -63,7 +65,8 @@ def _read_lines(path: str | Path, what: str) -> list[str]:
     return text.splitlines()
 
 
-def _read_keyvalue(path: str | Path, keys: tuple[str, ...], what: str) -> dict[str, float]:
+def _read_keyvalue(path: str | Path, keys: tuple[str, ...], what: str) -> list[float]:
+    """The file's values in the order of ``keys``, each key given once."""
     values: dict[str, float] = {}
     for lineno, raw in enumerate(_read_lines(path, what), 1):
         line = raw.strip()
@@ -81,36 +84,23 @@ def _read_keyvalue(path: str | Path, keys: tuple[str, ...], what: str) -> dict[s
     missing = [k for k in keys if k not in values]
     if missing:
         raise InputError(f"{what} file {path}: missing keys {missing}")
-    return values
+    return [values[k] for k in keys]
+
+
+def _build(make: Callable[..., _T], args: Iterable[object], what: str, path: str | Path) -> _T:
+    """``make(*args)``, its ConfigurationError reported against the file."""
+    try:
+        return make(*args)
+    except ConfigurationError as exc:
+        raise InputError(f"{what} file {path}: {exc}") from exc
 
 
 def read_params(path: str | Path) -> BatteryParams:
-    v = _read_keyvalue(path, _PARAMS_KEYS, "params")
-    try:
-        return BatteryParams(
-            r0=v["r0_ohm"],
-            r1=v["r1_ohm"],
-            tau=v["tau_s"],
-            capacity_ah=v["capacity_ah"],
-            coulombic_eff=v["coulombic_eff"],
-        )
-    except ConfigurationError as exc:
-        raise InputError(f"params file {path}: {exc}") from exc
+    return _build(BatteryParams, _read_keyvalue(path, _PARAMS_KEYS, "params"), "params", path)
 
 
 def read_soa(path: str | Path) -> Soa:
-    v = _read_keyvalue(path, _SOA_KEYS, "soa")
-    try:
-        return Soa(
-            vt_min=v["vt_min"],
-            vt_max=v["vt_max"],
-            i_max_dis=v["i_max_dis"],
-            i_max_chg=v["i_max_chg"],
-            soc_min=v["soc_min"],
-            soc_max=v["soc_max"],
-        )
-    except ConfigurationError as exc:
-        raise InputError(f"soa file {path}: {exc}") from exc
+    return _build(Soa, _read_keyvalue(path, _SOA_KEYS, "soa"), "soa", path)
 
 
 def _read_csv(
@@ -138,11 +128,7 @@ def _read_csv(
 
 
 def read_ocv(path: str | Path) -> OcvCurve:
-    rows = _read_csv(path, _OCV_HEADER, "ocv")
-    try:
-        return OcvCurve(tuple(rows))
-    except ConfigurationError as exc:
-        raise InputError(f"ocv file {path}: {exc}") from exc
+    return _build(OcvCurve, [_read_csv(path, _OCV_HEADER, "ocv")], "ocv", path)
 
 
 def read_profile(path: str | Path) -> list[tuple[float, float]]:

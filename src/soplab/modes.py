@@ -89,33 +89,15 @@ def _trace(
     return tuple(steps)
 
 
-def constant_current_trace(
+def _sop_hold(
     state: BatteryState,
     params: BatteryParams,
     curve: OcvCurve,
-    current: float,
-    window: Window,
-) -> PomTrace:
-    """Hold-style trace of a constant current: the CC window that a CC-CV
-    window reproduces when its cut-off is never reached, for cross-mode
-    comparisons. No engine calls it."""
-    def drive(j: int, soc: float, emf: float) -> tuple[float, float]:
-        return current, emf - current * params.r0
-
-    lookup = ecm.ocv_cursor(curve)
-    return PomTrace(_trace(state, params, lookup, window, drive, lookup(state.soc)))
-
-
-def _hold_trace(
-    state: BatteryState,
-    params: BatteryParams,
-    lookup: Callable[[float], float],
     window: Window,
     direction: Direction,
     soa: Soa,
     cv: bool,
-    v_oc: float,
-) -> tuple[tuple[PomStep, ...], str, int | None, PomStep | None]:
+) -> tuple[SopResult, PomTrace]:
     """Hold a voltage level across the window, each step's hold current
     clipped to the direction's sign, the current limit and the SOC headroom;
     a clipped step carries its own ohmic drop.
@@ -124,11 +106,10 @@ def _hold_trace(
     step's terminal voltage short of the cut-off, the window is "current"-
     governed, otherwise "voltage"-governed. The level is the cut-off, except
     that a current-governed ``cv`` window runs step one at the limit itself
-    and holds the voltage that results. Returns the steps, the governing
-    bound, the first step whose hold current went unclipped (or None) and the
-    first step of minimum |power|, or None in its place when the trace leaves
-    the SOA box. ``v_oc`` is the OCV at the state's SOC, step one's lookup
-    through the OCV cursor ``lookup``."""
+    and holds the voltage that results. The first step of minimum |power|
+    binds. Without ``cv``, a current-governed window whose hold current goes
+    unclipped at some step is "dual"-governed and reports that step as its
+    mode shift. A trace that leaves the SOA box gives the zero result."""
     r0 = params.r0
     headroom_div = window.dt * params.soc_per_amp_second
     i_lim, bound = direction.current_limit(soa), direction.soc_bound(soa)
@@ -175,6 +156,8 @@ def _hold_trace(
             vt = emf - current * r0
         return current, vt
 
+    lookup = ecm.ocv_cursor(curve)
+    v_oc = lookup(state.soc)
     steps = _trace(state, params, lookup, window, drive, v_oc)
     # The SOA check at the trace's corners, as in _cp_probe. Every current lies
     # between 0 and i_lim, inside the box, so the SOC moves one way: the vt
@@ -184,9 +167,14 @@ def _hold_trace(
     if check_point(min(vts), i_lim, min(soc_first, soc_last), soa) or check_point(
         max(vts), 0.0, max(soc_first, soc_last), soa
     ):
-        return steps, governed, k_c, None
-    # The first minimum binds.
-    return steps, governed, k_c, min(steps, key=lambda row: abs(row.power))
+        return _no_power(state, v_oc)
+    binding = min(steps, key=lambda row: abs(row.power))  # the first minimum binds
+    if cv or governed == "voltage":
+        dominant, k_c = governed, None
+    else:
+        dominant = "current" if k_c is None else "dual"
+    result = _stepwise_result(binding.current, dominant, steps[-1].vt, binding.power)
+    return result, PomTrace(steps, mode_shift_index=k_c)
 
 
 def _stepwise_result(i_mc: float, dominant: str, vt_end: float, power_signed: float) -> SopResult:
@@ -230,15 +218,7 @@ def sop_cv(
     anywhere (a polarization that drives the voltage past either cut-off, or a
     state already outside the box) delivers no power: ``sop_cp``'s zero result.
     """
-    lookup = ecm.ocv_cursor(curve)
-    v_oc = lookup(state.soc)
-    steps, governed, _, binding = _hold_trace(
-        state, params, lookup, window, direction, soa, True, v_oc
-    )
-    if binding is None:
-        return _no_power(state, v_oc)
-    result = _stepwise_result(binding.current, governed, steps[-1].vt, binding.power)
-    return result, PomTrace(steps)
+    return _sop_hold(state, params, curve, window, direction, soa, True)
 
 
 def find_mode_shift_kc(
@@ -264,7 +244,7 @@ def find_mode_shift_kc(
 
     def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
         nonlocal crossing
-        vt = emf - i_lim * r0  # constant_current_trace's step at the limit
+        vt = emf - i_lim * r0  # a constant-current step at the limit
         overshoot = (cutoff - vt) * sign
         if overshoot >= 0.0:  # cut-off reached or crossed: stop here
             crossing = (j, overshoot)
@@ -301,19 +281,7 @@ def sop_cccv(
     called here. A trace that leaves the SOA box gives ``sop_cp``'s zero
     result, as in ``sop_cv``.
     """
-    lookup = ecm.ocv_cursor(curve)
-    v_oc = lookup(state.soc)
-    steps, governed, k_c, binding = _hold_trace(
-        state, params, lookup, window, direction, soa, False, v_oc
-    )
-    if binding is None:
-        return _no_power(state, v_oc)
-    if governed == "voltage":
-        dominant, k_c = governed, None
-    else:
-        dominant = "current" if k_c is None else "dual"
-    result = _stepwise_result(binding.current, dominant, steps[-1].vt, binding.power)
-    return result, PomTrace(steps, mode_shift_index=k_c)
+    return _sop_hold(state, params, curve, window, direction, soa, False)
 
 
 def _cp_current(emf: float, r0: float, power: float) -> float | None:

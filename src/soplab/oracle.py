@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 from . import ecm
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
 from .exceptions import ConfigurationError, InfeasibleStateError
-from .peak_cc import Direction, SopResult
+from .peak_cc import Direction
 from .soa import Soa, check_point
 
 
@@ -29,6 +29,9 @@ from .soa import Soa, check_point
 ITP_N0 = 1
 ITP_K1 = 0.2
 
+# Secant iterations per CP oracle step before the step counts as rootless.
+SECANT_MAX_ITER = 60
+
 
 class BrutePower(NamedTuple):
     watts: float
@@ -36,7 +39,6 @@ class BrutePower(NamedTuple):
 
 
 class ValidationRecord(NamedTuple):
-    quantity: str  # "current" or "power"
     analytic: float
     brute: float
     residual: float
@@ -225,7 +227,7 @@ def brute_peak_current_cc(
 
 
 def _secant_cp_current(
-    emf: float, r0: float, power: float, guess: float | None = None, max_iter: int = 60
+    emf: float, r0: float, power: float, guess: float | None = None
 ) -> float | None:
     """Physical-branch current with I*(emf - I*r0) = power, by secant
     iteration on the power residual I*(emf - I*r0) - power. None when no root
@@ -247,7 +249,7 @@ def _secant_cp_current(
     f1 = i1 * (emf - i1 * r0) - power
     f_tol = 1e-12 * max(1.0, abs(power))
     i_cap = abs(emf / r0)
-    for _ in range(max_iter):
+    for _ in range(SECANT_MAX_ITER):
         if abs(f1) <= f_tol:
             # Reject the non-physical branch beyond the power vertex.
             if abs(i1) > abs(emf) / (2.0 * r0) * (1.0 + 1e-9):
@@ -350,20 +352,12 @@ def brute_peak_power_cp(
     )
 
 
-def compare_report(
-    analytic: SopResult, brute: float, tol: float, quantity: str = "current"
-) -> ValidationRecord:
-    """Pass/fail record for one analytic-vs-brute comparison.
-
-    ``quantity`` selects which analytic figure is compared: the
-    multi-constraint peak current or the peak power magnitude. The check is
-    inclusive: a residual exactly at ``tol`` passes.
+def compare_report(analytic: float, brute: float, tol: float) -> ValidationRecord:
+    """Pass/fail record for one analytic-vs-brute comparison of the same
+    figure: a peak current (``SopResult.i_mc``) against
+    ``brute_peak_current_cc``, or a peak power (``SopResult.sop``) against
+    ``brute_peak_power_cp``. The check is inclusive: a residual exactly at
+    ``tol`` passes.
     """
-    if quantity == "current":
-        value = analytic.i_mc
-    elif quantity == "power":
-        value = analytic.sop
-    else:
-        raise ValueError(f"unknown quantity: {quantity!r}")
-    residual = value - brute
-    return ValidationRecord(quantity, value, brute, residual, tol, abs(residual) <= tol)
+    residual = analytic - brute
+    return ValidationRecord(analytic, brute, residual, tol, abs(residual) <= tol)

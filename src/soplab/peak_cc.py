@@ -165,7 +165,7 @@ def sop_cc(
     i_current = terms.i_lim
     if terms.y > 0.0:
         i_soc = _toward(soc_bound_current(terms), direction)
-    else:  # K*dt*soc_per_amp_second underflowed: no SOC moves, as in modes._hold_trace
+    else:  # K*dt*soc_per_amp_second underflowed: no SOC moves, as in modes._sop_hold
         i_soc = math.inf * direction.sign
     i_voltage = _toward(cutoff_current(terms), direction)
     i_mc, _ = _compose(

@@ -1,13 +1,15 @@
 """Helpers shared by the engine tests: a fixed NMC-like OCV table, a
 hypothesis strategy for random monotone ones, a spy on the OCV slope
-``sop_cc`` settles on, plain-bisection references for the oracles, and
-reference window loops for the oracles' own."""
+``sop_cc`` settles on, the constant-current reference trace for the CC-CV
+engine, plain-bisection references for the oracles, and reference window
+loops for the oracles' own."""
 
 import math
 
 import pytest
 from hypothesis import strategies as st
 
+import soplab.modes as modes
 import soplab.peak_cc as peak_cc
 from soplab import Direction, InfeasibleStateError, OcvCurve, check_point, ecm
 from soplab.oracle import BrutePower, Probe, _box_slack, _cp_feasible_trace
@@ -54,6 +56,18 @@ def second_pass_slope(run):
         result = run()
     assert len(slopes) == 2
     return result, slopes[-1]
+
+
+def constant_current_trace(state, params, curve, current, window):
+    """Hold-style trace of a constant current on the engines' own step,
+    ``modes._trace``: the CC window that a CC-CV window reproduces when its
+    cut-off is never reached."""
+
+    def drive(j, soc, emf):
+        return current, emf - current * params.r0
+
+    lookup = ecm.ocv_cursor(curve)
+    return modes.PomTrace(modes._trace(state, params, lookup, window, drive, lookup(state.soc)))
 
 
 # Plain-bisection references: the oracles' loops before their probes were

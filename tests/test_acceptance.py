@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 import soplab.oracle
+from support import constant_current_trace
 from soplab import (
     BatteryParams,
     BatteryState,
@@ -30,7 +31,6 @@ from soplab import (
     brute_peak_current_cc,
     build_true_context,
     check_point,
-    constant_current_trace,
     empirical_error,
     find_mode_shift_kc,
     ocv,

@@ -290,6 +290,22 @@ class TestSopCommand:
         assert checked > 0
 
 
+@pytest.mark.parametrize(
+    "which, text, refusal",
+    [
+        ("params", PARAMS_TEXT.replace("r0_ohm=0.05", "r0_ohm=0"), "r0 must be > 0, got 0.0"),
+        ("soa", SOA_TEXT.replace("vt_min=2.8", "vt_min=4.5"), "vt_min must be < vt_max"),
+        ("ocv", "soc,ocv_volts\n0,4.2\n1,3.0\n", "OCV curve must be non-decreasing in voltage"),
+    ],
+)
+def test_refused_file_values_exit_two_naming_the_file(files, capsys, which, text, refusal):
+    # Each reader builds its value through the validating constructor and
+    # reports a refusal against the file it read.
+    Path(files[which]).write_text(text)
+    assert main(["sop", *_base_args(files)]) == 2
+    assert capsys.readouterr().out == f"error: {which} file {files[which]}: {refusal}\n"
+
+
 @pytest.mark.parametrize("which", ["params", "ocv", "soa", "profile"])
 def test_non_utf8_input_file_exits_two(files, tmp_path, capsys, which):
     profile = tmp_path / "profile.csv"
@@ -529,14 +545,20 @@ class TestValidateCommand:
         assert report.splitlines()[1].endswith(",true")
         assert (_kv(report)["points"], _kv(report)["passed"]) == ("2", "1")
 
-    def test_infinite_ocv_slope_skipped(self, files, capsys):
+    def test_infinite_ocv_slope_exits_two(self, files, capsys):
         # Knots 5e-324 apart make the OCV slope inf: the closed form's end
-        # voltage is nan, which the report used to compare as a 0 A answer.
+        # voltage was nan and every validate point skipped, while the
+        # stepwise engines and the oracle answered. The table is refused.
         Path(files["ocv"]).write_text("soc,ocv_volts\n0,3.0\n5e-324,3.1\n")
-        code = main(["validate", *_base_args(files), "--soc-grid", "0.5", "--steps-list", "2,30"])
-        rows = capsys.readouterr().out.splitlines()[1:5]
-        assert code == 1
-        assert [row.split(",")[3:] for row in rows] == [["nan", "nan", "nan", "skipped"]] * 4
+        for argv in (
+            ["validate", "--soc-grid", "0.5", "--steps-list", "2,30"],
+            ["sop", "--mode", "cc"],
+            ["sop", "--mode", "cccv", "--direction", "charge"],
+        ):
+            assert main([*argv, *_base_args(files)]) == 2
+            out = capsys.readouterr().out
+            assert out.startswith(f"error: ocv file {files['ocv']}: ")
+            assert out.endswith("has a non-finite slope\n")
 
     def test_range_grid_ends_on_its_stop(self, files, capsys):
         # 0.3 + 6 * 0.1 is 0.9000000000000001, past soc_max; each point must be

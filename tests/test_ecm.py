@@ -2,6 +2,7 @@
 
 import math
 import re
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from soplab import (
     simulate_profile,
     step,
 )
+import soplab.ecm as ecm
 from soplab.ecm import ocv_cursor
 from support import monotone_ocv
 
@@ -307,6 +309,34 @@ class TestSimulateProfile:
             simulate_profile(state_half, params, linear_curve, [(0.0, "x")])
         with pytest.raises(InputError):
             simulate_profile(state_half, params, linear_curve, [])
+
+    def test_one_ocv_cursor_per_replay(self, params, knee_curve, monkeypatch):
+        # Discharge across the knot at 0.5, charge, rest: 100 rows. Each row's
+        # voltage is read through one OCV cursor, so ecm.ocv runs once per
+        # step (inside ecm.step) and once per segment the replay enters, not
+        # once more per row (199 calls before); the rows are ecm.step's plus
+        # an ecm.ocv lookup, bit for bit.
+        profile = [(float(t), 30.0 if t < 50 else -20.0 if t < 80 else 0.0) for t in range(100)]
+        state = sim = BatteryState(0.56, 0.05)
+        want = []
+        for j, (t, current) in enumerate(profile):
+            if j:
+                sim = step(sim, params, knee_curve, profile[j - 1][1], 1.0).state
+            vt = ocv(knee_curve, sim.soc) - sim.vp - current * params.r0
+            want.append((t, current, sim.soc, sim.vp, vt))
+        socs, lookup = [], ecm.ocv
+
+        def counted(curve, soc):
+            socs.append(soc)
+            return lookup(curve, soc)
+
+        monkeypatch.setattr(ecm, "ocv", counted)
+        trace = simulate_profile(state, params, knee_curve, profile)
+        assert [tuple(row) for row in trace] == want
+        segments = [bisect_right(knee_curve.socs, row.soc) for row in trace]
+        entered = 1 + sum(a != b for a, b in zip(segments, segments[1:]))
+        assert entered == 2
+        assert len(socs) <= (len(profile) - 1) + entered + 1
 
 
 class TestValidation:

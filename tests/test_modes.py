@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import soplab.modes as modes
-from support import NMC_CURVE, monotone_ocv
+from support import NMC_CURVE, constant_current_trace, monotone_ocv
 from soplab import (
     BatteryParams,
     BatteryState,
@@ -24,7 +24,6 @@ from soplab import (
     brute_peak_power_cp,
     check_point,
     check_trace,
-    constant_current_trace,
     find_mode_shift_kc,
     ocv,
     solve_cp_step,
@@ -726,7 +725,6 @@ class TestCccvShiftDecision:
             raise AssertionError("sop_cccv must not simulate a pre-pass")
 
         monkeypatch.setattr(modes, "find_mode_shift_kc", forbidden)
-        monkeypatch.setattr(modes, "constant_current_trace", forbidden)
         got = [
             sop_cccv(state, params, linear_curve, window, direction, soa)
             for state, window, direction in grid
@@ -761,3 +759,41 @@ class TestCccvShiftDecision:
             assert result.vt_end == ocv(NMC_CURVE, state.soc) - state.vp
             assert ocv_counter.lookups == steps
             assert ocv_counter.bisections <= ocv_counter.segments(NMC_CURVE, ocv_counter.socs) + 1
+
+
+class TestHoldEngine:
+    """CV and CC-CV are one hold engine that differs only in how step one
+    sets the level."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        curve=monotone_ocv(),
+        soc=st.floats(0.0, 1.0),
+        vp=st.floats(-0.6, 0.6),
+        steps=st.sampled_from([1, 2, 10, 30, 60]),
+        dt=st.sampled_from([0.1, 1.0, 5.0]),
+        direction=st.sampled_from([DIS, CHG]),
+    )
+    def test_cv_and_cccv_share_the_hold(self, curve, soc, vp, steps, dt, direction):
+        params = BatteryParams(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
+        soa = Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9)
+        args = (BatteryState(soc, vp), params, curve, Window(steps, dt), direction, soa)
+        limit, cutoff, sign = direction.current_limit(soa), direction.vt_cutoff(soa), direction.sign
+        cv, cccv = sop_cv(*args), sop_cccv(*args)
+        # Voltage-governed: the current limit already passes the cut-off at
+        # step one, so both engines hold the cut-off from there on.
+        emf = ocv(curve, soc) - vp * math.exp(-dt / params.tau)
+        if (cutoff - (emf - limit * params.r0)) * sign > 0.0:
+            assert cv == cccv
+            assert cv[0].dominant == "voltage" and cv[1].mode_shift_index is None
+        # A cut-off never reached (by a margin), no SOC bound crossed and a
+        # trace inside the box: CC-CV is the constant current at the limit.
+        reference = constant_current_trace(args[0], params, curve, limit, args[3])
+        bound = direction.soc_bound(soa)
+        if (
+            all((cutoff - row.vt) * sign < -1e-9 for row in reference.steps)
+            and all((row.soc - bound) * sign > 1e-9 for row in reference.steps)
+            and not check_trace(reference.steps, soa)
+        ):
+            assert cccv[1] == reference
+            assert cccv[0].dominant == "current" and cccv[0].i_mc == limit

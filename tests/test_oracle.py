@@ -338,15 +338,15 @@ def test_non_finite_tolerance_rejected(
 class TestCompareReport:
     def test_identical_inputs_zero_residual(self, params, linear_curve, soa, state_half, window_10):
         result = sop_cc(state_half, params, linear_curve, window_10, DIS, soa)
-        record = compare_report(result, result.i_mc, 1e-6)
+        record = compare_report(result.i_mc, result.i_mc, 1e-6)
         assert record.residual == 0.0
         assert record.passed
 
     def test_residual_exactly_at_tolerance_passes(self, params, linear_curve, soa, state_half, window_10):
         result = sop_cc(state_half, params, linear_curve, window_10, DIS, soa)
-        record = compare_report(result, result.i_mc - 1e-6, 1e-6)
+        record = compare_report(result.i_mc, result.i_mc - 1e-6, 1e-6)
         assert record.passed
-        record = compare_report(result, result.i_mc - 2e-6, 1e-6)
+        record = compare_report(result.i_mc, result.i_mc - 2e-6, 1e-6)
         assert not record.passed
 
     def test_grid_sweep_emits_one_record_per_point(self, params, linear_curve, soa):
@@ -357,17 +357,21 @@ class TestCompareReport:
                 state = BatteryState(soc)
                 analytic = sop_cc(state, params, linear_curve, window, DIS, soa)
                 brute = brute_peak_current_cc(state, params, linear_curve, window, DIS, soa)
-                records.append(compare_report(analytic, brute, 1e-6))
+                records.append(compare_report(analytic.i_mc, brute, 1e-6))
         assert len(records) == 6
         assert all(r.passed for r in records)
 
-    def test_power_quantity_selector(self, params, linear_curve, soa, state_half, window_10):
-        result, _ = sop_cp(state_half, params, linear_curve, window_10, DIS, soa)
-        record = compare_report(result, result.sop, 1e-6, quantity="power")
-        assert record.quantity == "power"
-        assert record.passed
-        with pytest.raises(ValueError):
-            compare_report(result, 0.0, 1e-6, quantity="energy")
+    def test_peak_power_case(self, params, linear_curve, soa, state_half, window_10):
+        # A CP check compares the power magnitude against the CP oracle.
+        for direction in (DIS, CHG):
+            args = (state_half, params, linear_curve, window_10, direction, soa)
+            result, _ = sop_cp(*args)
+            brute = brute_peak_power_cp(*args)
+            assert not brute.saturated
+            record = compare_report(result.sop, brute.watts, 1e-6)
+            assert (record.analytic, record.brute) == (result.sop, brute.watts)
+            assert record.residual == result.sop - brute.watts
+            assert record.passed
 
 
 def test_oracle_module_does_not_call_closed_forms():
@@ -379,7 +383,7 @@ def test_oracle_module_does_not_call_closed_forms():
     for forbidden in (
         "sop_cc(", "predict_cc(", "sop_cv(", "sop_cccv(", "sop_cp(", "solve_cp_step(",
         "window_terms(", "cutoff_current(", "soc_bound_current(", "end_voltage(",
-        "_hold_trace(", "_cp_probe(",
+        "_sop_hold(", "_cp_probe(",
         # The engine's probe placement: ITP and its slack are the oracle's own.
         "_normalised_margin(", "_CpMargins", "_toward(",
     ):

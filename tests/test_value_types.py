@@ -198,3 +198,22 @@ def test_soc_per_amp_second_must_not_underflow(capacity_ah, eff):
         BatteryParams(0.05, 0.03, 10.0, capacity_ah, eff)
     assert BatteryParams(0.05, 0.03, 10.0, 1e300).soc_per_amp_second > 0.0
     assert BatteryParams(0.05, 0.03, 10.0, 1e-300, 5e-324).soc_per_amp_second > 0.0
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        ((0.0, 3.0), (5e-324, 3.1)),  # a subnormal run: 0.1 / 5e-324 overflows
+        ((0.0, 3.0), (1e-320, 3.0), (2e-320, 3.5), (1.0, 4.2)),  # an inner segment
+        ((0.0, -1e308), (1.0, 1e308)),  # the rise itself overflows
+    ],
+    ids=["subnormal-run", "inner-run", "rise"],
+)
+def test_ocv_curve_rejects_a_non_finite_segment_slope(points):
+    # Such a table gave sop_cc an infinite kappa (an end voltage of nan),
+    # while the stepwise engines and the CC oracle answered (-4 A on a charge
+    # window at soc 0.5, K = 10).
+    with pytest.raises(ConfigurationError, match="non-finite slope"):
+        OcvCurve(points)
+    # Steep but finite is a table: 1e299 V per unit SOC.
+    assert OcvCurve(((0.0, 3.0), (1e-300, 3.1), (1.0, 4.2))).socs == (0.0, 1e-300, 1.0)
