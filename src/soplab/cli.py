@@ -23,7 +23,7 @@ from .exceptions import (
     InputError,
 )
 from .peak_cc import Direction
-from .soa import Soa, check_point
+from .soa import Soa, check_load, check_point
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -64,10 +64,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     params = fileio.read_params(args.params)
     curve = fileio.read_ocv(args.ocv)
     soa = fileio.read_soa(args.soa)
-    # The polarization's load term, current * r1, must stay finite at every
-    # current the box admits (with the CP solvers' factor-2 margin).
-    if not math.isfinite(2.0 * params.r1 * max(soa.i_max_dis, -soa.i_max_chg)):
-        raise InputError("2 * r1 * max(i_max_dis, -i_max_chg) overflows")
+    check_load(params, soa)
     state = BatteryState(soc=args.soc, vp=args.vp)
     window = Window(steps=args.steps, dt=args.dt)
     return Scenario(state, params, curve, window, Direction(args.direction), soa)

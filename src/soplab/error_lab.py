@@ -63,15 +63,12 @@ def build_true_context(
     window: Window,
     direction: Direction,
     soa: Soa,
-    kappa: float | None = None,
 ) -> TrueContext:
-    """Assemble the true context; the window slope defaults to the local
-    segment slope at the starting SOC."""
-    if kappa is None:
-        kappa = ecm.ocv_slope(curve, state.soc, state.soc)
+    """Assemble the true context: ``sop_cc``'s own window terms, its two-pass
+    window slope included."""
     return TrueContext(
         curve=curve,
-        terms=peak_cc.window_terms(state, params, curve, kappa, window, direction, soa),
+        terms=peak_cc.window_terms(state, params, curve, window, direction, soa),
         x=params.soc_per_amp_second,
         k_dt=window.duration,
     )

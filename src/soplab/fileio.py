@@ -72,15 +72,16 @@ def _read_keyvalue(path: str | Path, keys: tuple[str, ...], what: str) -> list[f
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{what} file {path}: line {lineno}"
         if "=" not in line:
-            raise InputError(f"{what} file line {lineno}: expected key=value, got {raw!r}")
+            raise InputError(f"{where}: expected key=value, got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip()
         if key not in keys:
-            raise InputError(f"{what} file line {lineno}: unknown key {key!r}")
+            raise InputError(f"{where}: unknown key {key!r}")
         if key in values:
-            raise InputError(f"{what} file line {lineno}: duplicate key {key!r}")
-        values[key] = parse_float(text.strip(), f"{what} file line {lineno}")
+            raise InputError(f"{where}: duplicate key {key!r}")
+        values[key] = parse_float(text.strip(), where)
     missing = [k for k in keys if k not in values]
     if missing:
         raise InputError(f"{what} file {path}: missing keys {missing}")
@@ -113,15 +114,11 @@ def _read_csv(
         raise InputError(f"{what} file {path}: first line must be the header {header!r}")
     rows: list[tuple[float, float]] = []
     for lineno, raw in enumerate(lines[1:], 2):
+        where = f"{what} file {path}: line {lineno}"
         cells = raw.split(",")
         if len(cells) != 2:
-            raise InputError(f"{what} file line {lineno}: expected two columns, got {raw!r}")
-        rows.append(
-            (
-                parse_float(cells[0].strip(), f"{what} file line {lineno}"),
-                parse_float(cells[1].strip(), f"{what} file line {lineno}"),
-            )
-        )
+            raise InputError(f"{where}: expected two columns, got {raw!r}")
+        rows.append((parse_float(cells[0].strip(), where), parse_float(cells[1].strip(), where)))
     if not rows:
         raise InputError(f"{what} file {path} has a header but no data rows")
     return rows

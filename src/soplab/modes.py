@@ -7,23 +7,23 @@ Every trace runs on one hold-style step, ``_trace``: entering step j the
 polarization voltage relaxes by one interval, each mode's rule picks the step
 current against that relaxed state, and the recorded terminal voltage carries
 that current's ohmic drop. A voltage hold therefore pins the recorded voltage
-exactly, and a current cap leaves it strictly inside the cut-off. Each engine
-checks the SOA box at the two corner points of its finished trace, not step by
-step, and a window that leaves the box delivers no power.
+exactly, and a current cap leaves it strictly inside the cut-off. ``_trace``
+keeps the trace's two SOA corners as it steps; each engine checks the box at
+those corners, not step by step, and a window that leaves the box delivers no
+power.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from . import ecm
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
 from .exceptions import PowerInfeasibleError
 from .peak_cc import Direction, SopResult
-from .soa import Soa, check_point
+from .soa import Soa, check_load, check_point
 
 
 class PomStep(NamedTuple):
@@ -33,9 +33,6 @@ class PomStep(NamedTuple):
     soc: float
     vp: float
     power: float
-
-
-_VT = itemgetter(2)  # PomStep.vt as a C-level getter, for map()
 
 
 class PomTrace(NamedTuple):
@@ -61,12 +58,14 @@ def _trace(
     window: Window,
     drive: Callable[[int, float, float], tuple[float, float] | None],
     v_oc: float,
-) -> tuple[PomStep, ...] | None:
+) -> tuple[tuple[PomStep, ...], tuple[float, ...], tuple[float, ...]] | None:
     """Run the hold step across the window: one OCV lookup per step through
     the caller's ``ecm.ocv_cursor`` (step one's is ``v_oc``, made by the
     caller), then ``drive(j, soc, emf)``, emf being the OCV less the relaxed
     vp, returns the step's ``(current, vt)``, or None to abandon the window
-    (and return None)."""
+    (and return None). Returns the rows and the trace's two SOA corners,
+    (min vt, max current, min soc) and (max vt, min current, max soc): the SOA
+    is a box, so every step lies in it iff both corners do."""
     alpha = math.exp(-window.dt / params.tau)
     # Products stay left to right, never pre-multiplied (current * r1 * (1 - alpha),
     # current * dt * soc_per_as): the state then matches ecm.step's bit for bit.
@@ -74,6 +73,8 @@ def _trace(
     r1, dt, soc_per_as = params.r1, window.dt, params.soc_per_amp_second
     row = tuple.__new__  # PomStep(...) would add a Python frame per row
     soc, vp = state.soc, state.vp
+    vt_lo = soc_lo = i_lo = math.inf
+    vt_hi = soc_hi = i_hi = -math.inf
     steps: list[PomStep] = []
     for j in range(1, window.steps + 1):
         if j > 1:  # step one's lookup is the caller's
@@ -86,7 +87,19 @@ def _trace(
         vp = vp_rel + current * r1 * one_minus_alpha
         soc = min(max(soc - current * dt * soc_per_as, 0.0), 1.0)
         steps.append(row(PomStep, (j, current, vt, soc, vp, current * vt)))
-    return tuple(steps)
+        if vt < vt_lo:
+            vt_lo = vt
+        if vt > vt_hi:
+            vt_hi = vt
+        if current < i_lo:
+            i_lo = current
+        if current > i_hi:
+            i_hi = current
+        if soc < soc_lo:
+            soc_lo = soc
+        if soc > soc_hi:
+            soc_hi = soc
+    return tuple(steps), (vt_lo, i_hi, soc_lo), (vt_hi, i_lo, soc_hi)
 
 
 def _sop_hold(
@@ -110,6 +123,7 @@ def _sop_hold(
     binds. Without ``cv``, a current-governed window whose hold current goes
     unclipped at some step is "dual"-governed and reports that step as its
     mode shift. A trace that leaves the SOA box gives the zero result."""
+    check_load(params, soa)
     r0 = params.r0
     headroom_div = window.dt * params.soc_per_amp_second
     i_lim, bound = direction.current_limit(soa), direction.soc_bound(soa)
@@ -158,15 +172,8 @@ def _sop_hold(
 
     lookup = ecm.ocv_cursor(curve)
     v_oc = lookup(state.soc)
-    steps = _trace(state, params, lookup, window, drive, v_oc)
-    # The SOA check at the trace's corners, as in _cp_probe. Every current lies
-    # between 0 and i_lim, inside the box, so the SOC moves one way: the vt
-    # extremes and the end SOCs are the only coordinates that can leave it.
-    vts = list(map(_VT, steps))
-    soc_first, soc_last = steps[0].soc, steps[-1].soc
-    if check_point(min(vts), i_lim, min(soc_first, soc_last), soa) or check_point(
-        max(vts), 0.0, max(soc_first, soc_last), soa
-    ):
+    steps, low, high = _trace(state, params, lookup, window, drive, v_oc)
+    if check_point(*low, soa) or check_point(*high, soa):
         return _no_power(state, v_oc)
     binding = min(steps, key=lambda row: abs(row.power))  # the first minimum binds
     if cv or governed == "voltage":
@@ -349,10 +356,9 @@ def _cp_probe(
     with the window's margins. Both are None when a step exceeds its power
     ceiling: the window has no continuation there.
 
-    The SOA is a box, so every step lies in it iff the trace's two corners do:
-    (min vt, max current, min soc) and (max vt, min current, max soc). The
-    margins come from the corner on the direction's side; rounding ``x - c``
-    is monotone in x, so each equals its per-step minimum bit for bit.
+    The SOA check is at ``_trace``'s two corners. The margins come from the
+    corner on the direction's side; rounding ``x - c`` is monotone in x, so
+    each equals its per-step minimum bit for bit.
     """
     r0 = params.r0
     power = power_abs * direction.sign
@@ -362,12 +368,10 @@ def _cp_probe(
         current = _cp_current(emf, r0, power)
         return None if current is None else (current, emf - current * r0)
 
-    steps = _trace(state, params, lookup, window, drive, v_oc)
-    if steps is None:
+    traced = _trace(state, params, lookup, window, drive, v_oc)
+    if traced is None:
         return None, None
-    _, currents, vts, socs, _, _ = zip(*steps)
-    low = (min(vts), max(currents), min(socs))
-    high = (max(vts), min(currents), max(socs))
+    steps, low, high = traced
     vt, current, soc = low if direction is Direction.DISCHARGE else high
     margins = _CpMargins(
         (vt - direction.vt_cutoff(soa)) * direction.sign,
@@ -413,6 +417,7 @@ def sop_cp(
     tol/2 clear of both ends, so an estimate within tol/2 of the root closes
     the bracket on the next probe.
     """
+    check_load(params, soa)
     if not (tol_watts > 0.0 and math.isfinite(tol_watts)):
         raise ValueError(f"tol_watts must be finite and > 0, got {tol_watts}")
 

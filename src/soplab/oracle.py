@@ -20,7 +20,7 @@ from . import ecm
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
 from .exceptions import ConfigurationError, InfeasibleStateError
 from .peak_cc import Direction
-from .soa import Soa, check_point
+from .soa import Soa, check_load, check_point
 
 
 # ITP probe placement (Oliveira & Takahashi 2020, ACM TOMS 47(1)): at most
@@ -198,6 +198,7 @@ def brute_peak_current_cc(
     Raises InfeasibleStateError when the rested state lies outside the SOA,
     or when the window leaves it even at zero current.
     """
+    check_load(params, soa)
     if not (tol_amps > 0.0 and math.isfinite(tol_amps)):
         raise ValueError(f"tol_amps must be finite and > 0, got {tol_amps}")
     emf = ecm.ocv(curve, state.soc)
@@ -332,6 +333,7 @@ def brute_peak_power_cp(
     ITP between the zero-power window and ``p_hi``. Its default, the current
     limit times ``vt_max``, bounds every step's |power| in the box, so only a
     peak on the bound itself saturates."""
+    check_load(params, soa)
     if not (tol_watts > 0.0 and math.isfinite(tol_watts)):
         raise ValueError(f"tol_watts must be finite and > 0, got {tol_watts}")
 

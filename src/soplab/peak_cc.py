@@ -15,11 +15,7 @@ from typing import NamedTuple
 from . import ecm
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
 from .exceptions import AnalyticDomainError
-from .soa import Soa
-
-# Dominance label priority when constraint currents tie in magnitude.
-_TIE_RANK = {"voltage": 0, "soc": 1, "current": 2}
-
+from .soa import Soa, check_load
 
 class Direction(enum.Enum):
     DISCHARGE = "discharge"
@@ -63,8 +59,8 @@ class SopResult(NamedTuple):
 
 class WindowTerms(NamedTuple):
     """Window quantities the constant-current closed forms read: OCV at the
-    start SOC, decayed polarization, R0 + R1*(1-exp(-K*dt/tau)), the OCV slope
-    and the SOC throughput per ampere y = K*dt*eta/(3600*C_a)."""
+    start SOC, decayed polarization, R0 + R1*(1-exp(-K*dt/tau)), the window
+    OCV slope and the SOC throughput per ampere y = K*dt*eta/(3600*C_a)."""
 
     soc: float
     f_soc: float
@@ -81,25 +77,32 @@ def window_terms(
     state: BatteryState,
     params: BatteryParams,
     curve: OcvCurve,
-    kappa: float,
     window: Window,
     direction: Direction,
     soa: Soa,
 ) -> WindowTerms:
-    """True-valued window terms for one state, window and direction."""
+    """True-valued window terms for one state, window and direction.
+
+    The window OCV slope is settled in two passes: the local segment slope
+    seeds the candidate peak current, then the secant to the SOC that
+    candidate would reach replaces it (the slope is held constant across the
+    window)."""
     k_dt = window.duration
     alpha_k = math.exp(-k_dt / params.tau)
-    return WindowTerms(
+    terms = WindowTerms(
         soc=state.soc,
         f_soc=ecm.ocv(curve, state.soc),
         vp_relax=state.vp * alpha_k,
         r_sum=params.r0 + params.r1 * (1.0 - alpha_k),
-        kappa=kappa,
+        kappa=ecm.ocv_slope(curve, state.soc, state.soc),
         y=k_dt * params.soc_per_amp_second,
         cutoff=direction.vt_cutoff(soa),
         soc_bound=direction.soc_bound(soa),
         i_lim=direction.current_limit(soa),
     )
+    i_mc = _peak(terms, direction)[2]
+    soc_reach = min(max(state.soc - i_mc * k_dt * params.soc_per_amp_second, 0.0), 1.0)
+    return terms._replace(kappa=ecm.ocv_slope(curve, state.soc, soc_reach))
 
 
 def end_voltage(terms: WindowTerms, current: float) -> float:
@@ -130,9 +133,20 @@ def _toward(current: float, direction: Direction) -> float:
     return 0.0 if current * direction.sign < 0.0 else current
 
 
-def _compose(candidates: list[tuple[float, str]]) -> tuple[float, str]:
-    """Minimum-magnitude current; ties resolved by fixed label priority."""
-    return min(candidates, key=lambda c: (abs(c[0]), _TIE_RANK[c[1]]))
+def _peak(terms: WindowTerms, direction: Direction) -> tuple[float, float, float, str]:
+    """The voltage- and SOC-constraint currents toward the direction, and
+    their composition with the current limit into the minimum-magnitude
+    current: (i_voltage, i_soc, i_mc, dominant). A tie in magnitude goes to
+    the earlier label: voltage, then soc, then current."""
+    if terms.y > 0.0:
+        i_soc = _toward(soc_bound_current(terms), direction)
+    else:  # K*dt*soc_per_amp_second underflowed: no SOC moves, as in modes._sop_hold
+        i_soc = math.inf * direction.sign
+    i_voltage = _toward(cutoff_current(terms), direction)
+    i_mc, dominant = min(
+        (i_voltage, "voltage"), (i_soc, "soc"), (terms.i_lim, "current"), key=lambda c: abs(c[0])
+    )
+    return i_voltage, i_soc, i_mc, dominant
 
 
 def sop_cc(
@@ -144,11 +158,8 @@ def sop_cc(
     soa: Soa,
     power_eval: str = "end_of_window",
 ) -> SopResult:
-    """Multi-constraint peak power for a constant-current window.
-
-    The window OCV slope is extracted in two passes: the local segment slope
-    seeds the candidate current, then the secant to the SOC that candidate
-    would reach replaces it (the slope is held constant across the window).
+    """Multi-constraint peak power for a constant-current window, composed at
+    ``window_terms``'s window OCV slope.
 
     ``power_eval`` selects how the deliverable power is reported:
     "end_of_window" multiplies the peak current by the last-step voltage;
@@ -157,29 +168,12 @@ def sop_cc(
     An end voltage or a reported power past the floats raises
     AnalyticDomainError.
     """
+    check_load(params, soa)
     if power_eval not in ("end_of_window", "min_over_window"):
         raise ValueError(f"unknown power_eval mode: {power_eval!r}")
 
-    kappa = ecm.ocv_slope(curve, state.soc, state.soc)
-    terms = window_terms(state, params, curve, kappa, window, direction, soa)
-    i_current = terms.i_lim
-    if terms.y > 0.0:
-        i_soc = _toward(soc_bound_current(terms), direction)
-    else:  # K*dt*soc_per_amp_second underflowed: no SOC moves, as in modes._sop_hold
-        i_soc = math.inf * direction.sign
-    i_voltage = _toward(cutoff_current(terms), direction)
-    i_mc, _ = _compose(
-        [(i_voltage, "voltage"), (i_soc, "soc"), (i_current, "current")]
-    )
-
-    # Second pass: secant slope to the SOC the candidate current would reach.
-    soc_reach = state.soc - i_mc * window.duration * params.soc_per_amp_second
-    soc_reach = min(max(soc_reach, 0.0), 1.0)
-    terms = terms._replace(kappa=ecm.ocv_slope(curve, state.soc, soc_reach))
-    i_voltage = _toward(cutoff_current(terms), direction)
-    i_mc, dominant = _compose(
-        [(i_voltage, "voltage"), (i_soc, "soc"), (i_current, "current")]
-    )
+    terms = window_terms(state, params, curve, window, direction, soa)
+    i_voltage, i_soc, i_mc, dominant = _peak(terms, direction)
 
     vt_end = end_voltage(terms, i_mc)
     power_signed = i_mc * vt_end
@@ -196,7 +190,7 @@ def sop_cc(
         raise AnalyticDomainError(f"end voltage {vt_end} V or power {power_signed} W not finite")
 
     return SopResult(
-        i_current_limit=i_current,
+        i_current_limit=terms.i_lim,
         i_voltage_limit=i_voltage,
         i_soc_limit=i_soc,
         i_mc=i_mc,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Protocol
 
-from .ecm import _Value
+from .ecm import BatteryParams, _Value
 from .exceptions import ConfigurationError
 
 
@@ -51,6 +51,13 @@ class Soa(_Value):
         if not (0.0 <= soc_min < soc_max <= 1.0):
             raise ConfigurationError("need 0 <= soc_min < soc_max <= 1")
         _Value.__init__(self, *limits)
+
+
+def check_load(params: BatteryParams, soa: Soa) -> None:
+    """Refuse a cell whose polarization load term, current * r1, overflows at a
+    current the box admits (with the CP solvers' factor-2 margin)."""
+    if not math.isfinite(2.0 * params.r1 * max(soa.i_max_dis, -soa.i_max_chg)):
+        raise ConfigurationError("2 * r1 * max(i_max_dis, -i_max_chg) overflows")
 
 
 class Violation(NamedTuple):

@@ -67,7 +67,8 @@ def constant_current_trace(state, params, curve, current, window):
         return current, emf - current * params.r0
 
     lookup = ecm.ocv_cursor(curve)
-    return modes.PomTrace(modes._trace(state, params, lookup, window, drive, lookup(state.soc)))
+    steps, _, _ = modes._trace(state, params, lookup, window, drive, lookup(state.soc))
+    return modes.PomTrace(steps)
 
 
 # Plain-bisection references: the oracles' loops before their probes were

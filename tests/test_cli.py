@@ -723,6 +723,25 @@ def test_unknown_command_exits_two(files):
     assert main(["frobnicate", *_base_args(files)]) == 2
 
 
+@pytest.mark.parametrize(
+    "which, text, message",
+    [
+        ("params", PARAMS_TEXT.replace("tau_s=10", "tau_s=nan"), "line 3: non-finite value: 'nan'"),
+        ("soa", SOA_TEXT + "soc_max=0.8\n", "line 7: duplicate key 'soc_max'"),
+        ("ocv", OCV_TEXT + "0.5,3.6,x\n", "line 4: expected two columns, got '0.5,3.6,x'"),
+        ("profile", "t_s,current_a\n0,1\n1,abc\n", "line 3: not a number: 'abc'"),
+    ],
+)
+def test_bad_line_error_names_the_file(files, tmp_path, capsys, which, text, message):
+    # A bad line is reported against its file, as every other file error is.
+    profile = tmp_path / "profile.txt"
+    profile.write_text("t_s,current_a\n0,1\n")
+    path = tmp_path / f"{which}.txt"
+    path.write_text(text)
+    assert main(["simulate", *_base_args(files), "--profile", str(profile)]) == 2
+    assert capsys.readouterr().out == f"error: {which} file {path}: {message}\n"
+
+
 @pytest.mark.parametrize("module", ["soplab", "soplab.cli"])
 @pytest.mark.parametrize("extra", [["--mode", "cp", "-K", "5"], ["--tol-watts", "nan"]])
 def test_module_entry_points_match_main(files, capsys, module, extra):

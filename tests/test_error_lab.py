@@ -19,7 +19,7 @@ from soplab import (
     sop_cc,
     sweep,
 )
-from support import second_pass_slope
+from support import NMC_CURVE
 
 DIS = Direction.DISCHARGE
 CHG = Direction.CHARGE
@@ -69,25 +69,22 @@ class TestAnalyticExamples:
                 assert (e.delta_i, e.delta_vt, e.delta_sop) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("direction", [DIS, CHG])
-    @pytest.mark.parametrize("curve_name", ["linear_curve", "knee_curve"])
+    @pytest.mark.parametrize("curve_name", ["linear_curve", "knee_curve", "nmc"])
     def test_zero_delta_runs_the_shipped_estimator(
         self, request, params, soa, curve_name, direction
     ):
-        # At sop_cc's second-pass slope, the true-side run of the error
-        # calculus yields sop_cc's own per-constraint currents, bit for bit,
-        # wherever sop_cc's direction clamp leaves them unchanged.
-        curve = request.getfixturevalue(curve_name)
+        # The true context is sop_cc's own window terms, two-pass slope
+        # included: its true-side run yields sop_cc's per-constraint
+        # currents, bit for bit, wherever sop_cc's direction clamp leaves
+        # them unchanged.
+        curve = NMC_CURVE if curve_name == "nmc" else request.getfixturevalue(curve_name)
         clamped = unclamped = 0
         for soc in (0.05, 0.3, 0.5, 0.85, 0.95):
             for vp in (-0.3, 0.0, 0.3):
                 for steps in (1, 10, 60):
                     state, window = BatteryState(soc, vp), Window(steps, 1.0)
-                    result, kappa = second_pass_slope(
-                        lambda: sop_cc(state, params, curve, window, direction, soa)
-                    )
-                    ctx = build_true_context(
-                        state, params, curve, window, direction, soa, kappa=kappa
-                    )
+                    result = sop_cc(state, params, curve, window, direction, soa)
+                    ctx = build_true_context(state, params, curve, window, direction, soa)
                     for source in ErrorSource:
                         for constraint in CONSTRAINTS:
                             e = empirical_error(source, 0.0, ctx, constraint)

@@ -41,14 +41,16 @@ class TestCurrentConstraint:
 
 class TestVoltageConstraint:
     def test_hand_evaluated_fixture(self, params, linear_curve, soa, state_half, window_10):
-        terms = peak_cc.window_terms(state_half, params, linear_curve, 1.2, window_10, DIS, soa)
+        terms = peak_cc.window_terms(state_half, params, linear_curve, window_10, DIS, soa)
+        terms = terms._replace(kappa=1.2)
         assert peak_cc.cutoff_current(terms) == pytest.approx(11.32658629036377, abs=1e-9)
 
     def test_matches_bisection_oracle(self, params, linear_curve, window_10):
         # Widen the current limit so the voltage constraint is the binding one.
         soa = Soa(2.8, 4.3, 100.0, -100.0, 0.0, 1.0)
         state = BatteryState(0.5)
-        terms = peak_cc.window_terms(state, params, linear_curve, 1.2, window_10, DIS, soa)
+        terms = peak_cc.window_terms(state, params, linear_curve, window_10, DIS, soa)
+        terms = terms._replace(kappa=1.2)
         brute = brute_peak_current_cc(state, params, linear_curve, window_10, DIS, soa)
         assert peak_cc.cutoff_current(terms) == pytest.approx(brute, abs=1e-6)
 
@@ -56,33 +58,38 @@ class TestVoltageConstraint:
         # vp chosen so the relaxed rested voltage equals the cut-off exactly
         vp = (3.6 - soa.vt_min) / math.exp(-window_10.duration / params.tau)
         state = BatteryState(0.5, vp)
-        terms = peak_cc.window_terms(state, params, linear_curve, 1.2, window_10, DIS, soa)
+        terms = peak_cc.window_terms(state, params, linear_curve, window_10, DIS, soa)
+        terms = terms._replace(kappa=1.2)
         assert peak_cc.cutoff_current(terms) == pytest.approx(0.0, abs=1e-12)
         result = sop_cc(state, params, linear_curve, window_10, DIS, soa)
         assert result.i_voltage_limit == pytest.approx(0.0, abs=1e-12)
 
     def test_huge_r0_limit(self, linear_curve, soa, state_half, window_10):
         params = BatteryParams(1e6, 0.03, 10.0, 2.0, 1.0)
-        terms = peak_cc.window_terms(state_half, params, linear_curve, 1.2, window_10, DIS, soa)
+        terms = peak_cc.window_terms(state_half, params, linear_curve, window_10, DIS, soa)
+        terms = terms._replace(kappa=1.2)
         assert 0.0 < peak_cc.cutoff_current(terms) < 1e-5
 
     def test_sign_disagreement_returns_zero(self, params, linear_curve, soa, window_10):
         # Rested below the discharge cut-off: no discharge current is feasible.
         # 3.6 - 2.5 * exp(-1) = 2.68 < 2.8, so the numerator is negative.
         state = BatteryState(0.5, 2.5)
-        terms = peak_cc.window_terms(state, params, linear_curve, 1.2, window_10, DIS, soa)
+        terms = peak_cc.window_terms(state, params, linear_curve, window_10, DIS, soa)
+        terms = terms._replace(kappa=1.2)
         assert peak_cc.cutoff_current(terms) < 0.0
         assert sop_cc(state, params, linear_curve, window_10, DIS, soa).i_voltage_limit == 0.0
 
     def test_nonpositive_denominator_raises(self, params, linear_curve, soa, state_half, window_10):
-        terms = peak_cc.window_terms(state_half, params, linear_curve, -1e3, window_10, DIS, soa)
+        terms = peak_cc.window_terms(state_half, params, linear_curve, window_10, DIS, soa)
+        terms = terms._replace(kappa=-1e3)
         with pytest.raises(AnalyticDomainError):
             peak_cc.cutoff_current(terms)
 
 
 class TestSocConstraint:
     def test_hand_arithmetic(self, params, linear_curve, soa, state_half, window_10):
-        terms = peak_cc.window_terms(state_half, params, linear_curve, 1.2, window_10, DIS, soa)
+        terms = peak_cc.window_terms(state_half, params, linear_curve, window_10, DIS, soa)
+        terms = terms._replace(kappa=1.2)
         current = peak_cc.soc_bound_current(terms)
         assert current == pytest.approx(288.0, abs=1e-12)
         # Simulating that current for the window lands exactly on the bound.
@@ -99,7 +106,7 @@ class TestSocConstraint:
     def test_inverse_proportional_to_window(self, params, linear_curve, soa, state_half):
         one, two = (
             peak_cc.soc_bound_current(
-                peak_cc.window_terms(state_half, params, linear_curve, 1.2, window, DIS, soa)
+                peak_cc.window_terms(state_half, params, linear_curve, window, DIS, soa)
             )
             for window in (Window(10, 1.0), Window(20, 1.0))
         )
@@ -221,7 +228,8 @@ class TestBoundaryConditions:
         previous = math.inf
         for steps in (1, 5, 10, 30, 60, 120):
             window = Window(steps, 1.0)
-            terms = peak_cc.window_terms(state, params, linear_curve, 1.2, window, DIS, soa)
+            terms = peak_cc.window_terms(state, params, linear_curve, window, DIS, soa)
+            terms = terms._replace(kappa=1.2)
             current = peak_cc.cutoff_current(terms)
             assert current < previous
             previous = current
