@@ -107,13 +107,13 @@ def read_soa(path: str | Path) -> Soa:
 def _read_csv(
     path: str | Path, header: str, what: str
 ) -> list[tuple[float, float]]:
-    lines = [l for l in _read_lines(path, what) if l.strip()]
+    lines = [(n, line) for n, line in enumerate(_read_lines(path, what), 1) if line.strip()]
     if not lines:
         raise InputError(f"{what} file {path} is empty")
-    if [c.strip() for c in lines[0].split(",")] != header.split(","):
+    if [c.strip() for c in lines[0][1].split(",")] != header.split(","):
         raise InputError(f"{what} file {path}: first line must be the header {header!r}")
     rows: list[tuple[float, float]] = []
-    for lineno, raw in enumerate(lines[1:], 2):
+    for lineno, raw in lines[1:]:
         where = f"{what} file {path}: line {lineno}"
         cells = raw.split(",")
         if len(cells) != 2:

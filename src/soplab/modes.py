@@ -221,9 +221,12 @@ def sop_cv(
     keeps the terminal voltage short of the cut-off there, the region is
     current-governed -- the first step runs at the limit and its resulting
     voltage becomes the hold level for the rest of the window. Otherwise the
-    cut-off itself is held throughout. A window whose trace leaves the SOA box
-    anywhere (a polarization that drives the voltage past either cut-off, or a
-    state already outside the box) delivers no power: ``sop_cp``'s zero result.
+    cut-off itself is held throughout. A window whose hold trace leaves the
+    SOA box anywhere (a polarization that drives the voltage past either
+    cut-off, say) delivers no power: ``sop_cp``'s zero result. The hold trace
+    alone decides this: a rested point outside the box does not refuse a
+    window whose trace stays inside (one rule for every engine is ROADMAP
+    item 3).
     """
     return _sop_hold(state, params, curve, window, direction, soa, True)
 
@@ -285,8 +288,10 @@ def sop_cccv(
     the current limit already past the cut-off at step one) makes the window
     the voltage-governed CV window, with no shift step. The trace decides this
     at step one; ``find_mode_shift_kc`` remains a public helper but is not
-    called here. A trace that leaves the SOA box gives ``sop_cp``'s zero
-    result, as in ``sop_cv``.
+    called here. As in ``sop_cv``, the hold trace alone decides feasibility:
+    a trace that leaves the SOA box gives ``sop_cp``'s zero result, and a
+    rested point outside the box does not refuse a window whose trace stays
+    inside (ROADMAP item 3).
     """
     return _sop_hold(state, params, curve, window, direction, soa, False)
 

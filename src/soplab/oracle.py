@@ -79,17 +79,14 @@ def _box_slack(
     )
 
 
-def _itp_boundary(
-    probe: Callable[[float], Probe],
-    lo: float,
-    slack_lo: float | None,
-    hi: float,
-    slack_hi: float | None,
-    tol: float,
-) -> float:
-    """Narrow a bracket with a feasible ``lo`` and an infeasible ``hi`` until
-    ``hi - lo <= tol``; returns ``lo``, which the last feasible probe
-    simulated.
+def _search(probe: Callable[[float], Probe], top: float, tol: float) -> tuple[float, bool]:
+    """The largest load magnitude in ``[0, top]`` whose window ``probe``
+    simulates feasible, with whether it saturated at ``top``.
+
+    A sustained ``top`` wins outright. Otherwise the zero-load window must be
+    feasible, or InfeasibleStateError is raised. Then the bracket is narrowed
+    until ``hi - lo <= tol``, and ``lo``, which the last feasible probe
+    simulated, is returned.
 
     Each probe is placed by ITP (interpolate, truncate, project) on the two
     ends' slacks. The projection keeps every probe within reach of the
@@ -98,8 +95,15 @@ def _itp_boundary(
     both ends, the probe is the midpoint. If the bracket can no longer be
     split in floating point, the search stops there.
     """
+    high = probe(top)
+    if high.feasible:
+        return top, True
+    low = probe(0.0)
+    if not low.feasible:
+        raise InfeasibleStateError("the zero-load window leaves the SOA")
+    lo, slack_lo, hi, slack_hi = 0.0, low.slack, top, high.slack
     if not hi - lo > tol:
-        return lo
+        return lo, False
     n_max = math.ceil(math.log2(hi - lo) - math.log2(tol)) + ITP_N0
     # A probe projected onto the exact edge of the budget can leave the last
     # bracket an ulp wider than tol, and cost one probe more: aim inside it.
@@ -132,7 +136,7 @@ def _itp_boundary(
         else:
             hi, slack_hi = x, result.slack
         j += 1
-    return lo
+    return lo, False
 
 
 def _cc_feasible(
@@ -189,42 +193,28 @@ def brute_peak_current_cc(
     tol_amps: float = 1e-6,
 ) -> float:
     """Largest constant current (by magnitude) whose simulated window stays
-    inside the SOA, found by ITP-placed probes on the current magnitude.
+    inside the SOA, found by ``_search`` between zero and the current limit.
 
-    Saturates exactly at the manufacturer limit when that limit is itself
-    sustainable. Otherwise the answer was simulated feasible and a current
-    at most ``tol_amps`` larger was simulated infeasible.
+    The rested state must lie inside the SOA. Then a sustained current limit
+    is the peak, exactly; else the zero-current window must stay inside the
+    SOA; else ITP-placed probes narrow the bracket: the answer was simulated
+    feasible and a current at most ``tol_amps`` larger was not.
 
     Raises InfeasibleStateError when the rested state lies outside the SOA,
-    or when the window leaves it even at zero current.
+    or when neither the limit nor zero current keeps the window inside it.
     """
     check_load(params, soa)
     if not (tol_amps > 0.0 and math.isfinite(tol_amps)):
         raise ValueError(f"tol_amps must be finite and > 0, got {tol_amps}")
-    emf = ecm.ocv(curve, state.soc)
-    if check_point(emf - state.vp, 0.0, state.soc, soa):
+    if check_point(ecm.ocv(curve, state.soc) - state.vp, 0.0, state.soc, soa):
         raise InfeasibleStateError("rested state lies outside the SOA")
-
     sign = direction.sign
-    i_lim = abs(direction.current_limit(soa))
-    # Cap the bracket with the instantaneous voltage headroom so the search
-    # stays within a few dozen probes.
-    if direction is Direction.DISCHARGE:
-        headroom = (emf - soa.vt_min + abs(state.vp)) / params.r0
-    else:
-        headroom = (soa.vt_max - emf + abs(state.vp)) / params.r0
-    hi = min(i_lim, headroom + 1.0)
 
     def probe(magnitude: float) -> Probe:
         return _cc_feasible(sign * magnitude, state, params, curve, window, soa)
 
-    top = probe(hi)
-    if top.feasible:
-        return sign * hi  # current bound saturates: the limit itself is the peak
-    zero = probe(0.0)
-    if not zero.feasible:
-        raise InfeasibleStateError("the zero-current window leaves the SOA")
-    return sign * _itp_boundary(probe, 0.0, zero.slack, hi, top.slack, tol_amps)
+    peak, _ = _search(probe, abs(direction.current_limit(soa)), tol_amps)
+    return sign * peak
 
 
 def _secant_cp_current(
@@ -326,32 +316,25 @@ def brute_peak_power_cp(
     p_hi: float | None = None,
 ) -> BrutePower:
     """Largest sustainable constant power magnitude, with the per-step current
-    recovered by secant iteration instead of the closed-form quadratic.
+    recovered by secant iteration instead of the closed-form quadratic, found
+    by ``_search`` between zero and ``p_hi``.
 
-    Unless saturated, the answer was simulated feasible and a power at most
-    ``tol_watts`` larger was simulated infeasible; the probes are placed by
-    ITP between the zero-power window and ``p_hi``. Its default, the current
-    limit times ``vt_max``, bounds every step's |power| in the box, so only a
-    peak on the bound itself saturates."""
+    A sustained ``p_hi`` is the answer, saturated; else the zero-power window
+    must stay inside the SOA, or InfeasibleStateError is raised; else
+    ITP-placed probes narrow the bracket: the answer was simulated feasible
+    and a power at most ``tol_watts`` larger was not. The default ``p_hi``,
+    the current limit times ``vt_max``, bounds every step's |power| in the
+    box, so only a peak on the bound itself saturates."""
     check_load(params, soa)
     if not (tol_watts > 0.0 and math.isfinite(tol_watts)):
         raise ValueError(f"tol_watts must be finite and > 0, got {tol_watts}")
+    if p_hi is None:
+        p_hi = abs(direction.current_limit(soa)) * soa.vt_max
 
     def probe(power_abs: float) -> Probe:
         return _cp_feasible_trace(power_abs, state, params, curve, window, direction, soa)
 
-    zero = probe(0.0)
-    if not zero.feasible:
-        raise InfeasibleStateError("rested state lies outside the SOA")
-
-    if p_hi is None:
-        p_hi = abs(direction.current_limit(soa)) * soa.vt_max
-    top = probe(p_hi)
-    if top.feasible:
-        return BrutePower(p_hi, saturated=True)
-    return BrutePower(
-        _itp_boundary(probe, 0.0, zero.slack, p_hi, top.slack, tol_watts), saturated=False
-    )
+    return BrutePower(*_search(probe, p_hi, tol_watts))
 
 
 def compare_report(analytic: float, brute: float, tol: float) -> ValidationRecord:

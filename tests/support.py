@@ -1,8 +1,8 @@
-"""Helpers shared by the engine tests: a fixed NMC-like OCV table, a
-hypothesis strategy for random monotone ones, a spy on the OCV slope
-``sop_cc`` settles on, the constant-current reference trace for the CC-CV
-engine, plain-bisection references for the oracles, and reference window
-loops for the oracles' own."""
+"""Helpers shared by the engine tests: the fixed NMC-like OCV table (defined
+in ``answer_shift``), a hypothesis strategy for random monotone ones, a spy on
+the OCV slope ``sop_cc`` settles on, the constant-current reference trace for
+the CC-CV engine, plain-bisection references for the oracles, and reference
+window loops for the oracles' own."""
 
 import math
 
@@ -14,13 +14,7 @@ import soplab.peak_cc as peak_cc
 from soplab import Direction, InfeasibleStateError, OcvCurve, check_point, ecm
 from soplab.oracle import BrutePower, Probe, _box_slack, _cp_feasible_trace
 
-# 12-knot NMC-like table: a steep knee below 10% SOC on a convex rise, 3.0-4.2 V.
-NMC_CURVE = OcvCurve(
-    tuple(
-        (s, 3.0 + 1.2 * (0.35 * (1.0 - math.exp(-s / 0.04)) + 0.65 * s**1.3))
-        for s in (0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-    )
-)
+from answer_shift import NMC_CURVE  # noqa: F401  (re-exported for the tests)
 
 
 @st.composite

@@ -730,6 +730,9 @@ def test_unknown_command_exits_two(files):
         ("soa", SOA_TEXT + "soc_max=0.8\n", "line 7: duplicate key 'soc_max'"),
         ("ocv", OCV_TEXT + "0.5,3.6,x\n", "line 4: expected two columns, got '0.5,3.6,x'"),
         ("profile", "t_s,current_a\n0,1\n1,abc\n", "line 3: not a number: 'abc'"),
+        # Blank lines are skipped but still counted: the number is the file's own.
+        ("ocv", "soc,ocv_volts\n\n0,3.0\nx,4.2\n", "line 4: not a number: 'x'"),
+        ("profile", "t_s,current_a\n0,1\n\n1,abc\n", "line 4: not a number: 'abc'"),
     ],
 )
 def test_bad_line_error_names_the_file(files, tmp_path, capsys, which, text, message):

@@ -180,6 +180,17 @@ def test_zero_load_window_out_of_soa_raises(params, linear_curve, window_10):
             oracle(state, params, linear_curve, window_10, CHG, soa)
 
 
+def test_a_sustained_top_wins_before_the_zero_load_refusal(params, linear_curve, window_10):
+    # The window of the test above leaves the SOA at zero load, but a
+    # discharge at the bracket top pulls the voltage back inside: the search
+    # probes the top first, and a sustained top is the answer.
+    soa = Soa(2.8, 3.5, 10.0, -4.0, 0.0, 1.0)
+    args = (BatteryState(0.5, 0.2), params, linear_curve, window_10, DIS, soa)
+    assert not cc_window_feasible(0.0, *args[:4], soa)
+    assert brute_peak_current_cc(*args) == 10.0
+    assert brute_peak_power_cp(*args, p_hi=20.0) == (20.0, True)
+
+
 def _probe_spy(mp, name):
     """Record the first argument of every whole-window simulation ``name``."""
     seen = []
@@ -239,7 +250,7 @@ def test_oracles_match_bisection_within_the_probe_budget(curve, soc, vp, steps, 
     assert cp_window_feasible(power.watts, *args)
     if not power.saturated:
         assert not cp_window_feasible(power.watts + tol, *args)
-        assert len(cp_probes) <= _probe_budget(cp_probes[1], tol)
+        assert len(cp_probes) <= _probe_budget(cp_probes[0], tol)
 
 
 class TestWindowLoops:
