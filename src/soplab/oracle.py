@@ -6,9 +6,11 @@ are placed by the ITP method (interpolate, truncate, project) on the
 oracle's own box-normalised slack, which never decides a verdict: every
 verdict is ``check_point`` at every simulated step, and each answer is
 bracketed to the same tolerance as by bisection, within bisection's probe
-count plus one. The CC oracle runs ``ecm.step``'s recurrence inline, and
-both oracles read the OCV through one ``ecm.ocv_cursor`` per window. Nothing
-here calls the closed forms it is meant to validate.
+count plus one. The CC oracle runs ``ecm.step``'s recurrence inline. The CP
+oracle solves each step's current by Newton's method from power / emf, which
+rises monotonically to the physical root. Both oracles read the OCV through
+one ``ecm.ocv_cursor`` per window. Nothing here calls the closed forms it is
+meant to validate.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .soa import Soa, check_load, check_point
 ITP_N0 = 1
 ITP_K1 = 0.2
 
-# Secant iterations per CP oracle step before the step counts as rootless.
-SECANT_MAX_ITER = 60
+# Newton iterations per CP oracle step before the step counts as rootless.
+NEWTON_MAX_ITER = 60
 
 
 class BrutePower(NamedTuple):
@@ -217,41 +219,28 @@ def brute_peak_current_cc(
     return sign * peak
 
 
-def _secant_cp_current(
-    emf: float, r0: float, power: float, guess: float | None = None
-) -> float | None:
-    """Physical-branch current with I*(emf - I*r0) = power, by secant
-    iteration on the power residual I*(emf - I*r0) - power. None when no root
-    is reachable.
+def _newton_cp_current(emf: float, r0: float, power: float) -> float | None:
+    """Physical-branch current with I*(emf - I*r0) = power, by Newton's method
+    from I = power / emf; None when no root is reachable.
 
-    The iteration starts from ``guess`` (the previous step's current) when it
-    lies short of the power vertex emf / (2 r0), and from power / emf
-    otherwise."""
+    The residual f(I) = I*(emf - I*r0) - power is concave and -r0*I**2 <= 0 at
+    the start, so the iterates rise monotonically to the physical root, the
+    one nearest zero (Fourier's condition). A slope emf - 2*I*r0 that is not
+    > 0 puts the iterate at or past the power vertex: there is no root."""
     if power == 0.0:
         return 0.0
-    if emf <= 0.0:
+    if not emf > 0.0:
         return None
-    i0 = guess if guess is not None and abs(guess) < emf / (2.0 * r0) else power / emf
-    denom = emf - i0 * r0
-    if denom <= 0.0:
-        return None
-    i1 = power / denom
-    f0 = i0 * (emf - i0 * r0) - power
-    f1 = i1 * (emf - i1 * r0) - power
     f_tol = 1e-12 * max(1.0, abs(power))
-    i_cap = abs(emf / r0)
-    for _ in range(SECANT_MAX_ITER):
-        if abs(f1) <= f_tol:
-            # Reject the non-physical branch beyond the power vertex.
-            if abs(i1) > abs(emf) / (2.0 * r0) * (1.0 + 1e-9):
-                return None
-            return i1
-        if f1 == f0:
+    current = power / emf
+    for _ in range(NEWTON_MAX_ITER):
+        residual = current * (emf - current * r0) - power
+        if abs(residual) <= f_tol:
+            return current
+        slope = emf - 2.0 * current * r0
+        if not slope > 0.0:
             return None
-        i2 = i1 - f1 * (i1 - i0) / (f1 - f0)
-        if not math.isfinite(i2) or abs(i2) > i_cap:
-            return None
-        i0, f0, i1, f1 = i1, f1, i2, i2 * (emf - i2 * r0) - power
+        current -= residual / slope
     return None
 
 
@@ -265,8 +254,8 @@ def _cp_feasible_trace(
     soa: Soa,
 ) -> Probe:
     """Simulate the whole window at a constant power magnitude, checking
-    every step; each step's secant starts from the previous step's current.
-    A step with no physical current ends the window without a slack."""
+    every step; each step's current is ``_newton_cp_current``'s. A step with
+    no physical current ends the window without a slack."""
     alpha = math.exp(-window.dt / params.tau)
     # Products stay left to right, as in ecm.step.
     one_minus_alpha = 1.0 - alpha
@@ -274,14 +263,13 @@ def _cp_feasible_trace(
     lookup = ecm.ocv_cursor(curve)
     power = power_abs * direction.sign
     soc, vp = state.soc, state.vp
-    current = None
     feasible = True
     vt_lo = i_lo = soc_lo = math.inf
     vt_hi = i_hi = soc_hi = -math.inf
     for _ in range(window.steps):
         vp_rel = vp * alpha
         emf = lookup(soc) - vp_rel
-        current = _secant_cp_current(emf, r0, power, current)
+        current = _newton_cp_current(emf, r0, power)
         if current is None:
             return Probe(False, None)
         vt = emf - current * r0
@@ -316,7 +304,7 @@ def brute_peak_power_cp(
     p_hi: float | None = None,
 ) -> BrutePower:
     """Largest sustainable constant power magnitude, with the per-step current
-    recovered by secant iteration instead of the closed-form quadratic, found
+    recovered by Newton's method instead of the closed-form quadratic, found
     by ``_search`` between zero and ``p_hi``.
 
     A sustained ``p_hi`` is the answer, saturated; else the zero-power window

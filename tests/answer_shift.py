@@ -17,13 +17,19 @@ as the exception's class name. The case sets are seeded:
   0.85] and vp in [-0.4, 0.4] V by 4 x 4 cells, K in {1, 10, 30, 60, 300},
   dt 1 s, both directions); ``sop_cc``, ``sop_cp`` and both oracles at tol
   1e-9.
-- ``cli``: cli-oneshot-like requests for seeds 1-5, run in-process through
+- ``cli``: cli-oneshot-like requests for seeds 1-5, and one ``validate``
+  request per malformed input in ``BAD_INPUTS``, run in-process through
   ``cli.main``: the exit code and the output bytes of each.
 
-``--compare A B`` prints per producer the identical count, the largest
-|change| of a numeric leaf, and the verdict flips (answer <-> refusal), then
-every CLI request whose exit code or bytes differ. It exits 1 when anything
-moved and 0 otherwise. Standard library only.
+For each producer in ``PROBES`` the record also holds the whole-window
+simulations each solve ran: calls of the oracle's window loop, or of
+``sop_cp``'s probe.
+
+``--compare A B`` prints per producer the identical count, the verdict flips
+(answer <-> refusal), the largest |change| of a numeric leaf, and the mean
+simulations per solve in A and in B, then every CLI request whose exit code
+or bytes differ. It exits 1 when an answer or a CLI request moved and 0
+otherwise; the counts do not change it. Standard library only.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import enum
+import importlib
 import io
 import json
 import math
@@ -142,6 +149,12 @@ WINDOW_PRODUCERS = {
     "error_lab.sweep": _sweeps,
 }
 GRID_PRODUCERS = {"sop_cc": sop_cc, "sop_cp": sop_cp, **ORACLES}
+# The whole-window simulation that each counted producer runs once per probe.
+PROBES = {
+    "brute_peak_current_cc": ("soplab.oracle", "_cc_feasible"),
+    "brute_peak_power_cp": ("soplab.oracle", "_cp_feasible_trace"),
+    "sop_cp": ("soplab.modes", "_cp_probe"),
+}
 
 
 def _leaves(answer, out: list) -> list:
@@ -155,15 +168,40 @@ def _leaves(answer, out: list) -> list:
     return out
 
 
-def _answers(produce, scenarios) -> list:
-    """Each scenario's answer leaves, or ``{"refused": <class name>}``."""
-    answers = []
-    for scenario in scenarios:
-        try:
-            answers.append(_leaves(produce(*scenario), []))
-        except (AnalyticDomainError, InfeasibleStateError) as exc:
-            answers.append({"refused": type(exc).__name__})
-    return answers
+@contextlib.contextmanager
+def _counting(module_name: str, attr: str):
+    """A one-item list that counts the calls of ``module_name.attr`` while the
+    block runs."""
+    module = importlib.import_module(module_name)
+    original = getattr(module, attr)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    setattr(module, attr, counted)
+    try:
+        yield calls
+    finally:
+        setattr(module, attr, original)
+
+
+def _answers(name: str, produce, scenarios) -> tuple[list, list[int]]:
+    """Each scenario's answer leaves, or ``{"refused": <class name>}``, and
+    the simulations each scenario ran (all 0 for a producer not in
+    ``PROBES``)."""
+    answers, probes = [], []
+    counting = _counting(*PROBES[name]) if name in PROBES else contextlib.nullcontext([0])
+    with counting as calls:
+        for scenario in scenarios:
+            before = calls[0]
+            try:
+                answers.append(_leaves(produce(*scenario), []))
+            except (AnalyticDomainError, InfeasibleStateError) as exc:
+                answers.append({"refused": type(exc).__name__})
+            probes.append(calls[0] - before)
+    return answers, probes
 
 
 # --- cli-oneshot-like requests ---------------------------------------------
@@ -179,9 +217,29 @@ SWEEP_GRIDS = {
 }
 
 
+PARAMS_TEXT = "r0_ohm=0.05\nr1_ohm=0.03\ntau_s=10.0\ncapacity_ah=2.0\ncoulombic_eff=1.0\n"
+# Malformed inputs, each in a ``validate`` request that is otherwise valid:
+# (file, its text) replaces that file, (option, value) is appended. All exit
+# 2 but ``params_comment``, whose comment and blank lines parse.
+BAD_INPUTS = {
+    "params_comment": ("params", "# README cell\n\n" + PARAMS_TEXT),
+    "params_no_equals": ("params", PARAMS_TEXT.replace("r0_ohm=", "r0_ohm ")),
+    "params_unknown_key": ("params", PARAMS_TEXT.replace("r1_ohm", "r2_ohm")),
+    "params_missing_key": ("params", PARAMS_TEXT.replace("coulombic_eff=1.0\n", "")),
+    "ocv_empty": ("ocv", ""),
+    "ocv_blank_lines": ("ocv", "\n  \n\n"),
+    "ocv_header_only": ("ocv", "soc,ocv_volts\n"),
+    "ocv_three_columns": ("ocv", "soc,ocv_volts\n0,3.0,1\n1,4.2\n"),
+    "soc_grid_two_fields": ("--soc-grid", "0.1:0.9"),
+    "steps_not_a_number": ("--steps-list", "x"),
+    "steps_zero": ("--steps-list", "0"),
+    "steps_negative": ("--steps-list", "1,-3"),
+}
+
+
 def _cli_files(work: Path, rng: random.Random) -> dict[str, str]:
     texts = {
-        "params": "r0_ohm=0.05\nr1_ohm=0.03\ntau_s=10.0\ncapacity_ah=2.0\ncoulombic_eff=1.0\n",
+        "params": PARAMS_TEXT,
         "ocv": "soc,ocv_volts\n" + "".join(f"{s!r},{v!r}\n" for s, v in NMC_CURVE.points),
         "soa": "vt_min=2.8\nvt_max=4.3\ni_max_dis=10.0\ni_max_chg=-4.0\nsoc_min=0.1\nsoc_max=0.9\n",
         "profile": "t_s,current_a\n"
@@ -217,9 +275,36 @@ def _cli_argv(kind: str, files: dict[str, str], rng: random.Random) -> list[str]
     return argv
 
 
+def bad_request(name: str, work: Path) -> list[str]:
+    """The ``validate`` request with malformed input ``name``, its files
+    written to ``work``."""
+    files = _cli_files(work, random.Random(0))
+    argv = [
+        "validate", "--params", files["params"], "--ocv", files["ocv"], "--soa", files["soa"],
+        "--vp=0.1", "--soc-grid", "0.2:0.8:0.2", "--steps-list", "1,10,30",
+    ]
+    what, text = BAD_INPUTS[name]
+    if what.startswith("--"):
+        return [*argv, what, text]
+    Path(files[what]).write_text(text)
+    return argv
+
+
+def _run(argv: list[str], work: Path) -> dict:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return {
+        "code": code,
+        "stdout": stdout.getvalue().replace(str(work), "<dir>"),
+        "stderr": stderr.getvalue().replace(str(work), "<dir>"),
+    }
+
+
 def cli_outputs(seeds: tuple[int, ...]) -> dict[str, dict]:
     """Exit code, stdout and stderr of each request, keyed by seed, kind and
-    variant; the input files' directory reads ``<dir>`` in the output."""
+    variant, or by ``bad/`` and the malformed input's name; the input files'
+    directory reads ``<dir>`` in the output."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
@@ -229,15 +314,11 @@ def cli_outputs(seeds: tuple[int, ...]) -> dict[str, dict]:
             files = _cli_files(work, rng)
             for kind in CLI_KINDS:
                 for variant in range(CLI_VARIANTS):
-                    argv = _cli_argv(kind, files, rng)
-                    stdout, stderr = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                        code = cli.main(argv)
-                    out[f"seed{seed}/{kind}/{variant}"] = {
-                        "code": code,
-                        "stdout": stdout.getvalue().replace(str(work), "<dir>"),
-                        "stderr": stderr.getvalue().replace(str(work), "<dir>"),
-                    }
+                    out[f"seed{seed}/{kind}/{variant}"] = _run(_cli_argv(kind, files, rng), work)
+        for name in BAD_INPUTS:
+            work = Path(tmp) / name
+            work.mkdir()
+            out[f"bad/{name}"] = _run(bad_request(name, work), work)
     return out
 
 
@@ -245,9 +326,17 @@ def record(sizes: tuple[int, int, tuple[int, ...]] = FULL) -> dict:
     n_windows, n_states, seeds = sizes
     windows = seeded_windows(n_windows, 7, (1, 2, 10, 30, 300))
     grid = grid_scenarios(n_states, 1)
-    answers = {f"windows/{name}": _answers(p, windows) for name, p in WINDOW_PRODUCERS.items()}
-    answers.update({f"grid/{name}": _answers(p, grid) for name, p in GRID_PRODUCERS.items()})
-    return {"answers": answers, "cli": cli_outputs(seeds)}
+    answers, probes = {}, {}
+    for cases, scenarios, producers in (
+        ("windows", windows, WINDOW_PRODUCERS),
+        ("grid", grid, GRID_PRODUCERS),
+    ):
+        for name, produce in producers.items():
+            key = f"{cases}/{name}"
+            answers[key], counts = _answers(name, produce, scenarios)
+            if name in PROBES:
+                probes[key] = counts
+    return {"answers": answers, "probes": probes, "cli": cli_outputs(seeds)}
 
 
 # --- comparison --------------------------------------------------------------
@@ -270,9 +359,18 @@ def _delta(a: list, b: list) -> float:
     return worst
 
 
+def _mean_probes(record: dict, name: str) -> str:
+    counts = record.get("probes", {}).get(name)
+    return f"{sum(counts) / len(counts):.3f}" if counts else "-"
+
+
 def compare(a: dict, b: dict) -> tuple[list[str], bool]:
-    """Report lines for two records, and whether anything moved."""
-    lines = [f"{'producer':<34} {'cases':>6} {'identical':>9} {'flips':>5}  max|delta|"]
+    """Report lines for two records, and whether an answer or a CLI request
+    moved."""
+    lines = [
+        f"{'producer':<34} {'cases':>6} {'identical':>9} {'flips':>5}  {'max|delta|':<10}"
+        f" {'sims A':>8} {'sims B':>8}"
+    ]
     moved = False
     for name in sorted(set(a["answers"]) | set(b["answers"])):
         left, right = a["answers"].get(name), b["answers"].get(name)
@@ -290,7 +388,10 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
             else:
                 worst = max(worst, _delta(x, y))
         moved |= same != len(left)
-        lines.append(f"{name:<34} {len(left):>6} {same:>9} {flips:>5}  {worst:.3g}")
+        lines.append(
+            f"{name:<34} {len(left):>6} {same:>9} {flips:>5}  {worst:<10.3g}"
+            f" {_mean_probes(a, name):>8} {_mean_probes(b, name):>8}"
+        )
     keys = sorted(set(a["cli"]) | set(b["cli"]))
     differ = [k for k in keys if a["cli"].get(k) != b["cli"].get(k)]
     moved |= bool(differ)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import soplab.modes as modes
 import soplab.peak_cc as peak_cc
 from soplab import Direction, InfeasibleStateError, OcvCurve, check_point, ecm
-from soplab.oracle import BrutePower, Probe, _box_slack, _cp_feasible_trace
+from soplab.oracle import BrutePower, Probe, _box_slack, _cp_feasible_trace, _newton_cp_current
 
 from answer_shift import NMC_CURVE  # noqa: F401  (re-exported for the tests)
 
@@ -67,8 +67,7 @@ def constant_current_trace(state, params, curve, current, window):
 
 # Plain-bisection references: the oracles' loops before their probes were
 # placed by ITP. The CC one simulates each window itself; the CP one takes its
-# verdicts from the oracle's own trace, because a differently started secant
-# can flip a verdict within 1e-12 of the boundary.
+# verdicts from the oracle's own trace, so that it checks the search alone.
 
 
 def cc_window_probe(current, state, params, curve, window, soa):
@@ -93,37 +92,6 @@ def cc_window_feasible(current, state, params, curve, window, soa):
     return cc_window_probe(current, state, params, curve, window, soa).feasible
 
 
-def _secant_cp_current(emf, r0, power, guess=None, max_iter=60):
-    """The CP oracle's per-step secant as it was written with a residual
-    closure: the reference that its inline residual must match."""
-    if power == 0.0:
-        return 0.0
-    if emf <= 0.0:
-        return None
-
-    def residual(i):
-        return i * (emf - i * r0) - power
-
-    i0 = guess if guess is not None and abs(guess) < emf / (2.0 * r0) else power / emf
-    denom = emf - i0 * r0
-    if denom <= 0.0:
-        return None
-    i1 = power / denom
-    f0, f1 = residual(i0), residual(i1)
-    for _ in range(max_iter):
-        if abs(f1) <= 1e-12 * max(1.0, abs(power)):
-            if abs(i1) > abs(emf) / (2.0 * r0) * (1.0 + 1e-9):
-                return None
-            return i1
-        if f1 == f0:
-            return None
-        i2 = i1 - f1 * (i1 - i0) / (f1 - f0)
-        if not math.isfinite(i2) or abs(i2) > abs(emf / r0):
-            return None
-        i0, f0, i1, f1 = i1, f1, i2, residual(i2)
-    return None
-
-
 def cp_window_probe(power_abs, state, params, curve, window, direction, soa):
     """The CP oracle's window loop as it was written with one ``ecm.ocv``
     bisection per step and the parameters read per step: the reference
@@ -131,14 +99,13 @@ def cp_window_probe(power_abs, state, params, curve, window, direction, soa):
     alpha = math.exp(-window.dt / params.tau)
     power = power_abs * direction.sign
     soc, vp = state.soc, state.vp
-    current = None
     feasible = True
     vt_lo = i_lo = soc_lo = math.inf
     vt_hi = i_hi = soc_hi = -math.inf
     for _ in range(window.steps):
         vp_rel = vp * alpha
         emf = ecm.ocv(curve, soc) - vp_rel
-        current = _secant_cp_current(emf, params.r0, power, current)
+        current = _newton_cp_current(emf, params.r0, power)
         if current is None:
             return Probe(False, None)
         vt = emf - current * params.r0

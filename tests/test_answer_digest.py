@@ -20,7 +20,7 @@ PINNED = {
     "sop_cccv": "2c4b790c1493f70d095741c8be93669552064b66856bea5646d456943be2a34d",
     "sop_cp": "727decbf8e36ebe562b4271e96dacb14b56a7723f2fd56c61950b3794881f858",
     "brute_peak_current_cc": "788f8cbc2463d66b22eda3495cbd8900b2b297b3210d5d1424c066155b88d49a",
-    "brute_peak_power_cp": "9280febbe14aa032ca2318753df12f7e25c225c0d5fb2af65f500e2abadaa7eb",
+    "brute_peak_power_cp": "b868a113e4c8cd40f08910055c56151078efe05b5884aa3f11448a997157f0bb",
     "error_lab.sweep": "74a2e5c5ca51568c7ecf786684356508f659a2c7d5f5db747657e2aab4a9d0ad",
 }
 

@@ -1,6 +1,7 @@
 """The shift harness on a small case set: a record compared with itself
-reports nothing moved, and a moved answer, a verdict flip and a changed CLI
-report each show."""
+reports nothing moved, a moved answer, a verdict flip and a changed CLI
+report each show, and a changed simulation count shows without counting as
+a move."""
 
 import copy
 import json
@@ -28,12 +29,20 @@ def test_a_record_matches_itself(small_record, tmp_path, capsys):
     rows = _rows(lines)
     producers = len(answer_shift.WINDOW_PRODUCERS) + len(answer_shift.GRID_PRODUCERS)
     assert len(rows) == 1 + producers + 1  # the header and the CLI line
-    for name in answer_shift.WINDOW_PRODUCERS:
-        assert rows[f"windows/{name}"] == [str(n_windows), str(n_windows), "0", "0"]
-    for name in answer_shift.GRID_PRODUCERS:
-        assert rows[f"grid/{name}"] == [str(2 * n_states), str(2 * n_states), "0", "0"]
+    for cases, n, producers in (
+        ("windows", n_windows, answer_shift.WINDOW_PRODUCERS),
+        ("grid", 2 * n_states, answer_shift.GRID_PRODUCERS),
+    ):
+        for name in producers:
+            row = rows[f"{cases}/{name}"]
+            assert row[:4] == [str(n), str(n), "0", "0"]
+            sims_a, sims_b = row[4:]
+            assert sims_a == sims_b
+            assert (sims_a == "-") == (name not in answer_shift.PROBES)
     n_cli = len(seeds) * len(answer_shift.CLI_KINDS) * answer_shift.CLI_VARIANTS
+    n_cli += len(answer_shift.BAD_INPUTS)
     assert lines[-1] == f"cli requests: {n_cli}, identical: {n_cli}"
+    assert small_record["cli"]["bad/ocv_header_only"]["code"] == 2
 
 
 def test_moves_flips_and_cli_bytes_show(small_record):
@@ -46,7 +55,17 @@ def test_moves_flips_and_cli_bytes_show(small_record):
     lines, anything = answer_shift.compare(small_record, moved)
     assert anything
     rows = _rows(lines)
-    assert rows["grid/brute_peak_current_cc"][1:] == [str(len(cc) - 1), "0", "2.5e-10"]
+    assert rows["grid/brute_peak_current_cc"][1:4] == [str(len(cc) - 1), "0", "2.5e-10"]
     assert rows["grid/brute_peak_power_cp"][2] == "1"
     assert rows["windows/sop_cv"][0] == rows["windows/sop_cv"][1]
     assert "  differs: seed1/simulate/2" in lines
+
+
+def test_simulation_counts_show_without_moving(small_record):
+    counted = copy.deepcopy(small_record)
+    probes = counted["probes"]["windows/sop_cp"]
+    probes[0] += len(probes)  # the mean rises by exactly 1
+    lines, anything = answer_shift.compare(small_record, counted)
+    assert not anything
+    sims_a, sims_b = _rows(lines)["windows/sop_cp"][4:]
+    assert float(sims_b) - float(sims_a) == pytest.approx(1.0, abs=2e-3)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import answer_shift
 import soplab
 import soplab.oracle
 from soplab import BatteryParams, BatteryState, Window, error_lab, predict_cc
@@ -743,6 +744,39 @@ def test_bad_line_error_names_the_file(files, tmp_path, capsys, which, text, mes
     path.write_text(text)
     assert main(["simulate", *_base_args(files), "--profile", str(profile)]) == 2
     assert capsys.readouterr().out == f"error: {which} file {path}: {message}\n"
+
+
+# The report of each malformed input of the shift harness, in its ``validate``
+# request; None where the input parses and the report is the valid request's.
+MALFORMED_REPORTS = {
+    "params_comment": None,
+    "params_no_equals": "params file {dir}/params.txt: line 1: expected key=value, got 'r0_ohm 0.05'",
+    "params_unknown_key": "params file {dir}/params.txt: line 2: unknown key 'r2_ohm'",
+    "params_missing_key": "params file {dir}/params.txt: missing keys ['coulombic_eff']",
+    "ocv_empty": "ocv file {dir}/ocv.txt is empty",
+    "ocv_blank_lines": "ocv file {dir}/ocv.txt is empty",
+    "ocv_header_only": "ocv file {dir}/ocv.txt has a header but no data rows",
+    "ocv_three_columns": "ocv file {dir}/ocv.txt: line 2: expected two columns, got '0,3.0,1'",
+    "soc_grid_two_fields": "range grid must be start:stop:step, got '0.1:0.9'",
+    "steps_not_a_number": "bad steps value: 'x'",
+    "steps_zero": "steps must be >= 1, got 0",
+    "steps_negative": "steps must be >= 1, got -3",
+}
+
+
+@pytest.mark.parametrize("name", list(answer_shift.BAD_INPUTS))
+def test_malformed_input_report(tmp_path, capsys, name):
+    argv = answer_shift.bad_request(name, tmp_path)
+    message = MALFORMED_REPORTS[name]
+    if message is None:
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+        (tmp_path / "params.txt").write_text(answer_shift.PARAMS_TEXT)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == report
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().out == f"error: {message.format(dir=tmp_path)}\n"
 
 
 @pytest.mark.parametrize("module", ["soplab", "soplab.cli"])

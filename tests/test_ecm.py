@@ -309,6 +309,8 @@ class TestSimulateProfile:
             simulate_profile(state_half, params, linear_curve, [(0.0, "x")])
         with pytest.raises(InputError):
             simulate_profile(state_half, params, linear_curve, [])
+        with pytest.raises(InputError, match="non-finite profile row"):
+            simulate_profile(state_half, params, linear_curve, [(0.0, 1.0), (1.0, math.nan)])
 
     def test_one_ocv_cursor_per_replay(self, params, knee_curve, monkeypatch):
         # Discharge across the knot at 0.5, charge, rest: 100 rows. Each row's

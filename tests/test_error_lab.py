@@ -251,3 +251,21 @@ class TestSweep:
     def test_empty_grid_rejected(self, ctx):
         with pytest.raises(ValueError):
             sweep(ErrorSource.SOC, [], ctx, "soc")
+
+
+def test_an_soc_bound_that_cannot_bind_has_no_power_error(params, linear_curve, soa):
+    # The window's SOC throughput K*dt*soc_per_amp_second underflows to 0, so
+    # the SOC bound cannot bind: sop_cc reports its current as infinite, and
+    # every source's SOC-constraint cell is flagged, delta 0 included. The
+    # current and voltage cells are finite, and 0 at delta 0.
+    scenario = (BatteryState(0.5), params, linear_curve, Window(1, 5e-324), DIS, soa)
+    assert sop_cc(*scenario).i_soc_limit == math.inf
+    ctx = build_true_context(*scenario)
+    for source in ErrorSource:
+        for constraint in CONSTRAINTS:
+            (row,) = sweep(source, [0.0], ctx, constraint)
+            if constraint == "soc":
+                assert not row.in_domain
+                assert all(math.isnan(v) for v in row[1:4])
+            else:
+                assert row == (0.0, 0.0, 0.0, 0.0, True)

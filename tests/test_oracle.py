@@ -28,7 +28,7 @@ from soplab import (
     sop_cc,
     sop_cp,
 )
-from soplab.oracle import _secant_cp_current
+from soplab.oracle import _newton_cp_current
 from support import (
     NMC_CURVE,
     bisect_peak_current_cc,
@@ -295,42 +295,30 @@ class TestWindowLoops:
             oracle_module._cc_feasible(current, *args)
 
 
-class TestWarmSecant:
+class TestNewtonStep:
     @staticmethod
     def _passes_residual_test(current, emf, r0, power):
         return abs(current * (emf - current * r0) - power) <= 1e-12 * max(1.0, abs(power))
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        emf=st.floats(0.1, 5.0),
-        r0=st.floats(0.001, 1.0),
-        share=st.floats(-3.0, 0.999),
-        guess_share=st.floats(-1.0, 1.0, exclude_max=True),
-    )
-    def test_finds_the_cold_start_root(self, emf, r0, share, guess_share):
+    # Started from a guess above the root (0.25 A), Newton's method overshot
+    # past zero here: -5.4e-16 A for +2.3e-76 W.
+    @example(emf=1.0, r0=1.0, share=9.339306341188799e-76)
+    @given(emf=st.floats(0.1, 5.0), r0=st.floats(0.001, 1.0), share=st.floats(-3.0, 0.999))
+    def test_finds_the_physical_root(self, emf, r0, share):
         vertex = emf / (2.0 * r0)
         power = share * emf * vertex / 2.0  # share of the power ceiling emf^2 / (4 r0)
-        cold = _secant_cp_current(emf, r0, power)
-        warm = _secant_cp_current(emf, r0, power, guess_share * vertex)
-        assert (warm is None) == (cold is None)
-        if cold is not None:
-            for current in (cold, warm):
-                assert self._passes_residual_test(current, emf, r0, power)
-                assert abs(current) <= vertex * (1.0 + 1e-9)
-                assert current * power >= 0.0
+        current = _newton_cp_current(emf, r0, power)
+        assert current is not None
+        assert self._passes_residual_test(current, emf, r0, power)
+        assert abs(current) <= vertex * (1.0 + 1e-9)
+        assert current * power >= 0.0
 
-    @pytest.mark.parametrize("guess", [None, 0.0, 5.0, 17.9])
-    def test_no_root_beyond_the_power_vertex(self, guess):
+    def test_no_root_beyond_the_power_vertex(self):
         emf, r0 = 3.6, 0.1  # vertex 18 A, ceiling 32.4 W
-        assert _secant_cp_current(emf, r0, 32.5, guess) is None
-        assert _secant_cp_current(-0.1, r0, 1.0, guess) is None
-        assert _secant_cp_current(0.0, r0, 1.0, guess) is None
-
-    @pytest.mark.parametrize("guess", [18.0, 25.0, -18.0, -40.0])
-    def test_guess_at_or_past_the_vertex_starts_cold(self, guess):
-        emf, r0 = 3.6, 0.1
-        for power in (5.0, 30.0, -8.0):
-            assert _secant_cp_current(emf, r0, power, guess) == _secant_cp_current(emf, r0, power)
+        assert _newton_cp_current(emf, r0, 32.5) is None
+        for emf in (-0.1, 0.0, math.nan):
+            assert _newton_cp_current(emf, r0, 1.0) is None
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan])
@@ -399,7 +387,7 @@ def test_oracle_module_does_not_call_closed_forms():
         "_normalised_margin(", "_CpMargins", "_toward(",
     ):
         assert forbidden not in source
-    # Nor the engine's per-step CP solver (the oracle's own is _secant_cp_current),
+    # Nor the engine's per-step CP solver (the oracle's own is _newton_cp_current),
     # nor its trace kernel (the oracle's own loop is _cp_feasible_trace).
     assert not re.search(r"\b_cp_current\(", source)
     assert not re.search(r"\b_trace\(", source)
