@@ -314,11 +314,14 @@ class TestNewtonStep:
         assert abs(current) <= vertex * (1.0 + 1e-9)
         assert current * power >= 0.0
 
-    def test_no_root_beyond_the_power_vertex(self):
-        emf, r0 = 3.6, 0.1  # vertex 18 A, ceiling 32.4 W
-        assert _newton_cp_current(emf, r0, 32.5) is None
-        for emf in (-0.1, 0.0, math.nan):
-            assert _newton_cp_current(emf, r0, 1.0) is None
+    @pytest.mark.parametrize(
+        "emf, power",
+        [(3.6, 32.5), (-0.1, 1.0), (0.0, 1.0), (math.nan, 1.0)],
+        ids=["above-ceiling", "negative-emf", "zero-emf", "nan-emf"],
+    )
+    def test_no_root_beyond_the_power_vertex(self, emf, power):
+        # At emf 3.6 V and r0 0.1 ohm the vertex is 18 A and the ceiling 32.4 W.
+        assert _newton_cp_current(emf, 0.1, power) is None
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan])
