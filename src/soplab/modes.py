@@ -246,6 +246,7 @@ def find_mode_shift_kc(
     current-governed throughout; a crossing already at step one means the
     shift predates the window and the whole window is voltage-governed.
     """
+    check_load(params, soa)
     i_lim = direction.current_limit(soa)
     cutoff = direction.vt_cutoff(soa)
     sign = direction.sign

@@ -3,14 +3,14 @@
 Peak current and power are rediscovered over forward-simulated feasibility,
 using only the single-step model and the safe-operation-area checks. Probes
 are placed by the ITP method (interpolate, truncate, project) on the
-oracle's own box-normalised slack, which never decides a verdict: every
-verdict is ``check_point`` at every simulated step, and each answer is
-bracketed to the same tolerance as by bisection, within bisection's probe
-count plus one. The CC oracle runs ``ecm.step``'s recurrence inline. The CP
-oracle solves each step's current by Newton's method from power / emf, which
-rises monotonically to the physical root. Both oracles read the OCV through
-one ``ecm.ocv_cursor`` per window. Nothing here calls the closed forms it is
-meant to validate.
+oracle's own box-normalised slack, which never decides a verdict: each
+window is judged by ``check_point`` at its two SOA corners, as the engines
+judge theirs, and each answer is bracketed to the same tolerance as by
+bisection, within bisection's probe count plus one. The CC oracle runs
+``ecm.step``'s recurrence inline. The CP oracle solves each step's current by
+Newton's method from power / emf, which rises monotonically to the physical
+root. Both oracles read the OCV through one ``ecm.ocv_cursor`` per window.
+Nothing here calls the closed forms it is meant to validate.
 """
 
 from __future__ import annotations
@@ -49,25 +49,19 @@ class ValidationRecord(NamedTuple):
 
 
 class Probe(NamedTuple):
-    """One whole-window simulation: the verdict of ``check_point`` at every
-    step, and the box-normalised slack that only places the next probe."""
+    """One whole-window simulation: whether every step lies inside the SOA,
+    and the box-normalised slack that only places the next probe."""
 
     feasible: bool
     slack: float | None  # None when the window has no continuation
 
 
-def _box_slack(
-    vt_lo: float,
-    vt_hi: float,
-    i_lo: float,
-    i_hi: float,
-    soc_lo: float,
-    soc_hi: float,
-    soa: Soa,
-) -> float:
-    """Smallest distance from the window's extremes to a face of the SOA box,
-    each in units of the box's width along that axis: >= 0 inside the box,
-    negative once a face is crossed."""
+def _box_slack(low: tuple[float, ...], high: tuple[float, ...], soa: Soa) -> float:
+    """Smallest distance from the window's two SOA corners, (min vt, max
+    current, min soc) and (max vt, min current, max soc), to a face of the
+    SOA box, each in units of the box's width along that axis: >= 0 inside
+    the box, negative once a face is crossed."""
+    (vt_lo, i_hi, soc_lo), (vt_hi, i_lo, soc_hi) = low, high
     v_width = soa.vt_max - soa.vt_min
     i_width = soa.i_max_dis - soa.i_max_chg
     soc_width = soa.soc_max - soa.soc_min
@@ -79,6 +73,13 @@ def _box_slack(
         (soc_lo - soa.soc_min) / soc_width,
         (soa.soc_max - soc_hi) / soc_width,
     )
+
+
+def _corner_probe(low: tuple[float, ...], high: tuple[float, ...], soa: Soa) -> Probe:
+    """A window's probe from its two SOA corners, as in ``_box_slack``: the SOA
+    is a box, so every step lies in it iff ``check_point`` passes both."""
+    feasible = not (check_point(*low, soa) or check_point(*high, soa))
+    return Probe(feasible, _box_slack(low, high, soa))
 
 
 def _search(probe: Callable[[float], Probe], top: float, tol: float) -> tuple[float, bool]:
@@ -149,9 +150,9 @@ def _cc_feasible(
     window: Window,
     soa: Soa,
 ) -> Probe:
-    """Simulate the whole window at a constant ``current``, checking every
-    step; an infeasible window also runs to its end, so its slack is the
-    continuous extension of a feasible one's.
+    """Simulate the whole window at a constant ``current`` and judge it at
+    its two SOA corners; an infeasible window also runs to its end, so its
+    slack is the continuous extension of a feasible one's.
 
     Each step is ``ecm.step``'s recurrence inline, operation for operation,
     with the step's constants hoisted; like the ``BatteryState`` that
@@ -163,7 +164,6 @@ def _cc_feasible(
     r0, r1, dt, soc_per_as = params.r0, params.r1, window.dt, params.soc_per_amp_second
     lookup = ecm.ocv_cursor(curve)
     soc, vp = state.soc, state.vp
-    feasible = True
     vt_lo = soc_lo = math.inf
     vt_hi = soc_hi = -math.inf
     for _ in range(window.steps):
@@ -172,8 +172,6 @@ def _cc_feasible(
         vt = lookup(soc) - vp - current * r0
         if not math.isfinite(vp):
             raise ConfigurationError(f"vp must be finite, got {vp}")
-        if check_point(vt, current, soc, soa):
-            feasible = False
         if vt < vt_lo:
             vt_lo = vt
         if vt > vt_hi:
@@ -182,7 +180,7 @@ def _cc_feasible(
             soc_lo = soc
         if soc > soc_hi:
             soc_hi = soc
-    return Probe(feasible, _box_slack(vt_lo, vt_hi, current, current, soc_lo, soc_hi, soa))
+    return _corner_probe((vt_lo, current, soc_lo), (vt_hi, current, soc_hi), soa)
 
 
 def brute_peak_current_cc(
@@ -253,9 +251,9 @@ def _cp_feasible_trace(
     direction: Direction,
     soa: Soa,
 ) -> Probe:
-    """Simulate the whole window at a constant power magnitude, checking
-    every step; each step's current is ``_newton_cp_current``'s. A step with
-    no physical current ends the window without a slack."""
+    """Simulate the whole window at a constant power magnitude and judge it
+    at its two SOA corners; each step's current is ``_newton_cp_current``'s.
+    A step with no physical current ends the window without a slack."""
     alpha = math.exp(-window.dt / params.tau)
     # Products stay left to right, as in ecm.step.
     one_minus_alpha = 1.0 - alpha
@@ -263,7 +261,6 @@ def _cp_feasible_trace(
     lookup = ecm.ocv_cursor(curve)
     power = power_abs * direction.sign
     soc, vp = state.soc, state.vp
-    feasible = True
     vt_lo = i_lo = soc_lo = math.inf
     vt_hi = i_hi = soc_hi = -math.inf
     for _ in range(window.steps):
@@ -274,8 +271,6 @@ def _cp_feasible_trace(
             return Probe(False, None)
         vt = emf - current * r0
         soc_next = min(max(soc - current * dt * soc_per_as, 0.0), 1.0)
-        if check_point(vt, current, soc_next, soa):
-            feasible = False
         if vt < vt_lo:
             vt_lo = vt
         if vt > vt_hi:
@@ -290,7 +285,7 @@ def _cp_feasible_trace(
             soc_hi = soc_next
         vp = vp_rel + current * r1 * one_minus_alpha
         soc = soc_next
-    return Probe(feasible, _box_slack(vt_lo, vt_hi, i_lo, i_hi, soc_lo, soc_hi, soa))
+    return _corner_probe((vt_lo, i_hi, soc_lo), (vt_hi, i_lo, soc_hi), soa)
 
 
 def brute_peak_power_cp(
@@ -318,6 +313,8 @@ def brute_peak_power_cp(
         raise ValueError(f"tol_watts must be finite and > 0, got {tol_watts}")
     if p_hi is None:
         p_hi = abs(direction.current_limit(soa)) * soa.vt_max
+    if not (p_hi > 0.0 and math.isfinite(p_hi)):
+        raise ValueError(f"p_hi must be finite and > 0, got {p_hi}")
 
     def probe(power_abs: float) -> Probe:
         return _cp_feasible_trace(power_abs, state, params, curve, window, direction, soa)

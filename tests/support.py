@@ -83,7 +83,7 @@ def cc_window_probe(current, state, params, curve, window, soa):
             feasible = False
         vts.append(vt)
         socs.append(sim.soc)
-    slack = _box_slack(min(vts), max(vts), current, current, min(socs), max(socs), soa)
+    slack = _box_slack((min(vts), current, min(socs)), (max(vts), current, max(socs)), soa)
     return Probe(feasible, slack)
 
 
@@ -126,7 +126,7 @@ def cp_window_probe(power_abs, state, params, curve, window, direction, soa):
             soc_hi = soc_next
         vp = vp_rel + current * params.r1 * (1.0 - alpha)
         soc = soc_next
-    return Probe(feasible, _box_slack(vt_lo, vt_hi, i_lo, i_hi, soc_lo, soc_hi, soa))
+    return Probe(feasible, _box_slack((vt_lo, i_hi, soc_lo), (vt_hi, i_lo, soc_hi), soa))
 
 
 def cp_window_feasible(power_abs, state, params, curve, window, direction, soa):

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
+from hypothesis import seed as hypothesis_seed
 from hypothesis import strategies as st
 
 import soplab.oracle as oracle_module
+import support
 from soplab import (
     BatteryParams,
     BatteryState,
@@ -23,6 +25,7 @@ from soplab import (
     Window,
     brute_peak_current_cc,
     brute_peak_power_cp,
+    check_point,
     compare_report,
     ocv,
     sop_cc,
@@ -255,26 +258,52 @@ def test_oracles_match_bisection_within_the_probe_budget(curve, soc, vp, steps, 
 
 class TestWindowLoops:
     """The oracles' window loops, run on OCV cursors with their constants
-    hoisted, answer exactly as their references: ``ecm.step`` for the CC
-    loop, the per-step bisecting loop for the CP one."""
+    hoisted and judged at their two SOA corners, answer exactly as their
+    references, which check every step: ``ecm.step`` for the CC loop, the
+    per-step bisecting loop for the CP one."""
 
     @staticmethod
-    def _grid(linear_curve, soa, seed):
+    def _tables(seed, count=4):
+        """``count`` tables drawn from ``monotone_ocv``, the same for a seed."""
+        tables = []
+
+        @hypothesis_seed(seed)
+        @settings(max_examples=count, database=None, deadline=None)
+        @given(monotone_ocv())
+        def draw(curve):
+            tables.append(curve)
+
+        draw()
+        return tables
+
+    @staticmethod
+    def _grid(curves, soa, seed):
+        # soc beyond the SOC bounds and vp of 1.5 V put rested points outside
+        # the box on either side of it.
         rng = random.Random(seed)
         for curve, vp, steps, direction in itertools.product(
-            (linear_curve, NMC_CURVE), (-0.4, 0.0, 0.4), (1, 10, 300), (DIS, CHG)
+            curves, (-1.5, -0.4, 0.0, 0.4, 1.5), (1, 10, 300), (DIS, CHG)
         ):
             limit = abs(direction.current_limit(soa))
             for dt in (1.0, 0.7, 0.3):
-                state = BatteryState(rng.uniform(0.05, 0.95), vp)
+                state = BatteryState(rng.uniform(0.02, 0.98), vp)
                 current = direction.sign * rng.uniform(0.0, 1.2 * limit)
                 power = rng.uniform(0.0, 1.2 * limit * soa.vt_max)
                 yield state, curve, Window(steps, dt), direction, current, power
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_identical_to_the_references(self, params, linear_curve, soa, seed):
+    def test_identical_to_the_references(self, params, linear_curve, soa, seed, monkeypatch):
+        left = set()  # (direction, face) of every step the references find outside
+
+        def recording_check_point(*args):
+            violations = check_point(*args)
+            left.update((direction, violation.kind) for violation in violations)
+            return violations
+
+        monkeypatch.setattr(support, "check_point", recording_check_point)
         checked = set()
-        for state, curve, window, direction, current, power in self._grid(linear_curve, soa, seed):
+        curves = (linear_curve, NMC_CURVE, *self._tables(seed))
+        for state, curve, window, direction, current, power in self._grid(curves, soa, seed):
             got = oracle_module._cc_feasible(current, state, params, curve, window, soa)
             assert repr(got) == repr(cc_window_probe(current, state, params, curve, window, soa))
             args = (state, params, curve, window, direction, soa)
@@ -282,6 +311,11 @@ class TestWindowLoops:
             assert repr(got) == repr(cp_window_probe(power, *args))
             checked.add((got.feasible, got.slack is None))
         assert checked == {(True, False), (False, False), (False, True)}  # every kind of probe
+        # Every face is crossed, the one opposite the direction's cut-off too.
+        faces = {"voltage_low", "voltage_high", "soc_low", "soc_high"}
+        assert left == {(DIS, face) for face in faces | {"current_high_dis"}} | {
+            (CHG, face) for face in faces | {"current_high_chg"}
+        }
 
     @pytest.mark.parametrize("current", [-4.0, 10.0])
     def test_cc_loop_raises_as_ecm_step(self, linear_curve, soa, current):
@@ -335,6 +369,14 @@ def test_non_finite_tolerance_rejected(
     # An infinite tolerance used to skip the bisection and return 0.
     with pytest.raises(ValueError):
         oracle(state_half, params, linear_curve, window_10, DIS, soa, **{keyword: tol})
+
+
+@pytest.mark.parametrize("p_hi", [-5.0, 0.0, math.nan, math.inf])
+def test_bad_power_bracket_top_rejected(params, linear_curve, soa, state_half, window_10, p_hi):
+    # Unchecked, -5 W and 0 W came back as saturated answers, NaN as an
+    # unsaturated 0 W, and inf raised OverflowError from the probe budget.
+    with pytest.raises(ValueError, match="p_hi"):
+        brute_peak_power_cp(state_half, params, linear_curve, window_10, DIS, soa, p_hi=p_hi)
 
 
 class TestCompareReport:

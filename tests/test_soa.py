@@ -18,6 +18,7 @@ from soplab import (
     brute_peak_power_cp,
     check_point,
     check_trace,
+    find_mode_shift_kc,
     sop_cc,
     sop_cccv,
     sop_cp,
@@ -62,15 +63,23 @@ def test_soa_rejects_a_power_bound_that_overflows(vt_max, i_max_dis, i_max_chg):
 @pytest.mark.parametrize("direction", list(Direction))
 @pytest.mark.parametrize(
     "entry",
-    [sop_cc, sop_cv, sop_cccv, sop_cp, brute_peak_current_cc, brute_peak_power_cp],
+    [
+        sop_cc,
+        sop_cv,
+        sop_cccv,
+        sop_cp,
+        find_mode_shift_kc,
+        brute_peak_current_cc,
+        brute_peak_power_cp,
+    ],
     ids=lambda entry: entry.__name__,
 )
 def test_polarization_load_that_overflows_is_refused(entry, direction):
     # 2 * r1 * 10 A is beyond the floats, so the polarization's load term
     # current * r1 is not finite at a current the box admits. Each engine and
     # oracle refuses the cell before it simulates anything: unchecked, sop_cp
-    # raised IndexError, sop_cv and sop_cccv reported power over NaN rows, and
-    # sop_cc and the CP oracle answered.
+    # raised IndexError, sop_cv and sop_cccv reported power over NaN rows,
+    # sop_cc and the CP oracle answered, and find_mode_shift_kc found no shift.
     params = BatteryParams(0.05, 1.7e308, 10.0, 1.7e304)
     curve = OcvCurve(((0.0, 3.0), (1.0, 4.2)))
     soa = Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9)
