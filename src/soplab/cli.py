@@ -70,11 +70,11 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     return Scenario(state, params, curve, window, Direction(args.direction), soa)
 
 
-def cmd_sop(scenario: Scenario, mode: str, power_eval: str, tol_watts: float) -> tuple[int, str]:
+def cmd_sop(scenario: Scenario, mode: str, tol_watts: float) -> tuple[int, str]:
     """Peak-power report for one scenario; exit 1 when infeasible."""
     trace = None
     if mode == "cc":
-        result = peak_cc.sop_cc(*scenario, power_eval=power_eval)
+        result = peak_cc.sop_cc(*scenario)
     else:
         from . import modes  # a CC report never loads the stepwise engines
 
@@ -267,12 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sop = sub.add_parser("sop", help="peak-power report for one scenario")
     add_common(p_sop)
     p_sop.add_argument("--mode", choices=MODES, default="cc")
-    p_sop.add_argument(
-        "--power-eval",
-        choices=("end_of_window", "min_over_window"),
-        default="end_of_window",
-        help="CC power convention: end-of-window voltage or the literal window minimum",
-    )
     p_sop.add_argument("--tol-watts", type=float, default=1e-6, help="CP power tolerance [W]")
 
     p_sweep = sub.add_parser("sweep-error", help="error-source sensitivity sweep")
@@ -310,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         scenario = _scenario_from_args(args)
         if args.command == "sop":
             tol_watts = _tolerance(args.tol_watts, "--tol-watts")
-            code, report = cmd_sop(scenario, args.mode, args.power_eval, tol_watts)
+            code, report = cmd_sop(scenario, args.mode, tol_watts)
         elif args.command == "sweep-error":
             grid = _parse_grid(args.grid)
             code, report = cmd_sweep_error(scenario, args.source, args.constraint, grid)

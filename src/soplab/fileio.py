@@ -59,7 +59,7 @@ def parse_float(text: str, where: str) -> float:
 def _read_lines(path: str | Path, what: str) -> list[str]:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")  # an editor's leading BOM is not data
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} file {p}: {exc}") from exc
     return text.splitlines()

@@ -156,36 +156,21 @@ def sop_cc(
     window: Window,
     direction: Direction,
     soa: Soa,
-    power_eval: str = "end_of_window",
 ) -> SopResult:
     """Multi-constraint peak power for a constant-current window, composed at
     ``window_terms``'s window OCV slope.
 
-    ``power_eval`` selects how the deliverable power is reported:
-    "end_of_window" multiplies the peak current by the last-step voltage;
-    "min_over_window" takes the smallest per-step power magnitude along the
-    simulated window, which moves the binding step to the front for a charge.
-    An end voltage or a reported power past the floats raises
+    The deliverable power is the peak current times the end-of-window
+    voltage, in closed form: no window is simulated, so the cost is the same
+    at any K. An end voltage or a power past the floats raises
     AnalyticDomainError.
     """
     check_load(params, soa)
-    if power_eval not in ("end_of_window", "min_over_window"):
-        raise ValueError(f"unknown power_eval mode: {power_eval!r}")
-
     terms = window_terms(state, params, curve, window, direction, soa)
     i_voltage, i_soc, i_mc, dominant = _peak(terms, direction)
 
     vt_end = end_voltage(terms, i_mc)
     power_signed = i_mc * vt_end
-    sop = abs(power_signed)
-
-    if power_eval == "min_over_window":
-        sim_state, powers = state, []
-        for _ in range(window.steps):
-            sim_state, vt = ecm.step(sim_state, params, curve, i_mc, window.dt)
-            powers.append(i_mc * vt)
-        power_signed = min(powers, key=abs)  # first smallest magnitude
-        sop = abs(power_signed)
     if not (math.isfinite(vt_end) and math.isfinite(power_signed)):
         raise AnalyticDomainError(f"end voltage {vt_end} V or power {power_signed} W not finite")
 
@@ -197,6 +182,6 @@ def sop_cc(
         dominant=dominant,
         vt_end=vt_end,
         power_signed=power_signed,
-        sop=sop,
+        sop=abs(power_signed),
         feasible=i_mc != 0.0,
     )

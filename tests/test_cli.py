@@ -209,10 +209,9 @@ class TestSopCommand:
         assert code == 2
         assert capsys.readouterr().out.endswith("underflows to 0\n")
 
-    @pytest.mark.parametrize("power_eval", ["end_of_window", "min_over_window"])
-    def test_overflowing_cc_power_exits_one(self, files, capsys, power_eval):
+    def test_overflowing_cc_power_exits_one(self, files, capsys):
         # i_mc * vt_end overflowed: the report said sop_w=inf, feasible=true.
-        argv = ["--vp=1.7e308", "--direction", "charge", "-K", "10", "--power-eval", power_eval]
+        argv = ["--vp=1.7e308", "--direction", "charge", "-K", "10"]
         code = main(["sop", *_base_args(files), *argv])
         assert code == 1
         assert capsys.readouterr().out.startswith("infeasible: end voltage")
@@ -317,6 +316,21 @@ def test_non_utf8_input_file_exits_two(files, tmp_path, capsys, which):
     argv = ["simulate", *_base_args(paths), "--profile", paths["profile"]]
     assert main(argv) == 2
     assert capsys.readouterr().out.startswith(f"error: cannot read {which} file")
+
+
+@pytest.mark.parametrize("which", ["params", "ocv", "soa", "profile"])
+def test_byte_order_mark_is_ignored(files, tmp_path, capsys, which):
+    # Editors on some platforms save UTF-8 with a leading BOM: it read as
+    # part of the first key or header, and the file was refused (exit 2).
+    profile = tmp_path / "profile.csv"
+    profile.write_text("t_s,current_a\n0,1\n1,1\n")
+    paths = {**files, "profile": str(profile)}
+    argv = ["simulate", *_base_args(paths), "--profile", paths["profile"]]
+    plain = main(argv), capsys.readouterr().out
+    path = Path(paths[which])
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert (main(argv), capsys.readouterr().out) == plain
+    assert plain[0] == 0
 
 
 class TestSimulateCommand:

@@ -3,10 +3,11 @@
 A seeded fuzz of all four subcommands, run in-process through ``cli.main``.
 Every file field, flag and profile time is drawn from ordinary values and
 the extremes 5e-324, 1e-300, 1e300, 1.7e308 and -0.0. Each request must exit
-0, 1 or 2 with no exception but ``SystemExit``, and every number of an
-exit-0 report must re-parse through ``fileio`` to the same bytes; the one
-exception is the ``nan`` of a flagged row (``in_domain=false`` in
-``sweep-error``, ``skipped`` in ``validate``).
+0, 1 or 2 with no exception but ``SystemExit`` and nothing on stderr, where
+only argparse writes: a drawn flag the parser refuses is a fault of the
+fuzz. Every number of an exit-0 report must re-parse through ``fileio`` to
+the same bytes; the one exception is the ``nan`` of a flagged row
+(``in_domain=false`` in ``sweep-error``, ``skipped`` in ``validate``).
 """
 
 import contextlib
@@ -91,7 +92,6 @@ def requests(draw):
     ]
     if command == "sop":
         argv.append(f"--mode={draw(st.sampled_from(cli.MODES))}")
-        argv.append(f"--power-eval={draw(st.sampled_from(('end_of_window', 'min_over_window')))}")
         argv.append(f"--tol-watts={draw(value(1e-6, 1e-3))!r}")
     elif command == "sweep-error":
         argv.append(f"--source={draw(st.sampled_from(cli.ERROR_SOURCES))}")
@@ -124,12 +124,14 @@ def run(workdir, files, argv):
         path = workdir / f"{name}.txt"
         path.write_text(text)
         paths += [f"--{name}", str(path)]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main([argv[0], *paths, *argv[1:]])
         except SystemExit as exc:
             code = exc.code
+    # soplab refuses on stdout: stderr holds argparse's refusal of a drawn flag.
+    assert err.getvalue() == "", err.getvalue()
     return code, out.getvalue()
 
 

@@ -144,6 +144,12 @@ class TestSopCcComposition:
         assert result.dominant == "soc"
         assert not result.feasible
 
+    def test_overflowing_power_raises(self, params, linear_curve, soa, window_10):
+        # i_mc * vt_end overflows: the report said sop_w=inf, feasible=true.
+        state = BatteryState(0.5, 1.7e308)
+        with pytest.raises(AnalyticDomainError, match="not finite"):
+            sop_cc(state, params, linear_curve, window_10, CHG, soa)
+
     def test_three_way_tie_prefers_voltage(self):
         # Flat OCV and r1=0 make every quantity exact: all three constraint
         # currents equal 1 A, so the label follows the fixed priority.
@@ -285,39 +291,6 @@ class TestClosedFormSopSelfConsistency:
         ocv_at_bound = 3.0 + 1.2 * wide.soc_min
         closed = i * (ocv_at_bound - state.vp * alpha_k) - i * i * (params.r0 + eff_r1)
         assert abs(closed - result.i_mc * result.vt_end) <= 1e-10
-
-
-class TestMinOverWindowMode:
-    def test_charge_binds_at_first_step(self, params, linear_curve, soa, state_half, window_10):
-        default = sop_cc(state_half, params, linear_curve, window_10, CHG, soa)
-        literal = sop_cc(
-            state_half, params, linear_curve, window_10, CHG, soa,
-            power_eval="min_over_window",
-        )
-        # Charge power magnitude grows along the window, so the literal
-        # minimum sits at the first step and is smaller than the end value.
-        sim, vt1 = step(state_half, params, linear_curve, default.i_mc, window_10.dt)
-        assert literal.sop == pytest.approx(abs(default.i_mc * vt1), abs=1e-12)
-        assert literal.sop < default.sop
-
-    def test_discharge_agrees_with_default(self, params, linear_curve, soa, window_10):
-        state = BatteryState(0.3)
-        default = sop_cc(state, params, linear_curve, window_10, DIS, soa)
-        literal = sop_cc(
-            state, params, linear_curve, window_10, DIS, soa, power_eval="min_over_window"
-        )
-        assert literal.sop == pytest.approx(default.sop, abs=1e-11)
-
-    @pytest.mark.parametrize("power_eval", ["end_of_window", "min_over_window"])
-    def test_overflowing_power_raises(self, params, linear_curve, soa, window_10, power_eval):
-        # i_mc * vt_end overflows: the report said sop_w=inf, feasible=true.
-        state = BatteryState(0.5, 1.7e308)
-        with pytest.raises(AnalyticDomainError, match="not finite"):
-            sop_cc(state, params, linear_curve, window_10, CHG, soa, power_eval=power_eval)
-
-    def test_unknown_mode_rejected(self, params, linear_curve, soa, state_half, window_10):
-        with pytest.raises(ValueError):
-            sop_cc(state_half, params, linear_curve, window_10, DIS, soa, power_eval="median")
 
 
 class TestCostFlatInK:

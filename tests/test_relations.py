@@ -1,7 +1,8 @@
 """Relations between answers that need no oracle (metamorphic tests): a
-longer window never claims more, a wider box never gives less, and a cell
+longer window never claims more, a wider box never gives less, a cell
 scaled by two (half the resistances, twice the capacity and the current
-limits) doubles every answer.
+limits) doubles every answer, and a higher SOC never lowers the CC oracle's
+signed peak current.
 
 Each answer is one figure: ``sop_cc``'s |i_mc|, the stepwise engines' ``sop``,
 the CC oracle's |current| and the CP oracle's watts. A refusal claims
@@ -9,7 +10,7 @@ nothing, so it reads 0 in the first two relations. On failure, a relation
 prints both scenarios and both answers.
 """
 
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from soplab import (
@@ -28,9 +29,10 @@ from soplab import (
     sop_cp,
     sop_cv,
 )
-from support import NMC_CURVE
+from support import NMC_CURVE, monotone_ocv
 
 PARAMS = BatteryParams(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
+LINEAR_CURVE = OcvCurve(((0.0, 3.0), (1.0, 4.2)))
 SOA = Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9)
 WIDE_SOA = Soa(2.7, 4.4, 12.0, -5.0, 0.05, 0.95)
 # Two cells in parallel: half the resistances, twice the capacity and limits.
@@ -61,7 +63,7 @@ scenarios = st.builds(
     lambda curve, soc, vp, steps, direction: (
         BatteryState(soc, vp), PARAMS, curve, Window(steps, 1.0), direction, SOA
     ),
-    st.sampled_from([OcvCurve(((0.0, 3.0), (1.0, 4.2))), NMC_CURVE]),
+    st.sampled_from([LINEAR_CURVE, NMC_CURVE]),
     st.floats(0.12, 0.88),
     st.floats(-0.4, 0.4),
     st.sampled_from([1, 3, 10, 30]),
@@ -124,3 +126,34 @@ def test_a_cell_scaled_by_two_doubles_every_answer(scenario):
             assert a is b, _describe(name, scenario, a, doubled, b)  # both refuse
         else:
             assert abs(b - 2 * a) <= slack, _describe(name, scenario, a, doubled, b)
+
+
+# sop_cc breaks this relation too: on the table (0, 3.0), (0.79, 3.22),
+# (1, 4.2) at vp -0.12 V, K 300, dt 5 s, discharge, its i_mc falls from
+# 3.043 A at soc 0.79 to 1.346 A at soc 0.89, where the oracle gives 3.043 A
+# and 3.245 A (ROADMAP items 6 and 10).
+@relation
+@given(
+    st.one_of(st.sampled_from([LINEAR_CURVE, NMC_CURVE]), monotone_ocv()),
+    # soc < soc', up to 0.3 apart, both inside the box's SOC range.
+    st.floats(0.12, 0.88).flatmap(
+        lambda soc: st.tuples(st.just(soc), st.floats(soc, min(soc + 0.3, SOA.soc_max)))
+    ),
+    st.floats(-0.6, 0.6),
+    st.sampled_from([1, 2, 10, 30, 300]),
+    st.sampled_from([0.1, 1.0, 5.0]),
+    st.sampled_from(list(Direction)),
+)
+def test_a_higher_soc_never_lowers_the_peak_current(curve, socs, vp, steps, dt, direction):
+    # More charge in the cell leaves at least as much discharge headroom and
+    # at most as much charge headroom: the signed peak current cannot fall.
+    lower, higher = (
+        (BatteryState(soc, vp), PARAMS, curve, Window(steps, dt), direction, SOA)
+        for soc in socs
+    )
+    try:
+        a = brute_peak_current_cc(*lower, tol_amps=ORACLE_TOL)
+        b = brute_peak_current_cc(*higher, tol_amps=ORACLE_TOL)
+    except InfeasibleStateError:
+        reject()  # a rested point outside the box: no pair to compare
+    assert b >= a - ORACLE_TOL, _describe("brute_peak_current_cc", lower, a, higher, b)
