@@ -56,15 +56,9 @@ _EXPORTS_BY_MODULE = {
         "sop_cp",
         "sop_cv",
     ),
-    "oracle": (
-        "BrutePower",
-        "ValidationRecord",
-        "brute_peak_current_cc",
-        "brute_peak_power_cp",
-        "compare_report",
-    ),
-    "peak_cc": ("Direction", "SopResult", "WindowTerms", "sop_cc", "window_terms"),
-    "soa": ("Soa", "Violation", "check_point", "check_trace"),
+    "oracle": ("BrutePower", "brute_peak_current_cc", "brute_peak_power_cp"),
+    "peak_cc": ("SopResult", "WindowTerms", "sop_cc", "window_terms"),
+    "soa": ("Direction", "Soa", "Violation", "check_point", "check_trace"),
 }
 _EXPORTS = {name: module for module, names in _EXPORTS_BY_MODULE.items() for name in names}
 

@@ -22,8 +22,8 @@ from typing import NamedTuple
 from . import ecm, peak_cc
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
 from .exceptions import AnalyticDomainError
-from .peak_cc import Direction, WindowTerms
-from .soa import Soa
+from .peak_cc import WindowTerms
+from .soa import Direction, Soa
 
 CONSTRAINTS = ("current", "voltage", "soc")
 
@@ -86,9 +86,7 @@ def _corrupt(ctx: TrueContext, source: ErrorSource, delta: float) -> WindowTerms
         return t._replace(r_sum=t.r_sum - delta)
     if source is ErrorSource.KAPPA:
         return t._replace(kappa=t.kappa - delta)
-    if source is ErrorSource.X:
-        return t._replace(y=ctx.k_dt * (ctx.x - delta))
-    raise AssertionError(f"unhandled source {source}")
+    return t._replace(y=ctx.k_dt * (ctx.x - delta))  # X
 
 
 def _estimate(constraint: str, terms: WindowTerms) -> tuple[float, float, float]:
@@ -110,7 +108,12 @@ def _estimate(constraint: str, terms: WindowTerms) -> tuple[float, float, float]
     return current, vt, current * vt
 
 
-def _check_constraint(constraint: str) -> None:
+def _check_inputs(source: ErrorSource, delta: float, constraint: str) -> None:
+    """Refuse, with ValueError, what neither entry point has an answer for."""
+    if not isinstance(source, ErrorSource):
+        raise ValueError(f"source must be an ErrorSource, got {source!r}")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     if constraint not in CONSTRAINTS:
         raise ValueError(f"constraint must be one of {CONSTRAINTS}, got {constraint!r}")
 
@@ -123,7 +126,7 @@ def empirical_error(
     Differences the per-constraint peak current, end-of-window voltage, and
     power as (true - estimated).
     """
-    _check_constraint(constraint)
+    _check_inputs(source, delta, constraint)
     i_true, vt_true, sop_true = _estimate(constraint, ctx.terms)
     i_hat, vt_hat, sop_hat = _estimate(constraint, _corrupt(ctx, source, delta))
     return ErrorBreakdown(
@@ -145,9 +148,7 @@ def analytic_error(
     finite) raises AnalyticDomainError, as one outside the closed form's
     domain does.
     """
-    _check_constraint(constraint)
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
+    _check_inputs(source, delta, constraint)
     cell = _analytic_cell(source, delta, ctx, constraint)
     if not all(map(math.isfinite, (*cell[:3], *(cell.coefficients or ())))):
         raise AnalyticDomainError(f"{source.value} error under the {constraint} constraint: {cell}")

@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple
 from . import ecm
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
 from .exceptions import PowerInfeasibleError
-from .peak_cc import Direction, SopResult
-from .soa import Soa, check_load, check_point
+from .peak_cc import SopResult
+from .soa import Direction, Soa, check_load, check_point
 
 
 class PomStep(NamedTuple):

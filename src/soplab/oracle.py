@@ -1,4 +1,4 @@
-"""Brute-force validators for the closed-form estimates.
+"""Brute-force oracles for the closed-form estimates, and nothing else.
 
 Peak current and power are rediscovered over forward-simulated feasibility,
 using only the single-step model and the safe-operation-area checks. Probes
@@ -10,7 +10,7 @@ bisection, within bisection's probe count plus one. The CC oracle runs
 ``ecm.step``'s recurrence inline. The CP oracle solves each step's current by
 Newton's method from power / emf, which rises monotonically to the physical
 root. Both oracles read the OCV through one ``ecm.ocv_cursor`` per window.
-Nothing here calls the closed forms it is meant to validate.
+It imports only ``ecm``, ``soa`` and the exceptions, nothing it validates.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from typing import Callable, NamedTuple
 from . import ecm
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
 from .exceptions import ConfigurationError, InfeasibleStateError
-from .peak_cc import Direction
-from .soa import Soa, check_load, check_point
+from .soa import Direction, Soa, check_load, check_point
 
 
 # ITP probe placement (Oliveira & Takahashi 2020, ACM TOMS 47(1)): at most
@@ -38,14 +37,6 @@ NEWTON_MAX_ITER = 60
 class BrutePower(NamedTuple):
     watts: float
     saturated: bool  # bracket top itself was feasible
-
-
-class ValidationRecord(NamedTuple):
-    analytic: float
-    brute: float
-    residual: float
-    tol: float
-    passed: bool
 
 
 class Probe(NamedTuple):
@@ -321,13 +312,3 @@ def brute_peak_power_cp(
 
     return BrutePower(*_search(probe, p_hi, tol_watts))
 
-
-def compare_report(analytic: float, brute: float, tol: float) -> ValidationRecord:
-    """Pass/fail record for one analytic-vs-brute comparison of the same
-    figure: a peak current (``SopResult.i_mc``) against
-    ``brute_peak_current_cc``, or a peak power (``SopResult.sop``) against
-    ``brute_peak_power_cp``. The check is inclusive: a residual exactly at
-    ``tol`` passes.
-    """
-    residual = analytic - brute
-    return ValidationRecord(analytic, brute, residual, tol, abs(residual) <= tol)

@@ -8,31 +8,13 @@ end-of-window terminal voltage.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import NamedTuple
 
 from . import ecm
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
 from .exceptions import AnalyticDomainError
-from .soa import Soa, check_load
-
-class Direction(enum.Enum):
-    DISCHARGE = "discharge"
-    CHARGE = "charge"
-
-    @property
-    def sign(self) -> int:
-        return 1 if self is Direction.DISCHARGE else -1
-
-    def current_limit(self, soa: Soa) -> float:
-        return soa.i_max_dis if self is Direction.DISCHARGE else soa.i_max_chg
-
-    def vt_cutoff(self, soa: Soa) -> float:
-        return soa.vt_min if self is Direction.DISCHARGE else soa.vt_max
-
-    def soc_bound(self, soa: Soa) -> float:
-        return soa.soc_min if self is Direction.DISCHARGE else soa.soc_max
+from .soa import Direction, Soa, check_load
 
 
 class SopResult(NamedTuple):

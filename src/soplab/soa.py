@@ -1,11 +1,13 @@
-"""Safe-operation-area box and compliance checks.
+"""Safe-operation-area box, the load direction and compliance checks.
 
 All bounds are inclusive: a point sitting exactly on a cut-off is compliant,
-so boundary conditions can be expressed as exact equalities.
+so boundary conditions can be expressed as exact equalities. ``Direction``
+lives here, next to the faces it picks, so the oracle needs no closed form.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from typing import Iterable, NamedTuple, Protocol
 
@@ -51,6 +53,26 @@ class Soa(_Value):
         if not (0.0 <= soc_min < soc_max <= 1.0):
             raise ConfigurationError("need 0 <= soc_min < soc_max <= 1")
         _Value.__init__(self, *limits)
+
+
+class Direction(enum.Enum):
+    """Discharge or charge: each method returns the box face a load pushes toward."""
+
+    DISCHARGE = "discharge"
+    CHARGE = "charge"
+
+    @property
+    def sign(self) -> int:
+        return 1 if self is Direction.DISCHARGE else -1
+
+    def current_limit(self, soa: Soa) -> float:
+        return soa.i_max_dis if self is Direction.DISCHARGE else soa.i_max_chg
+
+    def vt_cutoff(self, soa: Soa) -> float:
+        return soa.vt_min if self is Direction.DISCHARGE else soa.vt_max
+
+    def soc_bound(self, soa: Soa) -> float:
+        return soa.soc_min if self is Direction.DISCHARGE else soa.soc_max
 
 
 def check_load(params: BatteryParams, soa: Soa) -> None:

@@ -1,6 +1,7 @@
 """Command-line contract tests: exit codes, report shapes, round-trips."""
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -631,6 +632,36 @@ class TestValidateCommand:
         report = capsys.readouterr().out
         assert code == 1
         assert "passed=0" in report
+
+    @pytest.mark.parametrize(
+        "tol, verdict, want",
+        [(2.0**-20, "true", 0), (math.nextafter(2.0**-20, 0.0), "false", 1)],
+        ids=["at-tol", "one-ulp-over"],
+    )
+    def test_verdict_is_inclusive(self, files, capsys, monkeypatch, tol, verdict, want):
+        # The oracle is made to answer 2**-20 A below the closed form, a
+        # residual that is exact in floating point: at --tol it passes, and
+        # with --tol one ulp below it, it fails.
+        residuals = []
+
+        def shifted(state, params, curve, window, direction, soa, tol_amps=1e-6):
+            analytic = soplab.peak_cc.sop_cc(state, params, curve, window, direction, soa).i_mc
+            brute = analytic - 2.0**-20
+            residuals.append(analytic - brute)
+            return brute
+
+        monkeypatch.setattr(soplab.oracle, "brute_peak_current_cc", shifted)
+        code = main(
+            [
+                "validate", *_base_args(files),
+                "--soc-grid", "0.3", "--steps-list", "10",
+                "--directions", "discharge", "--tol", repr(tol),
+            ]
+        )
+        row = capsys.readouterr().out.splitlines()[1]
+        assert residuals == [2.0**-20]
+        assert row.endswith("," + verdict)
+        assert code == want
 
 
 @pytest.mark.parametrize(

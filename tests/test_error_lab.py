@@ -222,6 +222,27 @@ class TestDomainGuards:
         with pytest.raises(ValueError):
             analytic_error(ErrorSource.SOC, 0.01, ctx, "thermal")
 
+    @pytest.mark.parametrize("entry", [analytic_error, empirical_error], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "source, delta",
+        [
+            ("soc", 1e-6),  # the enum's value, not a member
+            (None, 1e-6),
+            (ErrorSource.SOC, math.nan),
+            (ErrorSource.SOC, math.inf),
+            (ErrorSource.SOC, -math.inf),
+        ],
+        ids=["str", "none", "nan", "inf", "-inf"],
+    )
+    def test_bad_source_or_delta_rejected(
+        self, params, linear_curve, soa, state_half, window_10, entry, source, delta
+    ):
+        # Neither entry point may answer for another source's cell, fail deep
+        # inside the model, or return a finite breakdown for an infinite delta.
+        ctx = build_true_context(state_half, params, linear_curve, window_10, DIS, soa)
+        with pytest.raises(ValueError, match="source must be|delta must be"):
+            entry(source, delta, ctx, "voltage")
+
 
 class TestSweep:
     def test_zero_grid_single_zero_row(self, ctx):

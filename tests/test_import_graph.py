@@ -1,5 +1,5 @@
-"""Each CLI process imports only what its subcommand runs, and no process
-loads ``dataclasses`` or ``inspect``.
+"""Each CLI process imports only what its subcommand runs, the oracle loads
+nothing it validates, and no process loads ``dataclasses`` or ``inspect``.
 
 Every case runs in a fresh interpreter, because this process has already
 imported the whole package.
@@ -83,6 +83,13 @@ COMMANDS = pytest.mark.parametrize(
 
 def test_package_import_loads_no_submodule():
     assert _soplab(_loaded("import soplab")) == {"soplab"}
+
+
+def test_oracle_import_loads_nothing_it_validates():
+    # The oracle shares only the model, the box and the exceptions with the
+    # engines and closed forms it checks.
+    loaded = _soplab(_loaded("import soplab.oracle"))
+    assert loaded == {"soplab", "soplab.ecm", "soplab.exceptions", "soplab.soa", "soplab.oracle"}
 
 
 @COMMANDS

@@ -66,6 +66,11 @@ def test_dir_covers_all():
     assert set(soplab.__all__) <= set(dir(soplab))
 
 
+def test_direction_is_soas_class():
+    # bench/workloads.py reads it as peak_cc.Direction.
+    assert soplab.Direction is soplab.soa.Direction is soplab.peak_cc.Direction
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         soplab.no_such_name

@@ -1,8 +1,9 @@
 """Relations between answers that need no oracle (metamorphic tests): a
 longer window never claims more, a wider box never gives less, a cell
 scaled by two (half the resistances, twice the capacity and the current
-limits) doubles every answer, and a higher SOC never lowers the CC oracle's
-signed peak current.
+limits) doubles every answer, a higher SOC never lowers the CC oracle's
+signed peak current, and sampling the same horizon more finely leaves
+``sop_cc``'s answer where it was.
 
 Each answer is one figure: ``sop_cc``'s |i_mc|, the stepwise engines' ``sop``,
 the CC oracle's |current| and the CP oracle's watts. A refusal claims
@@ -157,3 +158,37 @@ def test_a_higher_soc_never_lowers_the_peak_current(curve, socs, vp, steps, dt, 
     except InfeasibleStateError:
         reject()  # a rested point outside the box: no pair to compare
     assert b >= a - ORACLE_TOL, _describe("brute_peak_current_cc", lower, a, higher, b)
+
+
+def _cc_or_refusal(scenario):
+    try:
+        return sop_cc(*scenario)
+    except AnalyticDomainError as exc:
+        return type(exc).__name__
+
+
+@relation
+@given(
+    st.one_of(st.sampled_from([LINEAR_CURVE, NMC_CURVE]), monotone_ocv()),
+    st.floats(0.12, 0.88),
+    st.floats(-0.4, 0.4),
+    st.sampled_from([1, 3, 10, 30, 300]),
+    st.sampled_from([0.1, 1.0, 5.0]),
+    st.sampled_from([2, 3, 10]),
+    st.sampled_from(list(Direction)),
+)
+def test_finer_sampling_of_the_horizon_leaves_sop_cc_unchanged(
+    curve, soc, vp, steps, dt, m, direction
+):
+    # The closed form sees the window only through K*dt, so (m*K, dt/m) is the
+    # same window; the product may round differently, and then i_mc may move
+    # by that rounding only.
+    coarse, fine = (
+        (BatteryState(soc, vp), PARAMS, curve, window, direction, SOA)
+        for window in (Window(steps, dt), Window(m * steps, dt / m))
+    )
+    a, b = _cc_or_refusal(coarse), _cc_or_refusal(fine)
+    if coarse[3].duration == fine[3].duration:
+        assert a == b, _describe("sop_cc", coarse, a, fine, b)
+    else:
+        assert abs(a.i_mc - b.i_mc) <= 1e-9, _describe("sop_cc", coarse, a, fine, b)
