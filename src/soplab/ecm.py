@@ -231,8 +231,6 @@ def ocv(curve: OcvCurve, soc: float) -> float:
     i = bisect_right(curve.socs, soc)
     x0, y0 = pts[i - 1]
     x1, y1 = pts[i]
-    if soc == x0:  # exact knot hit
-        return y0
     return y0 + (soc - x0) * (y1 - y0) / (x1 - x0)
 
 

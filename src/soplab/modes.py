@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 from . import ecm
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
 from .exceptions import PowerInfeasibleError
-from .peak_cc import SopResult
+from .peak_cc import SopResult, sop_result
 from .soa import Direction, Soa, check_load, check_point
 
 
@@ -143,10 +143,8 @@ def _sop_hold(
                 if cv:
                     hold, v_star = i_lim, vt_lim
         # max(0.0, min(hold, i_lim, headroom)) and its charge mirror, inlined.
-        try:
-            headroom = (soc - bound) / headroom_div
-        except ZeroDivisionError:  # dt * soc_per_amp_second underflowed: no SOC moves
-            headroom = unbounded
+        # dt * soc_per_amp_second may underflow to 0: then no SOC moves.
+        headroom = (soc - bound) / headroom_div if headroom_div else unbounded
         current = hold
         if discharge:
             if i_lim < current:
@@ -180,31 +178,14 @@ def _sop_hold(
         dominant, k_c = governed, None
     else:
         dominant = "current" if k_c is None else "dual"
-    result = _stepwise_result(binding.current, dominant, steps[-1].vt, binding.power)
+    result = sop_result(binding.current, dominant, steps[-1].vt, binding.power)
     return result, PomTrace(steps, mode_shift_index=k_c)
-
-
-def _stepwise_result(i_mc: float, dominant: str, vt_end: float, power_signed: float) -> SopResult:
-    """What every stepwise engine reports: no per-constraint currents, and a
-    window that is feasible iff its power magnitude is nonzero."""
-    sop = abs(power_signed)
-    return SopResult(
-        i_current_limit=None,
-        i_voltage_limit=None,
-        i_soc_limit=None,
-        i_mc=i_mc,
-        dominant=dominant,
-        vt_end=vt_end,
-        power_signed=power_signed,
-        sop=sop,
-        feasible=sop > 0.0,
-    )
 
 
 def _no_power(state: BatteryState, v_oc: float) -> tuple[SopResult, PomTrace]:
     """The result of a window with no SOA-compliant continuation: zero power at
     the rested terminal voltage (step one's OCV lookup less vp), no trace."""
-    return _stepwise_result(0.0, "voltage", v_oc - state.vp, 0.0), PomTrace(())
+    return sop_result(0.0, "voltage", v_oc - state.vp, 0.0), PomTrace(())
 
 
 def sop_cv(
@@ -478,7 +459,7 @@ def sop_cp(
             kept = "hi"
 
     binding_current = lo_trace[-1].current if direction is Direction.DISCHARGE else lo_trace[0].current
-    result = _stepwise_result(
+    result = sop_result(
         binding_current, _cp_dominant(lo_margins), lo_trace[-1].vt, lo * direction.sign
     )
     return result, PomTrace(lo_trace)

@@ -96,8 +96,6 @@ def _search(probe: Callable[[float], Probe], top: float, tol: float) -> tuple[fl
     if not low.feasible:
         raise InfeasibleStateError("the zero-load window leaves the SOA")
     lo, slack_lo, hi, slack_hi = 0.0, low.slack, top, high.slack
-    if not hi - lo > tol:
-        return lo, False
     n_max = math.ceil(math.log2(hi - lo) - math.log2(tol)) + ITP_N0
     # A probe projected onto the exact edge of the budget can leave the last
     # bracket an ulp wider than tol, and cost one probe more: aim inside it.

@@ -18,14 +18,15 @@ from .soa import Direction, Soa, check_load
 
 
 class SopResult(NamedTuple):
-    """Peak-power estimate with per-constraint diagnostics.
+    """Peak-power estimate with per-constraint diagnostics, built by
+    ``sop_result`` for every engine.
 
     The per-constraint currents are populated by the constant-current closed
     forms; stepwise mode engines leave them as None. A constraint that cannot
     bind (the SOC bound of a window whose SOC throughput underflows to 0)
     reports an infinite current toward the direction. ``sop`` is the magnitude
-    of ``power_signed``; ``feasible`` is False when no nonzero current can be
-    sustained.
+    of ``power_signed``, and one rule holds for every engine: ``feasible`` is
+    ``sop > 0``. A window whose power rounds to 0 delivers none.
     """
 
     i_current_limit: float | None
@@ -37,6 +38,20 @@ class SopResult(NamedTuple):
     power_signed: float
     sop: float
     feasible: bool
+
+
+def sop_result(
+    i_mc: float,
+    dominant: str,
+    vt_end: float,
+    power_signed: float,
+    limits: tuple[float | None, float | None, float | None] = (None, None, None),
+) -> SopResult:
+    """The one way to build a SopResult: ``limits`` are the per-constraint
+    currents (current, voltage, SOC), ``sop`` is ``abs(power_signed)``, and the
+    window is feasible iff ``sop > 0``."""
+    sop = abs(power_signed)
+    return SopResult(*limits, i_mc, dominant, vt_end, power_signed, sop, sop > 0.0)
 
 
 class WindowTerms(NamedTuple):
@@ -156,14 +171,4 @@ def sop_cc(
     if not (math.isfinite(vt_end) and math.isfinite(power_signed)):
         raise AnalyticDomainError(f"end voltage {vt_end} V or power {power_signed} W not finite")
 
-    return SopResult(
-        i_current_limit=terms.i_lim,
-        i_voltage_limit=i_voltage,
-        i_soc_limit=i_soc,
-        i_mc=i_mc,
-        dominant=dominant,
-        vt_end=vt_end,
-        power_signed=power_signed,
-        sop=abs(power_signed),
-        feasible=i_mc != 0.0,
-    )
+    return sop_result(i_mc, dominant, vt_end, power_signed, (terms.i_lim, i_voltage, i_soc))

@@ -224,6 +224,16 @@ class TestSopCommand:
         assert code == 2
         assert capsys.readouterr().out.startswith("error:")
 
+    def test_cc_power_rounding_to_zero_exits_one(self, files, capsys):
+        # A 1e-300 V cut-off lands the end voltage on 0 V under a nonzero
+        # current: the report said sop_w=0, feasible=true, at exit 0.
+        Path(files["soa"]).write_text(SOA_TEXT.replace("vt_min=2.8", "vt_min=1e-300"))
+        argv = ["--soc", "0.7571737717791172", "--vp", "3.9086085271349407", "-K", "1"]
+        assert main(["sop", *_base_args(files), *argv]) == 1
+        kv = _kv(capsys.readouterr().out)
+        assert (kv["feasible"], kv["sop_w"], kv["vt_end_v"]) == ("false", "0", "0")
+        assert float(kv["i_mc_a"]) > 0.0
+
     def test_cp_vp_above_ocv_exits_one(self, files, capsys):
         code = main(["sop", *_base_args(files), "--mode", "cp", "--vp", "5"])
         assert code == 1
@@ -779,6 +789,7 @@ def test_unknown_command_exits_two(files):
         # Blank lines are skipped but still counted: the number is the file's own.
         ("ocv", "soc,ocv_volts\n\n0,3.0\nx,4.2\n", "line 4: not a number: 'x'"),
         ("profile", "t_s,current_a\n0,1\n\n1,abc\n", "line 4: not a number: 'abc'"),
+        ("profile", "t_s,current_a\n0,1\n2,1\n1,1\n", "times must be strictly increasing"),
     ],
 )
 def test_bad_line_error_names_the_file(files, tmp_path, capsys, which, text, message):

@@ -5,9 +5,11 @@ Every file field, flag and profile time is drawn from ordinary values and
 the extremes 5e-324, 1e-300, 1e300, 1.7e308 and -0.0. Each request must exit
 0, 1 or 2 with no exception but ``SystemExit`` and nothing on stderr, where
 only argparse writes: a drawn flag the parser refuses is a fault of the
-fuzz. Every number of an exit-0 report must re-parse through ``fileio`` to
-the same bytes; the one exception is the ``nan`` of a flagged row
-(``in_domain=false`` in ``sweep-error``, ``skipped`` in ``validate``).
+fuzz. A ``sop`` report is feasible exactly when its ``sop_w`` is above 0,
+and exits 0 exactly when it is feasible. Every number of an exit-0 report
+must re-parse through ``fileio`` to the same bytes; the one exception is the
+``nan`` of a flagged row (``in_domain=false`` in ``sweep-error``,
+``skipped`` in ``validate``).
 """
 
 import contextlib
@@ -138,6 +140,11 @@ def run(workdir, files, argv):
 def assert_answer_or_refusal(workdir, files, argv):
     code, report = run(workdir, files, argv)
     assert code in (0, 1, 2), report
+    if argv[0] == "sop" and "\nfeasible=" in report:
+        # One rule for every engine: feasible iff sop > 0, and exit 0 iff feasible.
+        pairs = dict(line.split("=", 1) for line in report.splitlines() if "=" in line)
+        assert pairs["feasible"] == ("true" if float(pairs["sop_w"]) > 0.0 else "false"), report
+        assert (code == 0) == (pairs["feasible"] == "true"), report
     if code != 0:
         return
     flagged = FLAGGED.get(argv[0])
@@ -164,6 +171,11 @@ EMPTY_RANGE = "0.0001234567890125:0.0001234567890125:1e-20"
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(request=requests())
 @example(request=(README, ["sop", "--mode=cv"]))
+# sop_cc landed the end voltage on 0 V under a nonzero current: feasible=true, sop_w=0.
+@example(request=(
+    {**README, "soa": README["soa"].replace("vt_min=2.8", "vt_min=1e-300")},
+    ["sop", "--soc=0.7571737717791172", "--vp=3.9086085271349407", "-K=1"],
+))
 @example(request=(README, ["validate", "--steps-list=10", f"--soc-grid={EMPTY_RANGE}"]))
 @example(request=(README, ["sweep-error", "--source=soc", "--constraint=soc", f"--grid={EMPTY_RANGE}"]))
 def test_every_request_answers_or_refuses(workdir, request):

@@ -1,5 +1,6 @@
 """Each CLI process imports only what its subcommand runs, the oracle loads
-nothing it validates, and no process loads ``dataclasses`` or ``inspect``.
+nothing it validates, no process loads ``dataclasses`` or ``inspect``, and
+none loads anything outside the standard library but ``soplab`` itself.
 
 Every case runs in a fresh interpreter, because this process has already
 imported the whole package.
@@ -109,6 +110,23 @@ def test_import_loads_no_heavy_module(module):
 def test_command_loads_no_heavy_module(files, argv, absent):
     bare = _loaded("pass")
     assert (_loaded(*_run_main(files, *argv)) - bare) & HEAVY == set()
+
+
+def _beyond_stdlib(modules):
+    """Top-level packages of ``modules`` that are neither the standard
+    library's nor soplab."""
+    return {m.partition(".")[0] for m in modules} - set(sys.stdlib_module_names) - {"soplab"}
+
+
+def test_import_loads_only_the_standard_library():
+    assert _beyond_stdlib(_loaded("import soplab") - _loaded("pass")) == set()
+
+
+@COMMANDS
+def test_command_loads_only_the_standard_library(files, argv, absent):
+    # The runtime stays standard-library only; numpy, scipy and the rest are
+    # test and benchmark tools.
+    assert _beyond_stdlib(_loaded(*_run_main(files, *argv)) - _loaded("pass")) == set()
 
 
 def test_submodules_resolve_after_importing_only_the_cli():

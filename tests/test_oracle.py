@@ -18,6 +18,7 @@ import support
 from soplab import (
     BatteryParams,
     BatteryState,
+    BrutePower,
     ConfigurationError,
     Direction,
     InfeasibleStateError,
@@ -192,6 +193,21 @@ def test_a_sustained_top_wins_before_the_zero_load_refusal(params, linear_curve,
     assert not cc_window_feasible(0.0, *args[:4], soa)
     assert brute_peak_current_cc(*args) == 10.0
     assert brute_peak_power_cp(*args, p_hi=20.0) == (20.0, True)
+
+
+def test_a_tolerance_as_wide_as_the_bracket_answers_zero_load(
+    params, linear_curve, soa, monkeypatch
+):
+    # The bracket top (10 A, 43 W) drains the SOC past its bound within 300 s.
+    # A tolerance at least the top ends the search with no probe inside the
+    # bracket: the answer is the zero load, unsaturated.
+    args = (BatteryState(0.2), params, linear_curve, Window(300, 1.0), DIS, soa)
+    cc_probes = _probe_spy(monkeypatch, "_cc_feasible")
+    cp_probes = _probe_spy(monkeypatch, "_cp_feasible_trace")
+    assert brute_peak_current_cc(*args, tol_amps=20.0) == 0.0
+    assert brute_peak_power_cp(*args, tol_watts=100.0) == BrutePower(0.0, False)
+    assert cc_probes == [10.0, 0.0]
+    assert cp_probes == [10.0 * soa.vt_max, 0.0]
 
 
 def _probe_spy(mp, name):

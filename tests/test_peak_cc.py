@@ -150,6 +150,15 @@ class TestSopCcComposition:
         with pytest.raises(AnalyticDomainError, match="not finite"):
             sop_cc(state, params, linear_curve, window_10, CHG, soa)
 
+    def test_power_rounding_to_zero_is_infeasible(self, params, linear_curve):
+        # A 1e-300 V cut-off lands the end voltage on 0 V under a nonzero
+        # current: the result read sop 0, feasible True.
+        soa = Soa(1e-300, 4.3, 10.0, -4.0, 0.1, 0.9)
+        state = BatteryState(0.7571737717791172, 3.9086085271349407)
+        result = sop_cc(state, params, linear_curve, Window(1, 1.0), DIS, soa)
+        assert result.i_mc > 0.0
+        assert (result.vt_end, result.sop, result.feasible) == (0.0, 0.0, False)
+
     def test_three_way_tie_prefers_voltage(self):
         # Flat OCV and r1=0 make every quantity exact: all three constraint
         # currents equal 1 A, so the label follows the fixed priority.
