@@ -305,7 +305,13 @@ def step(
         raise InputError(f"dt must be > 0, got {dt}")
     alpha = math.exp(-dt / params.tau)
     vp_next = state.vp * alpha + current * params.r1 * (1.0 - alpha)
-    soc_next = min(max(state.soc - current * dt * params.soc_per_amp_second, 0.0), 1.0)
+    soc_next = state.soc - current * dt * params.soc_per_amp_second
+    # min(max(soc_next, 0.0), 1.0) by comparisons, which keep -0.0 and NaN as
+    # those builtins do; the engines' and oracles' window loops clamp the same way.
+    if soc_next < 0.0:
+        soc_next = 0.0
+    elif soc_next > 1.0:
+        soc_next = 1.0
     vt = ocv(curve, soc_next) - vp_next - current * params.r0
     return StepResult(BatteryState(soc_next, vp_next), vt)
 

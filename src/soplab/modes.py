@@ -10,7 +10,9 @@ that current's ohmic drop. A voltage hold therefore pins the recorded voltage
 exactly, and a current cap leaves it strictly inside the cut-off. ``_trace``
 keeps the trace's two SOA corners as it steps; each engine checks the box at
 those corners, not step by step, and a window that leaves the box delivers no
-power.
+power. ``_trace`` builds the per-step rows only for a caller that asks: the CP
+search's probes keep only the corners, and ``sop_cp`` steps the accepted power
+once more with rows to return its trace.
 """
 
 from __future__ import annotations
@@ -58,24 +60,27 @@ def _trace(
     window: Window,
     drive: Callable[[int, float, float], tuple[float, float] | None],
     v_oc: float,
-) -> tuple[tuple[PomStep, ...], tuple[float, ...], tuple[float, ...]] | None:
+    rows: list[PomStep] | None = None,
+) -> tuple[tuple[float, float, float], tuple[float, float, float]] | None:
     """Run the hold step across the window: one OCV lookup per step through
     the caller's ``ecm.ocv_cursor`` (step one's is ``v_oc``, made by the
     caller), then ``drive(j, soc, emf)``, emf being the OCV less the relaxed
     vp, returns the step's ``(current, vt)``, or None to abandon the window
-    (and return None). Returns the rows and the trace's two SOA corners,
-    (min vt, max current, min soc) and (max vt, min current, max soc): the SOA
-    is a box, so every step lies in it iff both corners do."""
+    (and return None). Returns the trace's two SOA corners, (min vt, max
+    current, min soc) and (max vt, min current, max soc): the SOA is a box, so
+    every step lies in it iff both corners do. Each step's ``PomStep`` is
+    appended to ``rows`` only when the caller passes a list: a caller that
+    needs only the corners builds none."""
     alpha = math.exp(-window.dt / params.tau)
     # Products stay left to right, never pre-multiplied (current * r1 * (1 - alpha),
     # current * dt * soc_per_as): the state then matches ecm.step's bit for bit.
     one_minus_alpha = 1.0 - alpha
     r1, dt, soc_per_as = params.r1, window.dt, params.soc_per_amp_second
+    append = None if rows is None else rows.append
     row = tuple.__new__  # PomStep(...) would add a Python frame per row
     soc, vp = state.soc, state.vp
     vt_lo = soc_lo = i_lo = math.inf
     vt_hi = soc_hi = i_hi = -math.inf
-    steps: list[PomStep] = []
     for j in range(1, window.steps + 1):
         if j > 1:  # step one's lookup is the caller's
             v_oc = lookup(soc)
@@ -85,8 +90,15 @@ def _trace(
             return None
         current, vt = step
         vp = vp_rel + current * r1 * one_minus_alpha
-        soc = min(max(soc - current * dt * soc_per_as, 0.0), 1.0)
-        steps.append(row(PomStep, (j, current, vt, soc, vp, current * vt)))
+        # min(max(soc, 0.0), 1.0) by comparisons, without two builtin calls
+        # per step; like max and min it keeps -0.0 and NaN.
+        soc = soc - current * dt * soc_per_as
+        if soc < 0.0:
+            soc = 0.0
+        elif soc > 1.0:
+            soc = 1.0
+        if append is not None:
+            append(row(PomStep, (j, current, vt, soc, vp, current * vt)))
         if vt < vt_lo:
             vt_lo = vt
         if vt > vt_hi:
@@ -99,7 +111,7 @@ def _trace(
             soc_lo = soc
         if soc > soc_hi:
             soc_hi = soc
-    return tuple(steps), (vt_lo, i_hi, soc_lo), (vt_hi, i_lo, soc_hi)
+    return (vt_lo, i_hi, soc_lo), (vt_hi, i_lo, soc_hi)
 
 
 def _sop_hold(
@@ -170,9 +182,11 @@ def _sop_hold(
 
     lookup = ecm.ocv_cursor(curve)
     v_oc = lookup(state.soc)
-    steps, low, high = _trace(state, params, lookup, window, drive, v_oc)
+    rows: list[PomStep] = []
+    low, high = _trace(state, params, lookup, window, drive, v_oc, rows)
     if check_point(*low, soa) or check_point(*high, soa):
         return _no_power(state, v_oc)
+    steps = tuple(rows)
     binding = min(steps, key=lambda row: abs(row.power))  # the first minimum binds
     if cv or governed == "voltage":
         dominant, k_c = governed, None
@@ -278,16 +292,31 @@ def sop_cccv(
     return _sop_hold(state, params, curve, window, direction, soa, False)
 
 
-def _cp_current(emf: float, r0: float, power: float) -> float | None:
-    """Physical-branch root of R0*I^2 - emf*I + power = 0: the smaller-magnitude
-    current, continuous through I = 0 as power -> 0. None above the step's
-    power ceiling emf^2 / (4 R0)."""
-    if power == 0.0:
-        return power  # no power, no current (with the sign of zero), whatever the emf
-    disc = emf * emf - 4.0 * r0 * power
-    if disc < 0.0:
-        return None
-    return 2.0 * power / (emf + math.sqrt(disc))
+def _cp_drive(
+    power: float, r0: float
+) -> Callable[[int, float, float], tuple[float, float] | None]:
+    """The constant-power step for ``_trace``: ``drive(j, soc, emf)`` returns
+    the physical-branch root of R0*I^2 - emf*I + power = 0, the smaller-
+    magnitude current, continuous through I = 0 as power -> 0, with its
+    terminal voltage; None above the step's power ceiling emf^2 / (4 R0).
+    The products that depend on ``power`` alone are made once per window."""
+    if power == 0.0:  # no power, no current (with the sign of zero), whatever the emf
+
+        def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
+            return power, emf - power * r0
+
+        return drive
+    four_r0_power, two_power = 4.0 * r0 * power, 2.0 * power
+    sqrt = math.sqrt
+
+    def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
+        disc = emf * emf - four_r0_power
+        if disc < 0.0:
+            return None
+        current = two_power / (emf + sqrt(disc))
+        return current, emf - current * r0
+
+    return drive
 
 
 def solve_cp_step(
@@ -308,12 +337,12 @@ def solve_cp_step(
             f"power {power} has the wrong sign for {direction.value}"
         )
     emf = ecm.ocv(curve, state.soc) - state.vp
-    current = _cp_current(emf, params.r0, power)
-    if current is None:
+    step = _cp_drive(power, params.r0)(1, state.soc, emf)
+    if step is None:
         raise PowerInfeasibleError(
             f"power {power} W exceeds the step ceiling {emf * emf / (4.0 * params.r0)} W"
         )
-    return current, emf - current * params.r0
+    return step
 
 
 class _CpMargins(NamedTuple):
@@ -334,38 +363,31 @@ def _cp_probe(
     direction: Direction,
     soa: Soa,
     v_oc: float,
-) -> tuple[tuple[PomStep, ...] | None, _CpMargins | None]:
-    """Simulate a constant-|power| window to its last step; ``v_oc`` is step
-    one's OCV and ``lookup`` the OCV cursor, which every probe of one solve
-    shares.
+) -> tuple[bool, _CpMargins | None]:
+    """Simulate a constant-|power| window to its last step, without rows;
+    ``v_oc`` is step one's OCV and ``lookup`` the OCV cursor, which every
+    probe of one solve shares.
 
-    Returns the trace, or None when any step leaves the safe operation area,
-    with the window's margins. Both are None when a step exceeds its power
-    ceiling: the window has no continuation there.
+    Returns whether every step lies inside the safe operation area, with the
+    window's margins; ``(False, None)`` when a step exceeds its power ceiling:
+    the window has no continuation there.
 
     The SOA check is at ``_trace``'s two corners. The margins come from the
     corner on the direction's side; rounding ``x - c`` is monotone in x, so
     each equals its per-step minimum bit for bit.
     """
-    r0 = params.r0
-    power = power_abs * direction.sign
-
-    def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
-        # solve_cp_step's operation order: a probe step is bit-identical to it.
-        current = _cp_current(emf, r0, power)
-        return None if current is None else (current, emf - current * r0)
-
-    traced = _trace(state, params, lookup, window, drive, v_oc)
-    if traced is None:
-        return None, None
-    steps, low, high = traced
+    drive = _cp_drive(power_abs * direction.sign, params.r0)
+    corners = _trace(state, params, lookup, window, drive, v_oc)
+    if corners is None:
+        return False, None
+    low, high = corners
     vt, current, soc = low if direction is Direction.DISCHARGE else high
     margins = _CpMargins(
         (vt - direction.vt_cutoff(soa)) * direction.sign,
         (direction.current_limit(soa) - current) * direction.sign,
         (soc - direction.soc_bound(soa)) * direction.sign,
     )
-    return (None if check_point(*low, soa) or check_point(*high, soa) else steps), margins
+    return not (check_point(*low, soa) or check_point(*high, soa)), margins
 
 
 def _normalised_margin(margins: _CpMargins | None, scales: _CpMargins) -> float | None:
@@ -393,6 +415,8 @@ def sop_cp(
     in most one-step windows); otherwise whole-window probes keep a feasible
     ``lo`` and an infeasible ``hi`` until ``hi - lo <= tol_watts``, or until the
     bracket no longer splits in floating point, and return ``lo`` with its trace.
+    A probe keeps only its trace's two SOA corners; the accepted ``lo`` is
+    stepped once more, with rows, for the trace that is returned.
 
     Probes are placed by regula falsi with the Illinois modification on the
     normalised SOA margin g(P) = min_c m_c(P) / m_c(0), which is close to
@@ -410,25 +434,27 @@ def sop_cp(
 
     lookup = ecm.ocv_cursor(curve)
     v_oc = lookup(state.soc)
-    zero_trace, zero_margins = _cp_probe(0.0, state, params, lookup, window, direction, soa, v_oc)
-    if zero_trace is None:
+    zero_ok, zero_margins = _cp_probe(0.0, state, params, lookup, window, direction, soa, v_oc)
+    if not zero_ok:
         return _no_power(state, v_oc)
     # A bound already reached at zero power has no scale; its native units serve.
     scales = _CpMargins(*(m if m > 0.0 else 1.0 for m in zero_margins))
 
     r0, sign = params.r0, direction.sign
-    emf = zero_trace[0].vt  # no ohmic drop; in the box (hence abs), so above vt_min > 0
+    # Step one's emf: the zero-power trace's first vt, with no ohmic drop. That
+    # trace is in the box (hence abs), so emf is above vt_min > 0.
+    emf = v_oc - state.vp * math.exp(-window.dt / params.tau)
     i_top = min(abs(direction.current_limit(soa)), abs(emf - direction.vt_cutoff(soa)) / r0)
     if direction is Direction.DISCHARGE:
         i_top = min(i_top, emf / (2.0 * r0))
     top = i_top * (emf - sign * i_top * r0)
-    top_trace, top_margins = _cp_probe(top, state, params, lookup, window, direction, soa, v_oc)
+    top_ok, top_margins = _cp_probe(top, state, params, lookup, window, direction, soa, v_oc)
 
-    lo, lo_trace, lo_margins = 0.0, zero_trace, zero_margins
+    lo, lo_margins = 0.0, zero_margins
     g_lo = _normalised_margin(zero_margins, scales)  # 1, or 0 with a bound already reached
     hi, g_hi = top, _normalised_margin(top_margins, scales)
-    if top_trace is not None:  # |power| rises with |current| to i_top: top is the peak
-        lo, lo_trace, lo_margins = top, top_trace, top_margins
+    if top_ok:  # |power| rises with |current| to i_top: top is the peak
+        lo, lo_margins = top, top_margins
     half_tol = 0.5 * tol_watts
     widths = (math.inf, math.inf)  # bracket width before each of the last two probes
     kept = "lo"  # the end the last probe left in place; the top probe moved hi
@@ -445,22 +471,26 @@ def sop_cp(
         if not lo < p < hi:  # the bracket no longer splits in floating point
             break
         widths = (widths[1], width)
-        probe, margins = _cp_probe(p, state, params, lookup, window, direction, soa, v_oc)
+        ok, margins = _cp_probe(p, state, params, lookup, window, direction, soa, v_oc)
         g = _normalised_margin(margins, scales)
-        if probe is None:
+        if not ok:
             hi, g_hi = p, g
             if kept == "lo":  # Illinois: halve the weight of an end kept twice
                 g_lo *= 0.5
             kept = "lo"
         else:
-            lo, lo_trace, lo_margins, g_lo = p, probe, margins, g
+            lo, lo_margins, g_lo = p, margins, g
             if kept == "hi" and g_hi is not None:
                 g_hi *= 0.5
             kept = "hi"
 
+    # The probes kept no rows: step the accepted power once more to return its trace.
+    rows: list[PomStep] = []
+    _trace(state, params, lookup, window, _cp_drive(lo * sign, r0), v_oc, rows)
+    lo_trace = tuple(rows)
     binding_current = lo_trace[-1].current if direction is Direction.DISCHARGE else lo_trace[0].current
     result = sop_result(
-        binding_current, _cp_dominant(lo_margins), lo_trace[-1].vt, lo * direction.sign
+        binding_current, _cp_dominant(lo_margins), lo_trace[-1].vt, lo * sign
     )
     return result, PomTrace(lo_trace)
 

@@ -157,7 +157,11 @@ def _cc_feasible(
     vt_hi = soc_hi = -math.inf
     for _ in range(window.steps):
         vp = vp * alpha + current * r1 * one_minus_alpha
-        soc = min(max(soc - current * dt * soc_per_as, 0.0), 1.0)
+        soc = soc - current * dt * soc_per_as  # clamped to [0, 1] as ecm.step clamps
+        if soc < 0.0:
+            soc = 0.0
+        elif soc > 1.0:
+            soc = 1.0
         vt = lookup(soc) - vp - current * r0
         if not math.isfinite(vp):
             raise ConfigurationError(f"vp must be finite, got {vp}")
@@ -259,7 +263,11 @@ def _cp_feasible_trace(
         if current is None:
             return Probe(False, None)
         vt = emf - current * r0
-        soc_next = min(max(soc - current * dt * soc_per_as, 0.0), 1.0)
+        soc_next = soc - current * dt * soc_per_as  # clamped to [0, 1] as ecm.step clamps
+        if soc_next < 0.0:
+            soc_next = 0.0
+        elif soc_next > 1.0:
+            soc_next = 1.0
         if vt < vt_lo:
             vt_lo = vt
         if vt > vt_hi:

@@ -61,8 +61,9 @@ def constant_current_trace(state, params, curve, current, window):
         return current, emf - current * params.r0
 
     lookup = ecm.ocv_cursor(curve)
-    steps, _, _ = modes._trace(state, params, lookup, window, drive, lookup(state.soc))
-    return modes.PomTrace(steps)
+    rows = []
+    modes._trace(state, params, lookup, window, drive, lookup(state.soc), rows)
+    return modes.PomTrace(tuple(rows))
 
 
 # Plain-bisection references: the oracles' loops before their probes were

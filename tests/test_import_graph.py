@@ -1,11 +1,14 @@
 """Each CLI process imports only what its subcommand runs, the oracle loads
 nothing it validates, no process loads ``dataclasses`` or ``inspect``, and
-none loads anything outside the standard library but ``soplab`` itself.
+none loads anything outside the standard library but ``soplab`` itself. One
+source check rides along: the per-step window loops call no ``min`` or
+``max``.
 
 Every case runs in a fresh interpreter, because this process has already
 imported the whole package.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -139,3 +142,31 @@ for name in {SUBMODULES!r}:
 assert soplab.oracle.brute_peak_current_cc.__module__ == "soplab.oracle"
 """
     assert _soplab(_loaded(setup)) == {"soplab", "soplab.cli", *(f"soplab.{n}" for n in SUBMODULES)}
+
+
+# The per-step window loops: a builtin call per step costs more than the rest
+# of the step's arithmetic on CPython 3.11, so each clamps by comparisons.
+HOT_LOOPS = {"modes": ("_trace",), "oracle": ("_cc_feasible", "_cp_feasible_trace")}
+
+
+@pytest.mark.parametrize(
+    "module, function",
+    [(module, function) for module, names in HOT_LOOPS.items() for function in names],
+)
+def test_window_loops_call_no_min_or_max(module, function):
+    tree = ast.parse((SRC / "soplab" / f"{module}.py").read_text(encoding="utf-8"))
+    (func,) = (
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function
+    )
+    loops = [node for node in ast.walk(func) if isinstance(node, ast.For)]
+    assert loops, f"{module}.{function} has no for loop"
+    calls = [
+        f"line {node.lineno}: {node.func.id}("
+        for loop in loops
+        for statement in loop.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("min", "max")
+    ]
+    assert calls == [], f"{module}.{function} calls min or max per step: {calls}"

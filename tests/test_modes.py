@@ -584,22 +584,24 @@ class TestSopCpSolver:
         power = share * abs(direction.current_limit(soa)) * top
         args = (power, state, params, curve, window, direction, soa)
         lookup = modes.ecm.ocv_cursor(curve)
-        trace, margins = modes._cp_probe(
+        ok, margins = modes._cp_probe(
             power, state, params, lookup, window, direction, soa, lookup(soc)
         )
         feasible, want = _cp_resimulate(*args)
-        assert (trace is not None) == feasible
+        assert ok == feasible
         assert margins == (None if want is None else modes._CpMargins(*want))
 
     @pytest.mark.parametrize("direction", [DIS, CHG])
     def test_ocv_calls_per_solve(self, params, soa, monkeypatch, ocv_counter, direction):
-        # One OCV lookup per probe step, step one's made once for every probe:
-        # the bracket top reads step one's emf off the zero-power probe. Each
-        # probe bisects once per OCV segment it enters, plus one at most.
+        # One OCV lookup per trace step, step one's made once for every trace:
+        # the bracket top reads step one's emf off the same lookup. Each probe
+        # bisects once per OCV segment it enters, plus one at most. The probes
+        # keep no rows, so a solve steps its accepted power once more: exactly
+        # one trace more than it has probes.
         steps = 300
         window = Window(steps, 1.0)
-        probes = [0]
-        probe = modes._cp_probe
+        probes, traces = [0], [0]
+        probe, trace = modes._cp_probe, modes._trace
 
         def counting_probe(*args):
             probes[0] += 1
@@ -609,23 +611,30 @@ class TestSopCpSolver:
             assert ocv_counter.bisections - bisections <= entered + 1
             return result
 
+        def counting_trace(*args):
+            traces[0] += 1
+            return trace(*args)
+
         monkeypatch.setattr(modes, "_cp_probe", counting_probe)
+        monkeypatch.setattr(modes, "_trace", counting_trace)
         for soc in (0.15, 0.5, 0.85):
             for vp in (-0.2, 0.0, 0.2):
-                probes[0] = 0
+                probes[0] = traces[0] = 0
                 ocv_counter.reset()
-                sop_cp(BatteryState(soc, vp), params, NMC_CURVE, window, direction, soa)
-                assert probes[0] > 0
-                assert 0 < ocv_counter.lookups <= 1 + probes[0] * (steps - 1)
+                result, _ = sop_cp(BatteryState(soc, vp), params, NMC_CURVE, window, direction, soa)
+                assert result.feasible
+                assert traces[0] == probes[0] + 1
+                assert 0 < ocv_counter.lookups <= 1 + traces[0] * (steps - 1)
         # A window that leaves the SOA: the zero-power probe alone, whose
-        # step-one lookup also gives the rested voltage that the result reports.
+        # step-one lookup also gives the rested voltage that the result
+        # reports. A refused window is never stepped again.
         for state in (BatteryState(0.95), BatteryState(0.95, -1.0), BatteryState(0.5, 1.5)):
-            probes[0] = 0
+            probes[0] = traces[0] = 0
             ocv_counter.reset()
             result, _ = sop_cp(state, params, NMC_CURVE, window, direction, soa)
             assert not result.feasible
             assert result.vt_end == ocv(NMC_CURVE, state.soc) - state.vp
-            assert (probes[0], ocv_counter.lookups) == (1, steps)
+            assert (probes[0], traces[0], ocv_counter.lookups) == (1, 1, steps)
             assert ocv_counter.bisections <= ocv_counter.segments(NMC_CURVE, ocv_counter.socs) + 1
 
 
@@ -674,7 +683,106 @@ class TestTraceKernel:
         assert (trace.steps[-1].soc in (0.0, 1.0)) == clamped
         for row in trace.steps:
             state = step(state, params, NMC_CURVE, current, window.dt).state
-            assert (row.soc, row.vp) == (state.soc, state.vp)
+            assert (row.soc.hex(), row.vp.hex()) == (state.soc.hex(), state.vp.hex())
+
+    def test_rest_on_an_empty_cell_keeps_negative_zero(self, params):
+        # The trace and ecm.step clamp the SOC by comparisons, which keep a
+        # -0.0 SOC as min(max(soc, 0.0), 1.0) keeps it.
+        state = BatteryState(-0.0, 0.1)
+        trace = constant_current_trace(state, params, NMC_CURVE, 0.0, Window(5, 1.0))
+        assert len(trace.steps) == 5
+        for row in trace.steps:
+            state = step(state, params, NMC_CURVE, 0.0, 1.0).state
+            assert math.copysign(1.0, row.soc) == math.copysign(1.0, state.soc) == -1.0
+
+
+class TestRowFreeTraces:
+    """``_trace`` builds rows only for a caller that asks; the rows move
+    nothing else, and ``sop_cp`` returns the rows of its accepted probe."""
+
+    @staticmethod
+    def _grid(curves, seed):
+        rng = random.Random(seed)
+        for curve, steps, direction in itertools.product(curves, (1, 10, 60), (DIS, CHG)):
+            for _ in range(3):
+                state = BatteryState(rng.uniform(0.05, 0.95), rng.uniform(-0.4, 0.4))
+                yield state, curve, Window(steps, 1.0), direction
+
+    @staticmethod
+    def _corners(run, monkeypatch, rows):
+        """The corners of every ``_trace`` call that ``run()`` makes, each
+        traced with rows or without them. A caller that needs rows which were
+        not built ends the run there."""
+        trace = modes._trace
+        seen = []
+
+        class NoRows(Exception):
+            pass
+
+        def forced(state, params, lookup, window, drive, v_oc, wanted=None):
+            kept = ([] if wanted is None else wanted) if rows else None
+            corners = trace(state, params, lookup, window, drive, v_oc, kept)
+            seen.append(repr(corners))
+            if wanted is not None and kept is None:
+                raise NoRows
+            return corners
+
+        with monkeypatch.context() as m:
+            m.setattr(modes, "_trace", forced)
+            try:
+                run()
+            except NoRows:
+                pass
+        return seen
+
+    @pytest.mark.parametrize("engine", [sop_cv, sop_cccv, sop_cp])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_rows_do_not_move_the_corners(self, params, linear_curve, soa, monkeypatch, engine, seed):
+        for state, curve, window, direction in self._grid((linear_curve, NMC_CURVE), seed):
+
+            def run():
+                engine(state, params, curve, window, direction, soa)
+
+            with_rows = self._corners(run, monkeypatch, True)
+            assert with_rows
+            assert self._corners(run, monkeypatch, False) == with_rows
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sop_cp_returns_the_accepted_probe(self, params, linear_curve, soa, monkeypatch, seed):
+        accepted = {}  # power magnitude -> margins of each feasible probe
+        probe = modes._cp_probe
+
+        def recording_probe(power_abs, *args):
+            ok, margins = probe(power_abs, *args)
+            if ok:
+                accepted[power_abs] = margins
+            return ok, margins
+
+        monkeypatch.setattr(modes, "_cp_probe", recording_probe)
+        answered = 0
+        for state, curve, window, direction in self._grid((linear_curve, NMC_CURVE), seed):
+            accepted.clear()
+            result, trace = sop_cp(state, params, curve, window, direction, soa)
+            if not accepted:  # refused at zero power: no trace
+                assert (result.feasible, trace.steps) == (False, ())
+                continue
+            answered += result.feasible
+            # The rows of the probe's own trace at the reported power.
+            lookup = modes.ecm.ocv_cursor(curve)
+            drive = modes._cp_drive(result.sop * direction.sign, params.r0)
+            rows = []
+            modes._trace(state, params, lookup, window, drive, lookup(state.soc), rows)
+            assert repr(trace.steps) == repr(tuple(rows))
+            # The accepted probe's margins are those of the returned rows.
+            sign = direction.sign
+            margins = modes._CpMargins(
+                min((row.vt - direction.vt_cutoff(soa)) * sign for row in rows),
+                min((direction.current_limit(soa) - row.current) * sign for row in rows),
+                min((row.soc - direction.soc_bound(soa)) * sign for row in rows),
+            )
+            assert repr(accepted[result.sop]) == repr(margins)
+            assert result.dominant == modes._cp_dominant(margins)
+        assert answered >= 18  # half the grid
 
 
 class TestCccvShiftDecision:

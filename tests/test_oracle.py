@@ -31,6 +31,7 @@ from soplab import (
     ocv,
     sop_cc,
     sop_cp,
+    step,
 )
 from soplab.oracle import _newton_cp_current
 from support import (
@@ -332,6 +333,52 @@ class TestWindowLoops:
         assert left == {(DIS, face) for face in faces | {"current_high_dis"}} | {
             (CHG, face) for face in faces | {"current_high_chg"}
         }
+
+    @staticmethod
+    def _looked_up(monkeypatch):
+        """The SOCs, as ``float.hex``, that the oracles' OCV cursors look up."""
+        socs = []
+        cursor = oracle_module.ecm.ocv_cursor
+
+        def recording_cursor(curve):
+            lookup = cursor(curve)
+
+            def recorded(soc):
+                socs.append(soc.hex())
+                return lookup(soc)
+
+            return recorded
+
+        monkeypatch.setattr(oracle_module.ecm, "ocv_cursor", recording_cursor)
+        return socs
+
+    @pytest.mark.parametrize(
+        "soc, current, window, end",
+        [
+            (-0.0, 0.0, Window(30, 1.0), -0.0),  # at rest on an empty cell
+            (0.02, 10.0, Window(60, 5.0), 0.0),  # empties the cell mid-window
+            (0.98, -4.0, Window(60, 5.0), 1.0),  # fills it
+        ],
+    )
+    def test_cc_loop_soc_is_ecm_step(self, params, soa, monkeypatch, soc, current, window, end):
+        # The loop clamps the SOC by comparisons, as ecm.step does: it looks up
+        # ecm.step's SOC after every step, bit for bit, a -0.0 included.
+        state, want = BatteryState(soc, 0.1), []
+        for _ in range(window.steps):
+            state = step(state, params, NMC_CURVE, current, window.dt).state
+            want.append(state.soc.hex())
+        assert want[-1] == end.hex()
+        looked_up = self._looked_up(monkeypatch)
+        oracle_module._cc_feasible(current, BatteryState(soc, 0.1), params, NMC_CURVE, window, soa)
+        assert looked_up == want
+
+    @pytest.mark.parametrize("direction", [DIS, CHG])
+    def test_cp_loop_keeps_negative_zero_at_rest(self, params, soa, monkeypatch, direction):
+        looked_up = self._looked_up(monkeypatch)
+        window = Window(30, 1.0)
+        args = (BatteryState(-0.0, 0.1), params, NMC_CURVE, window, direction, soa)
+        oracle_module._cp_feasible_trace(0.0, *args)
+        assert looked_up == [(-0.0).hex()] * window.steps
 
     @pytest.mark.parametrize("current", [-4.0, 10.0])
     def test_cc_loop_raises_as_ecm_step(self, linear_curve, soa, current):
