@@ -340,7 +340,11 @@ def predict_cc(
     d_soc = current * window.dt * params.soc_per_amp_second
     soc_end = state.soc
     for _ in range(window.steps):
-        soc_end = min(max(soc_end - d_soc, 0.0), 1.0)
+        soc_end = soc_end - d_soc  # clamped to [0, 1] as step clamps
+        if soc_end < 0.0:
+            soc_end = 0.0
+        elif soc_end > 1.0:
+            soc_end = 1.0
 
     return CcPrediction(
         ocv_end=ocv_end,

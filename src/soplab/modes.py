@@ -296,10 +296,11 @@ def _cp_drive(
     power: float, r0: float
 ) -> Callable[[int, float, float], tuple[float, float] | None]:
     """The constant-power step for ``_trace``: ``drive(j, soc, emf)`` returns
-    the physical-branch root of R0*I^2 - emf*I + power = 0, the smaller-
-    magnitude current, continuous through I = 0 as power -> 0, with its
-    terminal voltage; None above the step's power ceiling emf^2 / (4 R0).
-    The products that depend on ``power`` alone are made once per window."""
+    the smaller-magnitude root of R0*I^2 - emf*I + power = 0, continuous
+    through I = 0 as power -> 0, with its terminal voltage; None above the
+    step's power ceiling emf^2 / (4 R0). Discharging at emf < 0 that root
+    draws current against the power; the caller refuses such a step. The
+    products that depend on ``power`` alone are made once per window."""
     if power == 0.0:  # no power, no current (with the sign of zero), whatever the emf
 
         def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
@@ -330,7 +331,10 @@ def solve_cp_step(
 
     Solves R0*I^2 - (V_oc - V_p)*I + P = 0 on the physical branch: the
     smaller-magnitude root, continuous through I = 0 as P -> 0. The caller
-    passes the step's relaxed state (``vp`` already decayed).
+    passes the step's relaxed state (``vp`` already decayed). Raises
+    PowerInfeasibleError above the step's power ceiling, and when the root's
+    current flows against the power (a discharge at emf < 0): no physical
+    current delivers ``power`` there.
     """
     if power * direction.sign < 0.0:
         raise PowerInfeasibleError(
@@ -341,6 +345,11 @@ def solve_cp_step(
     if step is None:
         raise PowerInfeasibleError(
             f"power {power} W exceeds the step ceiling {emf * emf / (4.0 * params.r0)} W"
+        )
+    if step[0] * power < 0.0:
+        raise PowerInfeasibleError(
+            f"power {power} W has no physical current at emf {emf} V:"
+            f" the root {step[0]} A flows against it"
         )
     return step
 
@@ -369,19 +378,24 @@ def _cp_probe(
     probe of one solve shares.
 
     Returns whether every step lies inside the safe operation area, with the
-    window's margins; ``(False, None)`` when a step exceeds its power ceiling:
-    the window has no continuation there.
+    window's margins; ``(False, None)`` when a step exceeds its power ceiling
+    or its root draws current against the direction: the window has no
+    continuation there, as ``solve_cp_step`` refuses such a step.
 
     The SOA check is at ``_trace``'s two corners. The margins come from the
     corner on the direction's side; rounding ``x - c`` is monotone in x, so
-    each equals its per-step minimum bit for bit.
+    each equals its per-step minimum bit for bit. The other corner holds the
+    current that runs most against the direction.
     """
     drive = _cp_drive(power_abs * direction.sign, params.r0)
     corners = _trace(state, params, lookup, window, drive, v_oc)
     if corners is None:
         return False, None
     low, high = corners
-    vt, current, soc = low if direction is Direction.DISCHARGE else high
+    near, far = (low, high) if direction is Direction.DISCHARGE else (high, low)
+    if far[1] * direction.sign < 0.0:
+        return False, None
+    vt, current, soc = near
     margins = _CpMargins(
         (vt - direction.vt_cutoff(soa)) * direction.sign,
         (direction.current_limit(soa) - current) * direction.sign,

@@ -222,11 +222,14 @@ def _newton_cp_current(emf: float, r0: float, power: float) -> float | None:
         return 0.0
     if not emf > 0.0:
         return None
-    f_tol = 1e-12 * max(1.0, abs(power))
+    # 1e-12 * max(1.0, abs(power)) and abs(residual) <= f_tol by comparisons,
+    # without builtin calls on every step; NaN compares as in those builtins.
+    magnitude = power if power > 0.0 else -power
+    f_tol = 1e-12 * magnitude if magnitude > 1.0 else 1e-12
     current = power / emf
     for _ in range(NEWTON_MAX_ITER):
         residual = current * (emf - current * r0) - power
-        if abs(residual) <= f_tol:
+        if -f_tol <= residual <= f_tol:
             return current
         slope = emf - 2.0 * current * r0
         if not slope > 0.0:

@@ -1,14 +1,15 @@
 """Each CLI process imports only what its subcommand runs, the oracle loads
 nothing it validates, no process loads ``dataclasses`` or ``inspect``, and
 none loads anything outside the standard library but ``soplab`` itself. One
-source check rides along: the per-step window loops call no ``min`` or
-``max``.
+source check rides along: the code that runs once per window step calls no
+``min``, ``max`` or ``abs``.
 
 Every case runs in a fresh interpreter, because this process has already
 imported the whole package.
 """
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -45,6 +46,12 @@ def _loaded(setup, *argv):
 
 def _soplab(modules):
     return {m for m in modules if m.startswith("soplab")}
+
+
+@pytest.fixture(scope="module")
+def bare():
+    """The modules a bare interpreter loads, computed once for this file."""
+    return _loaded("pass")
 
 
 @pytest.fixture
@@ -104,14 +111,12 @@ def test_command_loads_only_what_it_runs(files, argv, absent):
 
 
 @pytest.mark.parametrize("module", ["soplab", "soplab.ecm", "soplab.soa"])
-def test_import_loads_no_heavy_module(module):
-    bare = _loaded("pass")
+def test_import_loads_no_heavy_module(bare, module):
     assert (_loaded(f"import {module}") - bare) & HEAVY == set()
 
 
 @COMMANDS
-def test_command_loads_no_heavy_module(files, argv, absent):
-    bare = _loaded("pass")
+def test_command_loads_no_heavy_module(bare, files, argv, absent):
     assert (_loaded(*_run_main(files, *argv)) - bare) & HEAVY == set()
 
 
@@ -121,15 +126,15 @@ def _beyond_stdlib(modules):
     return {m.partition(".")[0] for m in modules} - set(sys.stdlib_module_names) - {"soplab"}
 
 
-def test_import_loads_only_the_standard_library():
-    assert _beyond_stdlib(_loaded("import soplab") - _loaded("pass")) == set()
+def test_import_loads_only_the_standard_library(bare):
+    assert _beyond_stdlib(_loaded("import soplab") - bare) == set()
 
 
 @COMMANDS
-def test_command_loads_only_the_standard_library(files, argv, absent):
+def test_command_loads_only_the_standard_library(bare, files, argv, absent):
     # The runtime stays standard-library only; numpy, scipy and the rest are
     # test and benchmark tools.
-    assert _beyond_stdlib(_loaded(*_run_main(files, *argv)) - _loaded("pass")) == set()
+    assert _beyond_stdlib(_loaded(*_run_main(files, *argv)) - bare) == set()
 
 
 def test_submodules_resolve_after_importing_only_the_cli():
@@ -144,29 +149,129 @@ assert soplab.oracle.brute_peak_current_cc.__module__ == "soplab.oracle"
     assert _soplab(_loaded(setup)) == {"soplab", "soplab.cli", *(f"soplab.{n}" for n in SUBMODULES)}
 
 
-# The per-step window loops: a builtin call per step costs more than the rest
-# of the step's arithmetic on CPython 3.11, so each clamps by comparisons.
-HOT_LOOPS = {"modes": ("_trace",), "oracle": ("_cc_feasible", "_cp_feasible_trace")}
+# Code that runs once per window step: a builtin call per step costs more than
+# the rest of the step's arithmetic on CPython 3.11, so it clamps and bounds
+# by comparisons instead. The set is read from the source, so a new loop, a
+# renamed function or a new closure is covered without editing this file.
+PER_STEP_MODULES = ("ecm", "modes", "oracle")
+PER_STEP_BANNED = {"min", "max", "abs"}
+
+
+@functools.cache
+def _tree(module):
+    """Parsed once, so every derivation below sees the same nodes."""
+    return ast.parse((SRC / "soplab" / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _functions(module):
+    """``(qualname, node, top_level)`` for every function of ``module`` outside
+    its classes, nested ones under their enclosing functions' names."""
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, ast.FunctionDef):
+                yield prefix + node.name, node, not prefix
+                yield from walk(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.If, ast.For, ast.While, ast.With, ast.Try)):
+                yield from walk(ast.iter_child_nodes(node), prefix)
+
+    return list(walk(_tree(module).body, ""))
+
+
+def _is_window_loop(node):
+    """A ``for`` over ``range(...)`` whose arguments read ``window.steps``."""
+    return (
+        isinstance(node, ast.For)
+        and isinstance(node.iter, ast.Call)
+        and isinstance(node.iter.func, ast.Name)
+        and node.iter.func.id == "range"
+        and any(
+            isinstance(n, ast.Attribute)
+            and n.attr == "steps"
+            and isinstance(n.value, ast.Name)
+            and n.value.id == "window"
+            for n in ast.walk(node.iter)
+        )
+    )
+
+
+def _bare_calls(nodes):
+    return {
+        n.func.id
+        for node in nodes
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    }
+
+
+def _per_step_code():
+    """``{(module, qualname): nodes}``: the code that runs once per window step.
+
+    That is the body of every window loop (keyed by its function), every
+    same-module top-level function such code calls by bare name, and every
+    nested function of ``PER_STEP_MODULES`` named like a local that it calls
+    (the ``drive`` and ``lookup`` callables a loop is handed), followed
+    transitively; a function counts whole."""
+    functions = {module: _functions(module) for module in PER_STEP_MODULES}
+    top = {m: {q: n for q, n, is_top in fs if is_top} for m, fs in functions.items()}
+    nested = {}
+    for module, found in functions.items():
+        for qualname, node, is_top in found:
+            if not is_top:
+                nested.setdefault(node.name, []).append((module, qualname, node))
+    code = {}
+    pending = []
+    for module, found in functions.items():
+        for qualname, node, _ in found:
+            loops = [n for n in ast.walk(node) if _is_window_loop(n)]
+            if loops:
+                code[module, qualname] = [s for loop in loops for s in loop.body]
+                pending.append((module, code[module, qualname]))
+    while pending:
+        module, nodes = pending.pop()
+        for name in _bare_calls(nodes):
+            if name in top[module]:
+                callees = [(module, name, top[module][name])]
+            else:
+                callees = nested.get(name, [])
+            for callee_module, qualname, node in callees:
+                key = callee_module, qualname
+                if node not in code.get(key, ()):
+                    code[key] = [*code.get(key, ()), node]
+                    pending.append((callee_module, [node]))
+    return code
+
+
+PER_STEP = _per_step_code()
 
 
 @pytest.mark.parametrize(
-    "module, function",
-    [(module, function) for module, names in HOT_LOOPS.items() for function in names],
+    "module, qualname", sorted(PER_STEP), ids=[f"{m}-{q}" for m, q in sorted(PER_STEP)]
 )
-def test_window_loops_call_no_min_or_max(module, function):
-    tree = ast.parse((SRC / "soplab" / f"{module}.py").read_text(encoding="utf-8"))
-    (func,) = (
-        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function
-    )
-    loops = [node for node in ast.walk(func) if isinstance(node, ast.For)]
-    assert loops, f"{module}.{function} has no for loop"
+def test_window_loops_call_no_min_or_max(module, qualname):
     calls = [
         f"line {node.lineno}: {node.func.id}("
-        for loop in loops
-        for statement in loop.body
+        for statement in PER_STEP[module, qualname]
         for node in ast.walk(statement)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
-        and node.func.id in ("min", "max")
+        and node.func.id in PER_STEP_BANNED
     ]
-    assert calls == [], f"{module}.{function} calls min or max per step: {calls}"
+    assert calls == [], f"{module}.{qualname} calls min, max or abs per step: {calls}"
+
+
+def test_per_step_code_is_read_from_the_source():
+    # The derivation finds the window loops, what they call and the closures
+    # they are handed; were it to find nothing, the check above would pass
+    # on nothing.
+    assert {
+        ("modes", "_trace"),
+        ("oracle", "_cc_feasible"),
+        ("oracle", "_cp_feasible_trace"),
+        ("ecm", "predict_cc"),
+        ("oracle", "_newton_cp_current"),
+        ("ecm", "ocv_cursor.lookup"),
+    } <= set(PER_STEP)
+    drives = [node for _, node, _ in _functions("modes") if node.name == "drive"]
+    checked = [node for nodes in PER_STEP.values() for node in nodes]
+    assert drives and all(node in checked for node in drives)

@@ -32,6 +32,7 @@ from soplab import (
     sop_cv,
     step,
 )
+from soplab.oracle import _newton_cp_current
 
 DIS = Direction.DISCHARGE
 CHG = Direction.CHARGE
@@ -325,12 +326,27 @@ class TestSolveCpStep:
         assert current == 0.0
         assert vt == pytest.approx(3.6 - 5.0, abs=1e-15)
 
+    def test_root_against_the_power_raises(self, params, linear_curve, soa):
+        # At emf 3.6 - 5.0 = -1.4 V the smaller root of a 1 W discharge is
+        # -27.27 A, a charge current (vt -0.0367 V); the oracle's Newton step
+        # finds no root there. Neither does the engine: the step refuses, and
+        # a probe through such a step has no continuation.
+        state = BatteryState(0.5, 5.0)
+        with pytest.raises(PowerInfeasibleError, match="against") as refused:
+            solve_cp_step(state, params, linear_curve, 1.0, DIS)
+        assert "exceeds the step ceiling" not in str(refused.value)
+        assert _newton_cp_current(3.6 - 5.0, params.r0, 1.0) is None
+        lookup = modes.ecm.ocv_cursor(linear_curve)
+        probe = modes._cp_probe(1.0, state, params, lookup, Window(10, 1.0), DIS, soa, lookup(0.5))
+        assert probe == (False, None)
+
 
 def _cp_resimulate(power_abs, state, params, curve, window, direction, soa):
     """Independent re-simulation built from the public step solver, checked
     step by step: whether the window stays in the SOA, and the per-step
     minimum of each direction-signed margin (voltage, current, soc). Both are
-    (False, None) once a step exceeds its power ceiling."""
+    (False, None) once ``solve_cp_step`` refuses a step: its power is above
+    the step's ceiling, or its root runs against the power."""
     alpha = math.exp(-window.dt / params.tau)
     sign = direction.sign
     soc, vp = state.soc, state.vp
@@ -571,6 +587,8 @@ class TestSopCpSolver:
     )
     @example(curve=NMC_CURVE, soc=0.905, vp=0.0, steps=30, direction=DIS, share=0.3)
     @example(curve=NMC_CURVE, soc=0.095, vp=0.0, steps=30, direction=CHG, share=0.3)
+    # vp above the OCV: every step's root would charge the cell for a discharge.
+    @example(curve=NMC_CURVE, soc=0.5, vp=5.0, steps=10, direction=DIS, share=0.01)
     def test_corner_verdict_matches_per_step_check(
         self, curve, soc, vp, steps, direction, share
     ):
