@@ -52,16 +52,13 @@ SRC = Path(oracle_module.__file__).parent
 
 class TestBrutePeakCurrentCc:
     def test_agrees_with_closed_form(self, params, linear_curve, soa):
-        # A closed form against its oracle on the same figure, as ``validate``
-        # compares them: the residual is within tolerance, inclusively.
-        for soc, steps, direction in itertools.product(
-            (0.2, 0.4, 0.5, 0.6, 0.8), (1, 10, 30), (DIS, CHG)
-        ):
-            window = Window(steps, 1.0)
-            state = BatteryState(soc)
-            analytic = sop_cc(state, params, linear_curve, window, direction, soa)
-            brute = brute_peak_current_cc(state, params, linear_curve, window, direction, soa)
-            assert abs(analytic.i_mc - brute) <= 1e-6
+        for soc in (0.2, 0.4, 0.6, 0.8):
+            for direction in (DIS, CHG):
+                window = Window(30, 1.0)
+                state = BatteryState(soc)
+                analytic = sop_cc(state, params, linear_curve, window, direction, soa)
+                brute = brute_peak_current_cc(state, params, linear_curve, window, direction, soa)
+                assert abs(analytic.i_mc - brute) <= 1e-6
 
     def test_tiny_current_limit_saturates_exactly(self, params, linear_curve, window_10):
         soa = Soa(2.8, 4.3, 0.1, -0.1, 0.0, 1.0)
@@ -118,17 +115,21 @@ class TestBrutePeakCurrentCc:
 
 
 class TestBrutePeakPowerCp:
-    @pytest.mark.parametrize("direction", [DIS, CHG])
-    def test_agrees_with_cp_engine(
-        self, params, linear_curve, soa, state_half, window_10, direction
-    ):
+    @staticmethod
+    def _assert_agrees(direction, state, params, curve, window, soa):
         # The power magnitude against the CP oracle, each at tol 1e-6.
         tol = 1e-6
-        args = (state_half, params, linear_curve, window_10, direction, soa)
+        args = (state, params, curve, window, direction, soa)
         result, _ = sop_cp(*args, tol_watts=tol)
         brute = brute_peak_power_cp(*args, tol_watts=tol)
         assert not brute.saturated
         assert abs(result.sop - brute.watts) <= tol
+
+    def test_agrees_with_cp_engine(self, params, linear_curve, soa, state_half, window_10):
+        self._assert_agrees(DIS, state_half, params, linear_curve, window_10, soa)
+
+    def test_charge_agreement(self, params, linear_curve, soa, state_half, window_10):
+        self._assert_agrees(CHG, state_half, params, linear_curve, window_10, soa)
 
     def test_low_bracket_saturates(self, params, linear_curve, soa, state_half, window_10):
         brute = brute_peak_power_cp(
@@ -439,6 +440,44 @@ def test_bad_power_bracket_top_rejected(params, linear_curve, soa, state_half, w
     # unsaturated 0 W, and inf raised OverflowError from the probe budget.
     with pytest.raises(ValueError, match="p_hi"):
         brute_peak_power_cp(state_half, params, linear_curve, window_10, DIS, soa, p_hi=p_hi)
+
+
+class TestCompareReport:
+    """A closed form against its oracle over a grid, compared as ``validate``
+    compares them: one record per point, residual = analytic - oracle,
+    passing when within tolerance, inclusively."""
+
+    @staticmethod
+    def _records(analytic, oracle, grid, params, curve, soa):
+        records = []
+        for soc, steps, direction in grid:
+            point = (BatteryState(soc), params, curve, Window(steps, 1.0), direction, soa)
+            a, b = analytic(*point), oracle(*point)
+            records.append((soc, steps, direction, a - b))
+        return records
+
+    def test_grid_sweep_emits_one_record_per_point(self, params, linear_curve, soa):
+        grid = list(itertools.product((0.2, 0.5, 0.8), (1, 10), (DIS,)))
+        records = self._records(
+            lambda *p: sop_cc(*p).i_mc, brute_peak_current_cc, grid, params, linear_curve, soa
+        )
+        assert [r[:3] for r in records] == grid
+        assert all(abs(r[-1]) <= 1e-6 for r in records)
+
+    def test_peak_power_case(self, params, linear_curve, soa):
+        # A CP check compares the power magnitude against the CP oracle, in
+        # both directions, off the mid-SOC point the agreement tests use.
+        def oracle_watts(*point):
+            brute = brute_peak_power_cp(*point)
+            assert not brute.saturated
+            return brute.watts
+
+        grid = list(itertools.product((0.2, 0.5, 0.8), (1, 10), (DIS, CHG)))
+        records = self._records(
+            lambda *p: sop_cp(*p)[0].sop, oracle_watts, grid, params, linear_curve, soa
+        )
+        assert [r[:3] for r in records] == grid
+        assert all(abs(r[-1]) <= 1e-6 for r in records)
 
 
 # ecm's closed-form helpers; the rest of ecm is the model the oracle shares.
