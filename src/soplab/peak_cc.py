@@ -84,22 +84,27 @@ def window_terms(
     seeds the candidate peak current, then the secant to the SOC that
     candidate would reach replaces it (the slope is held constant across the
     window)."""
+    soc = state.soc
     k_dt = window.duration
     alpha_k = math.exp(-k_dt / params.tau)
-    terms = WindowTerms(
-        soc=state.soc,
-        f_soc=ecm.ocv(curve, state.soc),
-        vp_relax=state.vp * alpha_k,
-        r_sum=params.r0 + params.r1 * (1.0 - alpha_k),
-        kappa=ecm.ocv_slope(curve, state.soc, state.soc),
-        y=k_dt * params.soc_per_amp_second,
-        cutoff=direction.vt_cutoff(soa),
-        soc_bound=direction.soc_bound(soa),
-        i_lim=direction.current_limit(soa),
-    )
-    i_mc = _peak(terms, direction)[2]
-    soc_reach = min(max(state.soc - i_mc * k_dt * params.soc_per_amp_second, 0.0), 1.0)
-    return terms._replace(kappa=ecm.ocv_slope(curve, state.soc, soc_reach))
+    f_soc = ecm.ocv(curve, soc)
+    vp_relax = state.vp * alpha_k
+    r_sum = params.r0 + params.r1 * (1.0 - alpha_k)
+    kappa = ecm.ocv_slope(curve, soc, soc)
+    y = k_dt * params.soc_per_amp_second
+    cutoff = direction.vt_cutoff(soa)
+    soc_bound = direction.soc_bound(soa)
+    i_lim = direction.current_limit(soa)
+    first = WindowTerms(soc, f_soc, vp_relax, r_sum, kappa, y, cutoff, soc_bound, i_lim)
+    soc_reach = soc - _peak(first, direction)[2] * k_dt * params.soc_per_amp_second
+    # min(max(soc_reach, 0.0), 1.0) by comparisons, which keep -0.0 and NaN as
+    # those builtins do.
+    if soc_reach < 0.0:
+        soc_reach = 0.0
+    elif soc_reach > 1.0:
+        soc_reach = 1.0
+    kappa = ecm.ocv_slope(curve, soc, soc_reach)
+    return WindowTerms(soc, f_soc, vp_relax, r_sum, kappa, y, cutoff, soc_bound, i_lim)
 
 
 def end_voltage(terms: WindowTerms, current: float) -> float:
@@ -125,9 +130,10 @@ def soc_bound_current(terms: WindowTerms) -> float:
     return (terms.soc - terms.soc_bound) / terms.y
 
 
-def _toward(current: float, direction: Direction) -> float:
-    """0 when the rested state already sits past the bound for the direction."""
-    return 0.0 if current * direction.sign < 0.0 else current
+def _toward(current: float, sign: int) -> float:
+    """0 when the rested state already sits past the bound for the direction
+    of ``sign``."""
+    return 0.0 if current * sign < 0.0 else current
 
 
 def _peak(terms: WindowTerms, direction: Direction) -> tuple[float, float, float, str]:
@@ -135,14 +141,19 @@ def _peak(terms: WindowTerms, direction: Direction) -> tuple[float, float, float
     their composition with the current limit into the minimum-magnitude
     current: (i_voltage, i_soc, i_mc, dominant). A tie in magnitude goes to
     the earlier label: voltage, then soc, then current."""
+    sign = direction.sign
     if terms.y > 0.0:
-        i_soc = _toward(soc_bound_current(terms), direction)
+        i_soc = _toward(soc_bound_current(terms), sign)
     else:  # K*dt*soc_per_amp_second underflowed: no SOC moves, as in modes._sop_hold
-        i_soc = math.inf * direction.sign
-    i_voltage = _toward(cutoff_current(terms), direction)
-    i_mc, dominant = min(
-        (i_voltage, "voltage"), (i_soc, "soc"), (terms.i_lim, "current"), key=lambda c: abs(c[0])
-    )
+        i_soc = math.inf * sign
+    i_voltage = _toward(cutoff_current(terms), sign)
+    # min(key=abs) by strict comparisons in label order: the same tie-breaks,
+    # and a NaN magnitude never displaces the current pick, as with min.
+    i_mc, dominant = i_voltage, "voltage"
+    if abs(i_soc) < abs(i_mc):
+        i_mc, dominant = i_soc, "soc"
+    if abs(terms.i_lim) < abs(i_mc):
+        i_mc, dominant = terms.i_lim, "current"
     return i_voltage, i_soc, i_mc, dominant
 
 

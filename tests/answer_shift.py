@@ -11,8 +11,9 @@ as the exception's class name. The case sets are seeded:
 
 - ``windows``: the answer digest's windows (linear and NMC tables, soc
   U(0.02, 0.98), vp U(-0.6, 0.6) V, dt in {0.1, 1, 5, 60}, both directions),
-  with K in {1, 2, 10, 30, 300}; every engine, both oracles at tol 1e-9 and
-  the error calculus.
+  with K in {1, 2, 10, 30, 300}; every engine, both oracles at tol 1e-9, the
+  constant-current window terms (two-pass slope included) and the error
+  calculus.
 - ``grid``: validate-grid-like states on the linear table (soc in [0.15,
   0.85] and vp in [-0.4, 0.4] V by 4 x 4 cells, K in {1, 10, 30, 60, 300},
   dt 1 s, both directions); ``sop_cc``, ``sop_cp`` and both oracles at tol
@@ -66,6 +67,7 @@ from soplab import (
     sop_cp,
     sop_cv,
     sweep,
+    window_terms,
 )
 
 # 12-knot NMC-like table: a steep knee below 10% SOC on a convex rise, 3.0-4.2 V.
@@ -146,6 +148,7 @@ WINDOW_PRODUCERS = {
     "sop_cccv": sop_cccv,
     "sop_cp": sop_cp,
     **ORACLES,
+    "peak_cc.window_terms": window_terms,
     "error_lab.sweep": _sweeps,
 }
 GRID_PRODUCERS = {"sop_cc": sop_cc, "sop_cp": sop_cp, **ORACLES}

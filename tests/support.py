@@ -1,8 +1,9 @@
 """Helpers shared by the engine tests: the fixed NMC-like OCV table (defined
 in ``answer_shift``), a hypothesis strategy for random monotone ones, a spy on
 the OCV slope ``sop_cc`` settles on, the constant-current reference trace for
-the CC-CV engine, plain-bisection references for the oracles, and reference
-window loops for the oracles' own."""
+the CC-CV engine, plain-bisection references for the oracles, reference
+window loops for the oracles' own, and a builtins reference for the
+constant-current composition."""
 
 import math
 
@@ -64,6 +65,66 @@ def constant_current_trace(state, params, curve, current, window):
     rows = []
     modes._trace(state, params, lookup, window, drive, lookup(state.soc), rows)
     return modes.PomTrace(tuple(rows))
+
+
+# The constant-current composition written with builtins: a keyword build of
+# the window terms and ``_replace`` for the second-pass slope, the SOC reach
+# clamped by ``min(max(...))`` and the peak composed by ``min(key=abs)``.
+# ``peak_cc`` composes by comparisons; its ``window_terms`` and ``sop_cc`` must
+# match these bit for bit, refusals included.
+
+
+def _reference_toward(current, direction):
+    return 0.0 if current * direction.sign < 0.0 else current
+
+
+def reference_peak(terms, direction):
+    """``peak_cc._peak`` composed by ``min(key=abs)``."""
+    if terms.y > 0.0:
+        i_soc = _reference_toward(peak_cc.soc_bound_current(terms), direction)
+    else:  # K*dt*soc_per_amp_second underflowed: no SOC moves, as in modes._sop_hold
+        i_soc = math.inf * direction.sign
+    i_voltage = _reference_toward(peak_cc.cutoff_current(terms), direction)
+    i_mc, dominant = min(
+        (i_voltage, "voltage"), (i_soc, "soc"), (terms.i_lim, "current"), key=lambda c: abs(c[0])
+    )
+    return i_voltage, i_soc, i_mc, dominant
+
+
+def reference_window_terms(state, params, curve, window, direction, soa):
+    """``peak_cc.window_terms`` built by keyword, then ``_replace``."""
+    k_dt = window.duration
+    alpha_k = math.exp(-k_dt / params.tau)
+    terms = peak_cc.WindowTerms(
+        soc=state.soc,
+        f_soc=ecm.ocv(curve, state.soc),
+        vp_relax=state.vp * alpha_k,
+        r_sum=params.r0 + params.r1 * (1.0 - alpha_k),
+        kappa=ecm.ocv_slope(curve, state.soc, state.soc),
+        y=k_dt * params.soc_per_amp_second,
+        cutoff=direction.vt_cutoff(soa),
+        soc_bound=direction.soc_bound(soa),
+        i_lim=direction.current_limit(soa),
+    )
+    i_mc = reference_peak(terms, direction)[2]
+    soc_reach = min(max(state.soc - i_mc * k_dt * params.soc_per_amp_second, 0.0), 1.0)
+    return terms._replace(kappa=ecm.ocv_slope(curve, state.soc, soc_reach))
+
+
+def reference_sop_cc(state, params, curve, window, direction, soa):
+    """``peak_cc.sop_cc`` over the two references above."""
+    peak_cc.check_load(params, soa)
+    terms = reference_window_terms(state, params, curve, window, direction, soa)
+    i_voltage, i_soc, i_mc, dominant = reference_peak(terms, direction)
+
+    vt_end = peak_cc.end_voltage(terms, i_mc)
+    power_signed = i_mc * vt_end
+    if not (math.isfinite(vt_end) and math.isfinite(power_signed)):
+        raise peak_cc.AnalyticDomainError(
+            f"end voltage {vt_end} V or power {power_signed} W not finite"
+        )
+
+    return peak_cc.sop_result(i_mc, dominant, vt_end, power_signed, (terms.i_lim, i_voltage, i_soc))
 
 
 # Plain-bisection references: the oracles' loops before their probes were

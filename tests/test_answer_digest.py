@@ -1,5 +1,6 @@
-"""Pinned answer digests: every engine, both oracles and the error calculus
-on a seeded set of windows, each producer's answers hashed into one SHA-256.
+"""Pinned answer digests: every engine, both oracles, the constant-current
+window terms and the error calculus on a seeded set of windows, each
+producer's answers hashed into one SHA-256.
 
 An answer is rendered with ``repr`` (a float's shortest round-trip form, so
 a one-ulp move shows) or, when the producer refuses the window, as the
@@ -21,6 +22,7 @@ PINNED = {
     "sop_cp": "727decbf8e36ebe562b4271e96dacb14b56a7723f2fd56c61950b3794881f858",
     "brute_peak_current_cc": "788f8cbc2463d66b22eda3495cbd8900b2b297b3210d5d1424c066155b88d49a",
     "brute_peak_power_cp": "b868a113e4c8cd40f08910055c56151078efe05b5884aa3f11448a997157f0bb",
+    "peak_cc.window_terms": "723934f62b925cfaed9ccfda5992a545df044b40f0807b232619ad1287a7c998",
     "error_lab.sweep": "74a2e5c5ca51568c7ecf786684356508f659a2c7d5f5db747657e2aab4a9d0ad",
 }
 

@@ -1,13 +1,23 @@
 """Constant-current closed-form tests: per-constraint peaks and composition."""
 
+import collections
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soplab.peak_cc as peak_cc
-from support import NMC_CURVE, monotone_ocv, second_pass_slope
+from support import (
+    NMC_CURVE,
+    monotone_ocv,
+    reference_peak,
+    reference_sop_cc,
+    reference_window_terms,
+    second_pass_slope,
+)
 from soplab import (
     AnalyticDomainError,
     BatteryParams,
@@ -16,8 +26,10 @@ from soplab import (
     OcvCurve,
     Soa,
     Window,
+    WindowTerms,
     brute_peak_current_cc,
     check_point,
+    ecm,
     predict_cc,
     sop_cc,
     step,
@@ -347,3 +359,120 @@ class TestCostFlatInK:
         )
         pred = predict_cc(state, params, curve, kappa, result.i_mc, window)
         assert abs(result.vt_end - pred.vt_end) <= 1e-12
+
+
+# --- bit for bit against the builtins reference -------------------------------
+
+REF_SOAS = (Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9), Soa(0.5, 5.0, 1e3, -1e3, 0.0, 1.0))
+REF_PARAMS = tuple(
+    BatteryParams(r0, 0.03, 10.0, capacity)
+    for r0 in (1e-9, 0.05, 5.0)
+    for capacity in (1e-3, 2.0, 1e300)
+)
+# dt 1e-300 s at 1e300 Ah underflows y = K*dt*eta/(3600*C_a) to 0 at every K.
+REF_WINDOWS = tuple(
+    Window(k, dt) for k in (1, 10, 300, 100_000) for dt in (1e-300, 0.1, 1.0, 60.0)
+)
+REF_SOCS = (0.0, 0.05, 0.1, 0.5, 0.9, 0.95, 1.0)
+REF_VPS = (0.0, -0.0, 0.1, -0.1, 0.6, -0.6)
+
+
+def _outcome(produce, *args):
+    """The answer's repr, or the refusal's class and message."""
+    try:
+        return repr(produce(*args))
+    except Exception as exc:  # any refusal must match too, message included
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _reference_grid(curve, seed, n):
+    """``n`` seeded windows on ``curve``: edge and drawn states, every cell,
+    box and window above, both directions."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        soc = rng.choice(REF_SOCS) if rng.random() < 0.5 else rng.random()
+        vp = rng.choice(REF_VPS) if rng.random() < 0.5 else rng.uniform(-0.6, 0.6)
+        yield (
+            BatteryState(soc, vp),
+            rng.choice(REF_PARAMS),
+            curve,
+            rng.choice(REF_WINDOWS),
+            rng.choice((DIS, CHG)),
+            rng.choice(REF_SOAS),
+        )
+
+
+def _tie_grid():
+    """Constraint currents of exactly 0.5 or 1 A, in every combination: a flat
+    3 V table, r1 = 0, 1 Ah and K*dt = 3600 s make y = 1 and every closed form
+    exact, at K from 1 to 65536."""
+    params = BatteryParams(0.5, 0.0, 1.0, 1.0)
+    curve = OcvCurve(((0.0, 3.0), (1.0, 3.0)))
+    for k in (1, 2, 64, 65536):
+        window = Window(k, 3600.0 / k)
+        for i_v, i_soc, i_lim in itertools.product((0.5, 1.0), repeat=3):
+            for vp in (0.0, -0.0):
+                dis = Soa(3.0 - 0.5 * i_v, 3.5, i_lim, -1.0, 1.0 - i_soc, 1.0)
+                chg = Soa(2.5, 3.0 + 0.5 * i_v, 1.0, -i_lim, 0.0, i_soc)
+                yield BatteryState(1.0, vp), params, curve, window, DIS, dis
+                yield BatteryState(0.0, vp), params, curve, window, CHG, chg
+
+
+class TestBitForBitReference:
+    """``window_terms`` and ``sop_cc`` compose by comparisons; the builtins
+    reference in support.py gives the same repr, refusals and messages
+    included."""
+
+    @staticmethod
+    def _check(scenarios) -> collections.Counter:
+        covered = collections.Counter()
+        for scenario in scenarios:
+            for produce, reference in (
+                (peak_cc.window_terms, reference_window_terms),
+                (sop_cc, reference_sop_cc),
+            ):
+                assert _outcome(produce, *scenario) == _outcome(reference, *scenario), scenario
+            state, params, curve, window, direction, soa = scenario
+            covered[direction] += 1
+            covered["vp -0.0"] += state.vp == 0.0 and math.copysign(1.0, state.vp) < 0.0
+            try:
+                terms = reference_window_terms(*scenario)
+                result = reference_sop_cc(*scenario)
+            except AnalyticDomainError:
+                covered["refused"] += 1
+                continue
+            first = terms._replace(kappa=ecm.ocv_slope(curve, state.soc, state.soc))
+            i_mc = reference_peak(first, direction)[2]
+            reach = state.soc - i_mc * window.duration * params.soc_per_amp_second
+            covered["reach < 0"] += reach < 0.0
+            covered["reach > 1"] += reach > 1.0
+            covered["y = 0"] += terms.y == 0.0
+            limits = (result.i_voltage_limit, result.i_soc_limit, result.i_current_limit)
+            covered[f"{sum(abs(c) == abs(result.i_mc) for c in limits)}-way"] += 1
+        return covered
+
+    @pytest.mark.parametrize("curve", [OcvCurve(((0.0, 3.0), (1.0, 4.2))), NMC_CURVE])
+    def test_fixed_tables(self, curve):
+        covered = self._check(_reference_grid(curve, 25, 3000))
+        for case in (DIS, CHG, "vp -0.0", "reach < 0", "reach > 1", "y = 0"):
+            assert covered[case] > 0, (case, covered)
+
+    def test_exact_ties(self):
+        covered = self._check(_tie_grid())
+        assert (covered["1-way"], covered["2-way"], covered["3-way"]) == (48, 48, 32)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(curve=monotone_ocv(), seed=st.integers(0, 2**32))
+    def test_monotone_tables(self, curve, seed):
+        self._check(_reference_grid(curve, seed, 100))
+
+    @pytest.mark.parametrize("direction", [DIS, CHG])
+    def test_peak_on_edge_terms(self, direction):
+        # Non-finite and signed-zero terms, which the value types keep out of
+        # window_terms: the composition still matches min(key=abs).
+        base = WindowTerms(0.5, 3.6, 0.0, 0.05, 1.2, 0.01, 2.8, 0.1, 10.0)
+        edges = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300)
+        for field, value in itertools.product(WindowTerms._fields, edges):
+            terms = base._replace(**{field: value})
+            got = _outcome(peak_cc._peak, terms, direction)
+            assert got == _outcome(reference_peak, terms, direction), (field, value)
