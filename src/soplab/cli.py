@@ -58,12 +58,20 @@ class Scenario(NamedTuple):
     soa: Soa
 
 
-def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    _check_window_steps(args.steps)
+def _cell_from_args(args: argparse.Namespace) -> tuple[BatteryParams, OcvCurve, Soa]:
+    """The three files every command reads, and the cell-and-box check that
+    every engine and oracle makes."""
     params = fileio.read_params(args.params)
     curve = fileio.read_ocv(args.ocv)
     soa = fileio.read_soa(args.soa)
     check_load(params, soa)
+    return params, curve, soa
+
+
+def _scenario_from_args(args: argparse.Namespace) -> Scenario:
+    """The one window that ``sop`` and ``sweep-error`` read from the flags."""
+    _check_window_steps(args.steps)
+    params, curve, soa = _cell_from_args(args)
     state = BatteryState(soc=args.soc, vp=args.vp)
     window = Window(steps=args.steps, dt=args.dt)
     return Scenario(state, params, curve, window, Direction(args.direction), soa)
@@ -110,13 +118,15 @@ def cmd_sop(scenario: Scenario, mode: str, tol_watts: float) -> tuple[int, str]:
     return (EXIT_OK if result.feasible else EXIT_INFEASIBLE), report
 
 
-def cmd_simulate(scenario: Scenario, profile_path: str) -> tuple[int, str]:
+def cmd_simulate(
+    params: BatteryParams, curve: OcvCurve, soa: Soa, state: BatteryState, profile_path: str
+) -> tuple[int, str]:
     """Replay a current profile and annotate each sample with SOA violations."""
     profile = fileio.read_profile(profile_path)
-    trace = ecm.simulate_profile(scenario.state, scenario.params, scenario.curve, profile)
+    trace = ecm.simulate_profile(state, params, curve, profile)
     rows = []
     for sample in trace:
-        violations = check_point(sample.vt, sample.current, sample.soc, scenario.soa)
+        violations = check_point(sample.vt, sample.current, sample.soc, soa)
         rows.append((*sample, ";".join(v.kind for v in violations)))
     return EXIT_OK, fileio.render_csv("t_s,current_a,soc,vp_v,vt_v,violations", rows)
 
@@ -134,14 +144,19 @@ def cmd_sweep_error(
 
 
 def cmd_validate(
-    scenario: Scenario,
+    params: BatteryParams,
+    curve: OcvCurve,
+    soa: Soa,
+    vp: float,
+    dt: float,
     soc_grid: list[float],
     steps_list: list[int],
     directions: list[Direction],
     tol_amps: float,
 ) -> tuple[int, str]:
-    """Closed-form versus brute-force peak current over a grid; exit 1 on any
-    disagreement beyond tolerance or any skipped point.
+    """Closed-form versus brute-force peak current over a grid of SOC, window
+    length and direction, each window at polarization ``vp`` and interval
+    ``dt``; exit 1 on any disagreement beyond tolerance or any skipped point.
 
     A point whose rested state lies outside the SOA has no oracle bracket: its
     row reads ``nan`` for the oracle and residual and ``skipped`` for the
@@ -156,15 +171,15 @@ def cmd_validate(
     oracle_tol = tol_amps / 1000.0
     if not oracle_tol > 0.0:
         raise InputError(f"--tol {tol_amps} is too small: the oracle's tol / 1000 underflows to 0")
+    states = [BatteryState(soc=soc, vp=vp) for soc in soc_grid]
+    windows = [Window(steps=steps, dt=dt) for steps in steps_list]
     rows = []
     failures = skipped = 0
     max_residual = 0.0
-    for soc in soc_grid:
-        state = BatteryState(soc=soc, vp=scenario.state.vp)
-        for steps in steps_list:
-            window = Window(steps=steps, dt=scenario.window.dt)
+    for state in states:
+        for window in windows:
             for direction in directions:
-                point = scenario._replace(state=state, window=window, direction=direction)
+                point = Scenario(state, params, curve, window, direction, soa)
                 analytic = "nan"
                 try:
                     analytic = peak_cc.sop_cc(*point).i_mc
@@ -178,7 +193,7 @@ def cmd_validate(
                     max_residual = max(max_residual, abs(residual))
                     failures += not ok
                     cells = (analytic, brute, residual, ok)
-                rows.append((soc, steps, direction.value, *cells))
+                rows.append((state.soc, window.steps, direction.value, *cells))
     report = fileio.render_csv("soc,steps,direction,analytic_a,oracle_a,residual_a,pass", rows)
     passed = len(rows) - failures - skipped
     report += fileio.render_keyvalue(
@@ -299,24 +314,31 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
+    # Each command builds only what it reads: validate takes SOC, K and the
+    # direction from its grid flags, and simulate reads no window.
     try:
-        scenario = _scenario_from_args(args)
         if args.command == "sop":
+            scenario = _scenario_from_args(args)
             tol_watts = _tolerance(args.tol_watts, "--tol-watts")
             code, report = cmd_sop(scenario, args.mode, tol_watts)
         elif args.command == "sweep-error":
+            scenario = _scenario_from_args(args)
             grid = _parse_grid(args.grid)
             code, report = cmd_sweep_error(scenario, args.source, args.constraint, grid)
         elif args.command == "validate":
             code, report = cmd_validate(
-                scenario,
+                *_cell_from_args(args),
+                args.vp,
+                args.dt,
                 _parse_grid(args.soc_grid),
                 _parse_steps_list(args.steps_list),
                 list(Direction) if args.directions == "both" else [Direction(args.directions)],
                 _tolerance(args.tol, "--tol"),
             )
         else:
-            code, report = cmd_simulate(scenario, args.profile)
+            code, report = cmd_simulate(
+                *_cell_from_args(args), BatteryState(soc=args.soc, vp=args.vp), args.profile
+            )
         fileio.write_text(report, args.out)
     except (InputError, ConfigurationError) as exc:
         print(f"error: {exc}")

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from . import ecm
 from .ecm import BatteryParams, BatteryState, OcvCurve, Window
-from .exceptions import PowerInfeasibleError
+from .exceptions import AnalyticDomainError, PowerInfeasibleError
 from .peak_cc import SopResult, sop_result
 from .soa import Direction, Soa, check_load, check_point
 
@@ -198,8 +198,13 @@ def _sop_hold(
 
 def _no_power(state: BatteryState, v_oc: float) -> tuple[SopResult, PomTrace]:
     """The result of a window with no SOA-compliant continuation: zero power at
-    the rested terminal voltage (step one's OCV lookup less vp), no trace."""
-    return sop_result(0.0, "voltage", v_oc - state.vp, 0.0), PomTrace(())
+    the rested terminal voltage (step one's OCV lookup less vp), no trace. A
+    rested voltage past the floats raises AnalyticDomainError, as ``sop_cc``'s
+    end voltage does."""
+    vt_rest = v_oc - state.vp
+    if not math.isfinite(vt_rest):
+        raise AnalyticDomainError(f"rested voltage {vt_rest} V not finite")
+    return sop_result(0.0, "voltage", vt_rest, 0.0), PomTrace(())
 
 
 def sop_cv(
@@ -297,9 +302,9 @@ def _cp_drive(
 ) -> Callable[[int, float, float], tuple[float, float] | None]:
     """The constant-power step for ``_trace``: ``drive(j, soc, emf)`` returns
     the smaller-magnitude root of R0*I^2 - emf*I + power = 0, continuous
-    through I = 0 as power -> 0, with its terminal voltage; None above the
-    step's power ceiling emf^2 / (4 R0). Discharging at emf < 0 that root
-    draws current against the power; the caller refuses such a step. The
+    through I = 0 as power -> 0, with its terminal voltage; None, the one
+    refusal of a CP step, where no current flows toward the power: above the
+    step's power ceiling emf^2 / (4 R0), or a discharge at emf < 0. The
     products that depend on ``power`` alone are made once per window."""
     if power == 0.0:  # no power, no current (with the sign of zero), whatever the emf
 
@@ -312,9 +317,12 @@ def _cp_drive(
 
     def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
         disc = emf * emf - four_r0_power
-        if disc < 0.0:
+        if not disc >= 0.0:  # past the ceiling, or NaN from inf - inf
             return None
-        current = two_power / (emf + sqrt(disc))
+        root = emf + sqrt(disc)
+        if not root > 0.0:  # the current would flow against the power, or divide by 0
+            return None
+        current = two_power / root
         return current, emf - current * r0
 
     return drive
@@ -332,9 +340,9 @@ def solve_cp_step(
     Solves R0*I^2 - (V_oc - V_p)*I + P = 0 on the physical branch: the
     smaller-magnitude root, continuous through I = 0 as P -> 0. The caller
     passes the step's relaxed state (``vp`` already decayed). Raises
-    PowerInfeasibleError above the step's power ceiling, and when the root's
-    current flows against the power (a discharge at emf < 0): no physical
-    current delivers ``power`` there.
+    PowerInfeasibleError where ``_cp_drive`` finds no current toward the
+    power: above the step's power ceiling, or where the root would flow
+    against it (a discharge at emf < 0).
     """
     if power * direction.sign < 0.0:
         raise PowerInfeasibleError(
@@ -343,13 +351,12 @@ def solve_cp_step(
     emf = ecm.ocv(curve, state.soc) - state.vp
     step = _cp_drive(power, params.r0)(1, state.soc, emf)
     if step is None:
+        if emf * emf - 4.0 * params.r0 * power >= 0.0:  # the drive's discriminant
+            raise PowerInfeasibleError(
+                f"power {power} W has no physical current at emf {emf} V: the root flows against it"
+            )
         raise PowerInfeasibleError(
             f"power {power} W exceeds the step ceiling {emf * emf / (4.0 * params.r0)} W"
-        )
-    if step[0] * power < 0.0:
-        raise PowerInfeasibleError(
-            f"power {power} W has no physical current at emf {emf} V:"
-            f" the root {step[0]} A flows against it"
         )
     return step
 
@@ -378,24 +385,20 @@ def _cp_probe(
     probe of one solve shares.
 
     Returns whether every step lies inside the safe operation area, with the
-    window's margins; ``(False, None)`` when a step exceeds its power ceiling
-    or its root draws current against the direction: the window has no
-    continuation there, as ``solve_cp_step`` refuses such a step.
+    window's margins; ``(False, None)`` when ``_cp_drive`` finds a step with
+    no current toward the power: the window has no continuation there, as
+    ``solve_cp_step`` refuses such a step.
 
     The SOA check is at ``_trace``'s two corners. The margins come from the
     corner on the direction's side; rounding ``x - c`` is monotone in x, so
-    each equals its per-step minimum bit for bit. The other corner holds the
-    current that runs most against the direction.
+    each equals its per-step minimum bit for bit.
     """
     drive = _cp_drive(power_abs * direction.sign, params.r0)
     corners = _trace(state, params, lookup, window, drive, v_oc)
     if corners is None:
         return False, None
     low, high = corners
-    near, far = (low, high) if direction is Direction.DISCHARGE else (high, low)
-    if far[1] * direction.sign < 0.0:
-        return False, None
-    vt, current, soc = near
+    vt, current, soc = low if direction is Direction.DISCHARGE else high
     margins = _CpMargins(
         (vt - direction.vt_cutoff(soa)) * direction.sign,
         (direction.current_limit(soa) - current) * direction.sign,

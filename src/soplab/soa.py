@@ -50,6 +50,15 @@ class Soa(_Value):
         # twice that (2 * power in the step current), so it must be finite.
         if not math.isfinite(2.0 * max(i_max_dis, -i_max_chg) * vt_max):
             raise ConfigurationError("2 * max(i_max_dis, -i_max_chg) * vt_max overflows")
+        # A CP step's discriminant emf^2 - 4 r0 P stays below 5 * vt_max^2 while
+        # emf <= vt_max and the power is below sop_cp's bracket top. With
+        # 8 * vt_max^2 finite, only a step with |emf| > vt_max can overflow
+        # it, and the box refuses that step's zero current.
+        if not math.isfinite(8.0 * vt_max * vt_max):
+            raise ConfigurationError("8 * vt_max * vt_max overflows")
+        # The CP oracle's default bracket top, |i_max| * vt_max, must be > 0.
+        if not min(i_max_dis, -i_max_chg) * vt_max > 0.0:
+            raise ConfigurationError("min(i_max_dis, -i_max_chg) * vt_max underflows to 0")
         if not (0.0 <= soc_min < soc_max <= 1.0):
             raise ConfigurationError("need 0 <= soc_min < soc_max <= 1")
         _Value.__init__(self, *limits)

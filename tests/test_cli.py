@@ -217,6 +217,14 @@ class TestSopCommand:
         assert code == 1
         assert capsys.readouterr().out.startswith("infeasible: end voltage")
 
+    @pytest.mark.parametrize("mode", ["cv", "cccv", "cp"])
+    def test_overflowing_rested_voltage_exits_one(self, files, capsys, mode):
+        # OCV 1e308 V less vp -1e308 V: the zero result printed vt_end_v=inf.
+        Path(files["ocv"]).write_text("soc,ocv_volts\n0,1e308\n1,1e308\n")
+        code = main(["sop", *_base_args(files), "--mode", mode, "--vp=-1e308"])
+        assert code == 1
+        assert capsys.readouterr().out == "infeasible: rested voltage inf V not finite\n"
+
     @pytest.mark.parametrize("mode", ["cc", "cp"])
     def test_overflowing_window_duration_exits_two(self, files, capsys, mode):
         # K * dt is inf: sop_cc printed sop_w=nan.
@@ -233,6 +241,57 @@ class TestSopCommand:
         kv = _kv(capsys.readouterr().out)
         assert (kv["feasible"], kv["sop_w"], kv["vt_end_v"]) == ("false", "0", "0")
         assert float(kv["i_mc_a"]) > 0.0
+
+    @pytest.mark.parametrize(
+        "params, ocv, soa, argv",
+        [
+            # At emf < 0, 4 r0 P vanished beside emf**2 and the CP drive
+            # divided by a zero root: a ZeroDivisionError traceback.
+            (
+                "r0_ohm=1e-300\nr1_ohm=0.03\ntau_s=0.1\ncapacity_ah=1e300\ncoulombic_eff=0.9\n",
+                "soc,ocv_volts\n0,0.5\n0.40840487680611315,0.500000001\n"
+                "0.6411499018016735,1000.500000001\n1,1000.500000002\n",
+                SOA_TEXT.replace("i_max_chg=-4", "i_max_chg=-5e-324")
+                .replace("vt_min=2.8", "vt_min=0.1")
+                .replace("soc_min=0.1", "soc_min=0").replace("soc_max=0.9", "soc_max=1"),
+                ["--soc", "0", "--vp=-1.0824074794006742", "-K", "300", "--dt", "0.1"],
+            ),
+            # emf**2 and 4 r0 P overflowed: a NaN step current, then an
+            # IndexError traceback from ecm.ocv.
+            (
+                "r0_ohm=1e300\nr1_ohm=1e300\ntau_s=0.1\ncapacity_ah=50\ncoulombic_eff=0.9\n",
+                "soc,ocv_volts\n0,3.0\n0.02189759743386621,3.000000001\n"
+                "0.4346728401311236,3.000000002\n0.8003574183638044,3.100000002\n"
+                "1,1003.100000002\n",
+                "vt_min=2.8\nvt_max=1e300\ni_max_dis=1\ni_max_chg=-5e-324\nsoc_min=0\nsoc_max=1\n",
+                ["--soc", "0.8816095287418093", "--vp=-1e300", "-K", "3", "--dt", "0.1"],
+            ),
+            # emf**2 overflowed to inf: sop_w=1.5e+201 at exit 0 over rows of 0 A and 0 W.
+            (
+                PARAMS_TEXT,
+                "soc,ocv_volts\n0,1e200\n1,2e200\n",
+                SOA_TEXT.replace("vt_max=4.3", "vt_max=1e250"),
+                ["--soc", "0.5", "-K", "10"],
+            ),
+        ],
+        ids=["zero-root", "nan-root", "zero-current"],
+    )
+    def test_cp_step_without_a_current_answers_or_refuses(
+        self, files, capsys, params, ocv, soa, argv
+    ):
+        for which, text in (("params", params), ("ocv", ocv), ("soa", soa)):
+            Path(files[which]).write_text(text)
+        code = main(["sop", *_base_args(files), "--mode", "cp", *argv])
+        report = capsys.readouterr().out
+        assert code in (0, 1, 2), report
+        if code == 2:
+            assert report == f"error: soa file {files['soa']}: 8 * vt_max * vt_max overflows\n"
+            return
+        sop = float(_kv(report)["sop_w"])
+        rows = [line.split(",") for line in report.splitlines() if line[:1].isdigit()]
+        assert sop > 0.0 and rows
+        # Each row delivers the reported power, to the report's 12 digits.
+        assert all(abs(float(row[5]) - sop) <= 1e-11 * sop for row in rows), report
 
     def test_cp_vp_above_ocv_exits_one(self, files, capsys):
         code = main(["sop", *_base_args(files), "--mode", "cp", "--vp", "5"])
@@ -410,6 +469,18 @@ class TestSimulateCommand:
         assert "current_high_dis" in report
 
 
+    @pytest.mark.parametrize("unread", [["-K", "200000"], ["--dt", "0"]])
+    def test_window_flags_are_not_read(self, files, tmp_path, capsys, unread):
+        # simulate reads no window, but it exited 2 on these flags.
+        profile = tmp_path / "profile.csv"
+        profile.write_text("t_s,current_a\n0,1\n1,2\n")
+        argv = ["simulate", *_base_args(files), "--profile", str(profile)]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, *unread]) == 0
+        assert capsys.readouterr().out == plain
+
+
 class TestSweepErrorCommand:
     def test_zero_grid_zero_row(self, files, capsys):
         code = main(
@@ -491,6 +562,16 @@ class TestValidateCommand:
         assert code == 0
         assert "points=12" in report
         assert "passed=12" in report
+
+    @pytest.mark.parametrize("unread", [["--soc", "1.5"], ["-K", "200000"]])
+    def test_window_flags_are_not_read(self, files, capsys, unread):
+        # validate takes SOC, K and the direction from its grid flags, but
+        # it exited 2 on these flags, on a valid grid.
+        argv = ["validate", *_base_args(files), "--soc-grid", "0.5", "--steps-list", "10"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, *unread]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_empty_grid_exits_two(self, files):
         assert (

@@ -330,15 +330,19 @@ class TestSolveCpStep:
         # At emf 3.6 - 5.0 = -1.4 V the smaller root of a 1 W discharge is
         # -27.27 A, a charge current (vt -0.0367 V); the oracle's Newton step
         # finds no root there. Neither does the engine: the step refuses, and
-        # a probe through such a step has no continuation.
+        # a probe through such a step has no continuation. At r0 1e-300,
+        # 4 r0 P vanishes beside emf**2: the root emf + sqrt(disc) is 0, and
+        # the step divided by it (ZeroDivisionError).
         state = BatteryState(0.5, 5.0)
-        with pytest.raises(PowerInfeasibleError, match="against") as refused:
-            solve_cp_step(state, params, linear_curve, 1.0, DIS)
-        assert "exceeds the step ceiling" not in str(refused.value)
-        assert _newton_cp_current(3.6 - 5.0, params.r0, 1.0) is None
         lookup = modes.ecm.ocv_cursor(linear_curve)
-        probe = modes._cp_probe(1.0, state, params, lookup, Window(10, 1.0), DIS, soa, lookup(0.5))
-        assert probe == (False, None)
+        for params in (params, BatteryParams(1e-300, 0.03, 10.0, 2.0, 1.0)):
+            with pytest.raises(PowerInfeasibleError, match="against") as refused:
+                solve_cp_step(state, params, linear_curve, 1.0, DIS)
+            assert "exceeds the step ceiling" not in str(refused.value)
+            assert _newton_cp_current(3.6 - 5.0, params.r0, 1.0) is None
+            window = Window(10, 1.0)
+            probe = modes._cp_probe(1.0, state, params, lookup, window, DIS, soa, lookup(0.5))
+            assert probe == (False, None)
 
 
 def _cp_resimulate(power_abs, state, params, curve, window, direction, soa):

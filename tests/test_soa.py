@@ -49,15 +49,45 @@ def test_soa_needs_a_positive_cut_off(vt_min):
 
 @pytest.mark.parametrize(
     "vt_max, i_max_dis, i_max_chg",
-    [(1.7e308, 10.0, -1e300), (1.7e308, 1e300, -4.0), (9.0, 1e307, -4.0), (9.0, 10.0, -1e307)],
+    [
+        (1.7e308, 10.0, -1e300),
+        (1.7e308, 1e300, -4.0),
+        (9.0, 1e307, -4.0),
+        (9.0, 10.0, -1e307),
+        # emf**2 overflowed to inf, the root with it, and sop_cp reported
+        # 1.5e201 W over rows of 0 A (OCV 1e200..2e200 V).
+        (1e250, 10.0, -4.0),
+        # 4 r0 P overflowed on a charge step: -5.5e307 W over a row of -0.0 A
+        # (r0 1 ohm, OCV 1e153..1.1e153 V), with vt_max**2 still finite.
+        (1.3e154, 10.0, -6.9e153),
+    ],
 )
 def test_soa_rejects_a_power_bound_that_overflows(vt_max, i_max_dis, i_max_chg):
     # The CP bracket tops (sop_cp's, and the oracle's |i_lim| * vt_max) and
     # the step current's 2 * power stay finite only if this product does:
-    # 2 * 1e307 * 9 is beyond the floats, 2 * 1e307 * 8 is not.
+    # 2 * 1e307 * 9 is beyond the floats, 2 * 1e307 * 8 is not. A CP step's
+    # discriminant stays below 5 * vt_max**2 in the box: 8 * vt_max**2 must
+    # be finite too.
     with pytest.raises(ConfigurationError, match="overflows"):
         Soa(2.8, vt_max, i_max_dis, i_max_chg, 0.1, 0.9)
     assert Soa(2.8, 8.0, 1e307, -1e307, 0.1, 0.9).i_max_dis == 1e307
+    assert Soa(2.8, 4.7e153, 10.0, -4.0, 0.1, 0.9).vt_max == 4.7e153
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_soa_rejects_a_power_bound_that_underflows(direction):
+    # The CP oracle's default top |i_lim| * vt_max was 5e-324 * 1e-9 = 0, and
+    # brute_peak_power_cp refused its own default with a bare ValueError.
+    with pytest.raises(ConfigurationError, match="underflows to 0"):
+        Soa(1e-11, 1e-9, 5e-324, -4.0, 0.1, 0.9)
+    with pytest.raises(ConfigurationError, match="underflows to 0"):
+        Soa(1e-11, 1e-9, 4.0, -5e-324, 0.1, 0.9)
+    # The smallest such product the box accepts is a bracket top the oracle takes.
+    soa = Soa(1e-11, 1e-9, 1e-300, -1e-300, 0.1, 0.9)
+    curve = OcvCurve(((0.0, 1e-10), (1.0, 2e-10)))
+    params = BatteryParams(0.05, 0.03, 10.0, 2.0)
+    found = brute_peak_power_cp(BatteryState(0.5), params, curve, Window(10, 1.0), direction, soa)
+    assert 0.0 <= found.watts <= 1e-300 * 1e-9
 
 
 @pytest.mark.parametrize("direction", list(Direction))
