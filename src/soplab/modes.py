@@ -342,11 +342,17 @@ def solve_cp_step(
     passes the step's relaxed state (``vp`` already decayed). Raises
     PowerInfeasibleError where ``_cp_drive`` finds no current toward the
     power: above the step's power ceiling, or where the root would flow
-    against it (a discharge at emf < 0).
+    against it (a discharge at emf < 0). Raises it too where 4*R0*P is not
+    finite: the root's 2P / (emf + sqrt(disc)) then carries no power (0 or
+    NaN). The engines never ask for such a power; their box bounds it.
     """
     if power * direction.sign < 0.0:
         raise PowerInfeasibleError(
             f"power {power} has the wrong sign for {direction.value}"
+        )
+    if not math.isfinite(4.0 * params.r0 * power):
+        raise PowerInfeasibleError(
+            f"power {power} W is out of range: 4 * r0 * power is not finite"
         )
     emf = ecm.ocv(curve, state.soc) - state.vp
     step = _cp_drive(power, params.r0)(1, state.soc, emf)
@@ -415,6 +421,31 @@ def _normalised_margin(margins: _CpMargins | None, scales: _CpMargins) -> float 
     return min(m / s for m, s in zip(margins, scales))
 
 
+def _cp_estimate(
+    points: list[tuple[float, float]], lo: float, hi: float
+) -> float | None:
+    """The root of g estimated from the remembered probes, strictly inside (lo,
+    hi): inverse quadratic interpolation through three points with distinct g,
+    else the secant through the last two; None when neither lands inside.
+    Both are in Newton's divided-difference form, so a division is only ever
+    by a difference of distinct g, which is never 0."""
+    if len(points) < 2:
+        return None
+    (b, gb), (c, gc) = points[-2:]
+    if gb == gc:
+        return None
+    slope = (c - b) / (gc - gb)
+    secant = c - gc * slope
+    if len(points) == 3:
+        a, ga = points[0]
+        if ga != gb and ga != gc:
+            curve = (slope - (b - a) / (gb - ga)) / (gc - ga)
+            iqi = secant + gc * gb * curve
+            if lo < iqi < hi:
+                return iqi
+    return secant if lo < secant < hi else None
+
+
 def sop_cp(
     state: BatteryState,
     params: BatteryParams,
@@ -435,15 +466,19 @@ def sop_cp(
     A probe keeps only its trace's two SOA corners; the accepted ``lo`` is
     stepped once more, with rows, for the trace that is returned.
 
-    Probes are placed by regula falsi with the Illinois modification on the
-    normalised SOA margin g(P) = min_c m_c(P) / m_c(0), which is close to
-    linear in P whichever constraint binds. A probe bisects instead when the
-    infeasible end has no usable margin (it hit a power ceiling, or only an
-    opposite-direction bound failed there), or when the last two probes did
-    not halve the bracket; of any three probes one therefore halves it, which
-    caps the count at about three times plain bisection's. Every probe keeps
-    tol/2 clear of both ends, so an estimate within tol/2 of the root closes
-    the bracket on the next probe.
+    Probes are placed on the normalised SOA margin g(P) = min_c m_c(P) /
+    m_c(0), which is close to linear in P whichever constraint binds. The
+    search remembers its last three probes with a margin (the zero-power and
+    top probes seed them; a probe that hits a power ceiling has none and
+    clears them). Each probe goes where the first of these lands strictly
+    inside the bracket: inverse quadratic interpolation through the three
+    (Brent 1973, ch. 4), the secant through the last two, the midpoint. A
+    probe bisects outright when the infeasible end has no usable margin (it
+    hit a power ceiling, or only an opposite-direction bound failed there), or
+    when the last two probes did not halve the bracket; of any three probes
+    one therefore halves it, which caps the count at about three times plain
+    bisection's. An interpolated probe keeps tol/2 clear of both ends, so an
+    estimate within tol/2 of the root closes the bracket on the next probe.
     """
     check_load(params, soa)
     if not (tol_watts > 0.0 and math.isfinite(tol_watts)):
@@ -468,38 +503,38 @@ def sop_cp(
     top_ok, top_margins = _cp_probe(top, state, params, lookup, window, direction, soa, v_oc)
 
     lo, lo_margins = 0.0, zero_margins
-    g_lo = _normalised_margin(zero_margins, scales)  # 1, or 0 with a bound already reached
     hi, g_hi = top, _normalised_margin(top_margins, scales)
     if top_ok:  # |power| rises with |current| to i_top: top is the peak
         lo, lo_margins = top, top_margins
+    # The last three probes with a margin, oldest first: (P, g(P)).
+    points = [(0.0, _normalised_margin(zero_margins, scales))]
+    if g_hi is not None:
+        points.append((top, g_hi))
     half_tol = 0.5 * tol_watts
     widths = (math.inf, math.inf)  # bracket width before each of the last two probes
-    kept = "lo"  # the end the last probe left in place; the top probe moved hi
     while hi - lo > tol_watts:
         width = hi - lo
-        mid = 0.5 * (lo + hi)
-        if g_hi is None or g_hi >= 0.0 or width > 0.5 * widths[0]:
-            p = mid
-        else:
-            p = lo + width * g_lo / (g_lo - g_hi)
+        p = None
+        if g_hi is not None and g_hi < 0.0 and width <= 0.5 * widths[0]:
+            p = _cp_estimate(points, lo, hi)
+        if p is not None:
             p = min(max(p, lo + half_tol), hi - half_tol)
-        if not lo < p < hi:
-            p = mid
+        if p is None or not lo < p < hi:
+            p = 0.5 * (lo + hi)
         if not lo < p < hi:  # the bracket no longer splits in floating point
             break
         widths = (widths[1], width)
         ok, margins = _cp_probe(p, state, params, lookup, window, direction, soa, v_oc)
         g = _normalised_margin(margins, scales)
-        if not ok:
-            hi, g_hi = p, g
-            if kept == "lo":  # Illinois: halve the weight of an end kept twice
-                g_lo *= 0.5
-            kept = "lo"
+        if g is None:  # a power ceiling: nothing to interpolate through
+            points.clear()
         else:
-            lo, lo_margins, g_lo = p, margins, g
-            if kept == "hi" and g_hi is not None:
-                g_hi *= 0.5
-            kept = "hi"
+            points.append((p, g))
+            del points[:-3]
+        if ok:
+            lo, lo_margins = p, margins
+        else:
+            hi, g_hi = p, g
 
     # The probes kept no rows: step the accepted power once more to return its trace.
     rows: list[PomStep] = []

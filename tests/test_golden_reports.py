@@ -109,16 +109,16 @@ mode=cp
 direction=charge
 feasible=true
 dominant=current
-sop_w=16.0806503557
-power_w=-16.0806503557
-vt_end_v=4.02016261622
-i_mc_a=-3.95194372934
+sop_w=16.0806504649
+power_w=-16.0806504649
+vt_end_v=4.02016261775
+i_mc_a=-3.95194375492
 step,current_a,vt_v,soc,vp_v,power_w
-1,-3.95194372934,4.06904841188,0.500548881074,-0.282733540483,-16.0806503557
-2,-3.96585114831,4.05477910147,0.501099693733,-0.267149905811,-16.0806503557
-3,-3.97842107719,4.04196791734,0.501652252216,-0.253085135658,-16.0806503557
-4,-3.98976850398,4.03047202855,0.50220638673,-0.24039120086,-16.0806503557
-5,-3.99999997284,4.02016261622,0.502761942282,-0.228934463263,-16.0806503557
+1,-3.95194375492,4.06904841316,0.500548881077,-0.282733540556,-16.0806504649
+2,-3.96585117391,4.05477910282,0.50109969374,-0.26714990595,-16.0806504649
+3,-3.97842110281,4.04196791876,0.501652252227,-0.253085135857,-16.0806504649
+4,-3.98976852961,4.03047203002,0.502206386745,-0.240391201114,-16.0806504649
+5,-3.99999999847,4.02016261775,0.5027619423,-0.228934463566,-16.0806504649
 """,
     ),
     (

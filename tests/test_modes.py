@@ -344,6 +344,14 @@ class TestSolveCpStep:
             probe = modes._cp_probe(1.0, state, params, lookup, window, DIS, soa, lookup(0.5))
             assert probe == (False, None)
 
+    @pytest.mark.parametrize("power", [-5e307, -1e308])
+    def test_power_whose_discriminant_overflows_raises(self, linear_curve, power):
+        # At r0 1 ohm, 4 r0 P overflows to -inf: the root 2P / (emf + sqrt(inf))
+        # was -0.0 A (no power) at -5e307 W and NaN at -1e308 W.
+        params = BatteryParams(1.0, 0.03, 10.0, 2.0)
+        with pytest.raises(PowerInfeasibleError, match="not finite"):
+            solve_cp_step(BatteryState(0.5), params, linear_curve, power, CHG)
+
 
 def _cp_resimulate(power_abs, state, params, curve, window, direction, soa):
     """Independent re-simulation built from the public step solver, checked
@@ -500,6 +508,73 @@ class TestSopCpSolver:
                     per_solve.append(calls[0])
         assert statistics.mean(per_solve) <= 10
         assert max(per_solve) <= 20
+
+    def test_probe_count_on_bms_tick_cp_like_ticks(self, params, soa, monkeypatch):
+        # 300 seeded ticks of the bms-tick-cp workload's inputs, both
+        # directions, counting the zero-power and top probes. Interpolating
+        # through three probes takes 5.16 probes per solve here (at most 12);
+        # Illinois-weighted regula falsi took 6.24 (at most 22). The bounds
+        # leave about 5% on the mean and three probes on the maximum.
+        calls = [0]
+        probe = modes._cp_probe
+
+        def counting_probe(*args):
+            calls[0] += 1
+            return probe(*args)
+
+        monkeypatch.setattr(modes, "_cp_probe", counting_probe)
+        rng = random.Random(1)
+        per_solve = []
+        for _ in range(100):
+            for steps in rng.sample((10, 30, 300), 3):
+                soc = rng.uniform(0.15, 0.85)
+                vp = rng.uniform(0.01, 0.2) * rng.choice((-1.0, 1.0))
+                state, window = BatteryState(soc, vp), Window(steps, 1.0)
+                for direction in (DIS, CHG):
+                    calls[0] = 0
+                    sop_cp(state, params, NMC_CURVE, window, direction, soa)
+                    per_solve.append(calls[0])
+        assert statistics.mean(per_solve) <= 5.4
+        assert max(per_solve) <= 15
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        curve=monotone_ocv(),
+        soc=st.floats(0.1, 0.9),
+        vp=st.floats(-0.6, 0.6),
+        steps=st.integers(1, 300),
+        direction=st.sampled_from([DIS, CHG]),
+        tol=st.sampled_from([1e-6, 1e-9]),
+    )
+    def test_bracket_halves_in_any_three_probes(self, curve, soc, vp, steps, direction, tol):
+        # The search's worst case: whatever the interpolation does, the
+        # bracket [lo, hi] at least halves over any three probes, so a solve
+        # runs at most three times the probes plain bisection needs from the
+        # top down to tol, besides the zero-power and top probes.
+        params = BatteryParams(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
+        soa = Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9)
+        probes = []
+        probe = modes._cp_probe
+
+        def recording_probe(*args):
+            out = probe(*args)
+            probes.append((args[0], out[0]))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modes, "_cp_probe", recording_probe)
+            sop_cp(BatteryState(soc, vp), params, curve, Window(steps, 1.0), direction, soa, tol)
+        assume(len(probes) > 2)
+        (top, top_ok), widths = probes[1], []
+        assert not top_ok
+        lo, hi = 0.0, top
+        for power, ok in probes[2:]:
+            widths.append(hi - lo)
+            lo, hi = (power, hi) if ok else (lo, power)
+        widths.append(hi - lo)
+        for before, after in zip(widths, widths[3:]):
+            assert after <= 0.5 * before + 1e-12  # a midpoint rounds by ulps of the top
+        assert len(probes) - 2 <= 3 * math.ceil(math.log2(top / tol))
 
     def test_one_step_windows_end_at_the_bracket_top(self, params, linear_curve, soa, monkeypatch):
         # Away from its SOC bound a one-step window sustains the bound on its
