@@ -24,7 +24,6 @@ _EXPORTS_BY_MODULE = {
         "StepResult",
         "Window",
         "ocv",
-        "ocv_slope",
         "predict_cc",
         "simulate_profile",
         "step",

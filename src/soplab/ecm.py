@@ -15,9 +15,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exceptions import ConfigurationError, InputError
 
-# Secant pairs closer than this fall back to the local segment slope.
-SLOPE_SECANT_EPS = 1e-6
-
 SECONDS_PER_HOUR = 3600.0
 
 
@@ -116,7 +113,7 @@ class OcvCurve(_Value):
     """Monotone SOC -> OCV table, interpolated piecewise-linearly.
 
     ``points`` is stored as a tuple of float pairs; ``socs``, the knot SOCs,
-    is derived once so that lookups bisect without rebuilding it.
+    is derived once so that the table search bisects without rebuilding it.
     """
 
     __match_args__ = ("points",)
@@ -221,71 +218,65 @@ class ProfileSample(NamedTuple):
     vt: float
 
 
+def _segment(curve: OcvCurve, soc: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The table segment containing ``soc``, as its two knots: the right-hand
+    one at a knot, the first or last one beyond the knot range. The table's
+    only search; a NaN SOC raises InputError."""
+    socs = curve.socs
+    i = bisect_right(socs, soc)
+    # The index clamped to [1, len - 1] by comparisons. NaN fails every
+    # comparison, so bisect_right puts it past the last knot.
+    if i == 0:
+        i = 1
+    elif i == len(socs):
+        if soc != soc:
+            raise InputError("soc must not be NaN")
+        i -= 1
+    pts = curve.points
+    return pts[i - 1], pts[i]
+
+
 def ocv(curve: OcvCurve, soc: float) -> float:
-    """Interpolate the OCV table at ``soc``; clamps to the knot range."""
+    """Interpolate the OCV table at ``soc``; clamps to the knot range. A NaN
+    SOC raises InputError."""
     pts = curve.points
     if soc <= pts[0][0]:
         return pts[0][1]
     if soc >= pts[-1][0]:
         return pts[-1][1]
-    i = bisect_right(curve.socs, soc)
-    x0, y0 = pts[i - 1]
-    x1, y1 = pts[i]
+    (x0, y0), (x1, y1) = _segment(curve, soc)
     return y0 + (soc - x0) * (y1 - y0) / (x1 - x0)
 
 
 def ocv_cursor(curve: OcvCurve) -> Callable[[float], float]:
     """A lookup equal to ``ocv(curve, soc)`` bit for bit that remembers the
-    segment it last bisected.
+    segment it last found.
 
-    While the SOC stays strictly inside that segment, the lookup evaluates
-    ``ocv``'s own expression with the segment's rises hoisted; any other SOC
-    is answered by ``ocv`` itself, so knot hits, clamps and NaN behave as
-    there. A repeat of the last such SOC (a window at rest on a knot or
-    clamped at an end) returns ``ocv``'s last answer. Within a window the SOC
-    moves one way, so a window loop that owns one cursor bisects about once
-    per segment it enters.
+    A SOC in ``[x0, x1)`` of that segment is answered by ``ocv``'s own
+    expression with the segment's rises hoisted; a SOC at or past either end
+    of the table by ``ocv`` itself, which clamps there; any other SOC
+    searches the table once and remembers its segment, and a NaN SOC raises
+    as in ``ocv``. Within a window the SOC moves one way, so a window loop
+    that owns one cursor searches about once per segment it enters.
     """
-    pts, socs = curve.points, curve.socs
-    first, last = socs[0], socs[-1]
-    # No segment and no answer yet: NaN fails every comparison.
-    x0 = x1 = y0 = rise = run = miss_soc = miss_v = math.nan
+    first, last = curve.socs[0], curve.socs[-1]
+    # No segment yet: NaN fails every comparison.
+    lo = x0 = x1 = y0 = rise = run = math.nan
 
     def lookup(soc: float) -> float:
-        nonlocal x0, x1, y0, rise, run, miss_soc, miss_v
-        if x0 < soc < x1:
+        nonlocal lo, x0, x1, y0, rise, run
+        if lo <= soc < x1:
             return y0 + (soc - x0) * rise / run
-        if soc == miss_soc:
-            return miss_v
-        miss_v, miss_soc = ocv(curve, soc), soc
-        if first < soc < last:
-            i = bisect_right(socs, soc)
-            (x0, y0), (x1, y1) = pts[i - 1], pts[i]
-            rise, run = y1 - y0, x1 - x0
-        return miss_v
+        if soc <= first or soc >= last:
+            return ocv(curve, soc)
+        (x0, y0), (x1, y1) = _segment(curve, soc)
+        rise, run = y1 - y0, x1 - x0
+        # ocv clamps at the first knot to the knot's own voltage, whose -0.0
+        # the expression would turn to +0.0: the fast path starts past it.
+        lo = x0 if x0 > first else math.nextafter(x0, math.inf)
+        return y0 + (soc - x0) * rise / run
 
     return lookup
-
-
-def _segment_slope(curve: OcvCurve, soc: float) -> float:
-    """Slope of the table segment containing ``soc`` (right segment at knots)."""
-    pts = curve.points
-    i = bisect_right(curve.socs, soc)
-    i = min(max(i, 1), len(pts) - 1)
-    x0, y0 = pts[i - 1]
-    x1, y1 = pts[i]
-    return (y1 - y0) / (x1 - x0)
-
-
-def ocv_slope(curve: OcvCurve, soc_a: float, soc_b: float) -> float:
-    """Window slope of the OCV curve between two SOC points.
-
-    Returns the secant slope when the points are distinguishable, otherwise
-    the local segment slope at ``soc_a``.
-    """
-    if abs(soc_a - soc_b) > SLOPE_SECANT_EPS:
-        return (ocv(curve, soc_b) - ocv(curve, soc_a)) / (soc_b - soc_a)
-    return _segment_slope(curve, soc_a)
 
 
 def step(

@@ -16,6 +16,9 @@ from .ecm import BatteryParams, BatteryState, OcvCurve, Window
 from .exceptions import AnalyticDomainError
 from .soa import Direction, Soa, check_load
 
+# Secant ends closer than this fall back to the start segment's slope.
+SLOPE_SECANT_EPS = 1e-6
+
 
 class SopResult(NamedTuple):
     """Peak-power estimate with per-constraint diagnostics, built by
@@ -80,17 +83,19 @@ def window_terms(
 ) -> WindowTerms:
     """True-valued window terms for one state, window and direction.
 
-    The window OCV slope is settled in two passes: the local segment slope
-    seeds the candidate peak current, then the secant to the SOC that
-    candidate would reach replaces it (the slope is held constant across the
-    window)."""
+    The window OCV slope is settled in two passes: the slope of the table
+    segment at the start SOC seeds the candidate peak current, then the
+    secant to the SOC that candidate would reach replaces it, unless the two
+    SOCs lie within ``SLOPE_SECANT_EPS`` (the slope is held constant across
+    the window)."""
     soc = state.soc
     k_dt = window.duration
     alpha_k = math.exp(-k_dt / params.tau)
     f_soc = ecm.ocv(curve, soc)
     vp_relax = state.vp * alpha_k
     r_sum = params.r0 + params.r1 * (1.0 - alpha_k)
-    kappa = ecm.ocv_slope(curve, soc, soc)
+    (x0, v0), (x1, v1) = ecm._segment(curve, soc)
+    kappa = (v1 - v0) / (x1 - x0)
     y = k_dt * params.soc_per_amp_second
     cutoff = direction.vt_cutoff(soa)
     soc_bound = direction.soc_bound(soa)
@@ -103,7 +108,8 @@ def window_terms(
         soc_reach = 0.0
     elif soc_reach > 1.0:
         soc_reach = 1.0
-    kappa = ecm.ocv_slope(curve, soc, soc_reach)
+    if abs(soc - soc_reach) > SLOPE_SECANT_EPS:
+        kappa = (ecm.ocv(curve, soc_reach) - f_soc) / (soc_reach - soc)
     return WindowTerms(soc, f_soc, vp_relax, r_sum, kappa, y, cutoff, soc_bound, i_lim)
 
 

@@ -24,13 +24,15 @@ as the exception's class name. The case sets are seeded:
 
 For each producer in ``PROBES`` the record also holds the whole-window
 simulations each solve ran: calls of the oracle's window loop, or of
-``sop_cp``'s probe.
+``sop_cp``'s probe. For every producer it holds the OCV table searches each
+solve ran: calls of ``soplab.ecm.bisect_right``.
 
 ``--compare A B`` prints per producer the identical count, the verdict flips
 (answer <-> refusal), the largest |change| of a numeric leaf, and the mean
-simulations per solve in A and in B, then every CLI request whose exit code
-or bytes differ. It exits 1 when an answer or a CLI request moved and 0
-otherwise; the counts do not change it. Standard library only.
+simulations and table searches per solve in A and in B, then every CLI
+request whose exit code or bytes differ. It exits 1 when an answer or a CLI
+request moved and 0 otherwise; the counts do not change it. Standard library
+only.
 """
 
 from __future__ import annotations
@@ -190,21 +192,22 @@ def _counting(module_name: str, attr: str):
         setattr(module, attr, original)
 
 
-def _answers(name: str, produce, scenarios) -> tuple[list, list[int]]:
-    """Each scenario's answer leaves, or ``{"refused": <class name>}``, and
-    the simulations each scenario ran (all 0 for a producer not in
-    ``PROBES``)."""
-    answers, probes = [], []
+def _answers(name: str, produce, scenarios) -> tuple[list, list[int], list[int]]:
+    """Each scenario's answer leaves, or ``{"refused": <class name>}``, the
+    simulations each scenario ran (all 0 for a producer not in ``PROBES``),
+    and the table searches each ran."""
+    answers, probes, searches = [], [], []
     counting = _counting(*PROBES[name]) if name in PROBES else contextlib.nullcontext([0])
-    with counting as calls:
+    with counting as calls, _counting("soplab.ecm", "bisect_right") as searched:
         for scenario in scenarios:
-            before = calls[0]
+            before, searched_before = calls[0], searched[0]
             try:
                 answers.append(_leaves(produce(*scenario), []))
             except (AnalyticDomainError, InfeasibleStateError) as exc:
                 answers.append({"refused": type(exc).__name__})
             probes.append(calls[0] - before)
-    return answers, probes
+            searches.append(searched[0] - searched_before)
+    return answers, probes, searches
 
 
 # --- cli-oneshot-like requests ---------------------------------------------
@@ -329,17 +332,22 @@ def record(sizes: tuple[int, int, tuple[int, ...]] = FULL) -> dict:
     n_windows, n_states, seeds = sizes
     windows = seeded_windows(n_windows, 7, (1, 2, 10, 30, 300))
     grid = grid_scenarios(n_states, 1)
-    answers, probes = {}, {}
+    answers, probes, searches = {}, {}, {}
     for cases, scenarios, producers in (
         ("windows", windows, WINDOW_PRODUCERS),
         ("grid", grid, GRID_PRODUCERS),
     ):
         for name, produce in producers.items():
             key = f"{cases}/{name}"
-            answers[key], counts = _answers(name, produce, scenarios)
+            answers[key], counts, searches[key] = _answers(name, produce, scenarios)
             if name in PROBES:
                 probes[key] = counts
-    return {"answers": answers, "probes": probes, "cli": cli_outputs(seeds)}
+    return {
+        "answers": answers,
+        "probes": probes,
+        "searches": searches,
+        "cli": cli_outputs(seeds),
+    }
 
 
 # --- comparison --------------------------------------------------------------
@@ -362,9 +370,11 @@ def _delta(a: list, b: list) -> float:
     return worst
 
 
-def _mean_probes(record: dict, name: str) -> str:
-    counts = record.get("probes", {}).get(name)
-    return f"{sum(counts) / len(counts):.3f}" if counts else "-"
+def _mean(record: dict, counts: str, name: str) -> str:
+    """The mean per solve of ``record[counts][name]``, or "-" where the
+    record has none (a producer that runs no probe, or an older record)."""
+    per_solve = record.get(counts, {}).get(name)
+    return f"{sum(per_solve) / len(per_solve):.3f}" if per_solve else "-"
 
 
 def compare(a: dict, b: dict) -> tuple[list[str], bool]:
@@ -372,7 +382,7 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
     moved."""
     lines = [
         f"{'producer':<34} {'cases':>6} {'identical':>9} {'flips':>5}  {'max|delta|':<10}"
-        f" {'sims A':>8} {'sims B':>8}"
+        f" {'sims A':>8} {'sims B':>8} {'search A':>8} {'search B':>8}"
     ]
     moved = False
     for name in sorted(set(a["answers"]) | set(b["answers"])):
@@ -393,7 +403,8 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
         moved |= same != len(left)
         lines.append(
             f"{name:<34} {len(left):>6} {same:>9} {flips:>5}  {worst:<10.3g}"
-            f" {_mean_probes(a, name):>8} {_mean_probes(b, name):>8}"
+            f" {_mean(a, 'probes', name):>8} {_mean(b, 'probes', name):>8}"
+            f" {_mean(a, 'searches', name):>8} {_mean(b, 'searches', name):>8}"
         )
     keys = sorted(set(a["cli"]) | set(b["cli"]))
     differ = [k for k in keys if a["cli"].get(k) != b["cli"].get(k)]

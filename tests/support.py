@@ -1,13 +1,12 @@
 """Helpers shared by the engine tests: the fixed NMC-like OCV table (defined
-in ``answer_shift``), a hypothesis strategy for random monotone ones, a spy on
-the OCV slope ``sop_cc`` settles on, the constant-current reference trace for
-the CC-CV engine, plain-bisection references for the oracles, reference
-window loops for the oracles' own, and a builtins reference for the
-constant-current composition."""
+in ``answer_shift``), a hypothesis strategy for random monotone ones, the
+constant-current reference trace for the CC-CV engine, plain-bisection
+references for the oracles, reference window loops for the oracles' own, and
+a builtins reference for the constant-current composition."""
 
 import math
+from bisect import bisect_right
 
-import pytest
 from hypothesis import strategies as st
 
 import soplab.modes as modes
@@ -34,23 +33,6 @@ def monotone_ocv(draw):
     return OcvCurve(
         tuple((s / socs[-1], v0 + span * v / total_rise) for s, v in zip(socs, volts))
     )
-
-
-def second_pass_slope(run):
-    """Run ``run()`` and return its result with the last OCV slope sop_cc
-    asked for: the second-pass slope its reported figures use."""
-    slopes = []
-    lookup = peak_cc.ecm.ocv_slope
-
-    def recording(curve, soc_a, soc_b):
-        slopes.append(lookup(curve, soc_a, soc_b))
-        return slopes[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(peak_cc.ecm, "ocv_slope", recording)
-        result = run()
-    assert len(slopes) == 2
-    return result, slopes[-1]
 
 
 def constant_current_trace(state, params, curve, current, window):
@@ -91,8 +73,21 @@ def reference_peak(terms, direction):
     return i_voltage, i_soc, i_mc, dominant
 
 
+def reference_ocv_slope(curve, soc_a, soc_b):
+    """The reference's own copy of the window slope rule: the secant when the
+    two SOCs lie more than 1e-6 apart, otherwise the slope of the segment at
+    ``soc_a`` (the right-hand one at a knot, the end one past the knots)."""
+    if abs(soc_a - soc_b) > 1e-6:
+        return (ecm.ocv(curve, soc_b) - ecm.ocv(curve, soc_a)) / (soc_b - soc_a)
+    pts = curve.points
+    i = min(max(bisect_right(curve.socs, soc_a), 1), len(pts) - 1)
+    (x0, y0), (x1, y1) = pts[i - 1], pts[i]
+    return (y1 - y0) / (x1 - x0)
+
+
 def reference_window_terms(state, params, curve, window, direction, soa):
-    """``peak_cc.window_terms`` built by keyword, then ``_replace``."""
+    """``peak_cc.window_terms`` built by keyword, then ``_replace``, over the
+    slope rule above."""
     k_dt = window.duration
     alpha_k = math.exp(-k_dt / params.tau)
     terms = peak_cc.WindowTerms(
@@ -100,7 +95,7 @@ def reference_window_terms(state, params, curve, window, direction, soa):
         f_soc=ecm.ocv(curve, state.soc),
         vp_relax=state.vp * alpha_k,
         r_sum=params.r0 + params.r1 * (1.0 - alpha_k),
-        kappa=ecm.ocv_slope(curve, state.soc, state.soc),
+        kappa=reference_ocv_slope(curve, state.soc, state.soc),
         y=k_dt * params.soc_per_amp_second,
         cutoff=direction.vt_cutoff(soa),
         soc_bound=direction.soc_bound(soa),
@@ -108,7 +103,7 @@ def reference_window_terms(state, params, curve, window, direction, soa):
     )
     i_mc = reference_peak(terms, direction)[2]
     soc_reach = min(max(state.soc - i_mc * k_dt * params.soc_per_amp_second, 0.0), 1.0)
-    return terms._replace(kappa=ecm.ocv_slope(curve, state.soc, soc_reach))
+    return terms._replace(kappa=reference_ocv_slope(curve, state.soc, soc_reach))
 
 
 def reference_sop_cc(state, params, curve, window, direction, soa):

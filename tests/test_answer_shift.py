@@ -1,7 +1,7 @@
 """The shift harness on a small case set: a record compared with itself
 reports nothing moved, a moved answer, a verdict flip and a changed CLI
-report each show, and a changed simulation count shows without counting as
-a move."""
+report each show, and a changed simulation or table-search count shows
+without counting as a move."""
 
 import copy
 import json
@@ -36,9 +36,11 @@ def test_a_record_matches_itself(small_record, tmp_path, capsys):
         for name in producers:
             row = rows[f"{cases}/{name}"]
             assert row[:4] == [str(n), str(n), "0", "0"]
-            sims_a, sims_b = row[4:]
+            sims_a, sims_b, searches_a, searches_b = row[4:]
             assert sims_a == sims_b
             assert (sims_a == "-") == (name not in answer_shift.PROBES)
+            # Every producer reads the OCV table.
+            assert searches_a == searches_b and float(searches_a) > 0
     n_cli = len(seeds) * len(answer_shift.CLI_KINDS) * answer_shift.CLI_VARIANTS
     n_cli += len(answer_shift.BAD_INPUTS)
     assert lines[-1] == f"cli requests: {n_cli}, identical: {n_cli}"
@@ -65,7 +67,17 @@ def test_simulation_counts_show_without_moving(small_record):
     counted = copy.deepcopy(small_record)
     probes = counted["probes"]["windows/sop_cp"]
     probes[0] += len(probes)  # the mean rises by exactly 1
+    searches = counted["searches"]["grid/sop_cc"]
+    searches[0] += 2 * len(searches)  # the mean rises by exactly 2
     lines, anything = answer_shift.compare(small_record, counted)
     assert not anything
-    sims_a, sims_b = _rows(lines)["windows/sop_cp"][4:]
+    rows = _rows(lines)
+    sims_a, sims_b = rows["windows/sop_cp"][4:6]
     assert float(sims_b) - float(sims_a) == pytest.approx(1.0, abs=2e-3)
+    searches_a, searches_b = rows["grid/sop_cc"][6:]
+    assert float(searches_b) - float(searches_a) == pytest.approx(2.0, abs=2e-3)
+    # A record from before the searches were counted compares, without them.
+    del counted["searches"]
+    lines, anything = answer_shift.compare(small_record, counted)
+    assert not anything
+    assert _rows(lines)["grid/sop_cc"][7] == "-"

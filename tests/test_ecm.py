@@ -4,6 +4,7 @@ import math
 import re
 from bisect import bisect_right
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +14,16 @@ from soplab import (
     BatteryParams,
     BatteryState,
     ConfigurationError,
+    Direction,
     InputError,
     OcvCurve,
+    Soa,
     Window,
     ocv,
-    ocv_slope,
     predict_cc,
     simulate_profile,
     step,
+    window_terms,
 )
 import soplab.ecm as ecm
 from soplab.ecm import ocv_cursor
@@ -71,6 +74,13 @@ class TestOcv:
         with pytest.raises(ConfigurationError):
             OcvCurve(((0.5, 3.6),))
 
+    def test_nan_soc_rejected(self, linear_curve, knee_curve):
+        # NaN fails every comparison: neither end clamps it, and an unguarded
+        # search would interpolate it into a silent NaN voltage.
+        for curve in (linear_curve, knee_curve):
+            with pytest.raises(InputError, match="soc must not be NaN"):
+                ocv(curve, math.nan)
+
 
 @st.composite
 def soc_walks(draw, curve):
@@ -99,27 +109,36 @@ class TestOcvCursor:
         for soc in data.draw(soc_walks(curve)):
             assert lookup(soc).hex() == ocv(curve, soc).hex()
         # NaN raises as in ocv, and leaves the cursor answering as before.
-        with pytest.raises(Exception) as want:
-            ocv(curve, math.nan)
-        with pytest.raises(want.type):
+        with pytest.raises(InputError, match="soc must not be NaN"):
             lookup(math.nan)
         for soc in data.draw(soc_walks(curve)):
             assert lookup(soc).hex() == ocv(curve, soc).hex()
 
     def test_bisects_once_per_segment_entered(self, knee_curve, monkeypatch):
         # A walk down both segments of the knee table, at rest on its middle
-        # knot for three steps: one bisection per segment, one for the knot.
+        # knot for three steps: one search per segment. The knot opens the
+        # upper segment, so the rest on it searches nothing.
+        walk = [0.9, 0.8, 0.7, 0.6, 0.5, 0.5, 0.5, 0.4, 0.3]
+        want = [ocv(knee_curve, soc) for soc in walk]
         calls = []
 
-        def counting_ocv(curve, soc):
+        def counting_bisect(socs, soc):
             calls.append(soc)
-            return ocv(curve, soc)
+            return bisect_right(socs, soc)
 
-        monkeypatch.setattr("soplab.ecm.ocv", counting_ocv)
+        monkeypatch.setattr(ecm, "bisect_right", counting_bisect)
         lookup = ocv_cursor(knee_curve)
-        walk = [0.9, 0.8, 0.7, 0.6, 0.5, 0.5, 0.5, 0.4, 0.3]
-        assert [lookup(soc) for soc in walk] == [ocv(knee_curve, soc) for soc in walk]
-        assert calls == [0.9, 0.5, 0.4]
+        assert [lookup(soc) for soc in walk] == want
+        assert calls == [0.9, 0.4]
+
+    def test_first_knot_keeps_a_negative_zero_voltage(self):
+        # ocv clamps at the first knot to its own voltage, -0.0 here; the
+        # segment's expression would answer -0.0 + 0.0 = +0.0.
+        curve = OcvCurve(((0.0, -0.0), (0.5, 1.0), (1.0, 2.0)))
+        lookup = ocv_cursor(curve)
+        for soc in (0.25, 0.0, 5e-324, 0.0, -0.0, 0.25, 0.0):
+            assert lookup(soc).hex() == ocv(curve, soc).hex()
+        assert lookup(0.0).hex() == "-0x0.0p+0"
 
     def test_only_ecm_bisects(self):
         # One cursor for every window loop: no other module keeps a segment.
@@ -133,17 +152,47 @@ class TestOcvCursor:
 
 
 class TestOcvSlope:
+    """The window OCV slope of ``peak_cc.window_terms``: the start segment's
+    slope, then the secant to the SOC its candidate current reaches."""
+
+    @staticmethod
+    def _kappa(curve, soc, capacity_ah, window=Window(1, 1.0)):
+        # A cut-off of 0.1 V binds none of these windows: the candidate
+        # current is the 10 A discharge limit, or on a 1e-4 Ah cell the
+        # current that empties it, so its SOC reach is soc - 10 * K * dt /
+        # (3600 * capacity_ah), or 0.
+        params = BatteryParams(0.05, 0.03, 10.0, capacity_ah)
+        soa = Soa(0.1, 100.0, 10.0, -10.0, 0.0, 1.0)
+        state = BatteryState(soc)
+        return window_terms(state, params, curve, window, Direction.DISCHARGE, soa).kappa
+
     def test_linear_curve_constant_slope(self, linear_curve):
-        for a, b in ((0.0, 1.0), (0.3, 0.31), (0.9, 0.2)):
-            assert ocv_slope(linear_curve, a, b) == pytest.approx(1.2, abs=1e-12)
+        for soc in (1.0, 0.31, 0.9):
+            for capacity_ah in (1e-4, 1e12):  # secant and segment slope
+                assert self._kappa(linear_curve, soc, capacity_ah) == pytest.approx(1.2, abs=1e-12)
 
     def test_degenerate_pair_falls_back_to_segment(self, knee_curve):
-        assert ocv_slope(knee_curve, 0.25, 0.25) == pytest.approx(1.0, abs=1e-15)
-        assert ocv_slope(knee_curve, 0.75, 0.75) == pytest.approx(1.4, abs=1e-15)
+        # 1e12 Ah: the window moves the SOC by 2.8e-15, short of the secant's 1e-6.
+        assert self._kappa(knee_curve, 0.25, 1e12) == pytest.approx(1.0, abs=1e-15)
+        assert self._kappa(knee_curve, 0.75, 1e12) == pytest.approx(1.4, abs=1e-15)
+        # At the knot, the segment to its right.
+        assert self._kappa(knee_curve, 0.5, 1e12) == pytest.approx(1.4, abs=1e-15)
+        for soc in (0.25, 0.5, 0.75, 1.0):
+            (x0, v0), (x1, v1) = ecm._segment(knee_curve, soc)
+            assert self._kappa(knee_curve, soc, 1e12) == (v1 - v0) / (x1 - x0)
 
     def test_secant_across_knee(self, knee_curve):
-        # hand evaluation: ocv(0.4)=3.4, ocv(0.6)=3.64, secant over 0.2
-        assert ocv_slope(knee_curve, 0.4, 0.6) == pytest.approx(1.2, abs=1e-12)
+        # hand evaluation: ocv(0.4)=3.4, ocv(0.6)=3.64, secant over 0.2; a
+        # 10 A discharge over 72 s at 1 Ah moves the SOC from 0.6 to 0.4.
+        kappa = self._kappa(knee_curve, 0.6, 1.0, Window(72, 1.0))
+        assert kappa == pytest.approx(1.2, abs=1e-12)
+
+    def test_nan_soc_rejected(self, params, linear_curve, soa, window_10):
+        # A state whose SOC is NaN, past BatteryState's own check: the start
+        # OCV raises before either slope pass.
+        state = SimpleNamespace(soc=math.nan, vp=0.0)
+        with pytest.raises(InputError, match="soc must not be NaN"):
+            window_terms(state, params, linear_curve, window_10, Direction.DISCHARGE, soa)
 
 
 class TestStep:
@@ -315,9 +364,9 @@ class TestSimulateProfile:
     def test_one_ocv_cursor_per_replay(self, params, knee_curve, monkeypatch):
         # Discharge across the knot at 0.5, charge, rest: 100 rows. Each row's
         # voltage is read through one OCV cursor, so ecm.ocv runs once per
-        # step (inside ecm.step) and once per segment the replay enters, not
-        # once more per row (199 calls before); the rows are ecm.step's plus
-        # an ecm.ocv lookup, bit for bit.
+        # step (inside ecm.step) and at most once per segment the replay
+        # enters, not once more per row (199 calls before); the rows are
+        # ecm.step's plus an ecm.ocv lookup, bit for bit.
         profile = [(float(t), 30.0 if t < 50 else -20.0 if t < 80 else 0.0) for t in range(100)]
         state = sim = BatteryState(0.56, 0.05)
         want = []

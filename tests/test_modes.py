@@ -40,13 +40,13 @@ CHG = Direction.CHARGE
 
 class OcvCounter:
     """Counts the engines' OCV lookups, every one made through an
-    ``ecm.ocv_cursor``, with the SOC of each, and the ``ecm.ocv`` calls (the
-    cursors' bisections) behind them."""
+    ``ecm.ocv_cursor``, with the SOC of each, and the table searches (calls
+    of ``ecm.bisect_right``) behind them."""
 
     def __init__(self, monkeypatch):
         self.lookups = self.bisections = 0
         self.socs = []
-        cursor, ocv_ = modes.ecm.ocv_cursor, modes.ecm.ocv
+        cursor = modes.ecm.ocv_cursor
 
         def counting_cursor(curve):
             lookup = cursor(curve)
@@ -58,12 +58,12 @@ class OcvCounter:
 
             return counted
 
-        def counting_ocv(curve, soc):
+        def counting_search(socs, soc):
             self.bisections += 1
-            return ocv_(curve, soc)
+            return bisect_right(socs, soc)
 
         monkeypatch.setattr(modes.ecm, "ocv_cursor", counting_cursor)
-        monkeypatch.setattr(modes.ecm, "ocv", counting_ocv)
+        monkeypatch.setattr(modes.ecm, "bisect_right", counting_search)
 
     def reset(self):
         self.lookups = self.bisections = 0

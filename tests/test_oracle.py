@@ -480,8 +480,8 @@ class TestCompareReport:
         assert all(abs(r[-1]) <= 1e-6 for r in records)
 
 
-# ecm's closed-form helpers; the rest of ecm is the model the oracle shares.
-ECM_CLOSED_FORMS = {"predict_cc", "ocv_slope"}
+# ecm's closed-form helper; the rest of ecm is the model the oracle shares.
+ECM_CLOSED_FORMS = {"predict_cc"}
 
 
 def _top_level_names(module):

@@ -13,10 +13,10 @@ import soplab.peak_cc as peak_cc
 from support import (
     NMC_CURVE,
     monotone_ocv,
+    reference_ocv_slope,
     reference_peak,
     reference_sop_cc,
     reference_window_terms,
-    second_pass_slope,
 )
 from soplab import (
     AnalyticDomainError,
@@ -29,7 +29,6 @@ from soplab import (
     WindowTerms,
     brute_peak_current_cc,
     check_point,
-    ecm,
     predict_cc,
     sop_cc,
     step,
@@ -315,8 +314,10 @@ class TestClosedFormSopSelfConsistency:
 
 
 class TestCostFlatInK:
-    """The end-of-window report is O(1) in K: no simulated window and at most
-    three OCV lookups, one for the start OCV and two for the secant."""
+    """The end-of-window report is O(1) in K: no simulated window, at most
+    three OCV lookups, and at most three table searches (``ecm.bisect_right``
+    calls): the start OCV, the start segment's slope and the secant's far
+    end."""
 
     @pytest.mark.parametrize("direction", [DIS, CHG])
     def test_no_window_loop(self, params, soa, monkeypatch, direction):
@@ -325,20 +326,22 @@ class TestCostFlatInK:
 
         monkeypatch.setattr(peak_cc.ecm, "predict_cc", forbidden)
         monkeypatch.setattr(peak_cc.ecm, "step", forbidden)
-        calls = [0]
-        lookup = peak_cc.ecm.ocv
+        calls = {"ocv": 0, "bisect_right": 0}
+        for name in calls:
+            original = getattr(peak_cc.ecm, name)
 
-        def counting_ocv(curve, soc):
-            calls[0] += 1
-            return lookup(curve, soc)
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
 
-        monkeypatch.setattr(peak_cc.ecm, "ocv", counting_ocv)
+            monkeypatch.setattr(peak_cc.ecm, name, counting)
         window = Window(300, 1.0)
         for soc in (0.15, 0.5, 0.85):
             for vp in (-0.2, 0.0, 0.2):
-                calls[0] = 0
+                calls.update(ocv=0, bisect_right=0)
                 sop_cc(BatteryState(soc, vp), params, NMC_CURVE, window, direction, soa)
-                assert 0 < calls[0] <= 3
+                assert 0 < calls["ocv"] <= 3
+                assert 0 < calls["bisect_right"] <= 3
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -354,9 +357,9 @@ class TestCostFlatInK:
         params = BatteryParams(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
         soa = Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9)
         state, window = BatteryState(soc, vp), Window(steps, dt)
-        result, kappa = second_pass_slope(
-            lambda: sop_cc(state, params, curve, window, direction, soa)
-        )
+        result = sop_cc(state, params, curve, window, direction, soa)
+        # The second-pass slope that sop_cc's reported figures use.
+        kappa = peak_cc.window_terms(state, params, curve, window, direction, soa).kappa
         pred = predict_cc(state, params, curve, kappa, result.i_mc, window)
         assert abs(result.vt_end - pred.vt_end) <= 1e-12
 
@@ -441,7 +444,7 @@ class TestBitForBitReference:
             except AnalyticDomainError:
                 covered["refused"] += 1
                 continue
-            first = terms._replace(kappa=ecm.ocv_slope(curve, state.soc, state.soc))
+            first = terms._replace(kappa=reference_ocv_slope(curve, state.soc, state.soc))
             i_mc = reference_peak(first, direction)[2]
             reach = state.soc - i_mc * window.duration * params.soc_per_amp_second
             covered["reach < 0"] += reach < 0.0
