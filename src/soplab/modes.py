@@ -367,15 +367,6 @@ def solve_cp_step(
     return step
 
 
-class _CpMargins(NamedTuple):
-    """Smallest direction-signed margin to each bound the direction pushes
-    towards, over a whole window; negative once that bound is crossed."""
-
-    voltage: float
-    current: float
-    soc: float
-
-
 def _cp_probe(
     power_abs: float,
     state: BatteryState,
@@ -385,15 +376,16 @@ def _cp_probe(
     direction: Direction,
     soa: Soa,
     v_oc: float,
-) -> tuple[bool, _CpMargins | None]:
+) -> tuple[bool, tuple[float, float, float] | None]:
     """Simulate a constant-|power| window to its last step, without rows;
     ``v_oc`` is step one's OCV and ``lookup`` the OCV cursor, which every
     probe of one solve shares.
 
     Returns whether every step lies inside the safe operation area, with the
-    window's margins; ``(False, None)`` when ``_cp_drive`` finds a step with
-    no current toward the power: the window has no continuation there, as
-    ``solve_cp_step`` refuses such a step.
+    window's smallest direction-signed margins, negative once crossed, to the
+    voltage, soc and current bounds (that order breaks ties); ``(False, None)``
+    when ``_cp_drive`` finds a step with no current toward the power: the
+    window has no continuation there, as ``solve_cp_step`` refuses such a step.
 
     The SOA check is at ``_trace``'s two corners. The margins come from the
     corner on the direction's side; rounding ``x - c`` is monotone in x, so
@@ -405,20 +397,25 @@ def _cp_probe(
         return False, None
     low, high = corners
     vt, current, soc = low if direction is Direction.DISCHARGE else high
-    margins = _CpMargins(
+    margins = (
         (vt - direction.vt_cutoff(soa)) * direction.sign,
-        (direction.current_limit(soa) - current) * direction.sign,
         (soc - direction.soc_bound(soa)) * direction.sign,
+        (direction.current_limit(soa) - current) * direction.sign,
     )
     return not (check_point(*low, soa) or check_point(*high, soa)), margins
 
 
-def _normalised_margin(margins: _CpMargins | None, scales: _CpMargins) -> float | None:
-    """g(P) = min_c m_c(P) / m_c(0): 1 at zero power (0 if a bound is already
-    reached there), 0 at the peak, negative once a directional bound fails."""
+def _normalised_margin(
+    margins: tuple[float, ...] | None, scales: tuple[float, ...]
+) -> tuple[float | None, str | None]:
+    """g(P) = min_c m_c(P) / m_c(0), with the bound c that attains it first:
+    g is 1 at zero power (0 if a bound is already reached there), 0 at the
+    peak, negative once a directional bound fails; (None, None) without margins."""
     if margins is None:
-        return None
-    return min(m / s for m, s in zip(margins, scales))
+        return None, None
+    shares = [m / s for m, s in zip(margins, scales)]
+    g = min(shares)
+    return g, ("voltage", "soc", "current")[shares.index(g)]
 
 
 def _cp_estimate(
@@ -479,6 +476,9 @@ def sop_cp(
     one therefore halves it, which caps the count at about three times plain
     bisection's. An interpolated probe keeps tol/2 clear of both ends, so an
     estimate within tol/2 of the root closes the bracket on the next probe.
+
+    The same g names ``dominant``: the bound with the smallest share of its
+    zero-power margin left at ``lo`` (ties: voltage, then soc, then current).
     """
     check_load(params, soa)
     if not (tol_watts > 0.0 and math.isfinite(tol_watts)):
@@ -490,7 +490,7 @@ def sop_cp(
     if not zero_ok:
         return _no_power(state, v_oc)
     # A bound already reached at zero power has no scale; its native units serve.
-    scales = _CpMargins(*(m if m > 0.0 else 1.0 for m in zero_margins))
+    scales = tuple(m if m > 0.0 else 1.0 for m in zero_margins)
 
     r0, sign = params.r0, direction.sign
     # Step one's emf: the zero-power trace's first vt, with no ohmic drop. That
@@ -502,12 +502,13 @@ def sop_cp(
     top = i_top * (emf - sign * i_top * r0)
     top_ok, top_margins = _cp_probe(top, state, params, lookup, window, direction, soa, v_oc)
 
-    lo, lo_margins = 0.0, zero_margins
-    hi, g_hi = top, _normalised_margin(top_margins, scales)
+    g_zero, lo_bound = _normalised_margin(zero_margins, scales)
+    g_hi, top_bound = _normalised_margin(top_margins, scales)
+    lo, hi = 0.0, top
     if top_ok:  # |power| rises with |current| to i_top: top is the peak
-        lo, lo_margins = top, top_margins
+        lo, lo_bound = top, top_bound
     # The last three probes with a margin, oldest first: (P, g(P)).
-    points = [(0.0, _normalised_margin(zero_margins, scales))]
+    points = [(0.0, g_zero)]
     if g_hi is not None:
         points.append((top, g_hi))
     half_tol = 0.5 * tol_watts
@@ -525,14 +526,14 @@ def sop_cp(
             break
         widths = (widths[1], width)
         ok, margins = _cp_probe(p, state, params, lookup, window, direction, soa, v_oc)
-        g = _normalised_margin(margins, scales)
+        g, bound = _normalised_margin(margins, scales)
         if g is None:  # a power ceiling: nothing to interpolate through
             points.clear()
         else:
             points.append((p, g))
             del points[:-3]
         if ok:
-            lo, lo_margins = p, margins
+            lo, lo_bound = p, bound
         else:
             hi, g_hi = p, g
 
@@ -541,13 +542,5 @@ def sop_cp(
     _trace(state, params, lookup, window, _cp_drive(lo * sign, r0), v_oc, rows)
     lo_trace = tuple(rows)
     binding_current = lo_trace[-1].current if direction is Direction.DISCHARGE else lo_trace[0].current
-    result = sop_result(
-        binding_current, _cp_dominant(lo_margins), lo_trace[-1].vt, lo * sign
-    )
+    result = sop_result(binding_current, lo_bound, lo_trace[-1].vt, lo * sign)
     return result, PomTrace(lo_trace)
-
-
-def _cp_dominant(margins: _CpMargins) -> str:
-    """Constraint with the smallest margin anywhere along the trace."""
-    ranked = [(margins.voltage, "voltage"), (margins.soc, "soc"), (margins.current, "current")]
-    return min(ranked, key=lambda m: m[0])[1]

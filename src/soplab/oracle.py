@@ -9,7 +9,7 @@ judge theirs, and each answer is bracketed to the same tolerance as by
 bisection, within bisection's probe count plus one. The CC oracle runs
 ``ecm.step``'s recurrence inline. The CP oracle solves each step's current by
 Newton's method from power / emf, which rises monotonically to the physical
-root. Both oracles read the OCV through one ``ecm.ocv_cursor`` per window.
+root. Each oracle solve reads the OCV through one ``ecm.ocv_cursor``.
 It imports only ``ecm``, ``soa`` and the exceptions, nothing it validates.
 """
 
@@ -135,13 +135,13 @@ def _cc_feasible(
     current: float,
     state: BatteryState,
     params: BatteryParams,
-    curve: OcvCurve,
+    lookup: Callable[[float], float],
     window: Window,
     soa: Soa,
 ) -> Probe:
-    """Simulate the whole window at a constant ``current`` and judge it at
-    its two SOA corners; an infeasible window also runs to its end, so its
-    slack is the continuous extension of a feasible one's.
+    """Simulate the whole window at a constant ``current`` on the solve's OCV
+    cursor ``lookup`` and judge it at its two SOA corners; an infeasible
+    window also runs to its end, so its slack extends a feasible one's.
 
     Each step is ``ecm.step``'s recurrence inline, operation for operation,
     with the step's constants hoisted; like the ``BatteryState`` that
@@ -151,7 +151,6 @@ def _cc_feasible(
     # Products stay left to right, as in ecm.step.
     one_minus_alpha = 1.0 - alpha
     r0, r1, dt, soc_per_as = params.r0, params.r1, window.dt, params.soc_per_amp_second
-    lookup = ecm.ocv_cursor(curve)
     soc, vp = state.soc, state.vp
     vt_lo = soc_lo = math.inf
     vt_hi = soc_hi = -math.inf
@@ -199,12 +198,13 @@ def brute_peak_current_cc(
     check_load(params, soa)
     if not (tol_amps > 0.0 and math.isfinite(tol_amps)):
         raise ValueError(f"tol_amps must be finite and > 0, got {tol_amps}")
-    if check_point(ecm.ocv(curve, state.soc) - state.vp, 0.0, state.soc, soa):
+    lookup = ecm.ocv_cursor(curve)
+    if check_point(lookup(state.soc) - state.vp, 0.0, state.soc, soa):
         raise InfeasibleStateError("rested state lies outside the SOA")
     sign = direction.sign
 
     def probe(magnitude: float) -> Probe:
-        return _cc_feasible(sign * magnitude, state, params, curve, window, soa)
+        return _cc_feasible(sign * magnitude, state, params, lookup, window, soa)
 
     peak, _ = _search(probe, abs(direction.current_limit(soa)), tol_amps)
     return sign * peak
@@ -242,19 +242,19 @@ def _cp_feasible_trace(
     power_abs: float,
     state: BatteryState,
     params: BatteryParams,
-    curve: OcvCurve,
+    lookup: Callable[[float], float],
     window: Window,
     direction: Direction,
     soa: Soa,
 ) -> Probe:
-    """Simulate the whole window at a constant power magnitude and judge it
-    at its two SOA corners; each step's current is ``_newton_cp_current``'s.
+    """Simulate the whole window at a constant power magnitude on the solve's
+    OCV cursor ``lookup`` and judge it at its two SOA corners; each step's
+    current is ``_newton_cp_current``'s.
     A step with no physical current ends the window without a slack."""
     alpha = math.exp(-window.dt / params.tau)
     # Products stay left to right, as in ecm.step.
     one_minus_alpha = 1.0 - alpha
     r0, r1, dt, soc_per_as = params.r0, params.r1, window.dt, params.soc_per_amp_second
-    lookup = ecm.ocv_cursor(curve)
     power = power_abs * direction.sign
     soc, vp = state.soc, state.vp
     vt_lo = i_lo = soc_lo = math.inf
@@ -316,8 +316,10 @@ def brute_peak_power_cp(
     if not (p_hi > 0.0 and math.isfinite(p_hi)):
         raise ValueError(f"p_hi must be finite and > 0, got {p_hi}")
 
+    lookup = ecm.ocv_cursor(curve)
+
     def probe(power_abs: float) -> Probe:
-        return _cp_feasible_trace(power_abs, state, params, curve, window, direction, soa)
+        return _cp_feasible_trace(power_abs, state, params, lookup, window, direction, soa)
 
     return BrutePower(*_search(probe, p_hi, tol_watts))
 

@@ -188,7 +188,8 @@ def cp_window_probe(power_abs, state, params, curve, window, direction, soa):
 
 def cp_window_feasible(power_abs, state, params, curve, window, direction, soa):
     """Every step of a constant-power window inside the SOA."""
-    return _cp_feasible_trace(power_abs, state, params, curve, window, direction, soa).feasible
+    lookup = ecm.ocv_cursor(curve)
+    return _cp_feasible_trace(power_abs, state, params, lookup, window, direction, soa).feasible
 
 
 def bisect_peak_current_cc(state, params, curve, window, direction, soa, tol_amps):

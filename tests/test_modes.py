@@ -18,6 +18,7 @@ from soplab import (
     CcCvCase,
     Direction,
     InfeasibleStateError,
+    OcvCurve,
     PowerInfeasibleError,
     Soa,
     Window,
@@ -356,7 +357,7 @@ class TestSolveCpStep:
 def _cp_resimulate(power_abs, state, params, curve, window, direction, soa):
     """Independent re-simulation built from the public step solver, checked
     step by step: whether the window stays in the SOA, and the per-step
-    minimum of each direction-signed margin (voltage, current, soc). Both are
+    minimum of each direction-signed margin (voltage, soc, current). Both are
     (False, None) once ``solve_cp_step`` refuses a step: its power is above
     the step's ceiling, or its root runs against the power."""
     alpha = math.exp(-window.dt / params.tau)
@@ -375,8 +376,8 @@ def _cp_resimulate(power_abs, state, params, curve, window, direction, soa):
         feasible = feasible and not check_point(vt, current, soc_next, soa)
         step_margins = (
             (vt - direction.vt_cutoff(soa)) * sign,
-            (direction.current_limit(soa) - current) * sign,
             (soc_next - direction.soc_bound(soa)) * sign,
+            (direction.current_limit(soa) - current) * sign,
         )
         margins = tuple(map(min, margins, step_margins))
         vp = vp_rel + current * params.r1 * (1.0 - alpha)
@@ -414,6 +415,9 @@ class TestSopCp:
             soc, vp = s.soc, s.vp
         assert result.sop <= min(ceilings) + 1e-9
         assert min(ceilings) - result.sop <= 1e-3
+        # No SOA bound is reached: the voltage keeps the smallest share of its
+        # zero-power margin (about 43%; the SOC keeps 93%).
+        assert result.dominant == "voltage"
 
     def test_discharge_current_grows_charge_current_shrinks(
         self, params, linear_curve, soa, state_half, window_10
@@ -598,6 +602,65 @@ class TestSopCpSolver:
                 assert calls[0] <= 3, (state, direction, calls[0])
                 assert result.feasible or calls[0] == 1
 
+    def test_one_point_estimate_after_a_power_ceiling(self, linear_curve, monkeypatch):
+        # A probe at a power ceiling clears the remembered points; the next
+        # probe fails with a margin, so the estimate after it has one point
+        # and falls back to the midpoint. The answer still agrees with the
+        # oracle (51.7308 W).
+        params = BatteryParams(r0=0.01, r1=0.03, tau=10.0, capacity_ah=2.0)
+        soa = Soa(1.8, 16.0, 100.0, -4.0, 0.05, 0.95)
+        args = (BatteryState(0.3, 0.05), params, linear_curve, Window(10, 10.0), DIS, soa)
+        points_seen = []
+        estimate = modes._cp_estimate
+
+        def recording_estimate(points, lo, hi):
+            points_seen.append(len(points))
+            return estimate(points, lo, hi)
+
+        monkeypatch.setattr(modes, "_cp_estimate", recording_estimate)
+        result, _ = sop_cp(*args)
+        assert 1 in points_seen
+        brute = brute_peak_power_cp(*args, tol_watts=1e-9)
+        assert not brute.saturated
+        assert abs(result.sop - brute.watts) <= 5e-7
+
+    def test_dominant_names_a_reached_bound(self):
+        # Seeded wide boxes, where a power ceiling or the power vertex often
+        # stops the search short of every SOA bound. Wherever a bound's margin
+        # at the accepted power is under 1e-3 of its zero-power margin (its
+        # own units when that is 0 or less), dominant names such a bound. The
+        # margins come from the step-by-step re-simulation.
+        rng = random.Random(3)
+        linear = OcvCurve(((0.0, 3.0), (1.0, 4.2)))
+        reached = 0
+        for _ in range(400):
+            params = BatteryParams(
+                r0=rng.choice((0.01, 0.05, 0.2)), r1=0.03, tau=10.0, capacity_ah=2.0
+            )
+            curve = rng.choice((linear, NMC_CURVE))
+            soa = Soa(
+                rng.uniform(0.5, 3.3), rng.uniform(3.6, 20.0),
+                rng.uniform(0.1, 1e4), -rng.uniform(0.1, 1e4),
+                rng.uniform(0.0, 0.2), rng.uniform(0.8, 1.0),
+            )
+            state = BatteryState(rng.uniform(0.02, 0.98), rng.uniform(-0.4, 0.4))
+            window = Window(rng.choice((1, 3, 10, 30)), rng.choice((1.0, 10.0)))
+            args = (state, params, curve, window, rng.choice((DIS, CHG)), soa)
+            feasible, zero = _cp_resimulate(0.0, *args)
+            if not feasible:
+                continue
+            result, _ = sop_cp(*args)
+            _, margins = _cp_resimulate(result.sop, *args)
+            near = {
+                bound
+                for bound, m, z in zip(("voltage", "soc", "current"), margins, zero)
+                if m / (z if z > 0.0 else 1.0) < 1e-3
+            }
+            if near:
+                reached += 1
+                assert result.dominant in near, (args, result, margins, zero)
+        assert reached >= 250  # of 312 windows with a feasible zero-power trace
+
     @settings(max_examples=300, deadline=None)
     @given(
         curve=monotone_ocv(),
@@ -686,7 +749,7 @@ class TestSopCpSolver:
         )
         feasible, want = _cp_resimulate(*args)
         assert ok == feasible
-        assert margins == (None if want is None else modes._CpMargins(*want))
+        assert margins == want
 
     @pytest.mark.parametrize("direction", [DIS, CHG])
     def test_ocv_calls_per_solve(self, params, soa, monkeypatch, ocv_counter, direction):
@@ -872,13 +935,16 @@ class TestRowFreeTraces:
             assert repr(trace.steps) == repr(tuple(rows))
             # The accepted probe's margins are those of the returned rows.
             sign = direction.sign
-            margins = modes._CpMargins(
+            margins = (
                 min((row.vt - direction.vt_cutoff(soa)) * sign for row in rows),
-                min((direction.current_limit(soa) - row.current) * sign for row in rows),
                 min((row.soc - direction.soc_bound(soa)) * sign for row in rows),
+                min((direction.current_limit(soa) - row.current) * sign for row in rows),
             )
             assert repr(accepted[result.sop]) == repr(margins)
-            assert result.dominant == modes._cp_dominant(margins)
+            # dominant: the first bound with the smallest share of its
+            # zero-power margin left (a margin of 0 or less there: its own units).
+            shares = [m / (z if z > 0.0 else 1.0) for m, z in zip(margins, accepted[0.0])]
+            assert result.dominant == ("voltage", "soc", "current")[shares.index(min(shares))]
         assert answered >= 18  # half the grid
 
 

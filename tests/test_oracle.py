@@ -28,6 +28,7 @@ from soplab import (
     brute_peak_current_cc,
     brute_peak_power_cp,
     check_point,
+    ecm,
     ocv,
     sop_cc,
     sop_cp,
@@ -321,11 +322,11 @@ class TestWindowLoops:
         checked = set()
         curves = (linear_curve, NMC_CURVE, *self._tables(seed))
         for state, curve, window, direction, current, power in self._grid(curves, soa, seed):
-            got = oracle_module._cc_feasible(current, state, params, curve, window, soa)
+            lookup = ecm.ocv_cursor(curve)
+            got = oracle_module._cc_feasible(current, state, params, lookup, window, soa)
             assert repr(got) == repr(cc_window_probe(current, state, params, curve, window, soa))
-            args = (state, params, curve, window, direction, soa)
-            got = oracle_module._cp_feasible_trace(power, *args)
-            assert repr(got) == repr(cp_window_probe(power, *args))
+            got = oracle_module._cp_feasible_trace(power, state, params, lookup, window, direction, soa)
+            assert repr(got) == repr(cp_window_probe(power, state, params, curve, window, direction, soa))
             checked.add((got.feasible, got.slack is None))
         assert checked == {(True, False), (False, False), (False, True)}  # every kind of probe
         # Every face is crossed, the one opposite the direction's cut-off too.
@@ -335,22 +336,34 @@ class TestWindowLoops:
         }
 
     @staticmethod
-    def _looked_up(monkeypatch):
-        """The SOCs, as ``float.hex``, that the oracles' OCV cursors look up."""
+    def _looked_up(curve):
+        """An OCV cursor on ``curve`` for a window loop, and the SOCs, as
+        ``float.hex``, that the loop looks up through it."""
         socs = []
-        cursor = oracle_module.ecm.ocv_cursor
+        lookup = ecm.ocv_cursor(curve)
 
-        def recording_cursor(curve):
-            lookup = cursor(curve)
+        def recorded(soc):
+            socs.append(soc.hex())
+            return lookup(soc)
 
-            def recorded(soc):
-                socs.append(soc.hex())
-                return lookup(soc)
+        return recorded, socs
 
-            return recorded
+    def test_one_cursor_per_solve(self, params, linear_curve, soa, monkeypatch):
+        # Every probe of a solve reads the OCV through the solve's one
+        # cursor, and so does the CC oracle's rested-point check.
+        built = [0]
+        cursor = ecm.ocv_cursor
 
-        monkeypatch.setattr(oracle_module.ecm, "ocv_cursor", recording_cursor)
-        return socs
+        def counting_cursor(curve):
+            built[0] += 1
+            return cursor(curve)
+
+        monkeypatch.setattr(oracle_module.ecm, "ocv_cursor", counting_cursor)
+        args = (BatteryState(0.5, 0.1), params, linear_curve, Window(30, 1.0), DIS, soa)
+        for oracle in (brute_peak_current_cc, brute_peak_power_cp):
+            built[0] = 0
+            oracle(*args, 1e-9)
+            assert built[0] == 1
 
     @pytest.mark.parametrize(
         "soc, current, window, end",
@@ -360,7 +373,7 @@ class TestWindowLoops:
             (0.98, -4.0, Window(60, 5.0), 1.0),  # fills it
         ],
     )
-    def test_cc_loop_soc_is_ecm_step(self, params, soa, monkeypatch, soc, current, window, end):
+    def test_cc_loop_soc_is_ecm_step(self, params, soa, soc, current, window, end):
         # The loop clamps the SOC by comparisons, as ecm.step does: it looks up
         # ecm.step's SOC after every step, bit for bit, a -0.0 included.
         state, want = BatteryState(soc, 0.1), []
@@ -368,15 +381,15 @@ class TestWindowLoops:
             state = step(state, params, NMC_CURVE, current, window.dt).state
             want.append(state.soc.hex())
         assert want[-1] == end.hex()
-        looked_up = self._looked_up(monkeypatch)
-        oracle_module._cc_feasible(current, BatteryState(soc, 0.1), params, NMC_CURVE, window, soa)
+        lookup, looked_up = self._looked_up(NMC_CURVE)
+        oracle_module._cc_feasible(current, BatteryState(soc, 0.1), params, lookup, window, soa)
         assert looked_up == want
 
     @pytest.mark.parametrize("direction", [DIS, CHG])
-    def test_cp_loop_keeps_negative_zero_at_rest(self, params, soa, monkeypatch, direction):
-        looked_up = self._looked_up(monkeypatch)
+    def test_cp_loop_keeps_negative_zero_at_rest(self, params, soa, direction):
+        lookup, looked_up = self._looked_up(NMC_CURVE)
         window = Window(30, 1.0)
-        args = (BatteryState(-0.0, 0.1), params, NMC_CURVE, window, direction, soa)
+        args = (BatteryState(-0.0, 0.1), params, lookup, window, direction, soa)
         oracle_module._cp_feasible_trace(0.0, *args)
         assert looked_up == [(-0.0).hex()] * window.steps
 
@@ -385,11 +398,13 @@ class TestWindowLoops:
         # current * r1 overflows and 1 - alpha rounds to 0: the polarization is
         # NaN, which ecm.step's BatteryState refuses.
         params = BatteryParams(r0=0.05, r1=1.7e308, tau=1e300, capacity_ah=2.0)
-        args = (BatteryState(0.5, 0.1), params, linear_curve, Window(3, 1.0), soa)
+        state, window = BatteryState(0.5, 0.1), Window(3, 1.0)
         with pytest.raises(ConfigurationError):
-            cc_window_probe(current, *args)
+            cc_window_probe(current, state, params, linear_curve, window, soa)
         with pytest.raises(ConfigurationError):
-            oracle_module._cc_feasible(current, *args)
+            oracle_module._cc_feasible(
+                current, state, params, ecm.ocv_cursor(linear_curve), window, soa
+            )
 
 
 class TestNewtonStep:

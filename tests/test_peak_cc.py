@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -463,6 +464,20 @@ class TestBitForBitReference:
     def test_exact_ties(self):
         covered = self._check(_tie_grid())
         assert (covered["1-way"], covered["2-way"], covered["3-way"]) == (48, 48, 32)
+
+    @pytest.mark.parametrize("direction", [DIS, CHG])
+    def test_below_the_first_knot(self, params, soa, direction):
+        # A table that starts above SOC 0: the start SOC lies left of every
+        # knot, so the one search clamps its index onto the first segment. A
+        # 1e-4 s window moves the SOC less than SLOPE_SECANT_EPS, so kappa
+        # keeps that segment's slope.
+        curve = OcvCurve(((0.1, 3.3), (0.5, 3.7), (1.0, 4.2)))
+        scenario = (BatteryState(0.05), params, curve, Window(1, 1e-4), direction, soa)
+        assert bisect_right(curve.socs, 0.05) == 0
+        terms = peak_cc.window_terms(*scenario)
+        assert repr(terms) == repr(reference_window_terms(*scenario))
+        assert terms.f_soc == 3.3
+        assert terms.kappa == 1.0000000000000009  # (3.7 - 3.3) / (0.5 - 0.1)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(curve=monotone_ocv(), seed=st.integers(0, 2**32))
