@@ -25,11 +25,14 @@ as the exception's class name. The case sets are seeded:
 For each producer in ``PROBES`` the record also holds the whole-window
 simulations each solve ran: calls of the oracle's window loop, or of
 ``sop_cp``'s probe. For every producer it holds the OCV table searches each
-solve ran: calls of ``soplab.ecm.bisect_right``.
+solve ran (calls of ``soplab.ecm.bisect_right``) and the OCV cursor lookups
+each ran (calls of the lookups that ``soplab.ecm.ocv_cursor`` builds): a
+window loop looks up once per step it simulates, so these count steps.
 
 ``--compare A B`` prints per producer the identical count, the verdict flips
 (answer <-> refusal), the largest |change| of a numeric leaf, and the mean
-simulations and table searches per solve in A and in B, then every CLI
+simulations, table searches and cursor lookups per solve in A and in B, then
+every CLI
 request whose exit code or bytes differ. It exits 1 when an answer or a CLI
 request moved and 0 otherwise; the counts do not change it. Standard library
 only.
@@ -174,6 +177,30 @@ def _leaves(answer, out: list) -> list:
 
 
 @contextlib.contextmanager
+def _counting_lookups():
+    """A one-item list that counts the calls of every lookup that
+    ``soplab.ecm.ocv_cursor`` builds while the block runs."""
+    ecm = importlib.import_module("soplab.ecm")
+    cursor = ecm.ocv_cursor
+    calls = [0]
+
+    def counting_cursor(curve):
+        lookup = cursor(curve)
+
+        def counted(soc):
+            calls[0] += 1
+            return lookup(soc)
+
+        return counted
+
+    ecm.ocv_cursor = counting_cursor
+    try:
+        yield calls
+    finally:
+        ecm.ocv_cursor = cursor
+
+
+@contextlib.contextmanager
 def _counting(module_name: str, attr: str):
     """A one-item list that counts the calls of ``module_name.attr`` while the
     block runs."""
@@ -192,22 +219,27 @@ def _counting(module_name: str, attr: str):
         setattr(module, attr, original)
 
 
-def _answers(name: str, produce, scenarios) -> tuple[list, list[int], list[int]]:
+def _answers(name: str, produce, scenarios) -> tuple[list, list[int], list[int], list[int]]:
     """Each scenario's answer leaves, or ``{"refused": <class name>}``, the
     simulations each scenario ran (all 0 for a producer not in ``PROBES``),
-    and the table searches each ran."""
-    answers, probes, searches = [], [], []
+    the table searches each ran and the cursor lookups each made."""
+    answers, probes, searches, lookups = [], [], [], []
     counting = _counting(*PROBES[name]) if name in PROBES else contextlib.nullcontext([0])
-    with counting as calls, _counting("soplab.ecm", "bisect_right") as searched:
+    with (
+        counting as calls,
+        _counting("soplab.ecm", "bisect_right") as searched,
+        _counting_lookups() as looked_up,
+    ):
         for scenario in scenarios:
-            before, searched_before = calls[0], searched[0]
+            before = calls[0], searched[0], looked_up[0]
             try:
                 answers.append(_leaves(produce(*scenario), []))
             except (AnalyticDomainError, InfeasibleStateError) as exc:
                 answers.append({"refused": type(exc).__name__})
-            probes.append(calls[0] - before)
-            searches.append(searched[0] - searched_before)
-    return answers, probes, searches
+            probes.append(calls[0] - before[0])
+            searches.append(searched[0] - before[1])
+            lookups.append(looked_up[0] - before[2])
+    return answers, probes, searches, lookups
 
 
 # --- cli-oneshot-like requests ---------------------------------------------
@@ -332,20 +364,21 @@ def record(sizes: tuple[int, int, tuple[int, ...]] = FULL) -> dict:
     n_windows, n_states, seeds = sizes
     windows = seeded_windows(n_windows, 7, (1, 2, 10, 30, 300))
     grid = grid_scenarios(n_states, 1)
-    answers, probes, searches = {}, {}, {}
+    answers, probes, searches, lookups = {}, {}, {}, {}
     for cases, scenarios, producers in (
         ("windows", windows, WINDOW_PRODUCERS),
         ("grid", grid, GRID_PRODUCERS),
     ):
         for name, produce in producers.items():
             key = f"{cases}/{name}"
-            answers[key], counts, searches[key] = _answers(name, produce, scenarios)
+            answers[key], counts, searches[key], lookups[key] = _answers(name, produce, scenarios)
             if name in PROBES:
                 probes[key] = counts
     return {
         "answers": answers,
         "probes": probes,
         "searches": searches,
+        "lookups": lookups,
         "cli": cli_outputs(seeds),
     }
 
@@ -383,6 +416,7 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
     lines = [
         f"{'producer':<34} {'cases':>6} {'identical':>9} {'flips':>5}  {'max|delta|':<10}"
         f" {'sims A':>8} {'sims B':>8} {'search A':>8} {'search B':>8}"
+        f" {'lookup A':>8} {'lookup B':>8}"
     ]
     moved = False
     for name in sorted(set(a["answers"]) | set(b["answers"])):
@@ -405,6 +439,7 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
             f"{name:<34} {len(left):>6} {same:>9} {flips:>5}  {worst:<10.3g}"
             f" {_mean(a, 'probes', name):>8} {_mean(b, 'probes', name):>8}"
             f" {_mean(a, 'searches', name):>8} {_mean(b, 'searches', name):>8}"
+            f" {_mean(a, 'lookups', name):>8} {_mean(b, 'lookups', name):>8}"
         )
     keys = sorted(set(a["cli"]) | set(b["cli"]))
     differ = [k for k in keys if a["cli"].get(k) != b["cli"].get(k)]

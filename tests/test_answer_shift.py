@@ -1,7 +1,7 @@
 """The shift harness on a small case set: a record compared with itself
 reports nothing moved, a moved answer, a verdict flip and a changed CLI
-report each show, and a changed simulation or table-search count shows
-without counting as a move."""
+report each show, and a changed simulation, table-search or cursor-lookup
+count shows without counting as a move."""
 
 import copy
 import json
@@ -14,6 +14,9 @@ import answer_shift
 @pytest.fixture(scope="module")
 def small_record():
     return answer_shift.record(answer_shift.SMALL)
+
+
+STEPWISE = {"sop_cv", "sop_cccv", "sop_cp", "brute_peak_current_cc", "brute_peak_power_cp"}
 
 
 def _rows(lines):
@@ -36,11 +39,14 @@ def test_a_record_matches_itself(small_record, tmp_path, capsys):
         for name in producers:
             row = rows[f"{cases}/{name}"]
             assert row[:4] == [str(n), str(n), "0", "0"]
-            sims_a, sims_b, searches_a, searches_b = row[4:]
+            sims_a, sims_b, searches_a, searches_b, lookups_a, lookups_b = row[4:]
             assert sims_a == sims_b
             assert (sims_a == "-") == (name not in answer_shift.PROBES)
             # Every producer reads the OCV table.
             assert searches_a == searches_b and float(searches_a) > 0
+            # The stepwise engines and the oracles look it up per step, through a cursor.
+            assert lookups_a == lookups_b
+            assert (float(lookups_a) > 0) == (name in STEPWISE)
     n_cli = len(seeds) * len(answer_shift.CLI_KINDS) * answer_shift.CLI_VARIANTS
     n_cli += len(answer_shift.BAD_INPUTS)
     assert lines[-1] == f"cli requests: {n_cli}, identical: {n_cli}"
@@ -69,15 +75,19 @@ def test_simulation_counts_show_without_moving(small_record):
     probes[0] += len(probes)  # the mean rises by exactly 1
     searches = counted["searches"]["grid/sop_cc"]
     searches[0] += 2 * len(searches)  # the mean rises by exactly 2
+    lookups = counted["lookups"]["grid/sop_cp"]
+    lookups[0] -= 3 * len(lookups)  # the mean falls by exactly 3
     lines, anything = answer_shift.compare(small_record, counted)
     assert not anything
     rows = _rows(lines)
     sims_a, sims_b = rows["windows/sop_cp"][4:6]
     assert float(sims_b) - float(sims_a) == pytest.approx(1.0, abs=2e-3)
-    searches_a, searches_b = rows["grid/sop_cc"][6:]
+    searches_a, searches_b = rows["grid/sop_cc"][6:8]
     assert float(searches_b) - float(searches_a) == pytest.approx(2.0, abs=2e-3)
-    # A record from before the searches were counted compares, without them.
-    del counted["searches"]
+    lookups_a, lookups_b = rows["grid/sop_cp"][8:]
+    assert float(lookups_a) - float(lookups_b) == pytest.approx(3.0, abs=2e-3)
+    # A record from before the searches and lookups were counted compares, without them.
+    del counted["searches"], counted["lookups"]
     lines, anything = answer_shift.compare(small_record, counted)
     assert not anything
-    assert _rows(lines)["grid/sop_cc"][7] == "-"
+    assert _rows(lines)["grid/sop_cc"][7] == _rows(lines)["grid/sop_cp"][9] == "-"
