@@ -13,6 +13,12 @@ those corners, not step by step, and a window that leaves the box delivers no
 power. ``_trace`` builds the per-step rows only for a caller that asks: the CP
 search's probes keep only the corners, and ``sop_cp`` steps the accepted power
 once more with rows to return its trace.
+
+The hold engines hand ``_trace`` their step rule as a callback; the CP engine
+hands it the constant power, whose step ``_trace`` solves inline, with no call
+per step. A zero-power window without rows, which every CP solve probes
+first, is a rest: ``_trace`` takes its corners from steps one and K and steps
+only vp in between.
 """
 
 from __future__ import annotations
@@ -58,37 +64,80 @@ def _trace(
     params: BatteryParams,
     lookup: Callable[[float], float],
     window: Window,
-    drive: Callable[[int, float, float], tuple[float, float] | None],
+    drive: Callable[[int, float, float], tuple[float, float] | None] | float,
     v_oc: float,
     rows: list[PomStep] | None = None,
 ) -> tuple[tuple[float, float, float], tuple[float, float, float]] | None:
     """Run the hold step across the window: one OCV lookup per step through
     the caller's ``ecm.ocv_cursor`` (step one's is ``v_oc``, made by the
-    caller), then ``drive(j, soc, emf)``, emf being the OCV less the relaxed
-    vp, returns the step's ``(current, vt)``, or None to abandon the window
-    (and return None). Returns the trace's two SOA corners, (min vt, max
-    current, min soc) and (max vt, min current, max soc): the SOA is a box, so
-    every step lies in it iff both corners do. Each step's ``PomStep`` is
-    appended to ``rows`` only when the caller passes a list: a caller that
-    needs only the corners builds none."""
+    caller), then the step's law gives its ``(current, vt)`` from the emf, the
+    OCV less the relaxed vp, or abandons the window (and returns None).
+    ``drive`` is that law: a callable ``drive(j, soc, emf)`` that returns the
+    pair or None, or a float, the signed constant power, whose step is solved
+    here as ``solve_cp_step`` solves it. Returns the trace's two SOA corners,
+    (min vt, max current, min soc) and (max vt, min current, max soc): the SOA
+    is a box, so every step lies in it iff both corners do. Each step's
+    ``PomStep`` is appended to ``rows`` only when the caller passes a list: a
+    caller that needs only the corners builds none.
+
+    A zero-power window without rows is a rest: the SOC stays where step one
+    puts it and vp only decays, so vt is monotone in j and the corners are
+    those of steps one and K. Only the vp recurrence is stepped, with no OCV
+    lookup past step one's (the SOC it would look up is step one's, bar the
+    sign of a zero, which the table's clamp ignores)."""
     alpha = math.exp(-window.dt / params.tau)
     # Products stay left to right, never pre-multiplied (current * r1 * (1 - alpha),
     # current * dt * soc_per_as): the state then matches ecm.step's bit for bit.
     one_minus_alpha = 1.0 - alpha
-    r1, dt, soc_per_as = params.r1, window.dt, params.soc_per_amp_second
+    r0, r1, dt, soc_per_as = params.r0, params.r1, window.dt, params.soc_per_amp_second
+    soc, vp = state.soc, state.vp
+    if not callable(drive):  # a constant power
+        power = drive
+        if power == 0.0:  # no current (with the sign of zero), whatever the emf
+
+            def drive(j: int, soc: float, emf: float) -> tuple[float, float]:
+                return power, emf - power * r0
+
+            if rows is None:  # the rest: steps one and K
+                soc = soc - power * dt * soc_per_as  # a signed zero moves only a zero SOC
+                rise = power * r1 * one_minus_alpha
+                first = drive(1, soc, v_oc - vp * alpha)[1]
+                for _ in range(window.steps - 1):
+                    vp = vp * alpha + rise
+                last = drive(window.steps, soc, v_oc - vp * alpha)[1]
+                # A vt falling to zero in the loop's order meets +0.0 first.
+                low = last + 0.0 if last < first else first
+                high = last if last > first else first
+                return (low, power, soc), (high, power, soc)
+        else:
+            drive = None
+            four_r0_power, two_power = 4.0 * r0 * power, 2.0 * power
+            sqrt = math.sqrt
     append = None if rows is None else rows.append
     row = tuple.__new__  # PomStep(...) would add a Python frame per row
-    soc, vp = state.soc, state.vp
     vt_lo = soc_lo = i_lo = math.inf
     vt_hi = soc_hi = i_hi = -math.inf
     for j in range(1, window.steps + 1):
         if j > 1:  # step one's lookup is the caller's
             v_oc = lookup(soc)
         vp_rel = vp * alpha
-        step = drive(j, soc, v_oc - vp_rel)
-        if step is None:
-            return None
-        current, vt = step
+        emf = v_oc - vp_rel
+        if drive is None:
+            # The smaller-magnitude root of R0*I^2 - emf*I + power = 0, refused
+            # where no current flows toward the power.
+            disc = emf * emf - four_r0_power
+            if not disc >= 0.0:  # past the ceiling, or NaN from inf - inf
+                return None
+            root = emf + sqrt(disc)
+            if not root > 0.0:  # the current would flow against the power, or divide by 0
+                return None
+            current = two_power / root
+            vt = emf - current * r0
+        else:
+            step = drive(j, soc, emf)
+            if step is None:
+                return None
+            current, vt = step
         vp = vp_rel + current * r1 * one_minus_alpha
         # min(max(soc, 0.0), 1.0) by comparisons, without two builtin calls
         # per step; like max and min it keeps -0.0 and NaN.
@@ -297,37 +346,6 @@ def sop_cccv(
     return _sop_hold(state, params, curve, window, direction, soa, False)
 
 
-def _cp_drive(
-    power: float, r0: float
-) -> Callable[[int, float, float], tuple[float, float] | None]:
-    """The constant-power step for ``_trace``: ``drive(j, soc, emf)`` returns
-    the smaller-magnitude root of R0*I^2 - emf*I + power = 0, continuous
-    through I = 0 as power -> 0, with its terminal voltage; None, the one
-    refusal of a CP step, where no current flows toward the power: above the
-    step's power ceiling emf^2 / (4 R0), or a discharge at emf < 0. The
-    products that depend on ``power`` alone are made once per window."""
-    if power == 0.0:  # no power, no current (with the sign of zero), whatever the emf
-
-        def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
-            return power, emf - power * r0
-
-        return drive
-    four_r0_power, two_power = 4.0 * r0 * power, 2.0 * power
-    sqrt = math.sqrt
-
-    def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
-        disc = emf * emf - four_r0_power
-        if not disc >= 0.0:  # past the ceiling, or NaN from inf - inf
-            return None
-        root = emf + sqrt(disc)
-        if not root > 0.0:  # the current would flow against the power, or divide by 0
-            return None
-        current = two_power / root
-        return current, emf - current * r0
-
-    return drive
-
-
 def solve_cp_step(
     state: BatteryState,
     params: BatteryParams,
@@ -339,12 +357,15 @@ def solve_cp_step(
 
     Solves R0*I^2 - (V_oc - V_p)*I + P = 0 on the physical branch: the
     smaller-magnitude root, continuous through I = 0 as P -> 0. The caller
-    passes the step's relaxed state (``vp`` already decayed). Raises
-    PowerInfeasibleError where ``_cp_drive`` finds no current toward the
-    power: above the step's power ceiling, or where the root would flow
-    against it (a discharge at emf < 0). Raises it too where 4*R0*P is not
-    finite: the root's 2P / (emf + sqrt(disc)) then carries no power (0 or
-    NaN). The engines never ask for such a power; their box bounds it.
+    passes the step's relaxed state (``vp`` already decayed). Zero power
+    draws no current, with the sign of that zero, whatever the emf. Raises
+    PowerInfeasibleError where no current flows toward the power: above the
+    step's power ceiling emf^2 / (4 R0), or where the root would flow against
+    it (a discharge at emf < 0). Raises it too where 4*R0*P is not finite:
+    the root's 2P / (emf + sqrt(disc)) then carries no power (0 or NaN). The
+    engines never ask for such a power; their box bounds it. ``_trace`` steps
+    a constant power by the same expressions, and the tests hold each trace
+    to this step.
     """
     if power * direction.sign < 0.0:
         raise PowerInfeasibleError(
@@ -354,17 +375,22 @@ def solve_cp_step(
         raise PowerInfeasibleError(
             f"power {power} W is out of range: 4 * r0 * power is not finite"
         )
+    r0 = params.r0
     emf = ecm.ocv(curve, state.soc) - state.vp
-    step = _cp_drive(power, params.r0)(1, state.soc, emf)
-    if step is None:
-        if emf * emf - 4.0 * params.r0 * power >= 0.0:  # the drive's discriminant
-            raise PowerInfeasibleError(
-                f"power {power} W has no physical current at emf {emf} V: the root flows against it"
-            )
+    if power == 0.0:
+        return power, emf - power * r0
+    disc = emf * emf - 4.0 * r0 * power
+    if not disc >= 0.0:
         raise PowerInfeasibleError(
-            f"power {power} W exceeds the step ceiling {emf * emf / (4.0 * params.r0)} W"
+            f"power {power} W exceeds the step ceiling {emf * emf / (4.0 * r0)} W"
         )
-    return step
+    root = emf + math.sqrt(disc)
+    if not root > 0.0:
+        raise PowerInfeasibleError(
+            f"power {power} W has no physical current at emf {emf} V: the root flows against it"
+        )
+    current = 2.0 * power / root
+    return current, emf - current * r0
 
 
 def _cp_probe(
@@ -384,15 +410,14 @@ def _cp_probe(
     Returns whether every step lies inside the safe operation area, with the
     window's smallest direction-signed margins, negative once crossed, to the
     voltage, soc and current bounds (that order breaks ties); ``(False, None)``
-    when ``_cp_drive`` finds a step with no current toward the power: the
-    window has no continuation there, as ``solve_cp_step`` refuses such a step.
+    when a step has no current toward the power: the window has no
+    continuation there, as ``solve_cp_step`` refuses such a step.
 
     The SOA check is at ``_trace``'s two corners. The margins come from the
     corner on the direction's side; rounding ``x - c`` is monotone in x, so
     each equals its per-step minimum bit for bit.
     """
-    drive = _cp_drive(power_abs * direction.sign, params.r0)
-    corners = _trace(state, params, lookup, window, drive, v_oc)
+    corners = _trace(state, params, lookup, window, power_abs * direction.sign, v_oc)
     if corners is None:
         return False, None
     low, high = corners
@@ -539,7 +564,7 @@ def sop_cp(
 
     # The probes kept no rows: step the accepted power once more to return its trace.
     rows: list[PomStep] = []
-    _trace(state, params, lookup, window, _cp_drive(lo * sign, r0), v_oc, rows)
+    _trace(state, params, lookup, window, lo * sign, v_oc, rows)
     lo_trace = tuple(rows)
     binding_current = lo_trace[-1].current if direction is Direction.DISCHARGE else lo_trace[0].current
     result = sop_result(binding_current, lo_bound, lo_trace[-1].vt, lo * sign)

@@ -754,10 +754,11 @@ class TestSopCpSolver:
     @pytest.mark.parametrize("direction", [DIS, CHG])
     def test_ocv_calls_per_solve(self, params, soa, monkeypatch, ocv_counter, direction):
         # One OCV lookup per trace step, step one's made once for every trace:
-        # the bracket top reads step one's emf off the same lookup. Each probe
-        # bisects once per OCV segment it enters, plus one at most. The probes
-        # keep no rows, so a solve steps its accepted power once more: exactly
-        # one trace more than it has probes.
+        # the bracket top reads step one's emf off the same lookup. The
+        # zero-power probe is a rest, which looks up nothing past step one.
+        # Each probe bisects once per OCV segment it enters, plus one at most.
+        # The probes keep no rows, so a solve steps its accepted power once
+        # more: exactly one trace more than it has probes.
         steps = 300
         window = Window(steps, 1.0)
         probes, traces = [0], [0]
@@ -784,17 +785,17 @@ class TestSopCpSolver:
                 result, _ = sop_cp(BatteryState(soc, vp), params, NMC_CURVE, window, direction, soa)
                 assert result.feasible
                 assert traces[0] == probes[0] + 1
-                assert 0 < ocv_counter.lookups <= 1 + traces[0] * (steps - 1)
-        # A window that leaves the SOA: the zero-power probe alone, whose
-        # step-one lookup also gives the rested voltage that the result
-        # reports. A refused window is never stepped again.
+                assert 0 < ocv_counter.lookups <= 1 + (traces[0] - 1) * (steps - 1)
+        # A window that leaves the SOA: the zero-power probe alone, a rest
+        # whose one lookup, step one's, also gives the rested voltage that the
+        # result reports. A refused window is never stepped again.
         for state in (BatteryState(0.95), BatteryState(0.95, -1.0), BatteryState(0.5, 1.5)):
             probes[0] = traces[0] = 0
             ocv_counter.reset()
             result, _ = sop_cp(state, params, NMC_CURVE, window, direction, soa)
             assert not result.feasible
             assert result.vt_end == ocv(NMC_CURVE, state.soc) - state.vp
-            assert (probes[0], traces[0], ocv_counter.lookups) == (1, 1, steps)
+            assert (probes[0], traces[0], ocv_counter.lookups) == (1, 1, 1)
             assert ocv_counter.bisections <= ocv_counter.segments(NMC_CURVE, ocv_counter.socs) + 1
 
 
@@ -929,9 +930,9 @@ class TestRowFreeTraces:
             answered += result.feasible
             # The rows of the probe's own trace at the reported power.
             lookup = modes.ecm.ocv_cursor(curve)
-            drive = modes._cp_drive(result.sop * direction.sign, params.r0)
             rows = []
-            modes._trace(state, params, lookup, window, drive, lookup(state.soc), rows)
+            power = result.sop * direction.sign
+            modes._trace(state, params, lookup, window, power, lookup(state.soc), rows)
             assert repr(trace.steps) == repr(tuple(rows))
             # The accepted probe's margins are those of the returned rows.
             sign = direction.sign
@@ -946,6 +947,74 @@ class TestRowFreeTraces:
             shares = [m / (z if z > 0.0 else 1.0) for m, z in zip(margins, accepted[0.0])]
             assert result.dominant == ("voltage", "soc", "current")[shares.index(min(shares))]
         assert answered >= 18  # half the grid
+
+
+class TestRestTrace:
+    """A zero-power window without rows is a rest: ``_trace`` steps only vp
+    and takes its corners from steps one and K. With rows it still steps
+    every step, so the two must agree by repr, signed zeros included."""
+
+    @staticmethod
+    def _check(state, params, curve, window, power):
+        def no_lookup(soc):
+            raise AssertionError(f"a rest looked up the OCV at soc {soc!r}")
+
+        v_oc = ocv(curve, state.soc)
+        rest = modes._trace(state, params, no_lookup, window, power, v_oc)
+        rows = []
+        lookup = modes.ecm.ocv_cursor(curve)
+        stepped = modes._trace(state, params, lookup, window, power, v_oc, rows)
+        assert len(rows) == window.steps
+        assert repr(rest) == repr(stepped), (state, params, curve, window, power)
+        return rest
+
+    @pytest.mark.parametrize("power", [0.0, -0.0])
+    def test_seeded_grid(self, params, linear_curve, power):
+        rng = random.Random(5)
+        for _ in range(200):
+            state = BatteryState(rng.uniform(0.0, 1.0), rng.uniform(-2.0, 6.0))
+            curve = rng.choice((linear_curve, NMC_CURVE))
+            window = Window(rng.choice((1, 2, 10, 30, 300)), rng.choice((0.1, 1.0, 5.0, 60.0)))
+            self._check(state, params, curve, window, power)
+
+    @pytest.mark.parametrize("steps", [1, 300])
+    @pytest.mark.parametrize("soc", [-0.0, 0.0, 0.1, 0.9, 1.0])
+    @pytest.mark.parametrize("vp", [-0.0, 0.0, -0.3, 0.3])
+    @pytest.mark.parametrize("power", [0.0, -0.0])
+    def test_edges(self, params, steps, soc, vp, power):
+        # soc at both ends of a table that spans [0.1, 0.9], and past them.
+        curve = OcvCurve(((0.1, 3.3), (0.5, 3.7), (0.9, 4.1)))
+        low, high = self._check(BatteryState(soc, vp), params, curve, Window(steps, 1.0), power)
+        # A charge rest turns a -0.0 SOC into +0.0 on step one, as the loop does.
+        charge = math.copysign(1.0, power) < 0.0
+        soc_sign = 1.0 if charge else math.copysign(1.0, soc)
+        assert math.copysign(1.0, low[2]) == math.copysign(1.0, high[2]) == soc_sign
+
+    @pytest.mark.parametrize("steps", [1, 300])
+    @pytest.mark.parametrize("vp", [-0.0, 0.0, 0.2])
+    @pytest.mark.parametrize("power", [0.0, -0.0])
+    def test_alpha_rounds_to_one(self, steps, vp, power):
+        # dt / tau = 1e-18: exp rounds alpha to 1.0, so vp never decays and a
+        # -0.0 vp turns +0.0 only by the discharge's +0.0 current term.
+        params = BatteryParams(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
+        window = Window(steps, 1e-17)
+        assert math.exp(-window.dt / params.tau) == 1.0
+        self._check(BatteryState(0.5, vp), params, NMC_CURVE, window, power)
+
+    def test_vt_falling_to_zero_meets_positive_zero_first(self):
+        # A -0.0 V first knot at soc 0 and a negative vp that underflows:
+        # vt is 5e-324, then +0.0 as vp relaxes to -0.0, then -0.0 once a
+        # discharge's +0.0 current term has made vp +0.0. The loop keeps the
+        # first +0.0 as its minimum, and so must the rest.
+        params = BatteryParams(r0=0.05, r1=0.03, tau=1.0, capacity_ah=2.0)
+        curve = OcvCurve(((0.0, -0.0), (1.0, 4.2)))
+        rows = []
+        lookup = modes.ecm.ocv_cursor(curve)
+        state, window = BatteryState(0.0, -2e-323), Window(3, 1.2)
+        modes._trace(state, params, lookup, window, 0.0, -0.0, rows)
+        assert [row.vt.hex() for row in rows] == ["0x0.0000000000001p-1022", "0x0.0p+0", "-0x0.0p+0"]
+        low, _ = self._check(state, params, curve, window, 0.0)
+        assert low[0].hex() == "0x0.0p+0"
 
 
 class TestCccvShiftDecision:

@@ -536,4 +536,4 @@ def test_validated_names_are_read_from_the_source():
     # Were the derivation to find nothing, the check above would pass on
     # nothing: it finds the engines' step, trace and search, the closed form
     # and the error calculus.
-    assert {"_cp_drive", "_trace", "sop_cp", "window_terms", "_estimate"} <= _validated_names()
+    assert {"solve_cp_step", "_trace", "sop_cp", "window_terms", "_estimate"} <= _validated_names()
