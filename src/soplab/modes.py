@@ -121,10 +121,15 @@ def _trace(
         if j > 1:  # step one's lookup is the caller's
             v_oc = lookup(soc)
         vp_rel = vp * alpha
-        emf = v_oc - vp_rel
-        if drive is None:
+        if drive is not None:
+            step = drive(j, soc, v_oc - vp_rel)
+            if step is None:
+                return None
+            current, vt = step
+        else:
             # The smaller-magnitude root of R0*I^2 - emf*I + power = 0, refused
             # where no current flows toward the power.
+            emf = v_oc - vp_rel
             disc = emf * emf - four_r0_power
             if not disc >= 0.0:  # past the ceiling, or NaN from inf - inf
                 return None
@@ -133,11 +138,6 @@ def _trace(
                 return None
             current = two_power / root
             vt = emf - current * r0
-        else:
-            step = drive(j, soc, emf)
-            if step is None:
-                return None
-            current, vt = step
         vp = vp_rel + current * r1 * one_minus_alpha
         # min(max(soc, 0.0), 1.0) by comparisons, without two builtin calls
         # per step; like max and min it keeps -0.0 and NaN.
