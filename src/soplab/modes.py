@@ -504,6 +504,8 @@ def sop_cp(
 
     The same g names ``dominant``: the bound with the smallest share of its
     zero-power margin left at ``lo`` (ties: voltage, then soc, then current).
+    ``i_mc`` is the trace's peak |current|, read off its corner on the
+    direction's side.
     """
     check_load(params, soa)
     if not (tol_watts > 0.0 and math.isfinite(tol_watts)):
@@ -564,8 +566,7 @@ def sop_cp(
 
     # The probes kept no rows: step the accepted power once more to return its trace.
     rows: list[PomStep] = []
-    _trace(state, params, lookup, window, lo * sign, v_oc, rows)
-    lo_trace = tuple(rows)
-    binding_current = lo_trace[-1].current if direction is Direction.DISCHARGE else lo_trace[0].current
-    result = sop_result(binding_current, lo_bound, lo_trace[-1].vt, lo * sign)
-    return result, PomTrace(lo_trace)
+    low, high = _trace(state, params, lookup, window, lo * sign, v_oc, rows)
+    i_mc = low[1] if direction is Direction.DISCHARGE else high[1]
+    result = sop_result(i_mc, lo_bound, rows[-1].vt, lo * sign)
+    return result, PomTrace(tuple(rows))

@@ -19,7 +19,7 @@ PINNED = {
     "sop_cc": "fb86b7a3e9104d10e972748006f8264d35ca7b4180cd259e4acbd3cd56d297bb",
     "sop_cv": "317db3bbe875a74047b42a51c889f061627668f7df36bf16c50420718fbd67cf",
     "sop_cccv": "2c4b790c1493f70d095741c8be93669552064b66856bea5646d456943be2a34d",
-    "sop_cp": "1eca6953781cd7a02dcda4e69b112ceaaa9b3ae70143dc0ae0528d0e43252ef7",
+    "sop_cp": "8b72b53bd1100c4717de1d2afe5dfdddec4f724749dc6586da3ef2af467602a8",
     "brute_peak_current_cc": "788f8cbc2463d66b22eda3495cbd8900b2b297b3210d5d1424c066155b88d49a",
     "brute_peak_power_cp": "b868a113e4c8cd40f08910055c56151078efe05b5884aa3f11448a997157f0bb",
     "peak_cc.window_terms": "723934f62b925cfaed9ccfda5992a545df044b40f0807b232619ad1287a7c998",

@@ -112,7 +112,7 @@ dominant=current
 sop_w=16.0806504649
 power_w=-16.0806504649
 vt_end_v=4.02016261775
-i_mc_a=-3.95194375492
+i_mc_a=-3.99999999847
 step,current_a,vt_v,soc,vp_v,power_w
 1,-3.95194375492,4.06904841316,0.500548881077,-0.282733540556,-16.0806504649
 2,-3.96585117391,4.05477910282,0.50109969374,-0.26714990595,-16.0806504649

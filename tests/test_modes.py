@@ -419,6 +419,23 @@ class TestSopCp:
         # zero-power margin (about 43%; the SOC keeps 93%).
         assert result.dominant == "voltage"
 
+    def test_i_mc_is_the_peak_current(self, params, soa):
+        # i_mc is the trace's largest |current|, on bms-tick-cp-like ticks.
+        # The last step's current (discharge) or the first's (charge), which
+        # i_mc used to be, is not that peak on some of them.
+        rng = random.Random(1)
+        elsewhere = 0
+        for _ in range(100):
+            state = BatteryState(rng.uniform(0.15, 0.85), rng.uniform(0.01, 0.2) * rng.choice((-1.0, 1.0)))
+            window = Window(rng.choice((10, 30, 300)), 1.0)
+            for direction in (DIS, CHG):
+                result, trace = sop_cp(state, params, NMC_CURVE, window, direction, soa)
+                assert trace.steps
+                peak = max(trace.steps, key=lambda row: abs(row.current)).current
+                assert repr(result.i_mc) == repr(peak)
+                elsewhere += peak != trace.steps[-1 if direction is DIS else 0].current
+        assert elsewhere > 0
+
     def test_discharge_current_grows_charge_current_shrinks(
         self, params, linear_curve, soa, state_half, window_10
     ):
