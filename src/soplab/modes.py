@@ -371,11 +371,11 @@ def solve_cp_step(
         raise PowerInfeasibleError(
             f"power {power} has the wrong sign for {direction.value}"
         )
-    if not math.isfinite(4.0 * params.r0 * power):
+    r0 = params.r0
+    if not math.isfinite(4.0 * r0 * power):
         raise PowerInfeasibleError(
             f"power {power} W is out of range: 4 * r0 * power is not finite"
         )
-    r0 = params.r0
     emf = ecm.ocv(curve, state.soc) - state.vp
     if power == 0.0:
         return power, emf - power * r0
