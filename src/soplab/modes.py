@@ -105,7 +105,8 @@ def _trace(
                 for _ in range(window.steps - 1):
                     vp = vp * alpha + rise
                 last = drive(window.steps, soc, v_oc - vp * alpha)[1]
-                # A vt falling to zero in the loop's order meets +0.0 first.
+                # The loop keeps the first of equal minima, and a vt that
+                # falls to zero meets +0.0 before -0.0: + 0.0 gives that zero.
                 low = last + 0.0 if last < first else first
                 high = last if last > first else first
                 return (low, power, soc), (high, power, soc)
