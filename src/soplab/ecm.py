@@ -248,18 +248,40 @@ def ocv(curve: OcvCurve, soc: float) -> float:
     return y0 + (soc - x0) * (y1 - y0) / (x1 - x0)
 
 
+def _seek(
+    curve: OcvCurve, soc: float
+) -> tuple[float, tuple[float, float, float, float, float, float] | None]:
+    """An OCV cursor's lookup of a SOC outside the segment it holds: the OCV
+    at ``soc``, equal to ``ocv(curve, soc)`` bit for bit, and the segment
+    the cursor holds from there on, as ``(lo, x0, x1, y0, rise, run)``.
+
+    At or past either end of the table this is ``ocv``'s clamp, with no
+    search and no segment (None: the cursor keeps the one it has). Any other
+    SOC searches the table once; a SOC in ``[lo, x1)`` of the segment found
+    is then answered by ``y0 + (soc - x0) * rise / run``, ``ocv``'s own
+    expression with the rises hoisted. A NaN SOC raises as in ``ocv``.
+    """
+    socs = curve.socs
+    first = socs[0]
+    if soc <= first or soc >= socs[-1]:
+        return ocv(curve, soc), None
+    (x0, y0), (x1, y1) = _segment(curve, soc)
+    rise, run = y1 - y0, x1 - x0
+    # ocv clamps at the first knot to the knot's own voltage, whose -0.0
+    # the expression would turn to +0.0: the segment starts past it.
+    lo = x0 if x0 > first else math.nextafter(x0, math.inf)
+    return y0 + (soc - x0) * rise / run, (lo, x0, x1, y0, rise, run)
+
+
 def ocv_cursor(curve: OcvCurve) -> Callable[[float], float]:
     """A lookup equal to ``ocv(curve, soc)`` bit for bit that remembers the
     segment it last found.
 
-    A SOC in ``[x0, x1)`` of that segment is answered by ``ocv``'s own
-    expression with the segment's rises hoisted; a SOC at or past either end
-    of the table by ``ocv`` itself, which clamps there; any other SOC
-    searches the table once and remembers its segment, and a NaN SOC raises
-    as in ``ocv``. Within a window the SOC moves one way, so a window loop
-    that owns one cursor searches about once per segment it enters.
+    A SOC in ``[lo, x1)`` of that segment is answered by the segment's
+    expression; any other SOC by ``_seek``, whose segment it then keeps.
+    Within a window the SOC moves one way, so a window loop that owns one
+    cursor searches about once per segment it enters.
     """
-    first, last = curve.socs[0], curve.socs[-1]
     # No segment yet: NaN fails every comparison.
     lo = x0 = x1 = y0 = rise = run = math.nan
 
@@ -267,14 +289,10 @@ def ocv_cursor(curve: OcvCurve) -> Callable[[float], float]:
         nonlocal lo, x0, x1, y0, rise, run
         if lo <= soc < x1:
             return y0 + (soc - x0) * rise / run
-        if soc <= first or soc >= last:
-            return ocv(curve, soc)
-        (x0, y0), (x1, y1) = _segment(curve, soc)
-        rise, run = y1 - y0, x1 - x0
-        # ocv clamps at the first knot to the knot's own voltage, whose -0.0
-        # the expression would turn to +0.0: the fast path starts past it.
-        lo = x0 if x0 > first else math.nextafter(x0, math.inf)
-        return y0 + (soc - x0) * rise / run
+        value, entered = _seek(curve, soc)
+        if entered is not None:
+            lo, x0, x1, y0, rise, run = entered
+        return value
 
     return lookup
 

@@ -14,11 +14,16 @@ power. ``_trace`` builds the per-step rows only for a caller that asks: the CP
 search's probes keep only the corners, and ``sop_cp`` steps the accepted power
 once more with rows to return its trace.
 
-The hold engines hand ``_trace`` their step rule as a callback; the CP engine
-hands it the constant power, whose step ``_trace`` solves inline, with no call
-per step. A zero-power window without rows, which every CP solve probes
-first, is a rest: ``_trace`` takes its corners from steps one and K and steps
-only vp in between.
+``_trace`` steps the engines' laws with no Python call per step. It keeps the
+OCV segment it is in as local variables, seeded by the caller with step
+one's, and calls ``ecm._seek`` only on leaving it. The hold engines make their
+step-one decision (the governing bound, the level) before the loop and hand
+``_trace`` the level and the clip bounds; the loop clips each hold current and
+tracks the binding step and the mode shift by comparisons. The CP engine
+hands it the constant power, whose step it solves inline. A zero-power
+window, which every CP solve probes first, is a rest: ``_trace`` takes its
+corners from steps one and K and steps only vp in between. Only
+``find_mode_shift_kc`` still hands ``_trace`` a step callback.
 """
 
 from __future__ import annotations
@@ -59,78 +64,141 @@ class ModeShift(NamedTuple):
     k_c: int | None  # populated only for TRANSITIONAL
 
 
+class _Hold(NamedTuple):
+    """A hold law for ``_trace``, its step-one decision made by the caller:
+    the terminal voltage held, step one's hold current, and the clip bounds
+    (the direction's current limit and SOC bound)."""
+
+    level: float
+    first: float
+    i_lim: float
+    soc_bound: float
+    discharge: bool
+
+
+_NO_SEGMENT = (math.nan,) * 6  # NaN fails every comparison: the first step misses
+
+
 def _trace(
     state: BatteryState,
     params: BatteryParams,
-    lookup: Callable[[float], float],
+    curve: OcvCurve,
     window: Window,
-    drive: Callable[[int, float, float], tuple[float, float] | None] | float,
-    v_oc: float,
+    law: Callable[[int, float, float], tuple[float, float] | None] | float | _Hold,
+    start: tuple[float, tuple[float, ...] | None],
     rows: list[PomStep] | None = None,
-) -> tuple[tuple[float, float, float], tuple[float, float, float]] | None:
-    """Run the hold step across the window: one OCV lookup per step through
-    the caller's ``ecm.ocv_cursor`` (step one's is ``v_oc``, made by the
-    caller), then the step's law gives its ``(current, vt)`` from the emf, the
-    OCV less the relaxed vp, or abandons the window (and returns None).
-    ``drive`` is that law: a callable ``drive(j, soc, emf)`` that returns the
-    pair or None, or a float, the signed constant power, whose step is solved
-    here as ``solve_cp_step`` solves it. Returns the trace's two SOA corners,
-    (min vt, max current, min soc) and (max vt, min current, max soc): the SOA
-    is a box, so every step lies in it iff both corners do. Each step's
-    ``PomStep`` is appended to ``rows`` only when the caller passes a list: a
-    caller that needs only the corners builds none.
+) -> tuple | None:
+    """Run the hold step across the window: each step's OCV, then its law
+    gives the step's ``(current, vt)`` from the emf, the OCV less the
+    relaxed vp, or abandons the window (and returns None). ``start`` is step
+    one's OCV and segment, which the caller seeks once per window or CP
+    solve; later steps evaluate the segment they are in by ``ecm._seek``'s
+    expression, and call ``ecm._seek`` only on leaving it.
 
-    A zero-power window without rows is a rest: the SOC stays where step one
-    puts it and vp only decays, so vt is monotone in j and the corners are
-    those of steps one and K. Only the vp recurrence is stepped, with no OCV
-    lookup past step one's (the SOC it would look up is step one's, bar the
-    sign of a zero, which the table's clamp ignores)."""
+    ``law`` is a ``_Hold``; a float, the signed constant power, whose step is
+    solved as ``solve_cp_step`` solves it; or a callable ``law(j, soc,
+    emf)`` that returns the pair or None. The hold and the power are stepped
+    inline, with no call per step. Returns the trace's two SOA corners, (min
+    vt, max current, min soc) and (max vt, min current, max soc): the SOA is
+    a box, so every step lies in it iff both corners do. A hold law adds the
+    first step of minimum |power| and the first step whose hold current went
+    unclipped (None if none did). Each step's ``PomStep`` is appended to
+    ``rows`` only when the caller passes a list: a caller that needs only
+    the corners builds none.
+
+    A zero-power window is a rest: the SOC stays where step one puts it and
+    vp only decays, so vt is monotone in j and the corners are those of
+    steps one and K. Only the vp recurrence is stepped, with no OCV past
+    step one's (the SOC it would look up is step one's, bar the sign of a
+    zero, which the table's clamp ignores)."""
     alpha = math.exp(-window.dt / params.tau)
     # Products stay left to right, never pre-multiplied (current * r1 * (1 - alpha),
     # current * dt * soc_per_as): the state then matches ecm.step's bit for bit.
     one_minus_alpha = 1.0 - alpha
     r0, r1, dt, soc_per_as = params.r0, params.r1, window.dt, params.soc_per_amp_second
     soc, vp = state.soc, state.vp
-    if not callable(drive):  # a constant power
-        power = drive
-        if power == 0.0:  # no current (with the sign of zero), whatever the emf
-
-            def drive(j: int, soc: float, emf: float) -> tuple[float, float]:
-                return power, emf - power * r0
-
-            if rows is None:  # the rest: steps one and K
-                soc = soc - power * dt * soc_per_as  # a signed zero moves only a zero SOC
-                rise = power * r1 * one_minus_alpha
-                first = drive(1, soc, v_oc - vp * alpha)[1]
-                for _ in range(window.steps - 1):
-                    vp = vp * alpha + rise
-                last = drive(window.steps, soc, v_oc - vp * alpha)[1]
-                # The loop keeps the first of equal minima, and a vt that
-                # falls to zero meets +0.0 before -0.0: + 0.0 gives that zero.
-                low = last + 0.0 if last < first else first
-                high = last if last > first else first
-                return (low, power, soc), (high, power, soc)
+    v_oc, segment = start
+    holding, drive = isinstance(law, _Hold), None
+    if holding:
+        level, first, i_lim, soc_bound, discharge = law
+        headroom_div = dt * soc_per_as
+        unbounded = math.inf if discharge else -math.inf
+        least, binding, k_c = math.inf, None, None
+    elif callable(law):
+        drive = law
+    elif law == 0.0:  # the rest: no current, with the sign of zero, whatever the emf
+        power = law
+        soc = soc - power * dt * soc_per_as  # a signed zero moves only a zero SOC
+        vp_rise, drop = power * r1 * one_minus_alpha, power * r0
+        first = last = v_oc - vp * alpha - drop
+        if rows is None:
+            for _ in range(window.steps - 1):
+                vp = vp * alpha + vp_rise
+            last = v_oc - vp * alpha - drop
         else:
-            drive = None
-            four_r0_power, two_power = 4.0 * r0 * power, 2.0 * power
-            sqrt = math.sqrt
+            for j in range(1, window.steps + 1):
+                vp_rel = vp * alpha
+                last = v_oc - vp_rel - drop
+                vp = vp_rel + vp_rise
+                rows.append(tuple.__new__(PomStep, (j, power, last, soc, vp, power * last)))
+        # The loop keeps the first of equal minima, and a vt that falls to
+        # zero meets +0.0 before -0.0: + 0.0 gives that zero.
+        low = last + 0.0 if last < first else first
+        high = last if last > first else first
+        return (low, power, soc), (high, power, soc)
+    else:
+        four_r0_power, two_power = 4.0 * r0 * law, 2.0 * law
+        sqrt = math.sqrt
+    lo, x0, x1, y0, rise, run = _NO_SEGMENT if segment is None else segment
     append = None if rows is None else rows.append
     row = tuple.__new__  # PomStep(...) would add a Python frame per row
     vt_lo = soc_lo = i_lo = math.inf
     vt_hi = soc_hi = i_hi = -math.inf
     for j in range(1, window.steps + 1):
-        if j > 1:  # step one's lookup is the caller's
-            v_oc = lookup(soc)
+        if j > 1:  # step one's OCV is the caller's
+            if lo <= soc < x1:
+                v_oc = y0 + (soc - x0) * rise / run
+            else:
+                v_oc, entered = ecm._seek(curve, soc)
+                if entered is not None:
+                    lo, x0, x1, y0, rise, run = entered
         vp_rel = vp * alpha
-        if drive is not None:
-            step = drive(j, soc, v_oc - vp_rel)
-            if step is None:
-                return None
-            current, vt = step
-        else:
+        emf = v_oc - vp_rel
+        if holding:
+            held = (emf - level) / r0 if j > 1 else first
+            # max(0.0, min(held, i_lim, headroom)) and its charge mirror.
+            # dt * soc_per_amp_second may underflow to 0: then no SOC moves.
+            headroom = (soc - soc_bound) / headroom_div if headroom_div else unbounded
+            current = held
+            if discharge:
+                if i_lim < current:
+                    current = i_lim
+                if headroom < current:
+                    current = headroom
+                if not current > 0.0:
+                    current = 0.0
+            else:
+                if i_lim > current:
+                    current = i_lim
+                if headroom > current:
+                    current = headroom
+                if not current < 0.0:
+                    current = 0.0
+            if current == held:
+                vt = level
+                if k_c is None:
+                    k_c = j
+            else:
+                vt = emf - current * r0
+            # |power| by a comparison, as min(key=abs) ranks it: the first least binds.
+            magnitude = current * vt
+            if magnitude < 0.0:
+                magnitude = -magnitude
+            if magnitude < least or j == 1:
+                least, binding = magnitude, j
+        elif drive is None:
             # The smaller-magnitude root of R0*I^2 - emf*I + power = 0, refused
             # where no current flows toward the power.
-            emf = v_oc - vp_rel
             disc = emf * emf - four_r0_power
             if not disc >= 0.0:  # past the ceiling, or NaN from inf - inf
                 return None
@@ -139,6 +207,11 @@ def _trace(
                 return None
             current = two_power / root
             vt = emf - current * r0
+        else:
+            step = drive(j, soc, emf)
+            if step is None:
+                return None
+            current, vt = step
         vp = vp_rel + current * r1 * one_minus_alpha
         # min(max(soc, 0.0), 1.0) by comparisons, without two builtin calls
         # per step; like max and min it keeps -0.0 and NaN.
@@ -161,7 +234,10 @@ def _trace(
             soc_lo = soc
         if soc > soc_hi:
             soc_hi = soc
-    return (vt_lo, i_hi, soc_lo), (vt_hi, i_lo, soc_hi)
+    low, high = (vt_lo, i_hi, soc_lo), (vt_hi, i_lo, soc_hi)
+    if holding:
+        return low, high, binding, k_c
+    return low, high
 
 
 def _sop_hold(
@@ -187,57 +263,24 @@ def _sop_hold(
     mode shift. A trace that leaves the SOA box gives the zero result."""
     check_load(params, soa)
     r0 = params.r0
-    headroom_div = window.dt * params.soc_per_amp_second
-    i_lim, bound = direction.current_limit(soa), direction.soc_bound(soa)
-    sign = direction.sign
-    discharge = direction is Direction.DISCHARGE
-    unbounded = math.inf if discharge else -math.inf
-    v_star, governed, k_c = direction.vt_cutoff(soa), None, None
-
-    def drive(j: int, soc: float, emf: float) -> tuple[float, float]:
-        nonlocal v_star, governed, k_c
-        hold = (emf - v_star) / r0
-        if governed is None:  # step one: v_star is still the cut-off
-            vt_lim = emf - i_lim * r0
-            governed = "voltage"
-            if (v_star - vt_lim) * sign <= 0.0:
-                governed = "current"
-                if cv:
-                    hold, v_star = i_lim, vt_lim
-        # max(0.0, min(hold, i_lim, headroom)) and its charge mirror, inlined.
-        # dt * soc_per_amp_second may underflow to 0: then no SOC moves.
-        headroom = (soc - bound) / headroom_div if headroom_div else unbounded
-        current = hold
-        if discharge:
-            if i_lim < current:
-                current = i_lim
-            if headroom < current:
-                current = headroom
-            if not current > 0.0:
-                current = 0.0
-        else:
-            if i_lim > current:
-                current = i_lim
-            if headroom > current:
-                current = headroom
-            if not current < 0.0:
-                current = 0.0
-        if current == hold:
-            vt = v_star
-            if k_c is None:
-                k_c = j
-        else:
-            vt = emf - current * r0
-        return current, vt
-
-    lookup = ecm.ocv_cursor(curve)
-    v_oc = lookup(state.soc)
+    i_lim, cutoff, sign = direction.current_limit(soa), direction.vt_cutoff(soa), direction.sign
+    start = ecm._seek(curve, state.soc)
+    v_oc = start[0]
+    # Step one's decision, made on its emf as the trace's loop computes it.
+    emf = v_oc - state.vp * math.exp(-window.dt / params.tau)
+    vt_lim = emf - i_lim * r0
+    level, first, governed = cutoff, (emf - cutoff) / r0, "voltage"
+    if (cutoff - vt_lim) * sign <= 0.0:
+        governed = "current"
+        if cv:
+            level, first = vt_lim, i_lim
+    law = _Hold(level, first, i_lim, direction.soc_bound(soa), direction is Direction.DISCHARGE)
     rows: list[PomStep] = []
-    low, high = _trace(state, params, lookup, window, drive, v_oc, rows)
+    low, high, binding, k_c = _trace(state, params, curve, window, law, start, rows)
     if check_point(*low, soa) or check_point(*high, soa):
         return _no_power(state, v_oc)
     steps = tuple(rows)
-    binding = min(steps, key=lambda row: abs(row.power))  # the first minimum binds
+    binding = steps[binding - 1]
     if cv or governed == "voltage":
         dominant, k_c = governed, None
     else:
@@ -248,7 +291,7 @@ def _sop_hold(
 
 def _no_power(state: BatteryState, v_oc: float) -> tuple[SopResult, PomTrace]:
     """The result of a window with no SOA-compliant continuation: zero power at
-    the rested terminal voltage (step one's OCV lookup less vp), no trace. A
+    the rested terminal voltage (step one's OCV less vp), no trace. A
     rested voltage past the floats raises AnalyticDomainError, as ``sop_cc``'s
     end voltage does."""
     vt_rest = v_oc - state.vp
@@ -312,8 +355,7 @@ def find_mode_shift_kc(
             return None
         return i_lim, vt
 
-    lookup = ecm.ocv_cursor(curve)
-    _trace(state, params, lookup, window, drive, lookup(state.soc))
+    _trace(state, params, curve, window, drive, ecm._seek(curve, state.soc))
     if crossing is None:
         return ModeShift(CcCvCase.CC_ONLY, None)
     k_c, overshoot = crossing
@@ -398,15 +440,15 @@ def _cp_probe(
     power_abs: float,
     state: BatteryState,
     params: BatteryParams,
-    lookup: Callable[[float], float],
+    curve: OcvCurve,
     window: Window,
     direction: Direction,
     soa: Soa,
-    v_oc: float,
+    start: tuple[float, tuple[float, ...] | None],
 ) -> tuple[bool, tuple[float, float, float] | None]:
     """Simulate a constant-|power| window to its last step, without rows;
-    ``v_oc`` is step one's OCV and ``lookup`` the OCV cursor, which every
-    probe of one solve shares.
+    ``start`` is step one's OCV and segment, which every probe of one solve
+    shares.
 
     Returns whether every step lies inside the safe operation area, with the
     window's smallest direction-signed margins, negative once crossed, to the
@@ -418,7 +460,7 @@ def _cp_probe(
     corner on the direction's side; rounding ``x - c`` is monotone in x, so
     each equals its per-step minimum bit for bit.
     """
-    corners = _trace(state, params, lookup, window, power_abs * direction.sign, v_oc)
+    corners = _trace(state, params, curve, window, power_abs * direction.sign, start)
     if corners is None:
         return False, None
     low, high = corners
@@ -512,9 +554,9 @@ def sop_cp(
     if not (tol_watts > 0.0 and math.isfinite(tol_watts)):
         raise ValueError(f"tol_watts must be finite and > 0, got {tol_watts}")
 
-    lookup = ecm.ocv_cursor(curve)
-    v_oc = lookup(state.soc)
-    zero_ok, zero_margins = _cp_probe(0.0, state, params, lookup, window, direction, soa, v_oc)
+    start = ecm._seek(curve, state.soc)
+    v_oc = start[0]
+    zero_ok, zero_margins = _cp_probe(0.0, state, params, curve, window, direction, soa, start)
     if not zero_ok:
         return _no_power(state, v_oc)
     # A bound already reached at zero power has no scale; its native units serve.
@@ -528,7 +570,7 @@ def sop_cp(
     if direction is Direction.DISCHARGE:
         i_top = min(i_top, emf / (2.0 * r0))
     top = i_top * (emf - sign * i_top * r0)
-    top_ok, top_margins = _cp_probe(top, state, params, lookup, window, direction, soa, v_oc)
+    top_ok, top_margins = _cp_probe(top, state, params, curve, window, direction, soa, start)
 
     g_zero, lo_bound = _normalised_margin(zero_margins, scales)
     g_hi, top_bound = _normalised_margin(top_margins, scales)
@@ -553,7 +595,7 @@ def sop_cp(
         if not lo < p < hi:  # the bracket no longer splits in floating point
             break
         widths = (widths[1], width)
-        ok, margins = _cp_probe(p, state, params, lookup, window, direction, soa, v_oc)
+        ok, margins = _cp_probe(p, state, params, curve, window, direction, soa, start)
         g, bound = _normalised_margin(margins, scales)
         if g is None:  # a power ceiling: nothing to interpolate through
             points.clear()
@@ -567,7 +609,7 @@ def sop_cp(
 
     # The probes kept no rows: step the accepted power once more to return its trace.
     rows: list[PomStep] = []
-    low, high = _trace(state, params, lookup, window, lo * sign, v_oc, rows)
+    low, high = _trace(state, params, curve, window, lo * sign, start, rows)
     i_mc = low[1] if direction is Direction.DISCHARGE else high[1]
     result = sop_result(i_mc, lo_bound, rows[-1].vt, lo * sign)
     return result, PomTrace(tuple(rows))

@@ -25,14 +25,17 @@ as the exception's class name. The case sets are seeded:
 For each producer in ``PROBES`` the record also holds the whole-window
 simulations each solve ran: calls of the oracle's window loop, or of
 ``sop_cp``'s probe. For every producer it holds the OCV table searches each
-solve ran (calls of ``soplab.ecm.bisect_right``) and the OCV cursor lookups
-each ran (calls of the lookups that ``soplab.ecm.ocv_cursor`` builds): a
-window loop looks up once per step it simulates, so these count steps.
+solve ran (calls of ``soplab.ecm.bisect_right``), the steps each simulated
+and the windows each refused. A step count is the K of every call of a
+window loop in ``WINDOW_LOOPS`` that ran to its window's end, wherever that
+loop reads the OCV and however it steps: a rest counts its K steps too. A
+loop that abandons its window early (a step with no current toward the
+power) is counted apart, as one refused window, without steps.
 
 ``--compare A B`` prints per producer the identical count, the verdict flips
 (answer <-> refusal), the largest |change| of a numeric leaf, and the mean
-simulations, table searches and cursor lookups per solve in A and in B, then
-every CLI
+simulations, table searches, steps and refused windows per solve in A and
+in B, then every CLI
 request whose exit code or bytes differ. It exits 1 when an answer or a CLI
 request moved and 0 otherwise; the counts do not change it. Standard library
 only.
@@ -176,28 +179,40 @@ def _leaves(answer, out: list) -> list:
     return out
 
 
+# The window loops, each with the test of a result that abandoned its window.
+WINDOW_LOOPS = {
+    ("soplab.modes", "_trace"): lambda result: result is None,
+    ("soplab.oracle", "_cc_feasible"): lambda result: False,
+    ("soplab.oracle", "_cp_feasible_trace"): lambda result: result.slack is None,
+}
+
+
 @contextlib.contextmanager
-def _counting_lookups():
-    """A one-item list that counts the calls of every lookup that
-    ``soplab.ecm.ocv_cursor`` builds while the block runs."""
-    ecm = importlib.import_module("soplab.ecm")
-    cursor = ecm.ocv_cursor
-    calls = [0]
+def _counting_steps():
+    """A two-item list, [steps, refused], that counts while the block runs
+    the K of every ``WINDOW_LOOPS`` call that ran its window to the end, and
+    the calls that abandoned theirs."""
+    counts = [0, 0]
+    saved = []
+    for (module_name, attr), refused in WINDOW_LOOPS.items():
+        module = importlib.import_module(module_name)
+        original = getattr(module, attr)
 
-    def counting_cursor(curve):
-        lookup = cursor(curve)
+        def counted(*args, _original=original, _refused=refused):
+            result = _original(*args)
+            if _refused(result):
+                counts[1] += 1
+            else:
+                counts[0] += next(arg for arg in args if isinstance(arg, Window)).steps
+            return result
 
-        def counted(soc):
-            calls[0] += 1
-            return lookup(soc)
-
-        return counted
-
-    ecm.ocv_cursor = counting_cursor
+        saved.append((module, attr, original))
+        setattr(module, attr, counted)
     try:
-        yield calls
+        yield counts
     finally:
-        ecm.ocv_cursor = cursor
+        for module, attr, original in saved:
+            setattr(module, attr, original)
 
 
 @contextlib.contextmanager
@@ -219,27 +234,29 @@ def _counting(module_name: str, attr: str):
         setattr(module, attr, original)
 
 
-def _answers(name: str, produce, scenarios) -> tuple[list, list[int], list[int], list[int]]:
+def _answers(name: str, produce, scenarios) -> tuple[list, list[int], list[int], list[int], list[int]]:
     """Each scenario's answer leaves, or ``{"refused": <class name>}``, the
     simulations each scenario ran (all 0 for a producer not in ``PROBES``),
-    the table searches each ran and the cursor lookups each made."""
-    answers, probes, searches, lookups = [], [], [], []
+    the table searches each ran, the steps each simulated and the windows
+    each refused."""
+    answers, probes, searches, steps, refused = [], [], [], [], []
     counting = _counting(*PROBES[name]) if name in PROBES else contextlib.nullcontext([0])
     with (
         counting as calls,
         _counting("soplab.ecm", "bisect_right") as searched,
-        _counting_lookups() as looked_up,
+        _counting_steps() as stepped,
     ):
         for scenario in scenarios:
-            before = calls[0], searched[0], looked_up[0]
+            before = calls[0], searched[0], stepped[0], stepped[1]
             try:
                 answers.append(_leaves(produce(*scenario), []))
             except (AnalyticDomainError, InfeasibleStateError) as exc:
                 answers.append({"refused": type(exc).__name__})
             probes.append(calls[0] - before[0])
             searches.append(searched[0] - before[1])
-            lookups.append(looked_up[0] - before[2])
-    return answers, probes, searches, lookups
+            steps.append(stepped[0] - before[2])
+            refused.append(stepped[1] - before[3])
+    return answers, probes, searches, steps, refused
 
 
 # --- cli-oneshot-like requests ---------------------------------------------
@@ -364,21 +381,24 @@ def record(sizes: tuple[int, int, tuple[int, ...]] = FULL) -> dict:
     n_windows, n_states, seeds = sizes
     windows = seeded_windows(n_windows, 7, (1, 2, 10, 30, 300))
     grid = grid_scenarios(n_states, 1)
-    answers, probes, searches, lookups = {}, {}, {}, {}
+    answers, probes, searches, steps, refused = {}, {}, {}, {}, {}
     for cases, scenarios, producers in (
         ("windows", windows, WINDOW_PRODUCERS),
         ("grid", grid, GRID_PRODUCERS),
     ):
         for name, produce in producers.items():
             key = f"{cases}/{name}"
-            answers[key], counts, searches[key], lookups[key] = _answers(name, produce, scenarios)
+            answers[key], counts, searches[key], steps[key], refused[key] = _answers(
+                name, produce, scenarios
+            )
             if name in PROBES:
                 probes[key] = counts
     return {
         "answers": answers,
         "probes": probes,
         "searches": searches,
-        "lookups": lookups,
+        "steps": steps,
+        "refused": refused,
         "cli": cli_outputs(seeds),
     }
 
@@ -416,7 +436,7 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
     lines = [
         f"{'producer':<34} {'cases':>6} {'identical':>9} {'flips':>5}  {'max|delta|':<10}"
         f" {'sims A':>8} {'sims B':>8} {'search A':>8} {'search B':>8}"
-        f" {'lookup A':>8} {'lookup B':>8}"
+        f" {'steps A':>9} {'steps B':>9} {'refuse A':>8} {'refuse B':>8}"
     ]
     moved = False
     for name in sorted(set(a["answers"]) | set(b["answers"])):
@@ -439,7 +459,8 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
             f"{name:<34} {len(left):>6} {same:>9} {flips:>5}  {worst:<10.3g}"
             f" {_mean(a, 'probes', name):>8} {_mean(b, 'probes', name):>8}"
             f" {_mean(a, 'searches', name):>8} {_mean(b, 'searches', name):>8}"
-            f" {_mean(a, 'lookups', name):>8} {_mean(b, 'lookups', name):>8}"
+            f" {_mean(a, 'steps', name):>9} {_mean(b, 'steps', name):>9}"
+            f" {_mean(a, 'refused', name):>8} {_mean(b, 'refused', name):>8}"
         )
     keys = sorted(set(a["cli"]) | set(b["cli"]))
     differ = [k for k in keys if a["cli"].get(k) != b["cli"].get(k)]

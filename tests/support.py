@@ -1,8 +1,9 @@
 """Helpers shared by the engine tests: the fixed NMC-like OCV table (defined
 in ``answer_shift``), a hypothesis strategy for random monotone ones, the
-constant-current reference trace for the CC-CV engine, plain-bisection
-references for the oracles, reference window loops for the oracles' own, and
-a builtins reference for the constant-current composition."""
+constant-current reference trace for the CC-CV engine, the hold engines'
+step-callback reference, plain-bisection references for the oracles,
+reference window loops for the oracles' own, and a builtins reference for
+the constant-current composition."""
 
 import math
 from bisect import bisect_right
@@ -13,6 +14,7 @@ import soplab.modes as modes
 import soplab.peak_cc as peak_cc
 from soplab import Direction, InfeasibleStateError, OcvCurve, check_point, ecm
 from soplab.oracle import BrutePower, Probe, _box_slack, _cp_feasible_trace, _newton_cp_current
+from soplab.soa import check_load
 
 from answer_shift import NMC_CURVE  # noqa: F401  (re-exported for the tests)
 
@@ -43,10 +45,74 @@ def constant_current_trace(state, params, curve, current, window):
     def drive(j, soc, emf):
         return current, emf - current * params.r0
 
-    lookup = ecm.ocv_cursor(curve)
     rows = []
-    modes._trace(state, params, lookup, window, drive, lookup(state.soc), rows)
+    modes._trace(state, params, curve, window, drive, ecm._seek(curve, state.soc), rows)
     return modes.PomTrace(tuple(rows))
+
+
+def reference_sop_hold(state, params, curve, window, direction, soa, cv):
+    """``modes._sop_hold`` as it was written with its step law as a callback:
+    the step-one decision made inside the step, on the step's own emf, and the
+    binding row found by ``min(key=abs)``. The inline hold law must match it
+    by repr: result, rows and mode shift."""
+    check_load(params, soa)
+    r0 = params.r0
+    headroom_div = window.dt * params.soc_per_amp_second
+    i_lim, bound = direction.current_limit(soa), direction.soc_bound(soa)
+    sign = direction.sign
+    discharge = direction is Direction.DISCHARGE
+    unbounded = math.inf if discharge else -math.inf
+    v_star, governed, k_c = direction.vt_cutoff(soa), None, None
+
+    def drive(j, soc, emf):
+        nonlocal v_star, governed, k_c
+        hold = (emf - v_star) / r0
+        if governed is None:  # step one: v_star is still the cut-off
+            vt_lim = emf - i_lim * r0
+            governed = "voltage"
+            if (v_star - vt_lim) * sign <= 0.0:
+                governed = "current"
+                if cv:
+                    hold, v_star = i_lim, vt_lim
+        # max(0.0, min(hold, i_lim, headroom)) and its charge mirror, inlined.
+        # dt * soc_per_amp_second may underflow to 0: then no SOC moves.
+        headroom = (soc - bound) / headroom_div if headroom_div else unbounded
+        current = hold
+        if discharge:
+            if i_lim < current:
+                current = i_lim
+            if headroom < current:
+                current = headroom
+            if not current > 0.0:
+                current = 0.0
+        else:
+            if i_lim > current:
+                current = i_lim
+            if headroom > current:
+                current = headroom
+            if not current < 0.0:
+                current = 0.0
+        if current == hold:
+            vt = v_star
+            if k_c is None:
+                k_c = j
+        else:
+            vt = emf - current * r0
+        return current, vt
+
+    start = ecm._seek(curve, state.soc)
+    rows = []
+    low, high = modes._trace(state, params, curve, window, drive, start, rows)
+    if check_point(*low, soa) or check_point(*high, soa):
+        return modes._no_power(state, start[0])
+    steps = tuple(rows)
+    binding = min(steps, key=lambda row: abs(row.power))  # the first minimum binds
+    if cv or governed == "voltage":
+        dominant, k_c = governed, None
+    else:
+        dominant = "current" if k_c is None else "dual"
+    result = peak_cc.sop_result(binding.current, dominant, steps[-1].vt, binding.power)
+    return result, modes.PomTrace(steps, mode_shift_index=k_c)
 
 
 # The constant-current composition written with builtins: a keyword build of

@@ -1,6 +1,6 @@
 """The shift harness on a small case set: a record compared with itself
 reports nothing moved, a moved answer, a verdict flip and a changed CLI
-report each show, and a changed simulation, table-search or cursor-lookup
+report each show, and a changed simulation, table-search, step or refusal
 count shows without counting as a move."""
 
 import copy
@@ -39,14 +39,16 @@ def test_a_record_matches_itself(small_record, tmp_path, capsys):
         for name in producers:
             row = rows[f"{cases}/{name}"]
             assert row[:4] == [str(n), str(n), "0", "0"]
-            sims_a, sims_b, searches_a, searches_b, lookups_a, lookups_b = row[4:]
+            sims_a, sims_b, searches_a, searches_b, steps_a, steps_b, refused_a, refused_b = row[4:]
             assert sims_a == sims_b
             assert (sims_a == "-") == (name not in answer_shift.PROBES)
             # Every producer reads the OCV table.
             assert searches_a == searches_b and float(searches_a) > 0
-            # The stepwise engines and the oracles look it up per step, through a cursor.
-            assert lookups_a == lookups_b
-            assert (float(lookups_a) > 0) == (name in STEPWISE)
+            # The stepwise engines and the oracles simulate windows; only the
+            # CP probes abandon one, at a step with no current toward the power.
+            assert (steps_a, refused_a) == (steps_b, refused_b)
+            assert (float(steps_a) > 0) == (name in STEPWISE)
+            assert float(refused_a) == 0 or name in {"sop_cp", "brute_peak_power_cp"}
     n_cli = len(seeds) * len(answer_shift.CLI_KINDS) * answer_shift.CLI_VARIANTS
     n_cli += len(answer_shift.BAD_INPUTS)
     assert lines[-1] == f"cli requests: {n_cli}, identical: {n_cli}"
@@ -75,8 +77,10 @@ def test_simulation_counts_show_without_moving(small_record):
     probes[0] += len(probes)  # the mean rises by exactly 1
     searches = counted["searches"]["grid/sop_cc"]
     searches[0] += 2 * len(searches)  # the mean rises by exactly 2
-    lookups = counted["lookups"]["grid/sop_cp"]
-    lookups[0] -= 3 * len(lookups)  # the mean falls by exactly 3
+    steps = counted["steps"]["grid/sop_cp"]
+    steps[0] -= 3 * len(steps)  # the mean falls by exactly 3
+    refused = counted["refused"]["windows/brute_peak_power_cp"]
+    refused[0] += len(refused)  # the mean rises by exactly 1
     lines, anything = answer_shift.compare(small_record, counted)
     assert not anything
     rows = _rows(lines)
@@ -84,10 +88,13 @@ def test_simulation_counts_show_without_moving(small_record):
     assert float(sims_b) - float(sims_a) == pytest.approx(1.0, abs=2e-3)
     searches_a, searches_b = rows["grid/sop_cc"][6:8]
     assert float(searches_b) - float(searches_a) == pytest.approx(2.0, abs=2e-3)
-    lookups_a, lookups_b = rows["grid/sop_cp"][8:]
-    assert float(lookups_a) - float(lookups_b) == pytest.approx(3.0, abs=2e-3)
-    # A record from before the searches and lookups were counted compares, without them.
-    del counted["searches"], counted["lookups"]
+    steps_a, steps_b = rows["grid/sop_cp"][8:10]
+    assert float(steps_a) - float(steps_b) == pytest.approx(3.0, abs=2e-3)
+    refused_a, refused_b = rows["windows/brute_peak_power_cp"][10:]
+    assert float(refused_b) - float(refused_a) == pytest.approx(1.0, abs=2e-3)
+    # A record from before the searches and steps were counted compares, without them.
+    del counted["searches"], counted["steps"], counted["refused"]
     lines, anything = answer_shift.compare(small_record, counted)
     assert not anything
-    assert _rows(lines)["grid/sop_cc"][7] == _rows(lines)["grid/sop_cp"][9] == "-"
+    rows = _rows(lines)
+    assert rows["grid/sop_cc"][7] == rows["grid/sop_cp"][9] == rows["grid/sop_cp"][11] == "-"

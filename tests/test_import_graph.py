@@ -204,13 +204,28 @@ def _bare_calls(nodes):
     }
 
 
+def _ecm_calls(nodes):
+    """Names of the ``ecm.<name>(...)`` calls in ``nodes``."""
+    return {
+        n.func.attr
+        for node in nodes
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and isinstance(n.func.value, ast.Name)
+        and n.func.value.id == "ecm"
+    }
+
+
 def _per_step_code():
     """``{(module, qualname): nodes}``: the code that runs once per window step.
 
     That is the body of every window loop (keyed by its function), every
-    same-module top-level function such code calls by bare name, and every
-    nested function of ``PER_STEP_MODULES`` named like a local that it calls
-    (the ``drive`` and ``lookup`` callables a loop is handed), followed
+    same-module top-level function such code calls by bare name, every
+    top-level ``ecm`` function that code in ``modes`` or ``oracle`` calls as
+    ``ecm.<name>`` (the OCV segment a loop seeks on leaving its own), and
+    every nested function of ``PER_STEP_MODULES`` named like a local that it
+    calls (the ``drive`` and ``lookup`` callables a loop is handed), followed
     transitively; a function counts whole."""
     functions = {module: _functions(module) for module in PER_STEP_MODULES}
     top = {m: {q: n for q, n, is_top in fs if is_top} for m, fs in functions.items()}
@@ -229,16 +244,19 @@ def _per_step_code():
                 pending.append((module, code[module, qualname]))
     while pending:
         module, nodes = pending.pop()
+        callees = []
         for name in _bare_calls(nodes):
             if name in top[module]:
-                callees = [(module, name, top[module][name])]
+                callees.append((module, name, top[module][name]))
             else:
-                callees = nested.get(name, [])
-            for callee_module, qualname, node in callees:
-                key = callee_module, qualname
-                if node not in code.get(key, ()):
-                    code[key] = [*code.get(key, ()), node]
-                    pending.append((callee_module, [node]))
+                callees += nested.get(name, [])
+        if module != "ecm":
+            callees += [("ecm", n, top["ecm"][n]) for n in _ecm_calls(nodes) & top["ecm"].keys()]
+        for callee_module, qualname, node in callees:
+            key = callee_module, qualname
+            if node not in code.get(key, ()):
+                code[key] = [*code.get(key, ()), node]
+                pending.append((callee_module, [node]))
     return code
 
 
@@ -263,7 +281,8 @@ def test_window_loops_call_no_min_or_max(module, qualname):
 def test_per_step_code_is_read_from_the_source():
     # The derivation finds the window loops, what they call and the closures
     # they are handed; were it to find nothing, the check above would pass
-    # on nothing.
+    # on nothing. ``_trace`` seeks a new OCV segment through ``ecm._seek``,
+    # which clamps at the table's ends through ``ecm.ocv``.
     assert {
         ("modes", "_trace"),
         ("oracle", "_cc_feasible"),
@@ -271,7 +290,11 @@ def test_per_step_code_is_read_from_the_source():
         ("ecm", "predict_cc"),
         ("oracle", "_newton_cp_current"),
         ("ecm", "ocv_cursor.lookup"),
+        ("ecm", "_seek"),
+        ("ecm", "ocv"),
+        ("ecm", "_segment"),
     } <= set(PER_STEP)
+    assert "_seek" in _ecm_calls(PER_STEP["modes", "_trace"])
     drives = [node for _, node, _ in _functions("modes") if node.name == "drive"]
     checked = [node for nodes in PER_STEP.values() for node in nodes]
     assert drives and all(node in checked for node in drives)

@@ -5,13 +5,14 @@ import math
 import random
 import statistics
 from bisect import bisect_right
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import soplab.modes as modes
-from support import NMC_CURVE, constant_current_trace, monotone_ocv
+from support import NMC_CURVE, constant_current_trace, monotone_ocv, reference_sop_hold
 from soplab import (
     BatteryParams,
     BatteryState,
@@ -39,47 +40,64 @@ DIS = Direction.DISCHARGE
 CHG = Direction.CHARGE
 
 
-class OcvCounter:
-    """Counts the engines' OCV lookups, every one made through an
-    ``ecm.ocv_cursor``, with the SOC of each, and the table searches (calls
-    of ``ecm.bisect_right``) behind them."""
+class Traced(NamedTuple):
+    rows: int  # the rows the trace stepped
+    looked_up: list  # the SOCs whose OCV it read
+    with_rows: bool  # whether its caller asked for the rows
+    searches: int  # the table searches it ran itself
+
+
+class WorkCounter:
+    """Counts the engines' work where it does not ride on a call per step:
+    the table searches (calls of ``ecm.bisect_right``) and the ``_trace``
+    calls. Each trace is run with rows, whether its caller asked for them or
+    not (rows move nothing else), and recorded as a ``Traced``."""
 
     def __init__(self, monkeypatch):
-        self.lookups = self.bisections = 0
-        self.socs = []
-        cursor = modes.ecm.ocv_cursor
-
-        def counting_cursor(curve):
-            lookup = cursor(curve)
-
-            def counted(soc):
-                self.lookups += 1
-                self.socs.append(soc)
-                return lookup(soc)
-
-            return counted
+        self.searches = 0
+        self.traces = []
+        trace = modes._trace
 
         def counting_search(socs, soc):
-            self.bisections += 1
+            self.searches += 1
             return bisect_right(socs, soc)
 
-        monkeypatch.setattr(modes.ecm, "ocv_cursor", counting_cursor)
+        def counting_trace(state, params, curve, window, law, start, wanted=None):
+            rows = [] if wanted is None else wanted
+            before = self.searches
+            result = trace(state, params, curve, window, law, start, rows)
+            # Step j > 1 reads the OCV at step j - 1's SOC, a refused step's too.
+            stepped = rows if result is None else rows[:-1]
+            looked_up = [state.soc, *(row.soc for row in stepped)]
+            searched = self.searches - before
+            self.traces.append(Traced(len(rows), looked_up, wanted is not None, searched))
+            return result
+
         monkeypatch.setattr(modes.ecm, "bisect_right", counting_search)
+        monkeypatch.setattr(modes, "_trace", counting_trace)
 
     def reset(self):
-        self.lookups = self.bisections = 0
-        self.socs.clear()
+        self.searches = 0
+        self.traces.clear()
 
-    @staticmethod
-    def segments(curve, socs):
-        """OCV segments that lookups at ``socs`` enter; the table's ends count
-        as one segment each."""
-        return len({bisect_right(curve.socs, soc) for soc in socs})
+    def check_searches(self, curve):
+        """One search for step one's segment, made once per window or solve
+        by its caller, and in each trace one per segment it enters past step
+        one's. The table's ends are in no segment: a SOC there searches
+        nothing."""
+        first, last = curve.socs[0], curve.socs[-1]
+        in_traces = 0
+        for traced in self.traces:
+            entered = {bisect_right(curve.socs, s) for s in traced.looked_up if first < s < last}
+            starts_inside = first < traced.looked_up[0] < last
+            assert traced.searches <= len(entered) - starts_inside, traced
+            in_traces += traced.searches
+        assert self.searches - in_traces <= 1
 
 
 @pytest.fixture
-def ocv_counter(monkeypatch):
-    return OcvCounter(monkeypatch)
+def work(monkeypatch):
+    return WorkCounter(monkeypatch)
 
 
 class TestSopCv:
@@ -197,7 +215,7 @@ class TestFindModeShift:
         assert vts[shift.k_c - 1] <= soa.vt_min < vts[shift.k_c - 2]
 
     @pytest.mark.parametrize(
-        "soc, direction, want, lookups",
+        "soc, direction, want, stepped",
         [
             (0.22, DIS, (CcCvCase.CV_ONLY, None), 1),
             (0.38, DIS, (CcCvCase.TRANSITIONAL, 9), 9),
@@ -205,15 +223,18 @@ class TestFindModeShift:
         ],
     )
     def test_stops_at_the_crossing(
-        self, params, linear_curve, soa, ocv_counter, soc, direction, want, lookups
+        self, params, linear_curve, soa, work, soc, direction, want, stepped
     ):
-        # Algorithmic work: one OCV lookup per step up to the crossing, not K,
-        # and one bisection on the table's one segment (plus one at most).
+        # Algorithmic work: one trace, stepped up to the crossing, not K (the
+        # crossing step reads its OCV but leaves no row), and one search, for
+        # step one's segment, on the table's one segment.
         window = Window(300, 1.0)
         assert find_mode_shift_kc(BatteryState(soc), params, linear_curve, window, direction, soa) == want
-        assert ocv_counter.lookups == lookups
-        entered = ocv_counter.segments(linear_curve, ocv_counter.socs)
-        assert 0 < ocv_counter.bisections <= entered + 1
+        (traced,) = work.traces
+        assert len(traced.looked_up) == stepped
+        assert traced.rows == (stepped if want[0] is CcCvCase.CC_ONLY else stepped - 1)
+        assert work.searches == 1
+        work.check_searches(linear_curve)
 
     def test_matches_the_constant_current_trace(self, params, linear_curve, soa):
         # Definition: the first step of the full-limit trace at or past the
@@ -335,14 +356,14 @@ class TestSolveCpStep:
         # 4 r0 P vanishes beside emf**2: the root emf + sqrt(disc) is 0, and
         # the step divided by it (ZeroDivisionError).
         state = BatteryState(0.5, 5.0)
-        lookup = modes.ecm.ocv_cursor(linear_curve)
+        start = modes.ecm._seek(linear_curve, 0.5)
         for params in (params, BatteryParams(1e-300, 0.03, 10.0, 2.0, 1.0)):
             with pytest.raises(PowerInfeasibleError, match="against") as refused:
                 solve_cp_step(state, params, linear_curve, 1.0, DIS)
             assert "exceeds the step ceiling" not in str(refused.value)
             assert _newton_cp_current(3.6 - 5.0, params.r0, 1.0) is None
             window = Window(10, 1.0)
-            probe = modes._cp_probe(1.0, state, params, lookup, window, DIS, soa, lookup(0.5))
+            probe = modes._cp_probe(1.0, state, params, linear_curve, window, DIS, soa, start)
             assert probe == (False, None)
 
     @pytest.mark.parametrize("power", [-5e307, -1e308])
@@ -760,60 +781,52 @@ class TestSopCpSolver:
         top = ocv(curve, soc) if direction is DIS else soa.vt_max
         power = share * abs(direction.current_limit(soa)) * top
         args = (power, state, params, curve, window, direction, soa)
-        lookup = modes.ecm.ocv_cursor(curve)
-        ok, margins = modes._cp_probe(
-            power, state, params, lookup, window, direction, soa, lookup(soc)
-        )
+        start = modes.ecm._seek(curve, soc)
+        ok, margins = modes._cp_probe(power, state, params, curve, window, direction, soa, start)
         feasible, want = _cp_resimulate(*args)
         assert ok == feasible
         assert margins == want
 
     @pytest.mark.parametrize("direction", [DIS, CHG])
-    def test_ocv_calls_per_solve(self, params, soa, monkeypatch, ocv_counter, direction):
-        # One OCV lookup per trace step, step one's made once for every trace:
-        # the bracket top reads step one's emf off the same lookup. The
-        # zero-power probe is a rest, which looks up nothing past step one.
-        # Each probe bisects once per OCV segment it enters, plus one at most.
-        # The probes keep no rows, so a solve steps its accepted power once
-        # more: exactly one trace more than it has probes.
+    def test_ocv_calls_per_solve(self, params, soa, monkeypatch, work, direction):
+        # Algorithmic work, not wall time. The probes keep no rows, so a solve
+        # steps its accepted power once more, with rows: exactly one trace
+        # more than it has probes, and only the last with rows. Step one's
+        # segment is sought once per solve, and every trace starts in it:
+        # the bracket top reads step one's emf off that same seek.
         steps = 300
         window = Window(steps, 1.0)
-        probes, traces = [0], [0]
-        probe, trace = modes._cp_probe, modes._trace
+        probes = [0]
+        probe = modes._cp_probe
 
         def counting_probe(*args):
             probes[0] += 1
-            bisections, looked_up = ocv_counter.bisections, len(ocv_counter.socs)
-            result = probe(*args)
-            entered = ocv_counter.segments(NMC_CURVE, ocv_counter.socs[looked_up:])
-            assert ocv_counter.bisections - bisections <= entered + 1
-            return result
-
-        def counting_trace(*args):
-            traces[0] += 1
-            return trace(*args)
+            return probe(*args)
 
         monkeypatch.setattr(modes, "_cp_probe", counting_probe)
-        monkeypatch.setattr(modes, "_trace", counting_trace)
         for soc in (0.15, 0.5, 0.85):
             for vp in (-0.2, 0.0, 0.2):
-                probes[0] = traces[0] = 0
-                ocv_counter.reset()
+                probes[0] = 0
+                work.reset()
                 result, _ = sop_cp(BatteryState(soc, vp), params, NMC_CURVE, window, direction, soa)
                 assert result.feasible
-                assert traces[0] == probes[0] + 1
-                assert 0 < ocv_counter.lookups <= 1 + (traces[0] - 1) * (steps - 1)
+                assert len(work.traces) == probes[0] + 1
+                assert [traced.with_rows for traced in work.traces] == [False] * probes[0] + [True]
+                assert work.traces[-1].rows == steps
+                work.check_searches(NMC_CURVE)
         # A window that leaves the SOA: the zero-power probe alone, a rest
-        # whose one lookup, step one's, also gives the rested voltage that the
-        # result reports. A refused window is never stepped again.
+        # that searches nothing past step one's seek, whose OCV also gives
+        # the rested voltage that the result reports. A refused window is
+        # never stepped again.
         for state in (BatteryState(0.95), BatteryState(0.95, -1.0), BatteryState(0.5, 1.5)):
-            probes[0] = traces[0] = 0
-            ocv_counter.reset()
+            probes[0] = 0
+            work.reset()
             result, _ = sop_cp(state, params, NMC_CURVE, window, direction, soa)
+            assert (probes[0], len(work.traces)) == (1, 1)
+            assert work.searches == 1
+            work.check_searches(NMC_CURVE)
             assert not result.feasible
             assert result.vt_end == ocv(NMC_CURVE, state.soc) - state.vp
-            assert (probes[0], traces[0], ocv_counter.lookups) == (1, 1, 1)
-            assert ocv_counter.bisections <= ocv_counter.segments(NMC_CURVE, ocv_counter.socs) + 1
 
 
 class TestTraceKernel:
@@ -897,9 +910,9 @@ class TestRowFreeTraces:
         class NoRows(Exception):
             pass
 
-        def forced(state, params, lookup, window, drive, v_oc, wanted=None):
+        def forced(state, params, curve, window, law, start, wanted=None):
             kept = ([] if wanted is None else wanted) if rows else None
-            corners = trace(state, params, lookup, window, drive, v_oc, kept)
+            corners = trace(state, params, curve, window, law, start, kept)
             seen.append(repr(corners))
             if wanted is not None and kept is None:
                 raise NoRows
@@ -946,10 +959,9 @@ class TestRowFreeTraces:
                 continue
             answered += result.feasible
             # The rows of the probe's own trace at the reported power.
-            lookup = modes.ecm.ocv_cursor(curve)
             rows = []
             power = result.sop * direction.sign
-            modes._trace(state, params, lookup, window, power, lookup(state.soc), rows)
+            modes._trace(state, params, curve, window, power, modes.ecm._seek(curve, state.soc), rows)
             assert repr(trace.steps) == repr(tuple(rows))
             # The accepted probe's margins are those of the returned rows.
             sign = direction.sign
@@ -967,22 +979,29 @@ class TestRowFreeTraces:
 
 
 class TestRestTrace:
-    """A zero-power window without rows is a rest: ``_trace`` steps only vp
-    and takes its corners from steps one and K. With rows it still steps
-    every step, so the two must agree by repr, signed zeros included."""
+    """A zero-power window is a rest: ``_trace`` steps only vp, with no OCV
+    past step one's, and takes its corners from steps one and K. The same
+    zero current handed in as a step callback is stepped every step through
+    the OCV, so the two must agree by repr, rows and signed zeros included."""
 
     @staticmethod
     def _check(state, params, curve, window, power):
-        def no_lookup(soc):
+        def no_seek(curve, soc):
             raise AssertionError(f"a rest looked up the OCV at soc {soc!r}")
 
-        v_oc = ocv(curve, state.soc)
-        rest = modes._trace(state, params, no_lookup, window, power, v_oc)
-        rows = []
-        lookup = modes.ecm.ocv_cursor(curve)
-        stepped = modes._trace(state, params, lookup, window, power, v_oc, rows)
+        def zero_current(j, soc, emf):
+            return power, emf - power * params.r0
+
+        start = modes.ecm._seek(curve, state.soc)
+        rows, stepped_rows = [], []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(modes.ecm, "_seek", no_seek)
+            rest = modes._trace(state, params, curve, window, power, start)
+            rest_with_rows = modes._trace(state, params, curve, window, power, start, rows)
+        stepped = modes._trace(state, params, curve, window, zero_current, start, stepped_rows)
         assert len(rows) == window.steps
-        assert repr(rest) == repr(stepped), (state, params, curve, window, power)
+        assert repr(rows) == repr(stepped_rows), (state, params, curve, window, power)
+        assert repr(rest) == repr(rest_with_rows) == repr(stepped), (state, params, curve, window, power)
         return rest
 
     @pytest.mark.parametrize("power", [0.0, -0.0])
@@ -1026,9 +1045,8 @@ class TestRestTrace:
         params = BatteryParams(r0=0.05, r1=0.03, tau=1.0, capacity_ah=2.0)
         curve = OcvCurve(((0.0, -0.0), (1.0, 4.2)))
         rows = []
-        lookup = modes.ecm.ocv_cursor(curve)
         state, window = BatteryState(0.0, -2e-323), Window(3, 1.2)
-        modes._trace(state, params, lookup, window, 0.0, -0.0, rows)
+        modes._trace(state, params, curve, window, 0.0, modes.ecm._seek(curve, 0.0), rows)
         assert [row.vt.hex() for row in rows] == ["0x0.0000000000001p-1022", "0x0.0p+0", "-0x0.0p+0"]
         low, _ = self._check(state, params, curve, window, 0.0)
         assert low[0].hex() == "0x0.0p+0"
@@ -1090,10 +1108,10 @@ class TestCccvShiftDecision:
 
     @pytest.mark.parametrize("engine", [sop_cv, sop_cccv])
     @pytest.mark.parametrize("direction", [DIS, CHG])
-    def test_ocv_calls_per_window(self, params, soa, ocv_counter, engine, direction):
-        # Algorithmic work, not wall time: one OCV lookup per step, the level
-        # or shift decision included, and one bisection per OCV segment the
-        # window enters, plus one at most.
+    def test_ocv_calls_per_window(self, params, soa, work, engine, direction):
+        # Algorithmic work, not wall time: one trace of K rows per window, the
+        # level or shift decision included, and one search for step one's
+        # segment plus one per segment the window enters past it.
         steps = 300
         window = Window(steps, 1.0)
         states = [BatteryState(soc, vp) for soc in (0.15, 0.5, 0.85) for vp in (-0.2, 0.0, 0.2)]
@@ -1103,19 +1121,19 @@ class TestCccvShiftDecision:
         }
         assert CcCvCase.CV_ONLY in shifts and len(shifts) > 1  # both step-one decisions
         for state in states:
-            ocv_counter.reset()
+            work.reset()
             engine(state, params, NMC_CURVE, window, direction, soa)
-            assert ocv_counter.lookups == steps
-            assert ocv_counter.bisections <= ocv_counter.segments(NMC_CURVE, ocv_counter.socs) + 1
+            assert [traced.rows for traced in work.traces] == [steps]
+            work.check_searches(NMC_CURVE)
         # A window that leaves the SOA reports the rested voltage from step
-        # one's lookup: no lookup more.
+        # one's OCV: no trace more.
         for state in (BatteryState(0.95), BatteryState(0.95, -1.0), BatteryState(0.5, 1.5)):
-            ocv_counter.reset()
+            work.reset()
             result, _ = engine(state, params, NMC_CURVE, window, direction, soa)
+            assert [traced.rows for traced in work.traces] == [steps]
+            work.check_searches(NMC_CURVE)
             assert not result.feasible
             assert result.vt_end == ocv(NMC_CURVE, state.soc) - state.vp
-            assert ocv_counter.lookups == steps
-            assert ocv_counter.bisections <= ocv_counter.segments(NMC_CURVE, ocv_counter.socs) + 1
 
 
 class TestHoldEngine:
@@ -1154,3 +1172,62 @@ class TestHoldEngine:
         ):
             assert cccv[1] == reference
             assert cccv[0].dominant == "current" and cccv[0].i_mc == limit
+
+
+class TestInlineHoldLaw:
+    """``_trace`` steps the hold law inline, its step-one decision made before
+    the loop and its binding step found by comparisons. It must match the
+    step callback it replaced (``support.reference_sop_hold``) by repr: the
+    result, every row and the mode shift, for CV and CC-CV."""
+
+    @staticmethod
+    def _windows(linear_curve):
+        rng = random.Random(7)
+        curves = (linear_curve, NMC_CURVE)
+        for _ in range(800):
+            yield (
+                BatteryState(rng.uniform(0.02, 0.98), rng.uniform(-0.6, 0.6)),
+                rng.choice(curves),
+                Window(rng.choice((1, 2, 10, 30, 300)), rng.choice((0.1, 1.0, 5.0, 60.0))),
+                rng.choice((DIS, CHG)),
+            )
+        # SOCs on, inside and past the box's SOC bounds (no headroom: zero
+        # power), signed zeros, K = 1, and dt / tau = 1e-18, where alpha
+        # rounds to 1 and no SOC moves: every step alike, so every |power| ties.
+        for curve, soc, vp, steps, dt, direction in itertools.product(
+            curves, (-0.0, 0.0, 0.05, 0.1, 0.5, 0.9, 0.95, 1.0), (-0.0, 0.0, 0.3), (1, 10),
+            (1.0, 1e-17), (DIS, CHG),
+        ):
+            yield BatteryState(soc, vp), curve, Window(steps, dt), direction
+
+    def test_matches_the_step_callback(self, params, linear_curve, soa, monkeypatch):
+        # Tied rows of least |power| are alike on this grid, so the result
+        # alone cannot tell which binds: the trace's binding step is read too.
+        bindings = []
+        run_trace = modes._trace
+
+        def recording_trace(*args):
+            corners = run_trace(*args)
+            if isinstance(args[4], modes._Hold):
+                bindings.append(corners[2])
+            return corners
+
+        monkeypatch.setattr(modes, "_trace", recording_trace)
+        seen = {"dual": 0, "current": 0, "voltage": 0, "refused": 0, "zero": 0, "ties": 0}
+        for state, curve, window, direction in self._windows(linear_curve):
+            for engine, cv in ((sop_cv, True), (sop_cccv, False)):
+                args = (state, params, curve, window, direction, soa)
+                got = engine(*args)
+                want = reference_sop_hold(*args, cv)
+                assert repr(got) == repr(want), (args, cv)
+                result, trace = got
+                if not trace.steps:
+                    seen["refused"] += 1
+                    continue
+                binding = min(trace.steps, key=lambda row: abs(row.power))
+                assert bindings[-1] == binding.index, (args, cv)
+                seen[result.dominant] += 1
+                least = [abs(row.power) for row in trace.steps].count(result.sop)
+                seen["zero"] += result.sop == 0.0
+                seen["ties"] += least > 1
+        assert all(count >= 20 for count in seen.values()), seen
