@@ -1,8 +1,9 @@
 """Discrete-time Thevenin equivalent-circuit model.
 
 Single-step dynamics, a closed-form constant-current window prediction with a
-linearized OCV slope, and piecewise-linear OCV table services. Everything here
-is a pure function of its inputs; all value types are frozen.
+linearized OCV slope, piecewise-linear OCV table services, and the one window
+loop (``_window``) that the stepwise engines and the CP oracle step. Everything
+here is a pure function of its inputs; all value types are frozen.
 
 Sign convention: current is positive for discharge, negative for charge.
 """
@@ -295,6 +296,197 @@ def ocv_cursor(curve: OcvCurve) -> Callable[[float], float]:
         return value
 
     return lookup
+
+
+# One step of a stepwise trace, as ``_window`` records it; ``soplab.modes``
+# exports it with the trace.
+class PomStep(NamedTuple):
+    index: int  # 1-based window step
+    current: float
+    vt: float
+    soc: float
+    vp: float
+    power: float
+
+
+class _Hold(NamedTuple):
+    """A hold law for ``_window``, its step-one decision made by the caller:
+    the terminal voltage held, step one's hold current, and the clip bounds
+    (the direction's current limit and SOC bound)."""
+
+    level: float
+    first: float
+    i_lim: float
+    soc_bound: float
+    discharge: bool
+
+
+_NO_SEGMENT = (math.nan,) * 6  # NaN fails every comparison: the first step misses
+
+
+def _window(
+    state: BatteryState,
+    params: BatteryParams,
+    curve: OcvCurve,
+    window: Window,
+    law: Callable[[int, float, float], tuple[float, float] | None] | float | _Hold,
+    start: tuple[float, tuple[float, ...] | None],
+    rows: list[PomStep] | None = None,
+) -> tuple | None:
+    """The one window loop of the stepwise engines and the CP oracle: run
+    the hold step across the window. Entering step j, vp relaxes by one
+    interval; the law gives the step's ``(current, vt)`` from the emf, the
+    OCV less the relaxed vp, or abandons the window (and returns None); the
+    recorded vt carries that current's ohmic drop. ``start`` is step one's
+    OCV and segment, which the caller seeks once per window or solve; later
+    steps evaluate the segment they are in by ``_seek``'s expression, and
+    call ``_seek`` only on leaving it.
+
+    The law is picked once per call. A ``_Hold`` (the CV and CC-CV engines)
+    is clipped inline, and a float, the CP engine's signed constant power,
+    has its step solved inline as ``modes.solve_cp_step`` solves it: no
+    Python call per step. A callable ``law(j, soc, emf)`` returns the pair
+    or None, one call per step: the CP oracle's Newton law and
+    ``modes.find_mode_shift_kc``'s current limit. Returns the trace's two
+    SOA corners, (min vt, max current, min soc) and (max vt, min current,
+    max soc): the SOA is a box, so every step lies in it iff both corners
+    do. A hold law adds the first step of minimum |power| and the first
+    step whose hold current went unclipped (None if none did). Each step's
+    ``PomStep`` is appended to ``rows`` only when the caller passes a list:
+    a caller that needs only the corners builds none.
+
+    A zero-power float is a rest: the SOC stays where step one puts it and
+    vp only decays, so vt is monotone in j and the corners are those of
+    steps one and K. Only the vp recurrence is stepped, with no OCV past
+    step one's (the SOC it would look up is step one's, bar the sign of a
+    zero, which the table's clamp ignores)."""
+    alpha = math.exp(-window.dt / params.tau)
+    # Products stay left to right, never pre-multiplied (current * r1 * (1 - alpha),
+    # current * dt * soc_per_as): the state then matches step's bit for bit.
+    one_minus_alpha = 1.0 - alpha
+    r0, r1, dt, soc_per_as = params.r0, params.r1, window.dt, params.soc_per_amp_second
+    soc, vp = state.soc, state.vp
+    v_oc, segment = start
+    holding, drive = isinstance(law, _Hold), None
+    if holding:
+        level, first, i_lim, soc_bound, discharge = law
+        headroom_div = dt * soc_per_as
+        unbounded = math.inf if discharge else -math.inf
+        least, binding, k_c = math.inf, None, None
+    elif callable(law):
+        drive = law
+    elif law == 0.0:  # the rest: no current, with the sign of zero, whatever the emf
+        power = law
+        soc = soc - power * dt * soc_per_as  # a signed zero moves only a zero SOC
+        vp_rise, drop = power * r1 * one_minus_alpha, power * r0
+        first = last = v_oc - vp * alpha - drop
+        if rows is None:
+            for _ in range(window.steps - 1):
+                vp = vp * alpha + vp_rise
+            last = v_oc - vp * alpha - drop
+        else:
+            for j in range(1, window.steps + 1):
+                vp_rel = vp * alpha
+                last = v_oc - vp_rel - drop
+                vp = vp_rel + vp_rise
+                rows.append(tuple.__new__(PomStep, (j, power, last, soc, vp, power * last)))
+        # The loop keeps the first of equal minima, and a vt that falls to
+        # zero meets +0.0 before -0.0: + 0.0 gives that zero.
+        low = last + 0.0 if last < first else first
+        high = last if last > first else first
+        return (low, power, soc), (high, power, soc)
+    else:
+        four_r0_power, two_power = 4.0 * r0 * law, 2.0 * law
+        sqrt = math.sqrt
+    lo, x0, x1, y0, rise, run = _NO_SEGMENT if segment is None else segment
+    append = None if rows is None else rows.append
+    row = tuple.__new__  # PomStep(...) would add a Python frame per row
+    vt_lo = soc_lo = i_lo = math.inf
+    vt_hi = soc_hi = i_hi = -math.inf
+    for j in range(1, window.steps + 1):
+        if j > 1:  # step one's OCV is the caller's
+            if lo <= soc < x1:
+                v_oc = y0 + (soc - x0) * rise / run
+            else:
+                v_oc, entered = _seek(curve, soc)
+                if entered is not None:
+                    lo, x0, x1, y0, rise, run = entered
+        vp_rel = vp * alpha
+        emf = v_oc - vp_rel
+        if holding:
+            held = (emf - level) / r0 if j > 1 else first
+            # max(0.0, min(held, i_lim, headroom)) and its charge mirror.
+            # dt * soc_per_amp_second may underflow to 0: then no SOC moves.
+            headroom = (soc - soc_bound) / headroom_div if headroom_div else unbounded
+            current = held
+            if discharge:
+                if i_lim < current:
+                    current = i_lim
+                if headroom < current:
+                    current = headroom
+                if not current > 0.0:
+                    current = 0.0
+            else:
+                if i_lim > current:
+                    current = i_lim
+                if headroom > current:
+                    current = headroom
+                if not current < 0.0:
+                    current = 0.0
+            if current == held:
+                vt = level
+                if k_c is None:
+                    k_c = j
+            else:
+                vt = emf - current * r0
+            # |power| by a comparison, as min(key=abs) ranks it: the first least binds.
+            magnitude = current * vt
+            if magnitude < 0.0:
+                magnitude = -magnitude
+            if magnitude < least or j == 1:
+                least, binding = magnitude, j
+        elif drive is None:
+            # The smaller-magnitude root of R0*I^2 - emf*I + power = 0, refused
+            # where no current flows toward the power.
+            disc = emf * emf - four_r0_power
+            if not disc >= 0.0:  # past the ceiling, or NaN from inf - inf
+                return None
+            root = emf + sqrt(disc)
+            if not root > 0.0:  # the current would flow against the power, or divide by 0
+                return None
+            current = two_power / root
+            vt = emf - current * r0
+        else:
+            step = drive(j, soc, emf)
+            if step is None:
+                return None
+            current, vt = step
+        vp = vp_rel + current * r1 * one_minus_alpha
+        # min(max(soc, 0.0), 1.0) by comparisons, without two builtin calls
+        # per step; like max and min it keeps -0.0 and NaN.
+        soc = soc - current * dt * soc_per_as
+        if soc < 0.0:
+            soc = 0.0
+        elif soc > 1.0:
+            soc = 1.0
+        if append is not None:
+            append(row(PomStep, (j, current, vt, soc, vp, current * vt)))
+        if vt < vt_lo:
+            vt_lo = vt
+        if vt > vt_hi:
+            vt_hi = vt
+        if current < i_lo:
+            i_lo = current
+        if current > i_hi:
+            i_hi = current
+        if soc < soc_lo:
+            soc_lo = soc
+        if soc > soc_hi:
+            soc_hi = soc
+    low, high = (vt_lo, i_hi, soc_lo), (vt_hi, i_lo, soc_hi)
+    if holding:
+        return low, high, binding, k_c
+    return low, high
 
 
 def step(

@@ -3,49 +3,32 @@
 Each engine returns the full per-step trace plus a SopResult whose ``sop`` is
 the minimum per-step power magnitude across the window.
 
-Every trace runs on one hold-style step, ``_trace``: entering step j the
-polarization voltage relaxes by one interval, each mode's rule picks the step
-current against that relaxed state, and the recorded terminal voltage carries
-that current's ohmic drop. A voltage hold therefore pins the recorded voltage
-exactly, and a current cap leaves it strictly inside the cut-off. ``_trace``
-keeps the trace's two SOA corners as it steps; each engine checks the box at
-those corners, not step by step, and a window that leaves the box delivers no
-power. ``_trace`` builds the per-step rows only for a caller that asks: the CP
-search's probes keep only the corners, and ``sop_cp`` steps the accepted power
-once more with rows to return its trace.
-
-``_trace`` steps the engines' laws with no Python call per step. It keeps the
-OCV segment it is in as local variables, seeded by the caller with step
-one's, and calls ``ecm._seek`` only on leaving it. The hold engines make their
-step-one decision (the governing bound, the level) before the loop and hand
-``_trace`` the level and the clip bounds; the loop clips each hold current and
-tracks the binding step and the mode shift by comparisons. The CP engine
-hands it the constant power, whose step it solves inline. A zero-power
-window, which every CP solve probes first, is a rest: ``_trace`` takes its
-corners from steps one and K and steps only vp in between. Only
-``find_mode_shift_kc`` still hands ``_trace`` a step callback.
+Every trace runs on ``ecm._window``, the window loop that the CP oracle
+shares: entering step j the polarization voltage relaxes by one interval,
+each mode's rule picks the step current against that relaxed state, and the
+recorded terminal voltage carries that current's ohmic drop. A voltage hold
+therefore pins the recorded voltage exactly, and a current cap leaves it
+strictly inside the cut-off. Each engine seeks step one's OCV segment once
+per window or CP solve (``ecm._seek``), hands it to the loop with its law,
+and checks the SOA box at the two corners the loop returns: a window that
+leaves the box delivers no power. The hold engines make their step-one
+decision (the governing bound, the level) before the loop and hand it an
+``ecm._Hold``; the CP engine hands it the constant power. The CP search's
+probes keep only the corners, and ``sop_cp`` steps the accepted power once
+more with rows to return its trace.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import ecm
-from .ecm import BatteryParams, BatteryState, OcvCurve, Window
+from .ecm import BatteryParams, BatteryState, OcvCurve, PomStep, Window, _Hold
 from .exceptions import AnalyticDomainError, PowerInfeasibleError
 from .peak_cc import SopResult, sop_result
 from .soa import Direction, Soa, check_load, check_point
-
-
-class PomStep(NamedTuple):
-    index: int  # 1-based window step
-    current: float
-    vt: float
-    soc: float
-    vp: float
-    power: float
 
 
 class PomTrace(NamedTuple):
@@ -62,182 +45,6 @@ class CcCvCase(enum.Enum):
 class ModeShift(NamedTuple):
     case: CcCvCase
     k_c: int | None  # populated only for TRANSITIONAL
-
-
-class _Hold(NamedTuple):
-    """A hold law for ``_trace``, its step-one decision made by the caller:
-    the terminal voltage held, step one's hold current, and the clip bounds
-    (the direction's current limit and SOC bound)."""
-
-    level: float
-    first: float
-    i_lim: float
-    soc_bound: float
-    discharge: bool
-
-
-_NO_SEGMENT = (math.nan,) * 6  # NaN fails every comparison: the first step misses
-
-
-def _trace(
-    state: BatteryState,
-    params: BatteryParams,
-    curve: OcvCurve,
-    window: Window,
-    law: Callable[[int, float, float], tuple[float, float] | None] | float | _Hold,
-    start: tuple[float, tuple[float, ...] | None],
-    rows: list[PomStep] | None = None,
-) -> tuple | None:
-    """Run the hold step across the window: each step's OCV, then its law
-    gives the step's ``(current, vt)`` from the emf, the OCV less the
-    relaxed vp, or abandons the window (and returns None). ``start`` is step
-    one's OCV and segment, which the caller seeks once per window or CP
-    solve; later steps evaluate the segment they are in by ``ecm._seek``'s
-    expression, and call ``ecm._seek`` only on leaving it.
-
-    ``law`` is a ``_Hold``; a float, the signed constant power, whose step is
-    solved as ``solve_cp_step`` solves it; or a callable ``law(j, soc,
-    emf)`` that returns the pair or None. The hold and the power are stepped
-    inline, with no call per step. Returns the trace's two SOA corners, (min
-    vt, max current, min soc) and (max vt, min current, max soc): the SOA is
-    a box, so every step lies in it iff both corners do. A hold law adds the
-    first step of minimum |power| and the first step whose hold current went
-    unclipped (None if none did). Each step's ``PomStep`` is appended to
-    ``rows`` only when the caller passes a list: a caller that needs only
-    the corners builds none.
-
-    A zero-power window is a rest: the SOC stays where step one puts it and
-    vp only decays, so vt is monotone in j and the corners are those of
-    steps one and K. Only the vp recurrence is stepped, with no OCV past
-    step one's (the SOC it would look up is step one's, bar the sign of a
-    zero, which the table's clamp ignores)."""
-    alpha = math.exp(-window.dt / params.tau)
-    # Products stay left to right, never pre-multiplied (current * r1 * (1 - alpha),
-    # current * dt * soc_per_as): the state then matches ecm.step's bit for bit.
-    one_minus_alpha = 1.0 - alpha
-    r0, r1, dt, soc_per_as = params.r0, params.r1, window.dt, params.soc_per_amp_second
-    soc, vp = state.soc, state.vp
-    v_oc, segment = start
-    holding, drive = isinstance(law, _Hold), None
-    if holding:
-        level, first, i_lim, soc_bound, discharge = law
-        headroom_div = dt * soc_per_as
-        unbounded = math.inf if discharge else -math.inf
-        least, binding, k_c = math.inf, None, None
-    elif callable(law):
-        drive = law
-    elif law == 0.0:  # the rest: no current, with the sign of zero, whatever the emf
-        power = law
-        soc = soc - power * dt * soc_per_as  # a signed zero moves only a zero SOC
-        vp_rise, drop = power * r1 * one_minus_alpha, power * r0
-        first = last = v_oc - vp * alpha - drop
-        if rows is None:
-            for _ in range(window.steps - 1):
-                vp = vp * alpha + vp_rise
-            last = v_oc - vp * alpha - drop
-        else:
-            for j in range(1, window.steps + 1):
-                vp_rel = vp * alpha
-                last = v_oc - vp_rel - drop
-                vp = vp_rel + vp_rise
-                rows.append(tuple.__new__(PomStep, (j, power, last, soc, vp, power * last)))
-        # The loop keeps the first of equal minima, and a vt that falls to
-        # zero meets +0.0 before -0.0: + 0.0 gives that zero.
-        low = last + 0.0 if last < first else first
-        high = last if last > first else first
-        return (low, power, soc), (high, power, soc)
-    else:
-        four_r0_power, two_power = 4.0 * r0 * law, 2.0 * law
-        sqrt = math.sqrt
-    lo, x0, x1, y0, rise, run = _NO_SEGMENT if segment is None else segment
-    append = None if rows is None else rows.append
-    row = tuple.__new__  # PomStep(...) would add a Python frame per row
-    vt_lo = soc_lo = i_lo = math.inf
-    vt_hi = soc_hi = i_hi = -math.inf
-    for j in range(1, window.steps + 1):
-        if j > 1:  # step one's OCV is the caller's
-            if lo <= soc < x1:
-                v_oc = y0 + (soc - x0) * rise / run
-            else:
-                v_oc, entered = ecm._seek(curve, soc)
-                if entered is not None:
-                    lo, x0, x1, y0, rise, run = entered
-        vp_rel = vp * alpha
-        emf = v_oc - vp_rel
-        if holding:
-            held = (emf - level) / r0 if j > 1 else first
-            # max(0.0, min(held, i_lim, headroom)) and its charge mirror.
-            # dt * soc_per_amp_second may underflow to 0: then no SOC moves.
-            headroom = (soc - soc_bound) / headroom_div if headroom_div else unbounded
-            current = held
-            if discharge:
-                if i_lim < current:
-                    current = i_lim
-                if headroom < current:
-                    current = headroom
-                if not current > 0.0:
-                    current = 0.0
-            else:
-                if i_lim > current:
-                    current = i_lim
-                if headroom > current:
-                    current = headroom
-                if not current < 0.0:
-                    current = 0.0
-            if current == held:
-                vt = level
-                if k_c is None:
-                    k_c = j
-            else:
-                vt = emf - current * r0
-            # |power| by a comparison, as min(key=abs) ranks it: the first least binds.
-            magnitude = current * vt
-            if magnitude < 0.0:
-                magnitude = -magnitude
-            if magnitude < least or j == 1:
-                least, binding = magnitude, j
-        elif drive is None:
-            # The smaller-magnitude root of R0*I^2 - emf*I + power = 0, refused
-            # where no current flows toward the power.
-            disc = emf * emf - four_r0_power
-            if not disc >= 0.0:  # past the ceiling, or NaN from inf - inf
-                return None
-            root = emf + sqrt(disc)
-            if not root > 0.0:  # the current would flow against the power, or divide by 0
-                return None
-            current = two_power / root
-            vt = emf - current * r0
-        else:
-            step = drive(j, soc, emf)
-            if step is None:
-                return None
-            current, vt = step
-        vp = vp_rel + current * r1 * one_minus_alpha
-        # min(max(soc, 0.0), 1.0) by comparisons, without two builtin calls
-        # per step; like max and min it keeps -0.0 and NaN.
-        soc = soc - current * dt * soc_per_as
-        if soc < 0.0:
-            soc = 0.0
-        elif soc > 1.0:
-            soc = 1.0
-        if append is not None:
-            append(row(PomStep, (j, current, vt, soc, vp, current * vt)))
-        if vt < vt_lo:
-            vt_lo = vt
-        if vt > vt_hi:
-            vt_hi = vt
-        if current < i_lo:
-            i_lo = current
-        if current > i_hi:
-            i_hi = current
-        if soc < soc_lo:
-            soc_lo = soc
-        if soc > soc_hi:
-            soc_hi = soc
-    low, high = (vt_lo, i_hi, soc_lo), (vt_hi, i_lo, soc_hi)
-    if holding:
-        return low, high, binding, k_c
-    return low, high
 
 
 def _sop_hold(
@@ -276,7 +83,7 @@ def _sop_hold(
             level, first = vt_lim, i_lim
     law = _Hold(level, first, i_lim, direction.soc_bound(soa), direction is Direction.DISCHARGE)
     rows: list[PomStep] = []
-    low, high, binding, k_c = _trace(state, params, curve, window, law, start, rows)
+    low, high, binding, k_c = ecm._window(state, params, curve, window, law, start, rows)
     if check_point(*low, soa) or check_point(*high, soa):
         return _no_power(state, v_oc)
     steps = tuple(rows)
@@ -355,7 +162,7 @@ def find_mode_shift_kc(
             return None
         return i_lim, vt
 
-    _trace(state, params, curve, window, drive, ecm._seek(curve, state.soc))
+    ecm._window(state, params, curve, window, drive, ecm._seek(curve, state.soc))
     if crossing is None:
         return ModeShift(CcCvCase.CC_ONLY, None)
     k_c, overshoot = crossing
@@ -406,7 +213,7 @@ def solve_cp_step(
     step's power ceiling emf^2 / (4 R0), or where the root would flow against
     it (a discharge at emf < 0). Raises it too where 4*R0*P is not finite:
     the root's 2P / (emf + sqrt(disc)) then carries no power (0 or NaN). The
-    engines never ask for such a power; their box bounds it. ``_trace`` steps
+    engines never ask for such a power; their box bounds it. ``ecm._window`` steps
     a constant power by the same expressions, and the tests hold each trace
     to this step.
     """
@@ -456,11 +263,11 @@ def _cp_probe(
     when a step has no current toward the power: the window has no
     continuation there, as ``solve_cp_step`` refuses such a step.
 
-    The SOA check is at ``_trace``'s two corners. The margins come from the
+    The SOA check is at ``ecm._window``'s two corners. The margins come from the
     corner on the direction's side; rounding ``x - c`` is monotone in x, so
     each equals its per-step minimum bit for bit.
     """
-    corners = _trace(state, params, curve, window, power_abs * direction.sign, start)
+    corners = ecm._window(state, params, curve, window, power_abs * direction.sign, start)
     if corners is None:
         return False, None
     low, high = corners
@@ -609,7 +416,7 @@ def sop_cp(
 
     # The probes kept no rows: step the accepted power once more to return its trace.
     rows: list[PomStep] = []
-    low, high = _trace(state, params, curve, window, lo * sign, start, rows)
+    low, high = ecm._window(state, params, curve, window, lo * sign, start, rows)
     i_mc = low[1] if direction is Direction.DISCHARGE else high[1]
     result = sop_result(i_mc, lo_bound, rows[-1].vt, lo * sign)
     return result, PomTrace(tuple(rows))

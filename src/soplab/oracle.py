@@ -7,10 +7,13 @@ oracle's own box-normalised slack, which never decides a verdict: each
 window is judged by ``check_point`` at its two SOA corners, as the engines
 judge theirs, and each answer is bracketed to the same tolerance as by
 bisection, within bisection's probe count plus one. The CC oracle runs
-``ecm.step``'s recurrence inline. The CP oracle solves each step's current by
-Newton's method from power / emf, which rises monotonically to the physical
-root. Each oracle solve reads the OCV through one ``ecm.ocv_cursor``.
-It imports only ``ecm``, ``soa`` and the exceptions, nothing it validates.
+``ecm.step``'s recurrence inline and reads the OCV through one
+``ecm.ocv_cursor`` per solve. The CP oracle steps its windows on
+``ecm._window``, the window loop the stepwise engines share, under its own
+step law: each step's current by Newton's method from power / emf, which
+rises monotonically to the physical root, not the engines' closed-form root.
+It seeks step one's OCV segment once per solve. The oracle imports only
+``ecm``, ``soa`` and the exceptions, nothing it validates.
 """
 
 from __future__ import annotations
@@ -210,82 +213,72 @@ def brute_peak_current_cc(
     return sign * peak
 
 
-def _newton_cp_current(emf: float, r0: float, power: float) -> float | None:
-    """Physical-branch current with I*(emf - I*r0) = power, by Newton's method
-    from I = power / emf; None when no root is reachable.
+def _newton_law(
+    r0: float, power: float
+) -> Callable[[int, float, float], tuple[float, float] | None]:
+    """The CP oracle's step law for ``ecm._window``: each step's
+    physical-branch current with I*(emf - I*r0) = power, by Newton's method
+    from I = power / emf, and the step's terminal voltage; None when no root
+    is reachable. The iteration runs inside the law, one call per step.
 
     The residual f(I) = I*(emf - I*r0) - power is concave and -r0*I**2 <= 0 at
     the start, so the iterates rise monotonically to the physical root, the
     one nearest zero (Fourier's condition). A slope emf - 2*I*r0 that is not
     > 0 puts the iterate at or past the power vertex: there is no root."""
-    if power == 0.0:
-        return 0.0
-    if not emf > 0.0:
-        return None
     # 1e-12 * max(1.0, abs(power)) and abs(residual) <= f_tol by comparisons,
     # without builtin calls on every step; NaN compares as in those builtins.
     magnitude = power if power > 0.0 else -power
     f_tol = 1e-12 * magnitude if magnitude > 1.0 else 1e-12
-    current = power / emf
-    for _ in range(NEWTON_MAX_ITER):
-        residual = current * (emf - current * r0) - power
-        if -f_tol <= residual <= f_tol:
-            return current
-        slope = emf - 2.0 * current * r0
-        if not slope > 0.0:
-            return None
-        current -= residual / slope
-    return None
+
+    def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
+        current = 0.0  # zero power draws none, whatever the emf
+        if power != 0.0:
+            if not emf > 0.0:
+                return None
+            current = power / emf
+            for _ in range(NEWTON_MAX_ITER):
+                residual = current * (emf - current * r0) - power
+                if -f_tol <= residual <= f_tol:
+                    break
+                slope = emf - 2.0 * current * r0
+                if not slope > 0.0:
+                    return None
+                current -= residual / slope
+            else:
+                return None
+        return current, emf - current * r0
+
+    return drive
 
 
-def _cp_feasible_trace(
+def _newton_cp_current(emf: float, r0: float, power: float) -> float | None:
+    """``_newton_law``'s current for one step at ``emf``; None when no root
+    is reachable."""
+    step = _newton_law(r0, power)(1, math.nan, emf)
+    return None if step is None else step[0]
+
+
+def _cp_feasible(
     power_abs: float,
     state: BatteryState,
     params: BatteryParams,
-    lookup: Callable[[float], float],
+    curve: OcvCurve,
     window: Window,
     direction: Direction,
     soa: Soa,
+    start: tuple[float, tuple[float, ...] | None],
 ) -> Probe:
-    """Simulate the whole window at a constant power magnitude on the solve's
-    OCV cursor ``lookup`` and judge it at its two SOA corners; each step's
-    current is ``_newton_cp_current``'s.
-    A step with no physical current ends the window without a slack."""
-    alpha = math.exp(-window.dt / params.tau)
-    # Products stay left to right, as in ecm.step.
-    one_minus_alpha = 1.0 - alpha
-    r0, r1, dt, soc_per_as = params.r0, params.r1, window.dt, params.soc_per_amp_second
-    power = power_abs * direction.sign
-    soc, vp = state.soc, state.vp
-    vt_lo = i_lo = soc_lo = math.inf
-    vt_hi = i_hi = soc_hi = -math.inf
-    for _ in range(window.steps):
-        vp_rel = vp * alpha
-        emf = lookup(soc) - vp_rel
-        current = _newton_cp_current(emf, r0, power)
-        if current is None:
-            return Probe(False, None)
-        vt = emf - current * r0
-        soc_next = soc - current * dt * soc_per_as  # clamped to [0, 1] as ecm.step clamps
-        if soc_next < 0.0:
-            soc_next = 0.0
-        elif soc_next > 1.0:
-            soc_next = 1.0
-        if vt < vt_lo:
-            vt_lo = vt
-        if vt > vt_hi:
-            vt_hi = vt
-        if current < i_lo:
-            i_lo = current
-        if current > i_hi:
-            i_hi = current
-        if soc_next < soc_lo:
-            soc_lo = soc_next
-        if soc_next > soc_hi:
-            soc_hi = soc_next
-        vp = vp_rel + current * r1 * one_minus_alpha
-        soc = soc_next
-    return _corner_probe((vt_lo, i_hi, soc_lo), (vt_hi, i_lo, soc_hi), soa)
+    """Simulate the whole window at a constant power magnitude through
+    ``ecm._window`` under ``_newton_law`` and judge it at its two SOA
+    corners; ``start`` is step one's OCV and segment, which every probe of
+    one solve shares. A step with no physical current ends the window
+    without a slack."""
+    corners = ecm._window(
+        state, params, curve, window, _newton_law(params.r0, power_abs * direction.sign), start
+    )
+    if corners is None:
+        return Probe(False, None)
+    return _corner_probe(*corners, soa)
 
 
 def brute_peak_power_cp(
@@ -316,10 +309,10 @@ def brute_peak_power_cp(
     if not (p_hi > 0.0 and math.isfinite(p_hi)):
         raise ValueError(f"p_hi must be finite and > 0, got {p_hi}")
 
-    lookup = ecm.ocv_cursor(curve)
+    start = ecm._seek(curve, state.soc)
 
     def probe(power_abs: float) -> Probe:
-        return _cp_feasible_trace(power_abs, state, params, lookup, window, direction, soa)
+        return _cp_feasible(power_abs, state, params, curve, window, direction, soa, start)
 
     return BrutePower(*_search(probe, p_hi, tol_watts))
 

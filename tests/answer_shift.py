@@ -23,7 +23,7 @@ as the exception's class name. The case sets are seeded:
   ``cli.main``: the exit code and the output bytes of each.
 
 For each producer in ``PROBES`` the record also holds the whole-window
-simulations each solve ran: calls of the oracle's window loop, or of
+simulations each solve ran: calls of the oracle's per-probe function, or of
 ``sop_cp``'s probe. For every producer it holds the OCV table searches each
 solve ran (calls of ``soplab.ecm.bisect_right``), the steps each simulated
 and the windows each refused. A step count is the K of every call of a
@@ -163,7 +163,7 @@ GRID_PRODUCERS = {"sop_cc": sop_cc, "sop_cp": sop_cp, **ORACLES}
 # The whole-window simulation that each counted producer runs once per probe.
 PROBES = {
     "brute_peak_current_cc": ("soplab.oracle", "_cc_feasible"),
-    "brute_peak_power_cp": ("soplab.oracle", "_cp_feasible_trace"),
+    "brute_peak_power_cp": ("soplab.oracle", "_cp_feasible"),
     "sop_cp": ("soplab.modes", "_cp_probe"),
 }
 
@@ -179,11 +179,12 @@ def _leaves(answer, out: list) -> list:
     return out
 
 
-# The window loops, each with the test of a result that abandoned its window.
+# The window loops, each with the test of a result that abandoned its window:
+# the one that the stepwise engines and the CP oracle share, and the CC
+# oracle's own.
 WINDOW_LOOPS = {
-    ("soplab.modes", "_trace"): lambda result: result is None,
+    ("soplab.ecm", "_window"): lambda result: result is None,
     ("soplab.oracle", "_cc_feasible"): lambda result: False,
-    ("soplab.oracle", "_cp_feasible_trace"): lambda result: result.slack is None,
 }
 
 

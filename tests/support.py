@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import soplab.modes as modes
 import soplab.peak_cc as peak_cc
 from soplab import Direction, InfeasibleStateError, OcvCurve, check_point, ecm
-from soplab.oracle import BrutePower, Probe, _box_slack, _cp_feasible_trace, _newton_cp_current
+from soplab.oracle import BrutePower, Probe, _box_slack, _cp_feasible, _newton_cp_current
 from soplab.soa import check_load
 
 from answer_shift import NMC_CURVE  # noqa: F401  (re-exported for the tests)
@@ -39,14 +39,14 @@ def monotone_ocv(draw):
 
 def constant_current_trace(state, params, curve, current, window):
     """Hold-style trace of a constant current on the engines' own step,
-    ``modes._trace``: the CC window that a CC-CV window reproduces when its
+    ``ecm._window``: the CC window that a CC-CV window reproduces when its
     cut-off is never reached."""
 
     def drive(j, soc, emf):
         return current, emf - current * params.r0
 
     rows = []
-    modes._trace(state, params, curve, window, drive, ecm._seek(curve, state.soc), rows)
+    ecm._window(state, params, curve, window, drive, ecm._seek(curve, state.soc), rows)
     return modes.PomTrace(tuple(rows))
 
 
@@ -102,7 +102,7 @@ def reference_sop_hold(state, params, curve, window, direction, soa, cv):
 
     start = ecm._seek(curve, state.soc)
     rows = []
-    low, high = modes._trace(state, params, curve, window, drive, start, rows)
+    low, high = ecm._window(state, params, curve, window, drive, start, rows)
     if check_point(*low, soa) or check_point(*high, soa):
         return modes._no_power(state, start[0])
     steps = tuple(rows)
@@ -254,8 +254,8 @@ def cp_window_probe(power_abs, state, params, curve, window, direction, soa):
 
 def cp_window_feasible(power_abs, state, params, curve, window, direction, soa):
     """Every step of a constant-power window inside the SOA."""
-    lookup = ecm.ocv_cursor(curve)
-    return _cp_feasible_trace(power_abs, state, params, lookup, window, direction, soa).feasible
+    start = ecm._seek(curve, state.soc)
+    return _cp_feasible(power_abs, state, params, curve, window, direction, soa, start).feasible
 
 
 def bisect_peak_current_cc(state, params, curve, window, direction, soa, tol_amps):

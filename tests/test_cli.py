@@ -824,7 +824,7 @@ def test_oversized_window_exits_two_before_simulating(files, capsys, monkeypatch
         raise AssertionError("simulated before the window size check")
 
     for module, name in (
-        (soplab.modes, "_trace"), (soplab.ecm, "step"), (soplab.peak_cc, "sop_cc"),
+        (soplab.ecm, "_window"), (soplab.ecm, "step"), (soplab.peak_cc, "sop_cc"),
         (soplab.oracle, "brute_peak_current_cc"),
     ):
         monkeypatch.setattr(module, name, no_simulation)

@@ -281,20 +281,22 @@ def test_window_loops_call_no_min_or_max(module, qualname):
 def test_per_step_code_is_read_from_the_source():
     # The derivation finds the window loops, what they call and the closures
     # they are handed; were it to find nothing, the check above would pass
-    # on nothing. ``_trace`` seeks a new OCV segment through ``ecm._seek``,
-    # which clamps at the table's ends through ``ecm.ocv``.
+    # on nothing. The one window loop, ``ecm._window``, seeks a new OCV
+    # segment through ``ecm._seek``, which clamps at the table's ends through
+    # ``ecm.ocv``, and calls the step callbacks that ``modes`` and the CP
+    # oracle hand it, each a closure named ``drive``: the oracle's Newton law
+    # among them.
     assert {
-        ("modes", "_trace"),
+        ("ecm", "_window"),
         ("oracle", "_cc_feasible"),
-        ("oracle", "_cp_feasible_trace"),
         ("ecm", "predict_cc"),
-        ("oracle", "_newton_cp_current"),
+        ("oracle", "_newton_law.drive"),
         ("ecm", "ocv_cursor.lookup"),
         ("ecm", "_seek"),
         ("ecm", "ocv"),
         ("ecm", "_segment"),
     } <= set(PER_STEP)
-    assert "_seek" in _ecm_calls(PER_STEP["modes", "_trace"])
-    drives = [node for _, node, _ in _functions("modes") if node.name == "drive"]
+    assert {"_seek", "drive"} <= _bare_calls(PER_STEP["ecm", "_window"])
+    drives = [node for m in ("modes", "oracle") for _, node, _ in _functions(m) if node.name == "drive"]
     checked = [node for nodes in PER_STEP.values() for node in nodes]
-    assert drives and all(node in checked for node in drives)
+    assert len(drives) >= 2 and all(node in checked for node in drives)

@@ -49,14 +49,14 @@ class Traced(NamedTuple):
 
 class WorkCounter:
     """Counts the engines' work where it does not ride on a call per step:
-    the table searches (calls of ``ecm.bisect_right``) and the ``_trace``
+    the table searches (calls of ``ecm.bisect_right``) and the ``ecm._window``
     calls. Each trace is run with rows, whether its caller asked for them or
     not (rows move nothing else), and recorded as a ``Traced``."""
 
     def __init__(self, monkeypatch):
         self.searches = 0
         self.traces = []
-        trace = modes._trace
+        trace = modes.ecm._window
 
         def counting_search(socs, soc):
             self.searches += 1
@@ -74,7 +74,7 @@ class WorkCounter:
             return result
 
         monkeypatch.setattr(modes.ecm, "bisect_right", counting_search)
-        monkeypatch.setattr(modes, "_trace", counting_trace)
+        monkeypatch.setattr(modes.ecm, "_window", counting_trace)
 
     def reset(self):
         self.searches = 0
@@ -830,7 +830,7 @@ class TestSopCpSolver:
 
 
 class TestTraceKernel:
-    """Every stepwise trace runs on modes._trace, whose state recurrence is
+    """Every stepwise trace runs on ecm._window, whose state recurrence is
     ecm.step's."""
 
     @pytest.mark.parametrize(
@@ -853,7 +853,7 @@ class TestTraceKernel:
         def kernel(*args):
             raise KernelCalled
 
-        monkeypatch.setattr(modes, "_trace", kernel)
+        monkeypatch.setattr(modes.ecm, "_window", kernel)
         with pytest.raises(KernelCalled):
             run(BatteryState(soc), params, linear_curve, window_10, DIS, soa)
 
@@ -888,7 +888,7 @@ class TestTraceKernel:
 
 
 class TestRowFreeTraces:
-    """``_trace`` builds rows only for a caller that asks; the rows move
+    """``ecm._window`` builds rows only for a caller that asks; the rows move
     nothing else, and ``sop_cp`` returns the rows of its accepted probe."""
 
     @staticmethod
@@ -901,10 +901,10 @@ class TestRowFreeTraces:
 
     @staticmethod
     def _corners(run, monkeypatch, rows):
-        """The corners of every ``_trace`` call that ``run()`` makes, each
+        """The corners of every ``ecm._window`` call that ``run()`` makes, each
         traced with rows or without them. A caller that needs rows which were
         not built ends the run there."""
-        trace = modes._trace
+        trace = modes.ecm._window
         seen = []
 
         class NoRows(Exception):
@@ -919,7 +919,7 @@ class TestRowFreeTraces:
             return corners
 
         with monkeypatch.context() as m:
-            m.setattr(modes, "_trace", forced)
+            m.setattr(modes.ecm, "_window", forced)
             try:
                 run()
             except NoRows:
@@ -961,7 +961,7 @@ class TestRowFreeTraces:
             # The rows of the probe's own trace at the reported power.
             rows = []
             power = result.sop * direction.sign
-            modes._trace(state, params, curve, window, power, modes.ecm._seek(curve, state.soc), rows)
+            modes.ecm._window(state, params, curve, window, power, modes.ecm._seek(curve, state.soc), rows)
             assert repr(trace.steps) == repr(tuple(rows))
             # The accepted probe's margins are those of the returned rows.
             sign = direction.sign
@@ -979,7 +979,7 @@ class TestRowFreeTraces:
 
 
 class TestRestTrace:
-    """A zero-power window is a rest: ``_trace`` steps only vp, with no OCV
+    """A zero-power window is a rest: ``ecm._window`` steps only vp, with no OCV
     past step one's, and takes its corners from steps one and K. The same
     zero current handed in as a step callback is stepped every step through
     the OCV, so the two must agree by repr, rows and signed zeros included."""
@@ -996,9 +996,9 @@ class TestRestTrace:
         rows, stepped_rows = [], []
         with pytest.MonkeyPatch.context() as m:
             m.setattr(modes.ecm, "_seek", no_seek)
-            rest = modes._trace(state, params, curve, window, power, start)
-            rest_with_rows = modes._trace(state, params, curve, window, power, start, rows)
-        stepped = modes._trace(state, params, curve, window, zero_current, start, stepped_rows)
+            rest = modes.ecm._window(state, params, curve, window, power, start)
+            rest_with_rows = modes.ecm._window(state, params, curve, window, power, start, rows)
+        stepped = modes.ecm._window(state, params, curve, window, zero_current, start, stepped_rows)
         assert len(rows) == window.steps
         assert repr(rows) == repr(stepped_rows), (state, params, curve, window, power)
         assert repr(rest) == repr(rest_with_rows) == repr(stepped), (state, params, curve, window, power)
@@ -1046,7 +1046,7 @@ class TestRestTrace:
         curve = OcvCurve(((0.0, -0.0), (1.0, 4.2)))
         rows = []
         state, window = BatteryState(0.0, -2e-323), Window(3, 1.2)
-        modes._trace(state, params, curve, window, 0.0, modes.ecm._seek(curve, 0.0), rows)
+        modes.ecm._window(state, params, curve, window, 0.0, modes.ecm._seek(curve, 0.0), rows)
         assert [row.vt.hex() for row in rows] == ["0x0.0000000000001p-1022", "0x0.0p+0", "-0x0.0p+0"]
         low, _ = self._check(state, params, curve, window, 0.0)
         assert low[0].hex() == "0x0.0p+0"
@@ -1175,7 +1175,7 @@ class TestHoldEngine:
 
 
 class TestInlineHoldLaw:
-    """``_trace`` steps the hold law inline, its step-one decision made before
+    """``ecm._window`` steps the hold law inline, its step-one decision made before
     the loop and its binding step found by comparisons. It must match the
     step callback it replaced (``support.reference_sop_hold``) by repr: the
     result, every row and the mode shift, for CV and CC-CV."""
@@ -1204,7 +1204,7 @@ class TestInlineHoldLaw:
         # Tied rows of least |power| are alike on this grid, so the result
         # alone cannot tell which binds: the trace's binding step is read too.
         bindings = []
-        run_trace = modes._trace
+        run_trace = modes.ecm._window
 
         def recording_trace(*args):
             corners = run_trace(*args)
@@ -1212,7 +1212,7 @@ class TestInlineHoldLaw:
                 bindings.append(corners[2])
             return corners
 
-        monkeypatch.setattr(modes, "_trace", recording_trace)
+        monkeypatch.setattr(modes.ecm, "_window", recording_trace)
         seen = {"dual": 0, "current": 0, "voltage": 0, "refused": 0, "zero": 0, "ties": 0}
         for state, curve, window, direction in self._windows(linear_curve):
             for engine, cv in ((sop_cv, True), (sop_cccv, False)):

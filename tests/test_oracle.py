@@ -205,7 +205,7 @@ def test_a_tolerance_as_wide_as_the_bracket_answers_zero_load(
     # bracket: the answer is the zero load, unsaturated.
     args = (BatteryState(0.2), params, linear_curve, Window(300, 1.0), DIS, soa)
     cc_probes = _probe_spy(monkeypatch, "_cc_feasible")
-    cp_probes = _probe_spy(monkeypatch, "_cp_feasible_trace")
+    cp_probes = _probe_spy(monkeypatch, "_cp_feasible")
     assert brute_peak_current_cc(*args, tol_amps=20.0) == 0.0
     assert brute_peak_power_cp(*args, tol_watts=100.0) == BrutePower(0.0, False)
     assert cc_probes == [10.0, 0.0]
@@ -253,7 +253,7 @@ def test_oracles_match_bisection_within_the_probe_budget(curve, soc, vp, steps, 
     sign = direction.sign
     with pytest.MonkeyPatch.context() as mp:
         cc_probes = _probe_spy(mp, "_cc_feasible")
-        cp_probes = _probe_spy(mp, "_cp_feasible_trace")
+        cp_probes = _probe_spy(mp, "_cp_feasible")
         peak = brute_peak_current_cc(*args, tol_amps=tol)
         power = brute_peak_power_cp(*args, tol_watts=tol)
 
@@ -275,10 +275,11 @@ def test_oracles_match_bisection_within_the_probe_budget(curve, soc, vp, steps, 
 
 
 class TestWindowLoops:
-    """The oracles' window loops, run on OCV cursors with their constants
-    hoisted and judged at their two SOA corners, answer exactly as their
-    references, which check every step: ``ecm.step`` for the CC loop, the
-    per-step bisecting loop for the CP one."""
+    """The oracles' window loops, judged at their two SOA corners, answer
+    exactly as their references, which check every step: ``ecm.step`` for
+    the CC loop (on an OCV cursor, its constants hoisted), the per-step
+    bisecting loop for the CP probe (``ecm._window`` under the oracle's
+    Newton law)."""
 
     @staticmethod
     def _tables(seed, count=4):
@@ -325,7 +326,8 @@ class TestWindowLoops:
             lookup = ecm.ocv_cursor(curve)
             got = oracle_module._cc_feasible(current, state, params, lookup, window, soa)
             assert repr(got) == repr(cc_window_probe(current, state, params, curve, window, soa))
-            got = oracle_module._cp_feasible_trace(power, state, params, lookup, window, direction, soa)
+            start = ecm._seek(curve, state.soc)
+            got = oracle_module._cp_feasible(power, state, params, curve, window, direction, soa, start)
             assert repr(got) == repr(cp_window_probe(power, state, params, curve, window, direction, soa))
             checked.add((got.feasible, got.slack is None))
         assert checked == {(True, False), (False, False), (False, True)}  # every kind of probe
@@ -348,9 +350,11 @@ class TestWindowLoops:
 
         return recorded, socs
 
-    def test_one_cursor_per_solve(self, params, linear_curve, soa, monkeypatch):
-        # Every probe of a solve reads the OCV through the solve's one
-        # cursor, and so does the CC oracle's rested-point check.
+    def test_one_cursor_per_solve(self, params, soa, monkeypatch):
+        # Every probe of a CC solve reads the OCV through the solve's one
+        # cursor, and so does its rested-point check. A CP solve seeks step
+        # one's OCV segment once, before its first probe, and every probe
+        # starts the window loop from that seek.
         built = [0]
         cursor = ecm.ocv_cursor
 
@@ -358,12 +362,34 @@ class TestWindowLoops:
             built[0] += 1
             return cursor(curve)
 
+        seeks, starts, probing = [], [], [False]
+        seek, feasible = ecm._seek, oracle_module._cp_feasible
+
+        def recording_seek(curve, soc):
+            found = seek(curve, soc)
+            if not probing[0]:
+                seeks.append(found)
+            return found
+
+        def recording_probe(*args):
+            starts.append(args[-1])
+            probing[0] = True
+            try:
+                return feasible(*args)
+            finally:
+                probing[0] = False
+
         monkeypatch.setattr(oracle_module.ecm, "ocv_cursor", counting_cursor)
-        args = (BatteryState(0.5, 0.1), params, linear_curve, Window(30, 1.0), DIS, soa)
-        for oracle in (brute_peak_current_cc, brute_peak_power_cp):
-            built[0] = 0
-            oracle(*args, 1e-9)
-            assert built[0] == 1
+        monkeypatch.setattr(oracle_module.ecm, "_seek", recording_seek)
+        monkeypatch.setattr(oracle_module, "_cp_feasible", recording_probe)
+        args = (BatteryState(0.5, 0.1), params, NMC_CURVE, Window(30, 1.0), DIS, soa)
+        brute_peak_current_cc(*args, 1e-9)
+        assert built[0] == 1
+        seeks.clear()  # the cursor's own seeks
+        brute_peak_power_cp(*args, 1e-9)
+        assert built[0] == 1
+        assert len(seeks) == 1 and len(starts) > 2
+        assert all(start is seeks[0] for start in starts)
 
     @pytest.mark.parametrize(
         "soc, current, window, end",
@@ -386,11 +412,21 @@ class TestWindowLoops:
         assert looked_up == want
 
     @pytest.mark.parametrize("direction", [DIS, CHG])
-    def test_cp_loop_keeps_negative_zero_at_rest(self, params, soa, direction):
-        lookup, looked_up = self._looked_up(NMC_CURVE)
-        window = Window(30, 1.0)
-        args = (BatteryState(-0.0, 0.1), params, lookup, window, direction, soa)
-        oracle_module._cp_feasible_trace(0.0, *args)
+    def test_cp_loop_keeps_negative_zero_at_rest(self, params, soa, direction, monkeypatch):
+        # At or past the table's first knot no segment is held, so every step
+        # seeks the OCV at its own SOC: the -0.0 that the Newton law's zero
+        # current keeps, in either direction.
+        looked_up = []
+        seek = ecm._seek
+
+        def recording_seek(curve, soc):
+            looked_up.append(soc.hex())
+            return seek(curve, soc)
+
+        monkeypatch.setattr(ecm, "_seek", recording_seek)
+        window, state = Window(30, 1.0), BatteryState(-0.0, 0.1)
+        start = ecm._seek(NMC_CURVE, state.soc)
+        oracle_module._cp_feasible(0.0, state, params, NMC_CURVE, window, direction, soa, start)
         assert looked_up == [(-0.0).hex()] * window.steps
 
     @pytest.mark.parametrize("current", [-4.0, 10.0])
@@ -534,6 +570,58 @@ def test_oracle_module_does_not_call_closed_forms():
 
 def test_validated_names_are_read_from_the_source():
     # Were the derivation to find nothing, the check above would pass on
-    # nothing: it finds the engines' step, trace and search, the closed form
-    # and the error calculus.
-    assert {"solve_cp_step", "_trace", "sop_cp", "window_terms", "_estimate"} <= _validated_names()
+    # nothing: it finds the engines' step, hold engine and search, the closed
+    # form and the error calculus.
+    assert {"solve_cp_step", "_sop_hold", "sop_cp", "window_terms", "_estimate"} <= _validated_names()
+
+
+def _window_loop_laws():
+    """``(function, law)`` for every call of ``ecm._window`` in the oracle's
+    source: the name of the top-level function that makes the call and the
+    law argument's node."""
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    found = []
+    for function in tree.body:
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_window"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "ecm"
+            ):
+                law = node.args[4] if len(node.args) > 4 else None
+                law = next((k.value for k in node.keywords if k.arg == "law"), law)
+                found.append((function.name, law))
+    return found
+
+
+def _returns_own_function(function):
+    """Whether ``function`` returns, by name, a function it defines itself."""
+    own = {n.name for n in ast.walk(function) if isinstance(n, ast.FunctionDef)} - {function.name}
+    return any(
+        isinstance(n, ast.Return) and isinstance(n.value, ast.Name) and n.value.id in own
+        for n in ast.walk(function)
+    )
+
+
+def test_oracle_hands_the_window_loop_only_its_own_laws():
+    # The CP oracle shares the engines' window loop, but not their step: the
+    # law it hands the loop is a function of its own (the Newton law), never
+    # a float power, which the loop would step by the engines' closed-form
+    # root, nor a hold law. A law is a function defined in oracle.py, or the
+    # call of a top-level oracle.py function that returns one it defines.
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    top = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    calls = _window_loop_laws()
+    assert calls, "the oracle no longer calls ecm._window: this guard checks nothing"
+    for function, law in calls:
+        where = f"{function}: {ast.unparse(law) if law is not None else 'no law'}"
+        if isinstance(law, ast.Call):
+            assert isinstance(law.func, ast.Name) and law.func.id in top, where
+            assert _returns_own_function(top[law.func.id]), where
+        else:
+            assert isinstance(law, ast.Name) and law.id in defined, where

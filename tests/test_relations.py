@@ -133,7 +133,7 @@ def test_a_cell_scaled_by_two_doubles_every_answer(scenario):
 
 def _largest_constant_current(state, params, curve, window, soa, tol_amps):
     """The largest discharge current whose constant-current trace, stepped by
-    the engines' own ``_trace``, lies in the box at every step, bisected to
+    the engines' own ``ecm._window``, lies in the box at every step, bisected to
     ``tol_amps``; None when even the zero-current trace leaves the box."""
 
     def in_box(current):
