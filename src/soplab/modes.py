@@ -67,10 +67,13 @@ def _sop_hold(
     and holds the voltage that results. The first step of minimum |power|
     binds. Without ``cv``, a current-governed window whose hold current goes
     unclipped at some step is "dual"-governed and reports that step as its
-    mode shift. A trace that leaves the SOA box gives the zero result."""
+    mode shift. A binding step that ends on the direction's SOC bound (its
+    current is the SOC-headroom clip) is "soc"-governed instead, its mode
+    shift kept. A trace that leaves the SOA box gives the zero result."""
     check_load(params, soa)
     r0 = params.r0
     i_lim, cutoff, sign = direction.current_limit(soa), direction.vt_cutoff(soa), direction.sign
+    soc_bound = direction.soc_bound(soa)
     start = ecm._seek(curve, state.soc)
     v_oc = start[0]
     # Step one's decision, made on its emf as the trace's loop computes it.
@@ -81,7 +84,7 @@ def _sop_hold(
         governed = "current"
         if cv:
             level, first = vt_lim, i_lim
-    law = _Hold(level, first, i_lim, direction.soc_bound(soa), direction is Direction.DISCHARGE)
+    law = _Hold(level, first, i_lim, soc_bound, direction is Direction.DISCHARGE)
     rows: list[PomStep] = []
     low, high, binding, k_c = ecm._window(state, params, curve, window, law, start, rows)
     if check_point(*low, soa) or check_point(*high, soa):
@@ -92,6 +95,8 @@ def _sop_hold(
         dominant, k_c = governed, None
     else:
         dominant = "current" if k_c is None else "dual"
+    if binding.soc == soc_bound:
+        dominant = "soc"
     result = sop_result(binding.current, dominant, steps[-1].vt, binding.power)
     return result, PomTrace(steps, mode_shift_index=k_c)
 

@@ -111,6 +111,8 @@ def reference_sop_hold(state, params, curve, window, direction, soa, cv):
         dominant, k_c = governed, None
     else:
         dominant = "current" if k_c is None else "dual"
+    if binding.soc == bound:  # the binding step ends on the SOC bound
+        dominant = "soc"
     result = peak_cc.sop_result(binding.current, dominant, steps[-1].vt, binding.power)
     return result, modes.PomTrace(steps, mode_shift_index=k_c)
 

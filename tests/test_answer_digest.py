@@ -17,8 +17,8 @@ from soplab import AnalyticDomainError, InfeasibleStateError
 
 PINNED = {
     "sop_cc": "fb86b7a3e9104d10e972748006f8264d35ca7b4180cd259e4acbd3cd56d297bb",
-    "sop_cv": "317db3bbe875a74047b42a51c889f061627668f7df36bf16c50420718fbd67cf",
-    "sop_cccv": "2c4b790c1493f70d095741c8be93669552064b66856bea5646d456943be2a34d",
+    "sop_cv": "35fe5e34c9b4d2c462a4eb6c81816ec80a3d0834aaff2be013881e971e1dd6d2",
+    "sop_cccv": "e42e0b37dd701b035a3648296c51f962e9decf78758cf2ff0667f8f37ee05650",
     "sop_cp": "8b72b53bd1100c4717de1d2afe5dfdddec4f724749dc6586da3ef2af467602a8",
     "brute_peak_current_cc": "788f8cbc2463d66b22eda3495cbd8900b2b297b3210d5d1424c066155b88d49a",
     "brute_peak_power_cp": "b868a113e4c8cd40f08910055c56151078efe05b5884aa3f11448a997157f0bb",

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import soplab.modes as modes
+from answer_shift import seeded_windows
 from support import NMC_CURVE, constant_current_trace, monotone_ocv, reference_sop_hold
 from soplab import (
     BatteryParams,
@@ -1078,6 +1079,13 @@ class TestCccvShiftDecision:
         if not trace.steps:  # the trace left the SOA box: no power, no shift
             assert not result.feasible and trace.mode_shift_index is None
             return
+        # A binding step that ends on the SOC bound names it, whichever bound
+        # governs; a voltage-governed window still reports no shift.
+        binding = min(trace.steps, key=lambda row: abs(row.power))
+        if binding.soc == direction.soc_bound(soa):
+            assert result.dominant == "soc"
+            assert trace.mode_shift_index is None or not cv_only
+            return
         # The reported decision is the classifier's. (Equal outputs alone would
         # not show it: K = 1 or a window clipped to zero SOC headroom can coincide.)
         assert (result.dominant == "voltage") == cv_only
@@ -1160,7 +1168,11 @@ class TestHoldEngine:
         emf = ocv(curve, soc) - vp * math.exp(-dt / params.tau)
         if (cutoff - (emf - limit * params.r0)) * sign > 0.0:
             assert cv == cccv
-            assert cv[0].dominant == "voltage" and cv[1].mode_shift_index is None
+            # ... and name the voltage, unless the binding step ends on the SOC bound.
+            rows = cv[1].steps
+            on_bound = rows and min(rows, key=lambda row: abs(row.power)).soc == direction.soc_bound(soa)
+            assert cv[0].dominant == ("soc" if on_bound else "voltage")
+            assert cv[1].mode_shift_index is None
         # A cut-off never reached (by a margin), no SOC bound crossed and a
         # trace inside the box: CC-CV is the constant current at the limit.
         reference = constant_current_trace(args[0], params, curve, limit, args[3])
@@ -1213,7 +1225,7 @@ class TestInlineHoldLaw:
             return corners
 
         monkeypatch.setattr(modes.ecm, "_window", recording_trace)
-        seen = {"dual": 0, "current": 0, "voltage": 0, "refused": 0, "zero": 0, "ties": 0}
+        seen = {"dual": 0, "current": 0, "voltage": 0, "soc": 0, "refused": 0, "zero": 0, "ties": 0}
         for state, curve, window, direction in self._windows(linear_curve):
             for engine, cv in ((sop_cv, True), (sop_cccv, False)):
                 args = (state, params, curve, window, direction, soa)
@@ -1231,3 +1243,29 @@ class TestInlineHoldLaw:
                 seen["zero"] += result.sop == 0.0
                 seen["ties"] += least > 1
         assert all(count >= 20 for count in seen.values()), seen
+
+
+class TestHoldSocLabel:
+    """The hold engines name ``soc`` when their binding step ends on the
+    direction's SOC bound, which on the answer digest's window draw happens
+    exactly where that step's current is the loop's SOC-headroom clip."""
+
+    @pytest.mark.parametrize("engine", [sop_cv, sop_cccv])
+    def test_soc_names_the_headroom_clip(self, engine):
+        labelled = answered = 0
+        for args in seeded_windows(2000, 2, (1, 2, 10, 30, 300)):
+            state, params, _, window, direction, soa = args
+            result, trace = engine(*args)
+            if not trace.steps:
+                continue
+            answered += 1
+            rows = trace.steps
+            k = min(range(len(rows)), key=lambda i: abs(rows[i].power))  # the first least binds
+            before = state.soc if k == 0 else rows[k - 1].soc
+            div = window.dt * params.soc_per_amp_second
+            clipped = div > 0.0 and rows[k].current == (before - direction.soc_bound(soa)) / div
+            assert (result.dominant == "soc") == clipped, (args, rows[k])
+            assert (result.dominant == "soc") == (rows[k].soc == direction.soc_bound(soa)), args
+            labelled += clipped
+        # 176 CV and 372 CC-CV windows of about 1,700 answered each.
+        assert labelled >= 150 and answered >= 1500, (labelled, answered)
