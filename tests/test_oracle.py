@@ -575,29 +575,6 @@ def test_validated_names_are_read_from_the_source():
     assert {"solve_cp_step", "_sop_hold", "sop_cp", "window_terms", "_estimate"} <= _validated_names()
 
 
-def _window_loop_laws():
-    """``(function, law)`` for every call of ``ecm._window`` in the oracle's
-    source: the name of the top-level function that makes the call and the
-    law argument's node."""
-    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
-    found = []
-    for function in tree.body:
-        if not isinstance(function, ast.FunctionDef):
-            continue
-        for node in ast.walk(function):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_window"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "ecm"
-            ):
-                law = node.args[4] if len(node.args) > 4 else None
-                law = next((k.value for k in node.keywords if k.arg == "law"), law)
-                found.append((function.name, law))
-    return found
-
-
 def _returns_own_function(function):
     """Whether ``function`` returns, by name, a function it defines itself."""
     own = {n.name for n in ast.walk(function) if isinstance(n, ast.FunctionDef)} - {function.name}
@@ -616,10 +593,20 @@ def test_oracle_hands_the_window_loop_only_its_own_laws():
     tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
     top = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
-    calls = _window_loop_laws()
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_window"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "ecm"
+    ]
     assert calls, "the oracle no longer calls ecm._window: this guard checks nothing"
-    for function, law in calls:
-        where = f"{function}: {ast.unparse(law) if law is not None else 'no law'}"
+    for call in calls:
+        law = next((k.value for k in call.keywords if k.arg == "law"), None)
+        law = call.args[4] if law is None and len(call.args) > 4 else law
+        where = f"line {call.lineno}: {ast.unparse(law) if law is not None else 'no law'}"
         if isinstance(law, ast.Call):
             assert isinstance(law.func, ast.Name) and law.func.id in top, where
             assert _returns_own_function(top[law.func.id]), where
