@@ -161,12 +161,16 @@ class BatteryState(_Value):
 
 
 class Window(_Value):
-    """Prediction window: number of steps and sampling interval in seconds."""
+    """Prediction window: number of steps and sampling interval in seconds.
+
+    ``duration``, K * dt in seconds, is derived at construction.
+    """
 
     __match_args__ = ("steps", "dt")
-    __slots__ = __match_args__
+    __slots__ = (*__match_args__, "duration")
     steps: int
     dt: float
+    duration: float
 
     def __init__(self, steps: int, dt: float) -> None:
         # Integral means usable as an index (int, numpy integers), as range() needs.
@@ -182,11 +186,7 @@ class Window(_Value):
             duration = math.inf
         if not math.isfinite(duration):
             raise ConfigurationError(f"window duration {steps} * {dt} s is not finite")
-        _Value.__init__(self, steps, dt)
-
-    @property
-    def duration(self) -> float:
-        return self.steps * self.dt
+        _Value.__init__(self, steps, dt, duration)
 
 
 class CcPrediction(NamedTuple):

@@ -84,7 +84,7 @@ def _sop_hold(
         governed = "current"
         if cv:
             level, first = vt_lim, i_lim
-    law = _Hold(level, first, i_lim, soc_bound, direction is Direction.DISCHARGE)
+    law = _Hold(level, first, i_lim, soc_bound, sign > 0)
     rows: list[PomStep] = []
     low, high, binding, k_c = ecm._window(state, params, curve, window, law, start, rows)
     if check_point(*low, soa) or check_point(*high, soa):
@@ -272,15 +272,16 @@ def _cp_probe(
     corner on the direction's side; rounding ``x - c`` is monotone in x, so
     each equals its per-step minimum bit for bit.
     """
-    corners = ecm._window(state, params, curve, window, power_abs * direction.sign, start)
+    sign = direction.sign
+    corners = ecm._window(state, params, curve, window, power_abs * sign, start)
     if corners is None:
         return False, None
     low, high = corners
-    vt, current, soc = low if direction is Direction.DISCHARGE else high
+    vt, current, soc = low if sign > 0 else high
     margins = (
-        (vt - direction.vt_cutoff(soa)) * direction.sign,
-        (soc - direction.soc_bound(soa)) * direction.sign,
-        (direction.current_limit(soa) - current) * direction.sign,
+        (vt - direction.vt_cutoff(soa)) * sign,
+        (soc - direction.soc_bound(soa)) * sign,
+        (direction.current_limit(soa) - current) * sign,
     )
     return not (check_point(*low, soa) or check_point(*high, soa)), margins
 
@@ -379,7 +380,7 @@ def sop_cp(
     # trace is in the box (hence abs), so emf is above vt_min > 0.
     emf = v_oc - state.vp * math.exp(-window.dt / params.tau)
     i_top = min(abs(direction.current_limit(soa)), abs(emf - direction.vt_cutoff(soa)) / r0)
-    if direction is Direction.DISCHARGE:
+    if sign > 0:
         i_top = min(i_top, emf / (2.0 * r0))
     top = i_top * (emf - sign * i_top * r0)
     top_ok, top_margins = _cp_probe(top, state, params, curve, window, direction, soa, start)
@@ -422,6 +423,6 @@ def sop_cp(
     # The probes kept no rows: step the accepted power once more to return its trace.
     rows: list[PomStep] = []
     low, high = ecm._window(state, params, curve, window, lo * sign, start, rows)
-    i_mc = low[1] if direction is Direction.DISCHARGE else high[1]
+    i_mc = low[1] if sign > 0 else high[1]
     result = sop_result(i_mc, lo_bound, rows[-1].vt, lo * sign)
     return result, PomTrace(tuple(rows))

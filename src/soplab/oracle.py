@@ -219,43 +219,43 @@ def _newton_law(
     """The CP oracle's step law for ``ecm._window``: each step's
     physical-branch current with I*(emf - I*r0) = power, by Newton's method
     from I = power / emf, and the step's terminal voltage; None when no root
-    is reachable. The iteration runs inside the law, one call per step.
+    is reachable within ``NEWTON_MAX_ITER`` residual evaluations. The
+    iteration runs inside the law, one call per step; zero power has a law
+    of its own, which draws no current whatever the emf.
 
     The residual f(I) = I*(emf - I*r0) - power is concave and -r0*I**2 <= 0 at
     the start, so the iterates rise monotonically to the physical root, the
     one nearest zero (Fourier's condition). A slope emf - 2*I*r0 that is not
     > 0 puts the iterate at or past the power vertex: there is no root."""
+    if power == 0.0:
+
+        def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
+            return 0.0, emf  # no current, no ohmic drop
+
+        return drive
+
     # 1e-12 * max(1.0, abs(power)) and abs(residual) <= f_tol by comparisons,
     # without builtin calls on every step; NaN compares as in those builtins.
     magnitude = power if power > 0.0 else -power
     f_tol = 1e-12 * magnitude if magnitude > 1.0 else 1e-12
+    max_iter = NEWTON_MAX_ITER
 
     def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
-        current = 0.0  # zero power draws none, whatever the emf
-        if power != 0.0:
-            if not emf > 0.0:
+        if not emf > 0.0:
+            return None
+        current = power / emf
+        residual = current * (emf - current * r0) - power
+        evaluations = 1  # a counted loop: no range iterator per step
+        while not -f_tol <= residual <= f_tol:
+            slope = emf - 2.0 * current * r0
+            if evaluations == max_iter or not slope > 0.0:
                 return None
-            current = power / emf
-            for _ in range(NEWTON_MAX_ITER):
-                residual = current * (emf - current * r0) - power
-                if -f_tol <= residual <= f_tol:
-                    break
-                slope = emf - 2.0 * current * r0
-                if not slope > 0.0:
-                    return None
-                current -= residual / slope
-            else:
-                return None
+            current -= residual / slope
+            residual = current * (emf - current * r0) - power
+            evaluations += 1
         return current, emf - current * r0
 
     return drive
-
-
-def _newton_cp_current(emf: float, r0: float, power: float) -> float | None:
-    """``_newton_law``'s current for one step at ``emf``; None when no root
-    is reachable."""
-    step = _newton_law(r0, power)(1, math.nan, emf)
-    return None if step is None else step[0]
 
 
 def _cp_feasible(

@@ -54,7 +54,8 @@ def sop_result(
     currents (current, voltage, SOC), ``sop`` is ``abs(power_signed)``, and the
     window is feasible iff ``sop > 0``."""
     sop = abs(power_signed)
-    return SopResult(*limits, i_mc, dominant, vt_end, power_signed, sop, sop > 0.0)
+    # tuple.__new__, not SopResult(...): NamedTuple's __new__ adds a Python frame.
+    return tuple.__new__(SopResult, limits + (i_mc, dominant, vt_end, power_signed, sop, sop > 0.0))
 
 
 class WindowTerms(NamedTuple):
@@ -83,24 +84,32 @@ def window_terms(
 ) -> WindowTerms:
     """True-valued window terms for one state, window and direction.
 
-    The window OCV slope is settled in two passes: the slope of the table
-    segment at the start SOC seeds the candidate peak current, then the
-    secant to the SOC that candidate would reach replaces it, unless the two
-    SOCs lie within ``SLOPE_SECANT_EPS`` (the slope is held constant across
-    the window)."""
+    The start OCV and the slope of the table segment at the start SOC come
+    from one table search (``ecm._seek``; ``ecm._segment`` only at or past
+    a table end, where ``_seek`` clamps without a segment). The window OCV
+    slope is settled in two passes: that segment's slope seeds the candidate
+    peak current, then the secant to the SOC that candidate would reach
+    replaces it, unless the two SOCs lie within ``SLOPE_SECANT_EPS`` (the
+    slope is held constant across the window)."""
     soc = state.soc
     k_dt = window.duration
     alpha_k = math.exp(-k_dt / params.tau)
-    f_soc = ecm.ocv(curve, soc)
+    f_soc, segment = ecm._seek(curve, soc)
     vp_relax = state.vp * alpha_k
     r_sum = params.r0 + params.r1 * (1.0 - alpha_k)
-    (x0, v0), (x1, v1) = ecm._segment(curve, soc)
-    kappa = (v1 - v0) / (x1 - x0)
+    if segment is not None:
+        kappa = segment[4] / segment[5]  # rise / run
+    else:  # at or past a table end: _seek clamped without a search
+        (x0, v0), (x1, v1) = ecm._segment(curve, soc)
+        kappa = (v1 - v0) / (x1 - x0)
     y = k_dt * params.soc_per_amp_second
     cutoff = direction.vt_cutoff(soa)
     soc_bound = direction.soc_bound(soa)
     i_lim = direction.current_limit(soa)
-    first = WindowTerms(soc, f_soc, vp_relax, r_sum, kappa, y, cutoff, soc_bound, i_lim)
+    # tuple.__new__, not WindowTerms(...): NamedTuple's __new__ adds a Python frame.
+    first = tuple.__new__(
+        WindowTerms, (soc, f_soc, vp_relax, r_sum, kappa, y, cutoff, soc_bound, i_lim)
+    )
     soc_reach = soc - _peak(first, direction)[2] * k_dt * params.soc_per_amp_second
     # min(max(soc_reach, 0.0), 1.0) by comparisons, which keep -0.0 and NaN as
     # those builtins do.
@@ -110,7 +119,9 @@ def window_terms(
         soc_reach = 1.0
     if abs(soc - soc_reach) > SLOPE_SECANT_EPS:
         kappa = (ecm.ocv(curve, soc_reach) - f_soc) / (soc_reach - soc)
-    return WindowTerms(soc, f_soc, vp_relax, r_sum, kappa, y, cutoff, soc_bound, i_lim)
+    return tuple.__new__(
+        WindowTerms, (soc, f_soc, vp_relax, r_sum, kappa, y, cutoff, soc_bound, i_lim)
+    )
 
 
 def end_voltage(terms: WindowTerms, current: float) -> float:
@@ -136,23 +147,23 @@ def soc_bound_current(terms: WindowTerms) -> float:
     return (terms.soc - terms.soc_bound) / terms.y
 
 
-def _toward(current: float, sign: int) -> float:
-    """0 when the rested state already sits past the bound for the direction
-    of ``sign``."""
-    return 0.0 if current * sign < 0.0 else current
-
-
 def _peak(terms: WindowTerms, direction: Direction) -> tuple[float, float, float, str]:
     """The voltage- and SOC-constraint currents toward the direction, and
     their composition with the current limit into the minimum-magnitude
     current: (i_voltage, i_soc, i_mc, dominant). A tie in magnitude goes to
-    the earlier label: voltage, then soc, then current."""
+    the earlier label: voltage, then soc, then current. A constraint current
+    against the direction is 0: the rested state already sits past that
+    bound."""
     sign = direction.sign
     if terms.y > 0.0:
-        i_soc = _toward(soc_bound_current(terms), sign)
+        i_soc = soc_bound_current(terms)
+        if i_soc * sign < 0.0:
+            i_soc = 0.0
     else:  # K*dt*soc_per_amp_second underflowed: no SOC moves, as in modes._sop_hold
         i_soc = math.inf * sign
-    i_voltage = _toward(cutoff_current(terms), sign)
+    i_voltage = cutoff_current(terms)
+    if i_voltage * sign < 0.0:
+        i_voltage = 0.0
     # min(key=abs) by strict comparisons in label order: the same tie-breaks,
     # and a NaN magnitude never displaces the current pick, as with min.
     i_mc, dominant = i_voltage, "voltage"

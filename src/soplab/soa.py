@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable, NamedTuple, Protocol
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple, Protocol
 
 from .ecm import BatteryParams, _Value
 from .exceptions import ConfigurationError
@@ -65,29 +66,41 @@ class Soa(_Value):
 
 
 class Direction(enum.Enum):
-    """Discharge or charge: each method returns the box face a load pushes toward."""
+    """Discharge or charge, with the box faces a load pushes toward.
+
+    Each member carries its ``sign`` (+1 discharge, -1 charge) and its three
+    faces as plain member data, set once in ``__init__`` (the Enum "Planet"
+    pattern): ``current_limit(soa)``, ``vt_cutoff(soa)`` and
+    ``soc_bound(soa)`` read the direction's field of a ``Soa``. The engines
+    read them on every call, and on CPython 3.10 and 3.11 member data is
+    several times cheaper than a property, a method or a
+    ``Direction.DISCHARGE`` lookup.
+    """
 
     DISCHARGE = "discharge"
     CHARGE = "charge"
 
-    @property
-    def sign(self) -> int:
-        return 1 if self is Direction.DISCHARGE else -1
+    sign: int
+    current_limit: Callable[[Soa], float]
+    vt_cutoff: Callable[[Soa], float]
+    soc_bound: Callable[[Soa], float]
 
-    def current_limit(self, soa: Soa) -> float:
-        return soa.i_max_dis if self is Direction.DISCHARGE else soa.i_max_chg
-
-    def vt_cutoff(self, soa: Soa) -> float:
-        return soa.vt_min if self is Direction.DISCHARGE else soa.vt_max
-
-    def soc_bound(self, soa: Soa) -> float:
-        return soa.soc_min if self is Direction.DISCHARGE else soa.soc_max
+    def __init__(self, value: str) -> None:
+        discharge = value == "discharge"
+        self.sign = 1 if discharge else -1
+        self.current_limit = attrgetter("i_max_dis" if discharge else "i_max_chg")
+        self.vt_cutoff = attrgetter("vt_min" if discharge else "vt_max")
+        self.soc_bound = attrgetter("soc_min" if discharge else "soc_max")
 
 
 def check_load(params: BatteryParams, soa: Soa) -> None:
     """Refuse a cell whose polarization load term, current * r1, overflows at a
     current the box admits (with the CP solvers' factor-2 margin)."""
-    if not math.isfinite(2.0 * params.r1 * max(soa.i_max_dis, -soa.i_max_chg)):
+    # max(i_max_dis, -i_max_chg) by a comparison: every engine calls this per call.
+    i_max = soa.i_max_dis
+    if -soa.i_max_chg > i_max:
+        i_max = -soa.i_max_chg
+    if not math.isfinite(2.0 * params.r1 * i_max):
         raise ConfigurationError("2 * r1 * max(i_max_dis, -i_max_chg) overflows")
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import soplab.modes as modes
 import soplab.peak_cc as peak_cc
 from soplab import Direction, InfeasibleStateError, OcvCurve, check_point, ecm
-from soplab.oracle import BrutePower, Probe, _box_slack, _cp_feasible, _newton_cp_current
+from soplab.oracle import BrutePower, Probe, _box_slack, _cp_feasible, _newton_law
 from soplab.soa import check_load
 
 from answer_shift import NMC_CURVE  # noqa: F401  (re-exported for the tests)
@@ -230,9 +230,10 @@ def cp_window_probe(power_abs, state, params, curve, window, direction, soa):
     for _ in range(window.steps):
         vp_rel = vp * alpha
         emf = ecm.ocv(curve, soc) - vp_rel
-        current = _newton_cp_current(emf, params.r0, power)
-        if current is None:
+        step = _newton_law(params.r0, power)(1, math.nan, emf)
+        if step is None:
             return Probe(False, None)
+        current = step[0]
         vt = emf - current * params.r0
         soc_next = min(max(soc - current * window.dt * params.soc_per_amp_second, 0.0), 1.0)
         if check_point(vt, current, soc_next, soa):

@@ -35,7 +35,7 @@ from soplab import (
     sop_cv,
     step,
 )
-from soplab.oracle import _newton_cp_current
+from soplab.oracle import _newton_law
 
 DIS = Direction.DISCHARGE
 CHG = Direction.CHARGE
@@ -362,7 +362,7 @@ class TestSolveCpStep:
             with pytest.raises(PowerInfeasibleError, match="against") as refused:
                 solve_cp_step(state, params, linear_curve, 1.0, DIS)
             assert "exceeds the step ceiling" not in str(refused.value)
-            assert _newton_cp_current(3.6 - 5.0, params.r0, 1.0) is None
+            assert _newton_law(params.r0, 1.0)(1, math.nan, 3.6 - 5.0) is None
             window = Window(10, 1.0)
             probe = modes._cp_probe(1.0, state, params, linear_curve, window, DIS, soa, start)
             assert probe == (False, None)

@@ -34,7 +34,7 @@ from soplab import (
     sop_cp,
     step,
 )
-from soplab.oracle import _newton_cp_current
+from soplab.oracle import _newton_law
 from support import (
     NMC_CURVE,
     bisect_peak_current_cc,
@@ -456,8 +456,9 @@ class TestNewtonStep:
     def test_finds_the_physical_root(self, emf, r0, share):
         vertex = emf / (2.0 * r0)
         power = share * emf * vertex / 2.0  # share of the power ceiling emf^2 / (4 r0)
-        current = _newton_cp_current(emf, r0, power)
-        assert current is not None
+        step = _newton_law(r0, power)(1, math.nan, emf)
+        assert step is not None
+        current = step[0]
         assert self._passes_residual_test(current, emf, r0, power)
         assert abs(current) <= vertex * (1.0 + 1e-9)
         assert current * power >= 0.0
@@ -469,7 +470,7 @@ class TestNewtonStep:
     )
     def test_no_root_beyond_the_power_vertex(self, emf, power):
         # At emf 3.6 V and r0 0.1 ohm the vertex is 18 A and the ceiling 32.4 W.
-        assert _newton_cp_current(emf, 0.1, power) is None
+        assert _newton_law(0.1, power)(1, math.nan, emf) is None
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan])

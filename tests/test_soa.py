@@ -1,6 +1,8 @@
 """SOA box and compliance-check tests."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,29 @@ def test_polarization_load_that_overflows_is_refused(entry, direction):
     soa = Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9)
     with pytest.raises(ConfigurationError, match=r"2 \* r1 \* max"):
         entry(BatteryState(0.5, 0.1), params, curve, Window(3, 1e-300), direction, soa)
+
+
+@pytest.mark.parametrize(
+    "direction, sign, current_limit, vt_cutoff, soc_bound",
+    [
+        (Direction.DISCHARGE, 1, "i_max_dis", "vt_min", "soc_min"),
+        (Direction.CHARGE, -1, "i_max_chg", "vt_max", "soc_max"),
+    ],
+    ids=["discharge", "charge"],
+)
+def test_direction_member_data(soa, direction, sign, current_limit, vt_cutoff, soc_bound):
+    # The sign and the three faces are member data, set once per member: each
+    # face reads the direction's own field of the box.
+    assert direction.sign == sign
+    assert direction.current_limit(soa) == getattr(soa, current_limit)
+    assert direction.vt_cutoff(soa) == getattr(soa, vt_cutoff)
+    assert direction.soc_bound(soa) == getattr(soa, soc_bound)
+    # Copies and pickles are the member itself, with its data.
+    assert copy.copy(direction) is direction
+    assert copy.deepcopy(direction) is direction
+    assert pickle.loads(pickle.dumps(direction)) is direction
+    assert Direction(direction.value) is direction
+    assert Direction("charge") is Direction.CHARGE
 
 
 @pytest.mark.parametrize("field", ["vt_min", "vt_max", "i_max_dis", "i_max_chg", "soc_min", "soc_max"])
