@@ -13,9 +13,9 @@ per window or CP solve (``ecm._seek``), hands it to the loop with its law,
 and checks the SOA box at the two corners the loop returns: a window that
 leaves the box delivers no power. The hold engines make their step-one
 decision (the governing bound, the level) before the loop and hand it an
-``ecm._Hold``; the CP engine hands it the constant power. The CP search's
-probes keep only the corners, and ``sop_cp`` steps the accepted power once
-more with rows to return its trace.
+``ecm._Hold``; the CP engine hands it the constant power. A CP probe keeps
+rows only when it would close the search's bracket by holding; ``sop_cp``
+steps the accepted power once more, with rows, only when its probe kept none.
 """
 
 from __future__ import annotations
@@ -257,25 +257,28 @@ def _cp_probe(
     direction: Direction,
     soa: Soa,
     start: tuple[float, tuple[float, ...] | None],
-) -> tuple[bool, tuple[float, float, float] | None]:
-    """Simulate a constant-|power| window to its last step, without rows;
-    ``start`` is step one's OCV and segment, which every probe of one solve
-    shares.
+    rows: list[PomStep] | None = None,
+) -> tuple[bool, tuple[float, float, float] | None, float | None]:
+    """Simulate a constant-|power| window to its last step; ``start`` is step
+    one's OCV and segment, which every probe of one solve shares. The
+    window's rows are appended to ``rows`` only when the caller passes a list.
 
-    Returns whether every step lies inside the safe operation area, with the
+    Returns whether every step lies inside the safe operation area, the
     window's smallest direction-signed margins, negative once crossed, to the
-    voltage, soc and current bounds (that order breaks ties); ``(False, None)``
-    when a step has no current toward the power: the window has no
-    continuation there, as ``solve_cp_step`` refuses such a step.
+    voltage, soc and current bounds (that order breaks ties), and its peak
+    |current|, signed; ``(False, None, None)`` when a step has no current
+    toward the power: the window has no continuation there, as
+    ``solve_cp_step`` refuses such a step.
 
-    The SOA check is at ``ecm._window``'s two corners. The margins come from the
-    corner on the direction's side; rounding ``x - c`` is monotone in x, so
-    each equals its per-step minimum bit for bit.
+    The SOA check is at ``ecm._window``'s two corners. The margins and the
+    peak current come from the corner on the direction's side; rounding
+    ``x - c`` is monotone in x, so each margin equals its per-step minimum bit
+    for bit.
     """
     sign = direction.sign
-    corners = ecm._window(state, params, curve, window, power_abs * sign, start)
+    corners = ecm._window(state, params, curve, window, power_abs * sign, start, rows)
     if corners is None:
-        return False, None
+        return False, None, None
     low, high = corners
     vt, current, soc = low if sign > 0 else high
     margins = (
@@ -283,7 +286,7 @@ def _cp_probe(
         (soc - direction.soc_bound(soa)) * sign,
         (direction.current_limit(soa) - current) * sign,
     )
-    return not (check_point(*low, soa) or check_point(*high, soa)), margins
+    return not (check_point(*low, soa) or check_point(*high, soa)), margins, current
 
 
 def _normalised_margin(
@@ -341,8 +344,11 @@ def sop_cp(
     in most one-step windows); otherwise whole-window probes keep a feasible
     ``lo`` and an infeasible ``hi`` until ``hi - lo <= tol_watts``, or until the
     bracket no longer splits in floating point, and return ``lo`` with its trace.
-    A probe keeps only its trace's two SOA corners; the accepted ``lo`` is
-    stepped once more, with rows, for the trace that is returned.
+    A probe keeps its trace's rows only when ``hi - P <= tol_watts``: if it
+    holds, it closes the bracket, and its rows and its corner on the
+    direction's side are the answer's. Otherwise it keeps only its two SOA
+    corners, and the accepted ``lo`` is stepped once more, with rows, for the
+    trace that is returned.
 
     Probes are placed on the normalised SOA margin g(P) = min_c m_c(P) /
     m_c(0), which is close to linear in P whichever constraint binds. The
@@ -369,7 +375,7 @@ def sop_cp(
 
     start = ecm._seek(curve, state.soc)
     v_oc = start[0]
-    zero_ok, zero_margins = _cp_probe(0.0, state, params, curve, window, direction, soa, start)
+    zero_ok, zero_margins, i_mc = _cp_probe(0.0, state, params, curve, window, direction, soa, start)
     if not zero_ok:
         return _no_power(state, v_oc)
     # A bound already reached at zero power has no scale; its native units serve.
@@ -383,19 +389,20 @@ def sop_cp(
     if sign > 0:
         i_top = min(i_top, emf / (2.0 * r0))
     top = i_top * (emf - sign * i_top * r0)
-    top_ok, top_margins = _cp_probe(top, state, params, curve, window, direction, soa, start)
+    top_ok, top_margins, top_peak = _cp_probe(top, state, params, curve, window, direction, soa, start)
 
     g_zero, lo_bound = _normalised_margin(zero_margins, scales)
     g_hi, top_bound = _normalised_margin(top_margins, scales)
     lo, hi = 0.0, top
     if top_ok:  # |power| rises with |current| to i_top: top is the peak
-        lo, lo_bound = top, top_bound
+        lo, lo_bound, i_mc = top, top_bound, top_peak
     # The last three probes with a margin, oldest first: (P, g(P)).
     points = [(0.0, g_zero)]
     if g_hi is not None:
         points.append((top, g_hi))
     half_tol = 0.5 * tol_watts
     widths = (math.inf, math.inf)  # bracket width before each of the last two probes
+    rows = None  # the accepted probe's rows, when it stepped them
     while hi - lo > tol_watts:
         width = hi - lo
         p = None
@@ -408,7 +415,10 @@ def sop_cp(
         if not lo < p < hi:  # the bracket no longer splits in floating point
             break
         widths = (widths[1], width)
-        ok, margins = _cp_probe(p, state, params, curve, window, direction, soa, start)
+        # Rows only for a probe that closes the bracket if it holds: then they
+        # are the answer's.
+        kept = [] if hi - p <= tol_watts else None
+        ok, margins, peak = _cp_probe(p, state, params, curve, window, direction, soa, start, kept)
         g, bound = _normalised_margin(margins, scales)
         if g is None:  # a power ceiling: nothing to interpolate through
             points.clear()
@@ -416,13 +426,12 @@ def sop_cp(
             points.append((p, g))
             del points[:-3]
         if ok:
-            lo, lo_bound = p, bound
+            lo, lo_bound, i_mc, rows = p, bound, peak, kept
         else:
             hi, g_hi = p, g
 
-    # The probes kept no rows: step the accepted power once more to return its trace.
-    rows: list[PomStep] = []
-    low, high = ecm._window(state, params, curve, window, lo * sign, start, rows)
-    i_mc = low[1] if sign > 0 else high[1]
+    if rows is None:  # the accepted probe kept no rows: step its power once more
+        rows = []
+        ecm._window(state, params, curve, window, lo * sign, start, rows)
     result = sop_result(i_mc, lo_bound, rows[-1].vt, lo * sign)
     return result, PomTrace(tuple(rows))

@@ -25,18 +25,20 @@ as the exception's class name. The case sets are seeded:
 For each producer in ``PROBES`` the record also holds the whole-window
 simulations each solve ran: calls of the oracle's per-probe function, or of
 ``sop_cp``'s probe. For every producer it holds the OCV table searches each
-solve ran (calls of ``soplab.ecm.bisect_right``), the steps each simulated
-and the windows each refused. A step count is the K of every call of a
-window loop in ``WINDOW_LOOPS`` that ran to its window's end, wherever that
-loop reads the OCV and however it steps: a rest counts its K steps too. A
-loop that abandons its window early (a step with no current toward the
-power) is counted apart, as one refused window, without steps.
+solve ran (calls of ``soplab.ecm.bisect_right``), the steps each simulated,
+the windows each refused and the windows each stepped with rows. A step
+count is the K of every call of a window loop in ``WINDOW_LOOPS`` that ran
+to its window's end, wherever that loop reads the OCV and however it steps:
+a rest counts its K steps too. A loop that abandons its window early (a
+step with no current toward the power) is counted apart, as one refused
+window, without steps. A window loop call that is handed a list to append
+its rows to counts as one window with rows, refused or not.
 
 ``--compare A B`` prints per producer the identical count, the verdict flips
 (answer <-> refusal), the largest |change| of a numeric leaf, and the mean
-simulations, table searches, steps and refused windows per solve in A and
-in B, then every CLI
-request whose exit code or bytes differ. It exits 1 when an answer or a CLI
+simulations, table searches, steps, refused windows and windows with rows
+per solve in A and in B, then every CLI request whose exit code or bytes
+differ. It exits 1 when an answer or a CLI
 request moved and 0 otherwise; the counts do not change it. Standard library
 only.
 """
@@ -190,10 +192,11 @@ WINDOW_LOOPS = {
 
 @contextlib.contextmanager
 def _counting_steps():
-    """A two-item list, [steps, refused], that counts while the block runs
-    the K of every ``WINDOW_LOOPS`` call that ran its window to the end, and
-    the calls that abandoned theirs."""
-    counts = [0, 0]
+    """A three-item list, [steps, refused, with rows], that counts while the
+    block runs the K of every ``WINDOW_LOOPS`` call that ran its window to the
+    end, the calls that abandoned theirs, and the calls handed a list for
+    their rows."""
+    counts = [0, 0, 0]
     saved = []
     for (module_name, attr), refused in WINDOW_LOOPS.items():
         module = importlib.import_module(module_name)
@@ -201,6 +204,7 @@ def _counting_steps():
 
         def counted(*args, _original=original, _refused=refused):
             result = _original(*args)
+            counts[2] += any(isinstance(arg, list) for arg in args)
             if _refused(result):
                 counts[1] += 1
             else:
@@ -235,12 +239,12 @@ def _counting(module_name: str, attr: str):
         setattr(module, attr, original)
 
 
-def _answers(name: str, produce, scenarios) -> tuple[list, list[int], list[int], list[int], list[int]]:
+def _answers(name: str, produce, scenarios) -> tuple[list, ...]:
     """Each scenario's answer leaves, or ``{"refused": <class name>}``, the
     simulations each scenario ran (all 0 for a producer not in ``PROBES``),
-    the table searches each ran, the steps each simulated and the windows
-    each refused."""
-    answers, probes, searches, steps, refused = [], [], [], [], []
+    the table searches each ran, the steps each simulated, the windows each
+    refused and the windows each stepped with rows."""
+    answers, probes, searches, steps, refused, rows = [], [], [], [], [], []
     counting = _counting(*PROBES[name]) if name in PROBES else contextlib.nullcontext([0])
     with (
         counting as calls,
@@ -248,7 +252,7 @@ def _answers(name: str, produce, scenarios) -> tuple[list, list[int], list[int],
         _counting_steps() as stepped,
     ):
         for scenario in scenarios:
-            before = calls[0], searched[0], stepped[0], stepped[1]
+            before = calls[0], searched[0], *stepped
             try:
                 answers.append(_leaves(produce(*scenario), []))
             except (AnalyticDomainError, InfeasibleStateError) as exc:
@@ -257,7 +261,8 @@ def _answers(name: str, produce, scenarios) -> tuple[list, list[int], list[int],
             searches.append(searched[0] - before[1])
             steps.append(stepped[0] - before[2])
             refused.append(stepped[1] - before[3])
-    return answers, probes, searches, steps, refused
+            rows.append(stepped[2] - before[4])
+    return answers, probes, searches, steps, refused, rows
 
 
 # --- cli-oneshot-like requests ---------------------------------------------
@@ -382,15 +387,15 @@ def record(sizes: tuple[int, int, tuple[int, ...]] = FULL) -> dict:
     n_windows, n_states, seeds = sizes
     windows = seeded_windows(n_windows, 7, (1, 2, 10, 30, 300))
     grid = grid_scenarios(n_states, 1)
-    answers, probes, searches, steps, refused = {}, {}, {}, {}, {}
+    answers, probes, searches, steps, refused, rows = {}, {}, {}, {}, {}, {}
     for cases, scenarios, producers in (
         ("windows", windows, WINDOW_PRODUCERS),
         ("grid", grid, GRID_PRODUCERS),
     ):
         for name, produce in producers.items():
             key = f"{cases}/{name}"
-            answers[key], counts, searches[key], steps[key], refused[key] = _answers(
-                name, produce, scenarios
+            answers[key], counts, searches[key], steps[key], refused[key], rows[key] = (
+                _answers(name, produce, scenarios)
             )
             if name in PROBES:
                 probes[key] = counts
@@ -400,6 +405,7 @@ def record(sizes: tuple[int, int, tuple[int, ...]] = FULL) -> dict:
         "searches": searches,
         "steps": steps,
         "refused": refused,
+        "rows": rows,
         "cli": cli_outputs(seeds),
     }
 
@@ -438,6 +444,7 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
         f"{'producer':<34} {'cases':>6} {'identical':>9} {'flips':>5}  {'max|delta|':<10}"
         f" {'sims A':>8} {'sims B':>8} {'search A':>8} {'search B':>8}"
         f" {'steps A':>9} {'steps B':>9} {'refuse A':>8} {'refuse B':>8}"
+        f" {'rows A':>8} {'rows B':>8}"
     ]
     moved = False
     for name in sorted(set(a["answers"]) | set(b["answers"])):
@@ -462,6 +469,7 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
             f" {_mean(a, 'searches', name):>8} {_mean(b, 'searches', name):>8}"
             f" {_mean(a, 'steps', name):>9} {_mean(b, 'steps', name):>9}"
             f" {_mean(a, 'refused', name):>8} {_mean(b, 'refused', name):>8}"
+            f" {_mean(a, 'rows', name):>8} {_mean(b, 'rows', name):>8}"
         )
     keys = sorted(set(a["cli"]) | set(b["cli"]))
     differ = [k for k in keys if a["cli"].get(k) != b["cli"].get(k)]

@@ -1,7 +1,7 @@
 """The shift harness on a small case set: a record compared with itself
 reports nothing moved, a moved answer, a verdict flip and a changed CLI
-report each show, and a changed simulation, table-search, step or refusal
-count shows without counting as a move."""
+report each show, and a changed simulation, table-search, step, refusal or
+rows count shows without counting as a move."""
 
 import copy
 import json
@@ -17,6 +17,7 @@ def small_record():
 
 
 STEPWISE = {"sop_cv", "sop_cccv", "sop_cp", "brute_peak_current_cc", "brute_peak_power_cp"}
+TRACED = {"sop_cv", "sop_cccv", "sop_cp"}  # the engines that return their rows
 
 
 def _rows(lines):
@@ -39,7 +40,8 @@ def test_a_record_matches_itself(small_record, tmp_path, capsys):
         for name in producers:
             row = rows[f"{cases}/{name}"]
             assert row[:4] == [str(n), str(n), "0", "0"]
-            sims_a, sims_b, searches_a, searches_b, steps_a, steps_b, refused_a, refused_b = row[4:]
+            sims_a, sims_b, searches_a, searches_b, steps_a, steps_b = row[4:10]
+            refused_a, refused_b, rows_a, rows_b = row[10:]
             assert sims_a == sims_b
             assert (sims_a == "-") == (name not in answer_shift.PROBES)
             # Every producer reads the OCV table.
@@ -49,6 +51,9 @@ def test_a_record_matches_itself(small_record, tmp_path, capsys):
             assert (steps_a, refused_a) == (steps_b, refused_b)
             assert (float(steps_a) > 0) == (name in STEPWISE)
             assert float(refused_a) == 0 or name in {"sop_cp", "brute_peak_power_cp"}
+            # Only the engines that return a trace step a window with rows.
+            assert rows_a == rows_b
+            assert (float(rows_a) > 0) == (name in TRACED)
     n_cli = len(seeds) * len(answer_shift.CLI_KINDS) * answer_shift.CLI_VARIANTS
     n_cli += len(answer_shift.BAD_INPUTS)
     assert lines[-1] == f"cli requests: {n_cli}, identical: {n_cli}"
@@ -81,6 +86,8 @@ def test_simulation_counts_show_without_moving(small_record):
     steps[0] -= 3 * len(steps)  # the mean falls by exactly 3
     refused = counted["refused"]["windows/brute_peak_power_cp"]
     refused[0] += len(refused)  # the mean rises by exactly 1
+    with_rows = counted["rows"]["grid/sop_cp"]
+    with_rows[0] -= len(with_rows)  # the mean falls by exactly 1
     lines, anything = answer_shift.compare(small_record, counted)
     assert not anything
     rows = _rows(lines)
@@ -90,11 +97,14 @@ def test_simulation_counts_show_without_moving(small_record):
     assert float(searches_b) - float(searches_a) == pytest.approx(2.0, abs=2e-3)
     steps_a, steps_b = rows["grid/sop_cp"][8:10]
     assert float(steps_a) - float(steps_b) == pytest.approx(3.0, abs=2e-3)
-    refused_a, refused_b = rows["windows/brute_peak_power_cp"][10:]
+    refused_a, refused_b = rows["windows/brute_peak_power_cp"][10:12]
     assert float(refused_b) - float(refused_a) == pytest.approx(1.0, abs=2e-3)
+    rows_a, rows_b = rows["grid/sop_cp"][12:]
+    assert float(rows_a) - float(rows_b) == pytest.approx(1.0, abs=2e-3)
     # A record from before the searches and steps were counted compares, without them.
-    del counted["searches"], counted["steps"], counted["refused"]
+    del counted["searches"], counted["steps"], counted["refused"], counted["rows"]
     lines, anything = answer_shift.compare(small_record, counted)
     assert not anything
     rows = _rows(lines)
     assert rows["grid/sop_cc"][7] == rows["grid/sop_cp"][9] == rows["grid/sop_cp"][11] == "-"
+    assert rows["grid/sop_cp"][13] == "-"

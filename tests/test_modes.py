@@ -365,7 +365,7 @@ class TestSolveCpStep:
             assert _newton_law(params.r0, 1.0)(1, math.nan, 3.6 - 5.0) is None
             window = Window(10, 1.0)
             probe = modes._cp_probe(1.0, state, params, linear_curve, window, DIS, soa, start)
-            assert probe == (False, None)
+            assert probe == (False, None, None)
 
     @pytest.mark.parametrize("power", [-5e307, -1e308])
     def test_power_whose_discriminant_overflows_raises(self, linear_curve, power):
@@ -783,47 +783,60 @@ class TestSopCpSolver:
         power = share * abs(direction.current_limit(soa)) * top
         args = (power, state, params, curve, window, direction, soa)
         start = modes.ecm._seek(curve, soc)
-        ok, margins = modes._cp_probe(power, state, params, curve, window, direction, soa, start)
+        ok, margins, peak = modes._cp_probe(power, state, params, curve, window, direction, soa, start)
         feasible, want = _cp_resimulate(*args)
         assert ok == feasible
         assert margins == want
+        assert (peak is None) == (want is None)
 
     @pytest.mark.parametrize("direction", [DIS, CHG])
     def test_ocv_calls_per_solve(self, params, soa, monkeypatch, work, direction):
-        # Algorithmic work, not wall time. The probes keep no rows, so a solve
-        # steps its accepted power once more, with rows: exactly one trace
-        # more than it has probes, and only the last with rows. Step one's
-        # segment is sought once per solve, and every trace starts in it:
-        # the bracket top reads step one's emf off that same seek.
-        steps = 300
+        # Algorithmic work, not wall time. A probe steps rows exactly when it
+        # would close the bracket by holding (hi - P <= tol); a solve steps
+        # its accepted power once more, with rows, exactly when that probe
+        # kept none. Step one's segment is sought once per solve, and every
+        # trace starts in it: the bracket top reads step one's emf off that
+        # same seek.
+        steps, tol = 300, 1e-6
         window = Window(steps, 1.0)
-        probes = [0]
+        probes = []  # (power, held) of each probe
         probe = modes._cp_probe
 
-        def counting_probe(*args):
-            probes[0] += 1
-            return probe(*args)
+        def recording_probe(*args):
+            out = probe(*args)
+            probes.append((args[0], out[0]))
+            return out
 
-        monkeypatch.setattr(modes, "_cp_probe", counting_probe)
+        monkeypatch.setattr(modes, "_cp_probe", recording_probe)
+        retraced = 0
         for soc in (0.15, 0.5, 0.85):
             for vp in (-0.2, 0.0, 0.2):
-                probes[0] = 0
+                probes.clear()
                 work.reset()
                 result, _ = sop_cp(BatteryState(soc, vp), params, NMC_CURVE, window, direction, soa)
                 assert result.feasible
-                assert len(work.traces) == probes[0] + 1
-                assert [traced.with_rows for traced in work.traces] == [False] * probes[0] + [True]
-                assert work.traces[-1].rows == steps
+                (top, top_ok), traces = probes[1], work.traces
+                lo, hi = (top, top) if top_ok else (0.0, top)
+                want_rows = [False, False]
+                for power, held in probes[2:]:
+                    want_rows.append(hi - power <= tol)
+                    lo, hi = (power, hi) if held else (lo, power)
+                assert [traced.with_rows for traced in traces[: len(probes)]] == want_rows
+                kept = want_rows[-1] and probes[-1][1]
+                assert len(traces) == len(probes) + (not kept)
+                assert traces[-1].with_rows and traces[-1].rows == steps
+                retraced += not kept
                 work.check_searches(NMC_CURVE)
+        assert 0 < retraced < 9  # each path runs on this grid
         # A window that leaves the SOA: the zero-power probe alone, a rest
         # that searches nothing past step one's seek, whose OCV also gives
         # the rested voltage that the result reports. A refused window is
         # never stepped again.
         for state in (BatteryState(0.95), BatteryState(0.95, -1.0), BatteryState(0.5, 1.5)):
-            probes[0] = 0
+            probes.clear()
             work.reset()
             result, _ = sop_cp(state, params, NMC_CURVE, window, direction, soa)
-            assert (probes[0], len(work.traces)) == (1, 1)
+            assert (len(probes), len(work.traces)) == (1, 1)
             assert work.searches == 1
             work.check_searches(NMC_CURVE)
             assert not result.feasible
@@ -904,27 +917,21 @@ class TestRowFreeTraces:
     def _corners(run, monkeypatch, rows):
         """The corners of every ``ecm._window`` call that ``run()`` makes, each
         traced with rows or without them. A caller that needs rows which were
-        not built ends the run there."""
+        not built gets them from a second, unrecorded call."""
         trace = modes.ecm._window
         seen = []
-
-        class NoRows(Exception):
-            pass
 
         def forced(state, params, curve, window, law, start, wanted=None):
             kept = ([] if wanted is None else wanted) if rows else None
             corners = trace(state, params, curve, window, law, start, kept)
             seen.append(repr(corners))
             if wanted is not None and kept is None:
-                raise NoRows
+                trace(state, params, curve, window, law, start, wanted)
             return corners
 
         with monkeypatch.context() as m:
             m.setattr(modes.ecm, "_window", forced)
-            try:
-                run()
-            except NoRows:
-                pass
+            run()
         return seen
 
     @pytest.mark.parametrize("engine", [sop_cv, sop_cccv, sop_cp])
@@ -941,17 +948,20 @@ class TestRowFreeTraces:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_sop_cp_returns_the_accepted_probe(self, params, linear_curve, soa, monkeypatch, seed):
-        accepted = {}  # power magnitude -> margins of each feasible probe
+        # Its rows come from the probe that closed the bracket by holding, or
+        # from one more trace where the accepted probe kept none: either way,
+        # those of ecm._window at the reported power.
+        accepted = {}  # power magnitude -> (margins, kept rows) of each feasible probe
         probe = modes._cp_probe
 
         def recording_probe(power_abs, *args):
-            ok, margins = probe(power_abs, *args)
-            if ok:
-                accepted[power_abs] = margins
-            return ok, margins
+            out = probe(power_abs, *args)
+            if out[0]:
+                accepted[power_abs] = out[1], len(args) > 7 and args[7] is not None
+            return out
 
         monkeypatch.setattr(modes, "_cp_probe", recording_probe)
-        answered = 0
+        answered, paths = 0, set()
         for state, curve, window, direction in self._grid((linear_curve, NMC_CURVE), seed):
             accepted.clear()
             result, trace = sop_cp(state, params, curve, window, direction, soa)
@@ -959,11 +969,15 @@ class TestRowFreeTraces:
                 assert (result.feasible, trace.steps) == (False, ())
                 continue
             answered += result.feasible
+            paths.add(accepted[result.sop][1])
             # The rows of the probe's own trace at the reported power.
             rows = []
             power = result.sop * direction.sign
             modes.ecm._window(state, params, curve, window, power, modes.ecm._seek(curve, state.soc), rows)
             assert repr(trace.steps) == repr(tuple(rows))
+            # i_mc is the trace's peak |current|, signed.
+            peak = max if direction is DIS else min
+            assert repr(result.i_mc) == repr(peak(row.current for row in rows))
             # The accepted probe's margins are those of the returned rows.
             sign = direction.sign
             margins = (
@@ -971,12 +985,13 @@ class TestRowFreeTraces:
                 min((row.soc - direction.soc_bound(soa)) * sign for row in rows),
                 min((direction.current_limit(soa) - row.current) * sign for row in rows),
             )
-            assert repr(accepted[result.sop]) == repr(margins)
+            assert repr(accepted[result.sop][0]) == repr(margins)
             # dominant: the first bound with the smallest share of its
             # zero-power margin left (a margin of 0 or less there: its own units).
-            shares = [m / (z if z > 0.0 else 1.0) for m, z in zip(margins, accepted[0.0])]
+            shares = [m / (z if z > 0.0 else 1.0) for m, z in zip(margins, accepted[0.0][0])]
             assert result.dominant == ("voltage", "soc", "current")[shares.index(min(shares))]
         assert answered >= 18  # half the grid
+        assert paths == {True, False}  # rows kept by the closing probe, and re-traced
 
 
 class TestRestTrace:
