@@ -294,9 +294,10 @@ def _normalised_margin(
 ) -> tuple[float | None, str | None]:
     """g(P) = min_c m_c(P) / m_c(0), with the bound c that attains it first:
     g is 1 at zero power (0 if a bound is already reached there), 0 at the
-    peak, negative once a directional bound fails; (None, None) without margins."""
+    peak, negative once a directional bound fails. A window without margins
+    (it hit a power ceiling) lies past the peak: (-1.0, None)."""
     if margins is None:
-        return None, None
+        return -1.0, None
     shares = [m / s for m, s in zip(margins, scales)]
     g = min(shares)
     return g, ("voltage", "soc", "current")[shares.index(g)]
@@ -351,18 +352,22 @@ def sop_cp(
     trace that is returned.
 
     Probes are placed on the normalised SOA margin g(P) = min_c m_c(P) /
-    m_c(0), which is close to linear in P whichever constraint binds. The
-    search remembers its last three probes with a margin (the zero-power and
-    top probes seed them; a probe that hits a power ceiling has none and
-    clears them). Each probe goes where the first of these lands strictly
+    m_c(0), which is close to linear in P whichever constraint binds; a probe
+    that hits a power ceiling lies past the peak and takes g = -1. The search
+    remembers its last three probes (the zero-power and top probes seed
+    them) and estimates the root by the first of these to land strictly
     inside the bracket: inverse quadratic interpolation through the three
-    (Brent 1973, ch. 4), the secant through the last two, the midpoint. A
-    probe bisects outright when the infeasible end has no usable margin (it
-    hit a power ceiling, or only an opposite-direction bound failed there), or
-    when the last two probes did not halve the bracket; of any three probes
-    one therefore halves it, which caps the count at about three times plain
-    bisection's. An interpolated probe keeps tol/2 clear of both ends, so an
-    estimate within tol/2 of the root closes the bracket on the next probe.
+    (Brent 1973, ch. 4), the secant through the last two. A probe goes to the
+    estimate, kept tol/2 clear of both ends, so an estimate within tol/2 of
+    the root closes the bracket on the next probe. Where the last two probes
+    did not halve the bracket, the estimates converge from one side: the
+    probe steps past the estimate by its distance from ``lo``, no further
+    than the midpoint and no nearer ``lo`` than ``hi`` less half the bracket
+    of two probes before, so the bracket halves over these three probes
+    whether it holds or not. A probe bisects when there is no estimate, or
+    when the infeasible end has no usable margin (only an opposite-direction
+    bound failed there). Of any three probes one therefore halves the
+    bracket, which caps the count at about three times plain bisection's.
 
     The same g names ``dominant``: the bound with the smallest share of its
     zero-power margin left at ``lo`` (ties: voltage, then soc, then current).
@@ -396,20 +401,19 @@ def sop_cp(
     lo, hi = 0.0, top
     if top_ok:  # |power| rises with |current| to i_top: top is the peak
         lo, lo_bound, i_mc = top, top_bound, top_peak
-    # The last three probes with a margin, oldest first: (P, g(P)).
-    points = [(0.0, g_zero)]
-    if g_hi is not None:
-        points.append((top, g_hi))
+    # The last three probes, oldest first: (P, g(P)).
+    points = [(0.0, g_zero), (top, g_hi)]
     half_tol = 0.5 * tol_watts
     widths = (math.inf, math.inf)  # bracket width before each of the last two probes
     rows = None  # the accepted probe's rows, when it stepped them
     while hi - lo > tol_watts:
         width = hi - lo
-        p = None
-        if g_hi is not None and g_hi < 0.0 and width <= 0.5 * widths[0]:
-            p = _cp_estimate(points, lo, hi)
+        p = _cp_estimate(points, lo, hi) if g_hi < 0.0 else None
         if p is not None:
-            p = min(max(p, lo + half_tol), hi - half_tol)
+            if width <= 0.5 * widths[0]:
+                p = min(max(p, lo + half_tol), hi - half_tol)
+            else:  # one-sided: step past, halving the bracket whether p holds or not
+                p = min(max(p + (p - lo), hi - 0.5 * widths[0]), 0.5 * (lo + hi))
         if p is None or not lo < p < hi:
             p = 0.5 * (lo + hi)
         if not lo < p < hi:  # the bracket no longer splits in floating point
@@ -420,11 +424,8 @@ def sop_cp(
         kept = [] if hi - p <= tol_watts else None
         ok, margins, peak = _cp_probe(p, state, params, curve, window, direction, soa, start, kept)
         g, bound = _normalised_margin(margins, scales)
-        if g is None:  # a power ceiling: nothing to interpolate through
-            points.clear()
-        else:
-            points.append((p, g))
-            del points[:-3]
+        points.append((p, g))
+        del points[:-3]
         if ok:
             lo, lo_bound, i_mc, rows = p, bound, peak, kept
         else:
