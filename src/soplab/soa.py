@@ -65,6 +65,10 @@ class Soa(_Value):
         _Value.__init__(self, *limits)
 
 
+# Direction's member data; a name in an Enum body would become a member.
+_DIRECTION_DATA = ("sign", "current_limit", "vt_cutoff", "soc_bound")
+
+
 class Direction(enum.Enum):
     """Discharge or charge, with the box faces a load pushes toward.
 
@@ -74,7 +78,9 @@ class Direction(enum.Enum):
     ``soc_bound(soa)`` read the direction's field of a ``Soa``. The engines
     read them on every call, and on CPython 3.10 and 3.11 member data is
     several times cheaper than a property, a method or a
-    ``Direction.DISCHARGE`` lookup.
+    ``Direction.DISCHARGE`` lookup. Every engine in the process shares the
+    members, so that data refuses assignment and deletion, as a ``Soa``
+    field does; reading it costs nothing more.
     """
 
     DISCHARGE = "discharge"
@@ -87,10 +93,24 @@ class Direction(enum.Enum):
 
     def __init__(self, value: str) -> None:
         discharge = value == "discharge"
-        self.sign = 1 if discharge else -1
-        self.current_limit = attrgetter("i_max_dis" if discharge else "i_max_chg")
-        self.vt_cutoff = attrgetter("vt_min" if discharge else "vt_max")
-        self.soc_bound = attrgetter("soc_min" if discharge else "soc_max")
+        data = (
+            1 if discharge else -1,
+            attrgetter("i_max_dis" if discharge else "i_max_chg"),
+            attrgetter("vt_min" if discharge else "vt_max"),
+            attrgetter("soc_min" if discharge else "soc_max"),
+        )
+        for name, datum in zip(_DIRECTION_DATA, data):
+            object.__setattr__(self, name, datum)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in _DIRECTION_DATA:
+            raise AttributeError(f"cannot assign to {self.__class__.__name__} data {name!r}")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name: str) -> None:
+        if name in _DIRECTION_DATA:
+            raise AttributeError(f"cannot delete {self.__class__.__name__} data {name!r}")
+        super().__delattr__(name)
 
 
 def check_load(params: BatteryParams, soa: Soa) -> None:

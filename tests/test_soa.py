@@ -134,6 +134,17 @@ def test_direction_member_data(soa, direction, sign, current_limit, vt_cutoff, s
     assert direction.current_limit(soa) == getattr(soa, current_limit)
     assert direction.vt_cutoff(soa) == getattr(soa, vt_cutoff)
     assert direction.soc_bound(soa) == getattr(soa, soc_bound)
+    # One bad write would corrupt every engine in the process: the data
+    # refuses assignment and deletion, and stays as it was.
+    for name in ("sign", "current_limit", "vt_cutoff", "soc_bound"):
+        before = getattr(direction, name)
+        with pytest.raises(AttributeError, match=name):
+            setattr(direction, name, 5)
+        with pytest.raises(AttributeError, match=name):
+            delattr(direction, name)
+        assert getattr(direction, name) is before
+    assert direction.sign == sign
+    assert direction.vt_cutoff(soa) == getattr(soa, vt_cutoff)
     # Copies and pickles are the member itself, with its data.
     assert copy.copy(direction) is direction
     assert copy.deepcopy(direction) is direction
