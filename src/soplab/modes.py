@@ -291,7 +291,7 @@ def _cp_probe(
 
 def _normalised_margin(
     margins: tuple[float, ...] | None, scales: tuple[float, ...]
-) -> tuple[float | None, str | None]:
+) -> tuple[float, str | None]:
     """g(P) = min_c m_c(P) / m_c(0), with the bound c that attains it first:
     g is 1 at zero power (0 if a bound is already reached there), 0 at the
     peak, negative once a directional bound fails. A window without margins

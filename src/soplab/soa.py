@@ -93,17 +93,13 @@ class Direction(enum.Enum):
 
     def __init__(self, value: str) -> None:
         discharge = value == "discharge"
-        data = (
-            1 if discharge else -1,
-            attrgetter("i_max_dis" if discharge else "i_max_chg"),
-            attrgetter("vt_min" if discharge else "vt_max"),
-            attrgetter("soc_min" if discharge else "soc_max"),
-        )
-        for name, datum in zip(_DIRECTION_DATA, data):
-            object.__setattr__(self, name, datum)
+        self.sign = 1 if discharge else -1
+        self.current_limit = attrgetter("i_max_dis" if discharge else "i_max_chg")
+        self.vt_cutoff = attrgetter("vt_min" if discharge else "vt_max")
+        self.soc_bound = attrgetter("soc_min" if discharge else "soc_max")
 
     def __setattr__(self, name: str, value: object) -> None:
-        if name in _DIRECTION_DATA:
+        if name in _DIRECTION_DATA and name in self.__dict__:  # set once, in __init__
             raise AttributeError(f"cannot assign to {self.__class__.__name__} data {name!r}")
         super().__setattr__(name, value)
 
