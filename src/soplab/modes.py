@@ -359,15 +359,19 @@ def sop_cp(
     inside the bracket: inverse quadratic interpolation through the three
     (Brent 1973, ch. 4), the secant through the last two. A probe goes to the
     estimate, kept tol/2 clear of both ends, so an estimate within tol/2 of
-    the root closes the bracket on the next probe. Where the last two probes
-    did not halve the bracket, the estimates converge from one side: the
-    probe steps past the estimate by its distance from ``lo``, no further
-    than the midpoint and no nearer ``lo`` than ``hi`` less half the bracket
-    of two probes before, so the bracket halves over these three probes
-    whether it holds or not. A probe bisects when there is no estimate, or
-    when the infeasible end has no usable margin (only an opposite-direction
-    bound failed there). Of any three probes one therefore halves the
-    bracket, which caps the count at about three times plain bisection's.
+    the root closes the bracket on the next probe. Where a hold at the
+    estimate would leave the next probe one-sided (see below), the probe aims
+    past the estimate by a tenth of its distance from ``lo``, at least tol/2,
+    so that an estimate just short of the root still brings ``hi`` down.
+    Where the last two probes did not halve the bracket, the estimates
+    converge from one side: the probe steps past the estimate by its
+    distance from ``lo``, no further than the midpoint and no nearer ``lo``
+    than ``hi`` less half the bracket of two probes before, so the bracket
+    halves over these three probes whether it holds or not. A probe bisects
+    when there is no estimate, or when the infeasible end has no usable
+    margin (only an opposite-direction bound failed there). Of any three
+    probes one therefore halves the bracket, which caps the count at about
+    three times plain bisection's.
 
     The same g names ``dominant``: the bound with the smallest share of its
     zero-power margin left at ``lo`` (ties: voltage, then soc, then current).
@@ -411,6 +415,8 @@ def sop_cp(
         p = _cp_estimate(points, lo, hi) if g_hi < 0.0 else None
         if p is not None:
             if width <= 0.5 * widths[0]:
+                if hi - p > 0.5 * widths[1]:  # a hold at p would leave the next probe one-sided
+                    p += max(half_tol, 0.1 * (p - lo))
                 p = min(max(p, lo + half_tol), hi - half_tol)
             else:  # one-sided: step past, halving the bracket whether p holds or not
                 p = min(max(p + (p - lo), hi - 0.5 * widths[0]), 0.5 * (lo + hi))

@@ -19,7 +19,7 @@ PINNED = {
     "sop_cc": "fb86b7a3e9104d10e972748006f8264d35ca7b4180cd259e4acbd3cd56d297bb",
     "sop_cv": "35fe5e34c9b4d2c462a4eb6c81816ec80a3d0834aaff2be013881e971e1dd6d2",
     "sop_cccv": "e42e0b37dd701b035a3648296c51f962e9decf78758cf2ff0667f8f37ee05650",
-    "sop_cp": "4f42c2e8aed07af87787e3fa711fd49d83a93e14238701e7e3e619f9f132c494",
+    "sop_cp": "a68b4f80a973ae884cf318a96c942363c213fd6937721959dc2567b9e463d1e9",
     "brute_peak_current_cc": "788f8cbc2463d66b22eda3495cbd8900b2b297b3210d5d1424c066155b88d49a",
     "brute_peak_power_cp": "b868a113e4c8cd40f08910055c56151078efe05b5884aa3f11448a997157f0bb",
     "peak_cc.window_terms": "723934f62b925cfaed9ccfda5992a545df044b40f0807b232619ad1287a7c998",
