@@ -7,8 +7,9 @@ oracle's own box-normalised slack, which never decides a verdict: each
 window is judged by ``check_point`` at its two SOA corners, as the engines
 judge theirs, and each answer is bracketed to the same tolerance as by
 bisection, within bisection's probe count plus one. The CC oracle runs
-``ecm.step``'s recurrence inline and reads the OCV through one
-``ecm.ocv_cursor`` per solve. The CP oracle steps its windows on
+``ecm.step``'s recurrence inline and reads the OCV as ``ecm._window`` does,
+from the segment it holds, seeking the rested SOC's once per solve and a new
+one only when the SOC leaves it. The CP oracle steps its windows on
 ``ecm._window``, the window loop the stepwise engines share, under its own
 step law: each step's current by Newton's method from power / emf, which
 rises monotonically to the physical root, not the engines' closed-form root.
@@ -138,25 +139,32 @@ def _cc_feasible(
     current: float,
     state: BatteryState,
     params: BatteryParams,
-    lookup: Callable[[float], float],
+    curve: OcvCurve,
     window: Window,
     soa: Soa,
+    segment: tuple[float, ...] | None,
 ) -> Probe:
-    """Simulate the whole window at a constant ``current`` on the solve's OCV
-    cursor ``lookup`` and judge it at its two SOA corners; an infeasible
-    window also runs to its end, so its slack extends a feasible one's.
+    """Simulate the whole window at a constant ``current`` and judge it at its
+    two SOA corners; an infeasible window also runs to its end, so its slack
+    extends a feasible one's. ``segment`` is the OCV segment held at the
+    start, the rested SOC's from ``ecm._seek``, which every probe of one
+    solve shares.
 
     Each step is ``ecm.step``'s recurrence inline, operation for operation,
-    with the step's constants hoisted; like the ``BatteryState`` that
-    ``ecm.step`` builds, a polarization that is not finite raises
-    ConfigurationError."""
+    with the step's constants hoisted. The OCV is read as ``ecm._window``
+    reads it: a SOC inside the held segment by ``ecm._seek``'s expression,
+    any other by ``ecm._seek``, whose segment is then held; no Python call
+    per step. Like the ``BatteryState`` that ``ecm.step`` builds, a
+    polarization that is not finite raises ConfigurationError."""
     alpha = math.exp(-window.dt / params.tau)
     # Products stay left to right, as in ecm.step.
     one_minus_alpha = 1.0 - alpha
     r0, r1, dt, soc_per_as = params.r0, params.r1, window.dt, params.soc_per_amp_second
     soc, vp = state.soc, state.vp
-    vt_lo = soc_lo = math.inf
-    vt_hi = soc_hi = -math.inf
+    lo, x0, x1, y0, rise, run = ecm._NO_SEGMENT if segment is None else segment
+    inf = math.inf
+    vt_lo = soc_lo = inf
+    vt_hi = soc_hi = -inf
     for _ in range(window.steps):
         vp = vp * alpha + current * r1 * one_minus_alpha
         soc = soc - current * dt * soc_per_as  # clamped to [0, 1] as ecm.step clamps
@@ -164,8 +172,14 @@ def _cc_feasible(
             soc = 0.0
         elif soc > 1.0:
             soc = 1.0
-        vt = lookup(soc) - vp - current * r0
-        if not math.isfinite(vp):
+        if lo <= soc < x1:
+            v_oc = y0 + (soc - x0) * rise / run
+        else:
+            v_oc, entered = ecm._seek(curve, soc)
+            if entered is not None:
+                lo, x0, x1, y0, rise, run = entered
+        vt = v_oc - vp - current * r0
+        if not -inf < vp < inf:  # NaN fails every comparison
             raise ConfigurationError(f"vp must be finite, got {vp}")
         if vt < vt_lo:
             vt_lo = vt
@@ -201,13 +215,13 @@ def brute_peak_current_cc(
     check_load(params, soa)
     if not (tol_amps > 0.0 and math.isfinite(tol_amps)):
         raise ValueError(f"tol_amps must be finite and > 0, got {tol_amps}")
-    lookup = ecm.ocv_cursor(curve)
-    if check_point(lookup(state.soc) - state.vp, 0.0, state.soc, soa):
+    rested, segment = ecm._seek(curve, state.soc)
+    if check_point(rested - state.vp, 0.0, state.soc, soa):
         raise InfeasibleStateError("rested state lies outside the SOA")
     sign = direction.sign
 
     def probe(magnitude: float) -> Probe:
-        return _cc_feasible(sign * magnitude, state, params, lookup, window, soa)
+        return _cc_feasible(sign * magnitude, state, params, curve, window, soa, segment)
 
     peak, _ = _search(probe, abs(direction.current_limit(soa)), tol_amps)
     return sign * peak

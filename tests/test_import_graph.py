@@ -225,7 +225,7 @@ def _per_step_code():
     top-level ``ecm`` function that code in ``modes`` or ``oracle`` calls as
     ``ecm.<name>`` (the OCV segment a loop seeks on leaving its own), and
     every nested function of ``PER_STEP_MODULES`` named like a local that it
-    calls (the ``drive`` and ``lookup`` callables a loop is handed), followed
+    calls (the ``drive`` callables a loop is handed), followed
     transitively; a function counts whole."""
     functions = {module: _functions(module) for module in PER_STEP_MODULES}
     top = {m: {q: n for q, n, is_top in fs if is_top} for m, fs in functions.items()}
@@ -291,7 +291,6 @@ def test_per_step_code_is_read_from_the_source():
         ("oracle", "_cc_feasible"),
         ("ecm", "predict_cc"),
         ("oracle", "_newton_law.drive"),
-        ("ecm", "ocv_cursor.lookup"),
         ("ecm", "_seek"),
         ("ecm", "ocv"),
         ("ecm", "_segment"),

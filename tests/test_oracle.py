@@ -323,8 +323,8 @@ class TestWindowLoops:
         checked = set()
         curves = (linear_curve, NMC_CURVE, *self._tables(seed))
         for state, curve, window, direction, current, power in self._grid(curves, soa, seed):
-            lookup = ecm.ocv_cursor(curve)
-            got = oracle_module._cc_feasible(current, state, params, lookup, window, soa)
+            segment = ecm._seek(curve, state.soc)[1]
+            got = oracle_module._cc_feasible(current, state, params, curve, window, soa, segment)
             assert repr(got) == repr(cc_window_probe(current, state, params, curve, window, soa))
             start = ecm._seek(curve, state.soc)
             got = oracle_module._cp_feasible(power, state, params, curve, window, direction, soa, start)
@@ -337,24 +337,11 @@ class TestWindowLoops:
             (CHG, face) for face in faces | {"current_high_chg"}
         }
 
-    @staticmethod
-    def _looked_up(curve):
-        """An OCV cursor on ``curve`` for a window loop, and the SOCs, as
-        ``float.hex``, that the loop looks up through it."""
-        socs = []
-        lookup = ecm.ocv_cursor(curve)
-
-        def recorded(soc):
-            socs.append(soc.hex())
-            return lookup(soc)
-
-        return recorded, socs
-
     def test_one_cursor_per_solve(self, params, soa, monkeypatch):
-        # Every probe of a CC solve reads the OCV through the solve's one
-        # cursor, and so does its rested-point check. A CP solve seeks step
-        # one's OCV segment once, before its first probe, and every probe
-        # starts the window loop from that seek.
+        # Each solve seeks its rested SOC's OCV segment once, before its first
+        # probe, and every probe starts its window loop from that seek: a CC
+        # probe holds the segment, a CP probe also takes step one's OCV. No
+        # solve builds an OCV cursor.
         built = [0]
         cursor = ecm.ocv_cursor
 
@@ -363,7 +350,7 @@ class TestWindowLoops:
             return cursor(curve)
 
         seeks, starts, probing = [], [], [False]
-        seek, feasible = ecm._seek, oracle_module._cp_feasible
+        seek = ecm._seek
 
         def recording_seek(curve, soc):
             found = seek(curve, soc)
@@ -371,25 +358,32 @@ class TestWindowLoops:
                 seeks.append(found)
             return found
 
-        def recording_probe(*args):
-            starts.append(args[-1])
-            probing[0] = True
-            try:
-                return feasible(*args)
-            finally:
-                probing[0] = False
+        def recording(feasible):
+            def probe(*args):
+                starts.append(args[-1])
+                probing[0] = True
+                try:
+                    return feasible(*args)
+                finally:
+                    probing[0] = False
+
+            return probe
 
         monkeypatch.setattr(oracle_module.ecm, "ocv_cursor", counting_cursor)
         monkeypatch.setattr(oracle_module.ecm, "_seek", recording_seek)
-        monkeypatch.setattr(oracle_module, "_cp_feasible", recording_probe)
-        args = (BatteryState(0.5, 0.1), params, NMC_CURVE, Window(30, 1.0), DIS, soa)
+        for name in ("_cc_feasible", "_cp_feasible"):
+            monkeypatch.setattr(oracle_module, name, recording(getattr(oracle_module, name)))
+        # 300 s at the 10 A limit would drain the SOC past its bound: neither top holds.
+        args = (BatteryState(0.5, 0.1), params, NMC_CURVE, Window(300, 1.0), DIS, soa)
         brute_peak_current_cc(*args, 1e-9)
-        assert built[0] == 1
-        seeks.clear()  # the cursor's own seeks
+        assert len(seeks) == 1 and len(starts) > 2
+        assert all(start is seeks[0][1] for start in starts)
+        seeks.clear()
+        starts.clear()
         brute_peak_power_cp(*args, 1e-9)
-        assert built[0] == 1
         assert len(seeks) == 1 and len(starts) > 2
         assert all(start is seeks[0] for start in starts)
+        assert built[0] == 0
 
     @pytest.mark.parametrize(
         "soc, current, window, end",
@@ -399,16 +393,24 @@ class TestWindowLoops:
             (0.98, -4.0, Window(60, 5.0), 1.0),  # fills it
         ],
     )
-    def test_cc_loop_soc_is_ecm_step(self, params, soa, soc, current, window, end):
+    def test_cc_loop_soc_is_ecm_step(self, params, soa, soc, current, window, end, monkeypatch):
         # The loop clamps the SOC by comparisons, as ecm.step does: it looks up
-        # ecm.step's SOC after every step, bit for bit, a -0.0 included.
+        # ecm.step's SOC after every step, bit for bit, a -0.0 included. A seek
+        # that hands back no segment makes the loop seek at every step.
         state, want = BatteryState(soc, 0.1), []
         for _ in range(window.steps):
             state = step(state, params, NMC_CURVE, current, window.dt).state
             want.append(state.soc.hex())
         assert want[-1] == end.hex()
-        lookup, looked_up = self._looked_up(NMC_CURVE)
-        oracle_module._cc_feasible(current, BatteryState(soc, 0.1), params, lookup, window, soa)
+        looked_up = []
+        seek = ecm._seek
+
+        def recording_seek(curve, soc):
+            looked_up.append(soc.hex())
+            return seek(curve, soc)[0], None
+
+        monkeypatch.setattr(ecm, "_seek", recording_seek)
+        oracle_module._cc_feasible(current, BatteryState(soc, 0.1), params, NMC_CURVE, window, soa, None)
         assert looked_up == want
 
     @pytest.mark.parametrize("direction", [DIS, CHG])
@@ -439,7 +441,7 @@ class TestWindowLoops:
             cc_window_probe(current, state, params, linear_curve, window, soa)
         with pytest.raises(ConfigurationError):
             oracle_module._cc_feasible(
-                current, state, params, ecm.ocv_cursor(linear_curve), window, soa
+                current, state, params, linear_curve, window, soa, ecm._seek(linear_curve, 0.5)[1]
             )
 
 
