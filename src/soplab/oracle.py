@@ -30,9 +30,19 @@ from .soa import Direction, Soa, check_load, check_point
 
 # ITP probe placement (Oliveira & Takahashi 2020, ACM TOMS 47(1)): at most
 # ceil(log2(bracket / tol)) + ITP_N0 probes, bisection's worst case plus
-# ITP_N0. The truncation step is ITP_K1 * width**2 / (starting width).
+# ITP_N0. The truncation step is ITP_K1 * width**2 / (starting width), cut
+# to ITP_ERROR_MARGIN times the interpolant's error that the slack's
+# curvature predicts, but to no less than ITP_TOL_SHARE * tol. Measured on
+# the validate-grid-like states of tests/answer_shift.py (linear table, 2,000
+# solves each for seeds 1 and 7, tol 1e-9), probes per solve of the CC / CP
+# oracle, seed 1 (seed 7 alike): ITP_K1 alone 4.21 / 10.61; with the cut,
+# margin 2 and tol/4 2.88 / 9.23; tol/2 3.06 / 9.32; tol 3.40 / 9.66; tol/8
+# as tol/4; margin 1 3.09 / 9.40 (a CC solve takes 37, the budget); margin 3
+# 2.86 / 9.33; margin 4 2.85 / 9.39.
 ITP_N0 = 1
 ITP_K1 = 0.2
+ITP_ERROR_MARGIN = 2.0
+ITP_TOL_SHARE = 0.25
 
 # Newton iterations per CP oracle step before the step counts as rootless.
 NEWTON_MAX_ITER = 60
@@ -87,11 +97,19 @@ def _search(probe: Callable[[float], Probe], top: float, tol: float) -> tuple[fl
     simulated, is returned.
 
     Each probe is placed by ITP (interpolate, truncate, project) on the two
-    ends' slacks. The projection keeps every probe within reach of the
-    midpoint, so the bracket after j probes is no wider than bisection's
-    after j - ITP_N0. Only the verdicts move the ends. Without a slack for
-    both ends, the probe is the midpoint. If the bracket can no longer be
-    split in floating point, the search stops there.
+    ends' slacks: regula falsi through them gives x_f, which is moved
+    toward the midpoint by a truncation delta. ITP's delta is
+    ITP_K1 * width**2 / (starting width). Once the search has replaced an
+    end, delta is cut to twice the interpolant's error that the slack's
+    curvature predicts, |f[lo, hi, e] / f[lo, hi]| * (x_f - lo) * (hi - x_f)
+    from the divided differences through lo, hi and the end e that the last
+    probe replaced, but to no less than tol / 4: an estimate already close to
+    the root is then overshot by about its error, not thrown past by
+    ITP's delta. The projection keeps every probe within reach of the
+    midpoint, whatever delta is, so the bracket after j probes is no wider
+    than bisection's after j - ITP_N0. Only the verdicts move the ends.
+    Without a slack for both ends, the probe is the midpoint. If the bracket
+    can no longer be split in floating point, the search stops there.
     """
     high = probe(top)
     if high.feasible:
@@ -100,6 +118,7 @@ def _search(probe: Callable[[float], Probe], top: float, tol: float) -> tuple[fl
     if not low.feasible:
         raise InfeasibleStateError("the zero-load window leaves the SOA")
     lo, slack_lo, hi, slack_hi = 0.0, low.slack, top, high.slack
+    end, slack_end = math.nan, None  # the bracket end that the last probe replaced
     n_max = math.ceil(math.log2(hi - lo) - math.log2(tol)) + ITP_N0
     # A probe projected onto the exact edge of the budget can leave the last
     # bracket an ulp wider than tol, and cost one probe more: aim inside it.
@@ -116,6 +135,13 @@ def _search(probe: Callable[[float], Probe], top: float, tol: float) -> tuple[fl
                 x_f = lo + width * above / (above - below)  # interpolate
                 sigma = 1.0 if mid > x_f else -1.0
                 delta = k1 * width * width
+                if slack_end is not None:
+                    # The interpolant's error at x_f from the slack's second
+                    # divided difference through lo, hi and the replaced end.
+                    first = (below - above) / width
+                    second = ((slack_end - below) / (end - hi) - first) / (end - lo)
+                    error = abs(second / first) * (x_f - lo) * (hi - x_f)
+                    delta = min(delta, max(ITP_ERROR_MARGIN * error, ITP_TOL_SHARE * tol))
                 x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid  # truncate
                 reach = max(math.ldexp(budget_tol, n_max - j - 1) - 0.5 * width, 0.0)
                 x = x_t if abs(x_t - mid) <= reach else mid - sigma * reach  # project
@@ -128,8 +154,10 @@ def _search(probe: Callable[[float], Probe], top: float, tol: float) -> tuple[fl
             break
         result = probe(x)
         if result.feasible:
+            end, slack_end = lo, slack_lo
             lo, slack_lo = x, result.slack
         else:
+            end, slack_end = hi, slack_hi
             hi, slack_hi = x, result.slack
         j += 1
     return lo, False

@@ -20,8 +20,8 @@ PINNED = {
     "sop_cv": "35fe5e34c9b4d2c462a4eb6c81816ec80a3d0834aaff2be013881e971e1dd6d2",
     "sop_cccv": "e42e0b37dd701b035a3648296c51f962e9decf78758cf2ff0667f8f37ee05650",
     "sop_cp": "a68b4f80a973ae884cf318a96c942363c213fd6937721959dc2567b9e463d1e9",
-    "brute_peak_current_cc": "788f8cbc2463d66b22eda3495cbd8900b2b297b3210d5d1424c066155b88d49a",
-    "brute_peak_power_cp": "b868a113e4c8cd40f08910055c56151078efe05b5884aa3f11448a997157f0bb",
+    "brute_peak_current_cc": "46590989b804656140ab8dc74687f989a3569aaad2e0b34194e61216262c68d3",
+    "brute_peak_power_cp": "28535987ee9025177e4f099a62330ae1c75c4eb1162060606546db6ce9ac5c88",
     "peak_cc.window_terms": "723934f62b925cfaed9ccfda5992a545df044b40f0807b232619ad1287a7c998",
     "error_lab.sweep": "74a2e5c5ca51568c7ecf786684356508f659a2c7d5f5db747657e2aab4a9d0ad",
 }

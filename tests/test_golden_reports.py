@@ -166,9 +166,9 @@ delta,analytic_dsop_w,empirical_dsop_w,residual_w,in_domain
         1,
         """\
 soc,steps,direction,analytic_a,oracle_a,residual_a,pass
-0.2,1,discharge,3.17887336872,3.17887336872,2.88657986403e-14,true
+0.2,1,discharge,3.17887336872,3.17887336847,2.4999735615e-10,true
 0.2,1,charge,-4,-4,0,true
-0.2,5,discharge,4.11959542221,3.17887336872,0.940722053486,false
+0.2,5,discharge,4.11959542221,3.17887336847,0.940722053736,false
 0.2,5,charge,-4,-4,0,true
 0.95,1,discharge,10,nan,nan,skipped
 0.95,1,charge,0,nan,nan,skipped
@@ -176,7 +176,7 @@ soc,steps,direction,analytic_a,oracle_a,residual_a,pass
 0.95,5,charge,0,nan,nan,skipped
 points=8
 passed=3
-max_residual_a=0.940722053486
+max_residual_a=0.940722053736
 """,
     ),
 ]
