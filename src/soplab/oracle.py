@@ -259,16 +259,21 @@ def _newton_law(
     r0: float, power: float
 ) -> Callable[[int, float, float], tuple[float, float] | None]:
     """The CP oracle's step law for ``ecm._window``: each step's
-    physical-branch current with I*(emf - I*r0) = power, by Newton's method
-    from I = power / emf, and the step's terminal voltage; None when no root
-    is reachable within ``NEWTON_MAX_ITER`` residual evaluations. The
-    iteration runs inside the law, one call per step; zero power has a law
-    of its own, which draws no current whatever the emf.
+    physical-branch current with I*(emf - I*r0) = power, by Newton's method,
+    and the step's terminal voltage; None when no root is reachable within
+    ``NEWTON_MAX_ITER`` residuals. The iteration runs inside the law, one
+    call per step; zero power has a law of its own, which draws no current
+    whatever the emf.
 
-    The residual f(I) = I*(emf - I*r0) - power is concave and -r0*I**2 <= 0 at
-    the start, so the iterates rise monotonically to the physical root, the
-    one nearest zero (Fourier's condition). A slope emf - 2*I*r0 that is not
-    > 0 puts the iterate at or past the power vertex: there is no root."""
+    The residual f(I) = I*(emf - I*r0) - power is concave, so from a start
+    where f <= 0 on the physical root's side the iterates rise
+    monotonically to that root, the one nearest zero (Fourier's
+    condition). At emf > 0 the iteration starts from Newton's first step
+    from I = power / emf, taken without evaluating f there: f(power / emf)
+    is -r0*(power / emf)**2 <= 0. At emf <= 0 only a charge has a root, and
+    the start is emf/r0 - sqrt(-power/r0), where f = emf*sqrt(-power/r0) <=
+    0; a discharge there has none. A slope emf - 2*I*r0 that is not > 0 puts
+    the iterate at or past the power vertex: there is no root."""
     if power == 0.0:
 
         def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
@@ -281,11 +286,21 @@ def _newton_law(
     magnitude = power if power > 0.0 else -power
     f_tol = 1e-12 * magnitude if magnitude > 1.0 else 1e-12
     max_iter = NEWTON_MAX_ITER
+    # A charge's start at emf <= 0 lies this far below emf / r0.
+    charge_reach = (magnitude / r0) ** 0.5 if power < 0.0 else None
 
     def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
-        if not emf > 0.0:
+        if emf > 0.0:
+            # Newton's first step from power / emf, whose residual is known.
+            current = power / emf
+            slope = emf - 2.0 * current * r0
+            if not slope > 0.0:
+                return None
+            current += current * current * r0 / slope
+        elif charge_reach is not None:
+            current = emf / r0 - charge_reach
+        else:
             return None
-        current = power / emf
         residual = current * (emf - current * r0) - power
         evaluations = 1  # a counted loop: no range iterator per step
         while not -f_tol <= residual <= f_tol:

@@ -31,6 +31,7 @@ from soplab import (
     ecm,
     ocv,
     sop_cc,
+    solve_cp_step,
     sop_cp,
     step,
 )
@@ -473,6 +474,28 @@ class TestNewtonStep:
     def test_no_root_beyond_the_power_vertex(self, emf, power):
         # At emf 3.6 V and r0 0.1 ohm the vertex is 18 A and the ceiling 32.4 W.
         assert _newton_law(0.1, power)(1, math.nan, emf) is None
+
+    @pytest.mark.parametrize("power", [-1e-6, -1.0, -100.0])
+    @pytest.mark.parametrize("vp", [3.6, 4.1, 5.0], ids=["emf0", "emf-0.5", "emf-1.4"])
+    def test_charge_root_at_non_positive_emf(self, params, linear_curve, vp, power):
+        # emf = 3.6 - vp <= 0: no discharge power has a root there, but a
+        # charge power has one, a charge current, which solve_cp_step takes
+        # (-28.70 A for -1 W at emf -1.4 V). The law starts below it.
+        state, r0 = BatteryState(0.5, vp), params.r0
+        emf = ocv(linear_curve, 0.5) - vp
+        assert emf <= 0.0
+        step = _newton_law(r0, power)(1, math.nan, emf)
+        assert step is not None
+        current, vt = step
+        assert self._passes_residual_test(current, emf, r0, power)
+        assert current < 0.0 and vt == emf - current * r0
+        # At emf <= 0 the root's textbook form adds two numbers of one sign.
+        root = (emf - math.sqrt(emf * emf - 4.0 * r0 * power)) / (2.0 * r0)
+        assert abs(current - root) <= 1e-12 * abs(root)
+        want, want_vt = solve_cp_step(state, params, linear_curve, power, CHG)
+        if power <= -1.0:  # below 1 W, solve_cp_step's emf + sqrt(disc) cancels
+            assert abs(current - want) <= 1e-9 * abs(want)
+            assert abs(vt - want_vt) <= 1e-9 * abs(want_vt)
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan])
