@@ -37,6 +37,21 @@ def monotone_ocv(draw):
     )
 
 
+def seeded_monotone_ocv(rng):
+    """``monotone_ocv``'s table drawn from a ``random.Random``: the same
+    knots, gaps, rises and voltage span, for a seeded, derandomized grid."""
+    n = rng.randint(2, 12)
+    socs, volts = [0.0], [0.0]
+    for _ in range(n - 1):
+        socs.append(socs[-1] + rng.uniform(0.05, 1.0))
+        volts.append(volts[-1] + rng.uniform(0.0, 1.0))
+    v0, span = rng.uniform(3.0, 3.4), rng.uniform(0.2, 0.9)
+    total_rise = volts[-1] or 1.0
+    return OcvCurve(
+        tuple((s / socs[-1], v0 + span * v / total_rise) for s, v in zip(socs, volts))
+    )
+
+
 def constant_current_trace(state, params, curve, current, window):
     """Hold-style trace of a constant current on the engines' own step,
     ``ecm._window``: the CC window that a CC-CV window reproduces when its

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 import soplab.modes as modes
 from answer_shift import seeded_windows
-from support import NMC_CURVE, constant_current_trace, monotone_ocv, reference_sop_hold
+from support import (
+    NMC_CURVE,
+    constant_current_trace,
+    monotone_ocv,
+    reference_sop_hold,
+    seeded_monotone_ocv,
+)
 from soplab import (
     BatteryParams,
     BatteryState,
@@ -593,20 +599,10 @@ class TestSopCpSolver:
         assert (len(k300_discharge), sum(k300_discharge)) == (100, 781)  # 7.81 per solve
         assert with_rows[0] - probes[1] == 455  # re-traces: 0.758 per solve
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        curve=monotone_ocv(),
-        soc=st.floats(0.1, 0.9),
-        vp=st.floats(-0.6, 0.6),
-        steps=st.integers(1, 300),
-        direction=st.sampled_from([DIS, CHG]),
-        tol=st.sampled_from([1e-6, 1e-9]),
-    )
-    def test_bracket_halves_in_any_three_probes(self, curve, soc, vp, steps, direction, tol):
-        # The search's worst case: whatever the interpolation does, the
-        # bracket [lo, hi] at least halves over any three probes, so a solve
-        # runs at most three times the probes plain bisection needs from the
-        # top down to tol, besides the zero-power and top probes.
+    @staticmethod
+    def _probe_sequence(state, curve, window, direction, tol):
+        """Every probe of one solve on the conftest cell and SOA, as (power,
+        holds), in order."""
         params = BatteryParams(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
         soa = Soa(2.8, 4.3, 10.0, -4.0, 0.1, 0.9)
         probes = []
@@ -619,8 +615,15 @@ class TestSopCpSolver:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(modes, "_cp_probe", recording_probe)
-            sop_cp(BatteryState(soc, vp), params, curve, Window(steps, 1.0), direction, soa, tol)
-        assume(len(probes) > 2)
+            sop_cp(state, params, curve, window, direction, soa, tol)
+        return probes
+
+    @staticmethod
+    def _assert_halves_in_any_three(probes, tol):
+        # The search's worst case: whatever the interpolation does, the
+        # bracket [lo, hi] at least halves over any three probes, so a solve
+        # runs at most three times the probes plain bisection needs from the
+        # top down to tol, besides the zero-power and top probes.
         (top, top_ok), widths = probes[1], []
         assert not top_ok
         lo, hi = 0.0, top
@@ -631,6 +634,41 @@ class TestSopCpSolver:
         for before, after in zip(widths, widths[3:]):
             assert after <= 0.5 * before + 1e-12  # a midpoint rounds by ulps of the top
         assert len(probes) - 2 <= 3 * math.ceil(math.log2(top / tol))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        curve=monotone_ocv(),
+        soc=st.floats(0.1, 0.9),
+        vp=st.floats(-0.6, 0.6),
+        steps=st.integers(1, 300),
+        direction=st.sampled_from([DIS, CHG]),
+        tol=st.sampled_from([1e-6, 1e-9]),
+    )
+    def test_bracket_halves_in_any_three_probes(self, curve, soc, vp, steps, direction, tol):
+        probes = self._probe_sequence(BatteryState(soc, vp), curve, Window(steps, 1.0), direction, tol)
+        assume(len(probes) > 2)
+        self._assert_halves_in_any_three(probes, tol)
+
+    def test_bracket_halves_in_any_three_probes_on_a_seeded_grid(self):
+        # The same guarantee replayed over every probe of 2,000 seeded solves
+        # drawn as above (about 1,350 probe inside the bracket). A break can
+        # be rare. Before the search aimed past a free estimate, capping the
+        # step past a one-sided estimate at the midpoint alone, without its
+        # floor at hi less half the bracket of two probes before, broke the
+        # halving on 2 of these solves (2 and 3 for seeds 2 and 3), which
+        # this grid catches and the 100 examples above did not.
+        rng = random.Random(1)
+        replayed = 0
+        for _ in range(2000):
+            curve = seeded_monotone_ocv(rng)
+            state = BatteryState(rng.uniform(0.1, 0.9), rng.uniform(-0.6, 0.6))
+            window, direction = Window(rng.randint(1, 300), 1.0), rng.choice((DIS, CHG))
+            tol = rng.choice((1e-6, 1e-9))
+            probes = self._probe_sequence(state, curve, window, direction, tol)
+            if len(probes) > 2:
+                self._assert_halves_in_any_three(probes, tol)
+                replayed += 1
+        assert replayed > 1000
 
     def test_one_step_windows_end_at_the_bracket_top(self, params, linear_curve, soa, monkeypatch):
         # Away from its SOC bound a one-step window sustains the bound on its
