@@ -35,10 +35,10 @@ window, without steps. A window loop call that is handed a list to append
 its rows to counts as one window with rows, refused or not.
 
 ``--compare A B`` prints per producer the identical count, the verdict flips
-(answer <-> refusal), the largest |change| of a numeric leaf, and the mean
-simulations, table searches, steps, refused windows and windows with rows
-per solve in A and in B, then every CLI request whose exit code or bytes
-differ. It exits 1 when an answer or a CLI
+(answer <-> refusal), the largest |change| of a numeric leaf, the mean and
+the largest simulations per solve in A and in B, and the mean table
+searches, steps, refused windows and windows with rows per solve in A and in
+B, then every CLI request whose exit code or bytes differ. It exits 1 when an answer or a CLI
 request moved and 0 otherwise; the counts do not change it. Standard library
 only.
 """
@@ -437,12 +437,18 @@ def _mean(record: dict, counts: str, name: str) -> str:
     return f"{sum(per_solve) / len(per_solve):.3f}" if per_solve else "-"
 
 
+def _max(record: dict, counts: str, name: str) -> str:
+    """The largest per-solve ``record[counts][name]``, or "-" as in ``_mean``."""
+    per_solve = record.get(counts, {}).get(name)
+    return str(max(per_solve)) if per_solve else "-"
+
+
 def compare(a: dict, b: dict) -> tuple[list[str], bool]:
     """Report lines for two records, and whether an answer or a CLI request
     moved."""
     lines = [
         f"{'producer':<34} {'cases':>6} {'identical':>9} {'flips':>5}  {'max|delta|':<10}"
-        f" {'sims A':>8} {'sims B':>8} {'search A':>8} {'search B':>8}"
+        f" {'sims A':>8} {'sims B':>8} {'max A':>6} {'max B':>6} {'search A':>8} {'search B':>8}"
         f" {'steps A':>9} {'steps B':>9} {'refuse A':>8} {'refuse B':>8}"
         f" {'rows A':>8} {'rows B':>8}"
     ]
@@ -466,6 +472,7 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
         lines.append(
             f"{name:<34} {len(left):>6} {same:>9} {flips:>5}  {worst:<10.3g}"
             f" {_mean(a, 'probes', name):>8} {_mean(b, 'probes', name):>8}"
+            f" {_max(a, 'probes', name):>6} {_max(b, 'probes', name):>6}"
             f" {_mean(a, 'searches', name):>8} {_mean(b, 'searches', name):>8}"
             f" {_mean(a, 'steps', name):>9} {_mean(b, 'steps', name):>9}"
             f" {_mean(a, 'refused', name):>8} {_mean(b, 'refused', name):>8}"

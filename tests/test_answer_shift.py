@@ -1,7 +1,7 @@
 """The shift harness on a small case set: a record compared with itself
 reports nothing moved, a moved answer, a verdict flip and a changed CLI
-report each show, and a changed simulation, table-search, step, refusal or
-rows count shows without counting as a move."""
+report each show, and a changed simulation count (its mean or its largest),
+table-search, step, refusal or rows count shows without counting as a move."""
 
 import copy
 import json
@@ -40,10 +40,11 @@ def test_a_record_matches_itself(small_record, tmp_path, capsys):
         for name in producers:
             row = rows[f"{cases}/{name}"]
             assert row[:4] == [str(n), str(n), "0", "0"]
-            sims_a, sims_b, searches_a, searches_b, steps_a, steps_b = row[4:10]
-            refused_a, refused_b, rows_a, rows_b = row[10:]
-            assert sims_a == sims_b
-            assert (sims_a == "-") == (name not in answer_shift.PROBES)
+            sims_a, sims_b, max_a, max_b, searches_a, searches_b, steps_a, steps_b = row[4:12]
+            refused_a, refused_b, rows_a, rows_b = row[12:]
+            assert (sims_a, max_a) == (sims_b, max_b)
+            assert (sims_a == "-") == (max_a == "-") == (name not in answer_shift.PROBES)
+            assert max_a == "-" or int(max_a) >= float(sims_a)
             # Every producer reads the OCV table.
             assert searches_a == searches_b and float(searches_a) > 0
             # The stepwise engines and the oracles simulate windows; only the
@@ -80,6 +81,8 @@ def test_simulation_counts_show_without_moving(small_record):
     counted = copy.deepcopy(small_record)
     probes = counted["probes"]["windows/sop_cp"]
     probes[0] += len(probes)  # the mean rises by exactly 1
+    largest = max(counted["probes"]["grid/brute_peak_current_cc"])
+    counted["probes"]["grid/brute_peak_current_cc"][-1] = largest + 5  # the largest rises by 5
     searches = counted["searches"]["grid/sop_cc"]
     searches[0] += 2 * len(searches)  # the mean rises by exactly 2
     steps = counted["steps"]["grid/sop_cp"]
@@ -93,18 +96,20 @@ def test_simulation_counts_show_without_moving(small_record):
     rows = _rows(lines)
     sims_a, sims_b = rows["windows/sop_cp"][4:6]
     assert float(sims_b) - float(sims_a) == pytest.approx(1.0, abs=2e-3)
-    searches_a, searches_b = rows["grid/sop_cc"][6:8]
+    max_a, max_b = rows["grid/brute_peak_current_cc"][6:8]
+    assert (int(max_a), int(max_b)) == (largest, largest + 5)
+    searches_a, searches_b = rows["grid/sop_cc"][8:10]
     assert float(searches_b) - float(searches_a) == pytest.approx(2.0, abs=2e-3)
-    steps_a, steps_b = rows["grid/sop_cp"][8:10]
+    steps_a, steps_b = rows["grid/sop_cp"][10:12]
     assert float(steps_a) - float(steps_b) == pytest.approx(3.0, abs=2e-3)
-    refused_a, refused_b = rows["windows/brute_peak_power_cp"][10:12]
+    refused_a, refused_b = rows["windows/brute_peak_power_cp"][12:14]
     assert float(refused_b) - float(refused_a) == pytest.approx(1.0, abs=2e-3)
-    rows_a, rows_b = rows["grid/sop_cp"][12:]
+    rows_a, rows_b = rows["grid/sop_cp"][14:]
     assert float(rows_a) - float(rows_b) == pytest.approx(1.0, abs=2e-3)
     # A record from before the searches and steps were counted compares, without them.
     del counted["searches"], counted["steps"], counted["refused"], counted["rows"]
     lines, anything = answer_shift.compare(small_record, counted)
     assert not anything
     rows = _rows(lines)
-    assert rows["grid/sop_cc"][7] == rows["grid/sop_cp"][9] == rows["grid/sop_cp"][11] == "-"
-    assert rows["grid/sop_cp"][13] == "-"
+    assert rows["grid/sop_cc"][9] == rows["grid/sop_cp"][11] == rows["grid/sop_cp"][13] == "-"
+    assert rows["grid/sop_cp"][15] == "-"

@@ -6,6 +6,7 @@ import ast
 import itertools
 import math
 import random
+import statistics
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import seed as hypothesis_seed
 from hypothesis import strategies as st
 
+import answer_shift
 import soplab.oracle as oracle_module
 import support
 from soplab import (
@@ -273,6 +275,31 @@ def test_oracles_match_bisection_within_the_probe_budget(curve, soc, vp, steps, 
     if not power.saturated:
         assert not cp_window_feasible(power.watts + tol, *args)
         assert len(cp_probes) <= _probe_budget(cp_probes[0], tol)
+
+
+def test_probe_count_on_validate_grid_like_states(monkeypatch):
+    # 200 seeded validate-grid-like states (linear table, K in {1, 10, 30,
+    # 60, 300}), both directions, tol 1e-9, counting the top and zero-load
+    # probes. The CC oracle takes 2.975 probes per solve here (at most 14)
+    # and the CP oracle 9.182 (at most 39, its budget); with ITP's
+    # truncation alone they took about 4.2 and 10.6. The bounds leave about
+    # 5% on the means; every solve stays within its budget.
+    tol = 1e-9
+    cc_probes = _probe_spy(monkeypatch, "_cc_feasible")
+    cp_probes = _probe_spy(monkeypatch, "_cp_feasible")
+    per_solve = {"cc": [], "cp": []}
+    for scenario in answer_shift.grid_scenarios(200, 1):
+        for name, probes, solve in (
+            ("cc", cc_probes, lambda: brute_peak_current_cc(*scenario, tol_amps=tol)),
+            ("cp", cp_probes, lambda: brute_peak_power_cp(*scenario, tol_watts=tol)),
+        ):
+            probes.clear()
+            solve()
+            assert len(probes) <= _probe_budget(abs(probes[0]), tol)
+            per_solve[name].append(len(probes))
+    assert len(per_solve["cc"]) == len(per_solve["cp"]) == 400
+    assert statistics.mean(per_solve["cc"]) <= 3.12
+    assert statistics.mean(per_solve["cp"]) <= 9.64
 
 
 class TestWindowLoops:
