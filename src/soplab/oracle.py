@@ -6,15 +6,19 @@ are placed by the ITP method (interpolate, truncate, project) on the
 oracle's own box-normalised slack, which never decides a verdict: each
 window is judged by ``check_point`` at its two SOA corners, as the engines
 judge theirs, and each answer is bracketed to the same tolerance as by
-bisection, within bisection's probe count plus one. The CC oracle runs
-``ecm.step``'s recurrence inline and reads the OCV as ``ecm._window`` does,
-from the segment it holds, seeking the rested SOC's once per solve and a new
-one only when the SOC leaves it. The CP oracle steps its windows on
-``ecm._window``, the window loop the stepwise engines share, under its own
-step law: each step's current by Newton's method from power / emf, which
-rises monotonically to the physical root, not the engines' closed-form root.
-It seeks step one's OCV segment once per solve. The oracle imports only
-``ecm``, ``soa`` and the exceptions, nothing it validates.
+bisection, within bisection's probe count plus one. ITP's truncation is cut
+to about the regula falsi estimate's error, which the slack's curvature
+through the last three bracket points predicts; the projection keeps that
+worst-case bound whatever the truncation. The CC oracle runs ``ecm.step``'s
+recurrence inline and reads the OCV as ``ecm._window`` does, from the
+segment it holds, seeking the rested SOC's once per solve and a new one only
+when the SOC leaves it. The CP oracle steps its windows on ``ecm._window``,
+the window loop the stepwise engines share, under its own step law: each
+step's current by Newton's method, from Newton's first step from power /
+emf (from below the charge root at emf <= 0), which rises monotonically to
+the physical root, not the engines' closed-form root. It seeks step one's
+OCV segment once per solve. The oracle imports only ``ecm``, ``soa`` and the
+exceptions, nothing it validates.
 """
 
 from __future__ import annotations
