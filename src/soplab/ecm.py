@@ -252,12 +252,13 @@ def ocv(curve: OcvCurve, soc: float) -> float:
 def _seek(
     curve: OcvCurve, soc: float
 ) -> tuple[float, tuple[float, float, float, float, float, float] | None]:
-    """An OCV cursor's lookup of a SOC outside the segment it holds: the OCV
-    at ``soc``, equal to ``ocv(curve, soc)`` bit for bit, and the segment
-    the cursor holds from there on, as ``(lo, x0, x1, y0, rise, run)``.
+    """The one rule for entering an OCV segment: a window loop's lookup of a
+    SOC outside the segment it holds. Returns the OCV at ``soc``, equal to
+    ``ocv(curve, soc)`` bit for bit, and the segment the loop holds from
+    there on, as ``(lo, x0, x1, y0, rise, run)``.
 
     At or past either end of the table this is ``ocv``'s clamp, with no
-    search and no segment (None: the cursor keeps the one it has). Any other
+    search and no segment (None: the loop keeps the one it has). Any other
     SOC searches the table once; a SOC in ``[lo, x1)`` of the segment found
     is then answered by ``y0 + (soc - x0) * rise / run``, ``ocv``'s own
     expression with the rises hoisted. A NaN SOC raises as in ``ocv``.
@@ -272,30 +273,6 @@ def _seek(
     # the expression would turn to +0.0: the segment starts past it.
     lo = x0 if x0 > first else math.nextafter(x0, math.inf)
     return y0 + (soc - x0) * rise / run, (lo, x0, x1, y0, rise, run)
-
-
-def ocv_cursor(curve: OcvCurve) -> Callable[[float], float]:
-    """A lookup equal to ``ocv(curve, soc)`` bit for bit that remembers the
-    segment it last found.
-
-    A SOC in ``[lo, x1)`` of that segment is answered by the segment's
-    expression; any other SOC by ``_seek``, whose segment it then keeps.
-    Within a window the SOC moves one way, so a window loop that owns one
-    cursor searches about once per segment it enters.
-    """
-    # No segment yet: NaN fails every comparison.
-    lo = x0 = x1 = y0 = rise = run = math.nan
-
-    def lookup(soc: float) -> float:
-        nonlocal lo, x0, x1, y0, rise, run
-        if lo <= soc < x1:
-            return y0 + (soc - x0) * rise / run
-        value, entered = _seek(curve, soc)
-        if entered is not None:
-            lo, x0, x1, y0, rise, run = entered
-        return value
-
-    return lookup
 
 
 # One step of a stepwise trace, as ``_window`` records it; ``soplab.modes``
@@ -589,12 +566,11 @@ def simulate_profile(
     if any(b <= a for a, b in zip(times, times[1:])):
         raise InputError("profile times must be strictly increasing")
 
-    lookup = ocv_cursor(curve)  # the row voltages' OCV; step bisects its own
     trace = []
     for j, (t, current) in enumerate(zip(times, currents)):
         if j:
             state, _ = step(state, params, curve, currents[j - 1], t - times[j - 1])
-        vt = lookup(state.soc) - state.vp - current * params.r0
+        vt = ocv(curve, state.soc) - state.vp - current * params.r0
         if not math.isfinite(vt):
             raise InputError(f"profile row t={t}: terminal voltage {vt} is not finite")
         trace.append(ProfileSample(t, current, state.soc, state.vp, vt))

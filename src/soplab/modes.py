@@ -218,9 +218,11 @@ def solve_cp_step(
     step's power ceiling emf^2 / (4 R0), or where the root would flow against
     it (a discharge at emf < 0). Raises it too where 4*R0*P is not finite:
     the root's 2P / (emf + sqrt(disc)) then carries no power (0 or NaN). The
-    engines never ask for such a power; their box bounds it. ``ecm._window`` steps
-    a constant power by the same expressions, and the tests hold each trace
-    to this step.
+    engines never ask for such a power; their box bounds it. At emf < 0 (a
+    charge) the root is (emf - sqrt(disc)) / (2 R0), which does not cancel
+    as |P| falls. ``ecm._window`` steps a constant power by the emf >= 0
+    expressions at every emf, with no branch per step, and the tests hold
+    each trace to this step.
     """
     if power * direction.sign < 0.0:
         raise PowerInfeasibleError(
@@ -239,12 +241,13 @@ def solve_cp_step(
         raise PowerInfeasibleError(
             f"power {power} W exceeds the step ceiling {emf * emf / (4.0 * r0)} W"
         )
-    root = emf + math.sqrt(disc)
+    sqrt_disc = math.sqrt(disc)
+    root = emf + sqrt_disc
     if not root > 0.0:
         raise PowerInfeasibleError(
             f"power {power} W has no physical current at emf {emf} V: the root flows against it"
         )
-    current = 2.0 * power / root
+    current = 2.0 * power / root if emf >= 0.0 else (emf - sqrt_disc) / (2.0 * r0)
     return current, emf - current * r0
 
 

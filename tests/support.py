@@ -235,7 +235,7 @@ def cc_window_feasible(current, state, params, curve, window, soa):
 def cp_window_probe(power_abs, state, params, curve, window, direction, soa):
     """The CP oracle's window loop as it was written with one ``ecm.ocv``
     bisection per step and the parameters read per step: the reference
-    that its cursor and hoisted loop must match."""
+    that its held OCV segment and hoisted loop must match."""
     alpha = math.exp(-window.dt / params.tau)
     power = power_abs * direction.sign
     soc, vp = state.soc, state.vp

@@ -26,7 +26,6 @@ from soplab import (
     window_terms,
 )
 import soplab.ecm as ecm
-from soplab.ecm import ocv_cursor
 from support import monotone_ocv
 
 
@@ -101,25 +100,54 @@ def soc_walks(draw, curve):
     return socs
 
 
+# r1 = 0 and a state at vp = +0.0 keep vp at +0.0, so the emf a window law
+# sees is its step's OCV itself; dt * soc_per_amp_second is 1.0, so a step
+# moves the SOC by minus its current.
+_UNIT_SOC_PARAMS = BatteryParams(0.05, 0.0, 10.0, 1.0 / 3600.0)
+
+
+def _window_ocv_reads(curve, walk):
+    """The (soc, emf) pairs a recording law sees as ``ecm._window`` walks the
+    SOCs of ``walk`` from a state at its first: each step's current moves the
+    SOC to the next one (the loop clamps it to [0, 1])."""
+    assert _UNIT_SOC_PARAMS.soc_per_amp_second == 1.0
+    seen, targets = [], iter(walk[1:])
+
+    def law(j, soc, emf):
+        seen.append((soc, emf))
+        return soc - next(targets, soc), emf
+
+    start = ecm._seek(curve, walk[0])
+    window = Window(len(walk), 1.0)
+    ecm._window(BatteryState(walk[0]), _UNIT_SOC_PARAMS, curve, window, law, start)
+    return seen
+
+
 class TestOcvCursor:
+    """The OCV that ``ecm._window`` reads per step, by its in-segment
+    expression or ``ecm._seek``, seen through a recording law."""
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), curve=monotone_ocv())
     def test_equals_ocv_bit_for_bit(self, data, curve):
-        lookup = ocv_cursor(curve)
-        for soc in data.draw(soc_walks(curve)):
-            assert lookup(soc).hex() == ocv(curve, soc).hex()
-        # NaN raises as in ocv, and leaves the cursor answering as before.
+        for _ in range(2):
+            # An infinite current would make vp NaN: the walk is clamped first.
+            walk = [min(max(soc, 0.0), 1.0) for soc in data.draw(soc_walks(curve))]
+            seen = _window_ocv_reads(curve, walk)
+            assert len(seen) == len(walk)
+            for soc, emf in seen:
+                assert emf.hex() == ocv(curve, soc).hex()
+        # A NaN SOC raises as in ocv.
         with pytest.raises(InputError, match="soc must not be NaN"):
-            lookup(math.nan)
-        for soc in data.draw(soc_walks(curve)):
-            assert lookup(soc).hex() == ocv(curve, soc).hex()
+            _window_ocv_reads(curve, [*walk, math.nan])
 
     def test_bisects_once_per_segment_entered(self, knee_curve, monkeypatch):
         # A walk down both segments of the knee table, at rest on its middle
-        # knot for three steps: one search per segment. The knot opens the
-        # upper segment, so the rest on it searches nothing.
+        # knot for three steps: one search per segment, the first for step
+        # one's seek. The knot opens the upper segment, so the rest on it
+        # searches nothing.
         walk = [0.9, 0.8, 0.7, 0.6, 0.5, 0.5, 0.5, 0.4, 0.3]
-        want = [ocv(knee_curve, soc) for soc in walk]
+        want = [(soc, ocv(knee_curve, soc)) for soc in walk]
         calls = []
 
         def counting_bisect(socs, soc):
@@ -127,21 +155,23 @@ class TestOcvCursor:
             return bisect_right(socs, soc)
 
         monkeypatch.setattr(ecm, "bisect_right", counting_bisect)
-        lookup = ocv_cursor(knee_curve)
-        assert [lookup(soc) for soc in walk] == want
+        seen = _window_ocv_reads(knee_curve, walk)
+        assert seen == want
         assert calls == [0.9, 0.4]
 
     def test_first_knot_keeps_a_negative_zero_voltage(self):
         # ocv clamps at the first knot to its own voltage, -0.0 here; the
         # segment's expression would answer -0.0 + 0.0 = +0.0.
         curve = OcvCurve(((0.0, -0.0), (0.5, 1.0), (1.0, 2.0)))
-        lookup = ocv_cursor(curve)
-        for soc in (0.25, 0.0, 5e-324, 0.0, -0.0, 0.25, 0.0):
-            assert lookup(soc).hex() == ocv(curve, soc).hex()
-        assert lookup(0.0).hex() == "-0x0.0p+0"
+        walk = [-0.0, 0.25, 0.0, 5e-324, 0.0, 0.25, 0.0]
+        seen = _window_ocv_reads(curve, walk)
+        assert [soc for soc, _ in seen] == walk
+        for soc, emf in seen:
+            assert emf.hex() == ocv(curve, soc).hex()
+        assert seen[-1][1].hex() == "-0x0.0p+0"
 
     def test_only_ecm_bisects(self):
-        # One cursor for every window loop: no other module keeps a segment.
+        # One segment rule for every window loop: no other module searches the table.
         package = Path(ocv.__code__.co_filename).parent
         bisecting = sorted(
             path.name
@@ -361,12 +391,11 @@ class TestSimulateProfile:
         with pytest.raises(InputError, match="non-finite profile row"):
             simulate_profile(state_half, params, linear_curve, [(0.0, 1.0), (1.0, math.nan)])
 
-    def test_one_ocv_cursor_per_replay(self, params, knee_curve, monkeypatch):
-        # Discharge across the knot at 0.5, charge, rest: 100 rows. Each row's
-        # voltage is read through one OCV cursor, so ecm.ocv runs once per
-        # step (inside ecm.step) and at most once per segment the replay
-        # enters, not once more per row (199 calls before); the rows are
-        # ecm.step's plus an ecm.ocv lookup, bit for bit.
+    def test_one_ocv_lookup_per_row_and_step(self, params, knee_curve, monkeypatch):
+        # Discharge across the knot at 0.5, charge, rest: 100 rows. The rows
+        # are ecm.step's plus an ecm.ocv lookup, bit for bit, and cost
+        # exactly that: one ecm.ocv call inside each of the 99 steps and one
+        # per row, 2n - 1 for n rows.
         profile = [(float(t), 30.0 if t < 50 else -20.0 if t < 80 else 0.0) for t in range(100)]
         state = sim = BatteryState(0.56, 0.05)
         want = []
@@ -384,10 +413,9 @@ class TestSimulateProfile:
         monkeypatch.setattr(ecm, "ocv", counted)
         trace = simulate_profile(state, params, knee_curve, profile)
         assert [tuple(row) for row in trace] == want
-        segments = [bisect_right(knee_curve.socs, row.soc) for row in trace]
-        entered = 1 + sum(a != b for a, b in zip(segments, segments[1:]))
-        assert entered == 2
-        assert len(socs) <= (len(profile) - 1) + entered + 1
+        segments = {bisect_right(knee_curve.socs, row.soc) for row in trace}
+        assert len(segments) == 2  # the replay crosses the knot
+        assert len(socs) == 2 * len(profile) - 1
 
 
 class TestValidation:
