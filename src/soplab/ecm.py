@@ -321,22 +321,24 @@ def _window(
 
     The law is picked once per call. A ``_Hold`` (the CV and CC-CV engines)
     is clipped inline, and a float, the CP engine's signed constant power,
-    has its step solved inline as ``modes.solve_cp_step`` solves it: no
-    Python call per step. A callable ``law(j, soc, emf)`` returns the pair
-    or None, one call per step: the CP oracle's Newton law and
-    ``modes.find_mode_shift_kc``'s current limit. Returns the trace's two
-    SOA corners, (min vt, max current, min soc) and (max vt, min current,
-    max soc): the SOA is a box, so every step lies in it iff both corners
-    do. A hold law adds the first step of minimum |power| and the first
-    step whose hold current went unclipped (None if none did). Each step's
-    ``PomStep`` is appended to ``rows`` only when the caller passes a list:
-    a caller that needs only the corners builds none.
+    has its step solved inline by ``modes.solve_cp_step``'s emf >= 0
+    expressions, at every emf: no Python call per step. A callable
+    ``law(j, soc, emf)`` returns the pair or None, one call per step: the CP
+    oracle's Newton law and ``modes.find_mode_shift_kc``'s current limit.
+    Returns the trace's two SOA corners, (min vt, max current, min soc) and
+    (max vt, min current, max soc): the SOA is a box, so every step lies in
+    it iff both corners do. A hold law adds the first step of minimum
+    |power| and the first step whose hold current went unclipped (None if
+    none did). Each step's ``PomStep`` is appended to ``rows`` only when the
+    caller passes a list: a caller that needs only the corners builds none.
 
-    A zero-power float is a rest: the SOC stays where step one puts it and
-    vp only decays, so vt is monotone in j and the corners are those of
-    steps one and K. Only the vp recurrence is stepped, with no OCV past
-    step one's (the SOC it would look up is step one's, bar the sign of a
-    zero, which the table's clamp ignores)."""
+    A zero-power float without rows is a rest, at any emf: the SOC stays
+    where step one puts it and vp only decays, so vt is monotone in j and
+    the corners are those of steps one and K. Only the vp recurrence is
+    stepped, with no OCV past step one's (the SOC it would look up is step
+    one's, bar the sign of a zero, which the table's clamp ignores). With
+    rows, a zero power is stepped as any other: the power's signed zero
+    flows at vt = emf, and a step whose emf is not > 0 abandons the window."""
     alpha = math.exp(-window.dt / params.tau)
     # Products stay left to right, never pre-multiplied (current * r1 * (1 - alpha),
     # current * dt * soc_per_as): the state then matches step's bit for bit.
@@ -352,21 +354,14 @@ def _window(
         least, binding, k_c = math.inf, None, None
     elif callable(law):
         drive = law
-    elif law == 0.0:  # the rest: no current, with the sign of zero, whatever the emf
+    elif law == 0.0 and rows is None:  # the rest: no current, whatever the emf
         power = law
         soc = soc - power * dt * soc_per_as  # a signed zero moves only a zero SOC
         vp_rise, drop = power * r1 * one_minus_alpha, power * r0
-        first = last = v_oc - vp * alpha - drop
-        if rows is None:
-            for _ in range(window.steps - 1):
-                vp = vp * alpha + vp_rise
-            last = v_oc - vp * alpha - drop
-        else:
-            for j in range(1, window.steps + 1):
-                vp_rel = vp * alpha
-                last = v_oc - vp_rel - drop
-                vp = vp_rel + vp_rise
-                rows.append(tuple.__new__(PomStep, (j, power, last, soc, vp, power * last)))
+        first = v_oc - vp * alpha - drop
+        for _ in range(window.steps - 1):
+            vp = vp * alpha + vp_rise
+        last = v_oc - vp * alpha - drop
         # The loop keeps the first of equal minima, and a vt that falls to
         # zero meets +0.0 before -0.0: + 0.0 gives that zero.
         low = last + 0.0 if last < first else first

@@ -192,8 +192,7 @@ def sop_cccv(
     current limit. A shift that predates the window (``CcCvCase.CV_ONLY``:
     the current limit already past the cut-off at step one) makes the window
     the voltage-governed CV window, with no shift step. The trace decides this
-    at step one; ``find_mode_shift_kc`` remains a public helper but is not
-    called here. As in ``sop_cv``, the hold trace alone decides feasibility:
+    at step one. As in ``sop_cv``, the hold trace alone decides feasibility:
     a trace that leaves the SOA box gives ``sop_cp``'s zero result, and a
     rested point outside the box does not refuse a window whose trace stays
     inside (ROADMAP item 3).
@@ -314,8 +313,6 @@ def _cp_estimate(
     else the secant through the last two; None when neither lands inside.
     Both are in Newton's divided-difference form, so a division is only ever
     by a difference of distinct g, which is never 0."""
-    if len(points) < 2:
-        return None
     (b, gb), (c, gc) = points[-2:]
     if gb == gc:
         return None

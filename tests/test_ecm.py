@@ -123,7 +123,7 @@ def _window_ocv_reads(curve, walk):
     return seen
 
 
-class TestOcvCursor:
+class TestWindowOcvReads:
     """The OCV that ``ecm._window`` reads per step, by its in-segment
     expression or ``ecm._seek``, seen through a recording law."""
 
@@ -169,6 +169,19 @@ class TestOcvCursor:
         for soc, emf in seen:
             assert emf.hex() == ocv(curve, soc).hex()
         assert seen[-1][1].hex() == "-0x0.0p+0"
+
+    def test_lands_on_an_upper_knot_from_below(self):
+        # The lower segment's expression at its upper knot, 1.2 + (0.5 - 0.0)
+        # * 2.4 / 0.5, is 3.6000000000000005, not the knot's 3.6: a SOC that
+        # lands on the knot has left the segment it came from.
+        curve = OcvCurve(((0.0, 1.2), (0.5, 3.6), (1.0, 4.2)))
+        (x0, y0), (x1, y1) = curve.points[:2]
+        assert y0 + (x1 - x0) * (y1 - y0) / (x1 - x0) != y1
+        walk = [0.3, 0.4, 0.5]
+        seen = _window_ocv_reads(curve, walk)
+        assert [soc for soc, _ in seen] == walk
+        assert [emf.hex() for _, emf in seen] == [ocv(curve, soc).hex() for soc in walk]
+        assert seen[-1][1] == 3.6
 
     def test_only_ecm_bisects(self):
         # One segment rule for every window loop: no other module searches the table.

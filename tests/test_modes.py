@@ -1051,39 +1051,55 @@ class TestRowFreeTraces:
 
 
 class TestRestTrace:
-    """A zero-power window is a rest: ``ecm._window`` steps only vp, with no OCV
-    past step one's, and takes its corners from steps one and K. The same
-    zero current handed in as a step callback is stepped every step through
-    the OCV, so the two must agree by repr, rows and signed zeros included."""
+    """A zero-power window without rows is a rest: ``ecm._window`` steps only
+    vp, with no OCV past step one's, and takes its corners from steps one and
+    K. The same zero current handed in as a step callback is stepped every
+    step through the OCV, so the two must agree by repr, signed zeros
+    included. A zero-power window with rows takes the constant-power root:
+    where every step's emf is > 0 its rows and corners are the callback's by
+    repr, and elsewhere it abandons the window."""
 
     @staticmethod
     def _check(state, params, curve, window, power):
+        """The rest's corners and those of the window with rows (None where
+        it abandoned the window)."""
+
         def no_seek(curve, soc):
             raise AssertionError(f"a rest looked up the OCV at soc {soc!r}")
 
+        emfs = []
+
         def zero_current(j, soc, emf):
+            emfs.append(emf)
             return power, emf - power * params.r0
 
         start = modes.ecm._seek(curve, state.soc)
-        rows, stepped_rows = [], []
         with pytest.MonkeyPatch.context() as m:
             m.setattr(modes.ecm, "_seek", no_seek)
             rest = modes.ecm._window(state, params, curve, window, power, start)
-            rest_with_rows = modes.ecm._window(state, params, curve, window, power, start, rows)
+        rows, stepped_rows = [], []
         stepped = modes.ecm._window(state, params, curve, window, zero_current, start, stepped_rows)
-        assert len(rows) == window.steps
-        assert repr(rows) == repr(stepped_rows), (state, params, curve, window, power)
-        assert repr(rest) == repr(rest_with_rows) == repr(stepped), (state, params, curve, window, power)
-        return rest
+        traced = modes.ecm._window(state, params, curve, window, power, start, rows)
+        case = (state, params, curve, window, power)
+        assert len(stepped_rows) == window.steps
+        assert repr(rest) == repr(stepped), case
+        if all(emf > 0.0 for emf in emfs):
+            assert repr(rows) == repr(stepped_rows), case
+            assert repr(traced) == repr(stepped), case
+        else:
+            assert traced is None, case
+        return rest, traced
 
     @pytest.mark.parametrize("power", [0.0, -0.0])
     def test_seeded_grid(self, params, linear_curve, power):
         rng = random.Random(5)
+        traced = set()
         for _ in range(200):
             state = BatteryState(rng.uniform(0.0, 1.0), rng.uniform(-2.0, 6.0))
             curve = rng.choice((linear_curve, NMC_CURVE))
             window = Window(rng.choice((1, 2, 10, 30, 300)), rng.choice((0.1, 1.0, 5.0, 60.0)))
-            self._check(state, params, curve, window, power)
+            traced.add(self._check(state, params, curve, window, power)[1] is not None)
+        assert traced == {True, False}  # windows stepped with rows, and abandoned
 
     @pytest.mark.parametrize("steps", [1, 300])
     @pytest.mark.parametrize("soc", [-0.0, 0.0, 0.1, 0.9, 1.0])
@@ -1092,10 +1108,12 @@ class TestRestTrace:
     def test_edges(self, params, steps, soc, vp, power):
         # soc at both ends of a table that spans [0.1, 0.9], and past them.
         curve = OcvCurve(((0.1, 3.3), (0.5, 3.7), (0.9, 4.1)))
-        low, high = self._check(BatteryState(soc, vp), params, curve, Window(steps, 1.0), power)
+        rest, traced = self._check(BatteryState(soc, vp), params, curve, Window(steps, 1.0), power)
+        assert traced is not None  # every emf is at least 3.0 V
         # A charge rest turns a -0.0 SOC into +0.0 on step one, as the loop does.
         charge = math.copysign(1.0, power) < 0.0
         soc_sign = 1.0 if charge else math.copysign(1.0, soc)
+        low, high = rest
         assert math.copysign(1.0, low[2]) == math.copysign(1.0, high[2]) == soc_sign
 
     @pytest.mark.parametrize("steps", [1, 300])
@@ -1107,21 +1125,28 @@ class TestRestTrace:
         params = BatteryParams(r0=0.05, r1=0.03, tau=10.0, capacity_ah=2.0)
         window = Window(steps, 1e-17)
         assert math.exp(-window.dt / params.tau) == 1.0
-        self._check(BatteryState(0.5, vp), params, NMC_CURVE, window, power)
+        _, traced = self._check(BatteryState(0.5, vp), params, NMC_CURVE, window, power)
+        assert traced is not None
 
     def test_vt_falling_to_zero_meets_positive_zero_first(self):
         # A -0.0 V first knot at soc 0 and a negative vp that underflows:
         # vt is 5e-324, then +0.0 as vp relaxes to -0.0, then -0.0 once a
-        # discharge's +0.0 current term has made vp +0.0. The loop keeps the
-        # first +0.0 as its minimum, and so must the rest.
+        # discharge's +0.0 current term has made vp +0.0. The stepped zero
+        # current keeps the first +0.0 as its minimum, and so must the rest.
         params = BatteryParams(r0=0.05, r1=0.03, tau=1.0, capacity_ah=2.0)
         curve = OcvCurve(((0.0, -0.0), (1.0, 4.2)))
-        rows = []
         state, window = BatteryState(0.0, -2e-323), Window(3, 1.2)
-        modes.ecm._window(state, params, curve, window, 0.0, modes.ecm._seek(curve, 0.0), rows)
-        assert [row.vt.hex() for row in rows] == ["0x0.0000000000001p-1022", "0x0.0p+0", "-0x0.0p+0"]
-        low, _ = self._check(state, params, curve, window, 0.0)
+        start = modes.ecm._seek(curve, 0.0)
+        stepped_rows = []
+        modes.ecm._window(state, params, curve, window, lambda j, soc, emf: (0.0, emf), start, stepped_rows)
+        assert [row.vt.hex() for row in stepped_rows] == ["0x0.0000000000001p-1022", "0x0.0p+0", "-0x0.0p+0"]
+        # With rows, the constant-power root refuses step 2, whose emf is +0.0.
+        rows = []
+        assert modes.ecm._window(state, params, curve, window, 0.0, start, rows) is None
+        assert [row.vt.hex() for row in rows] == ["0x0.0000000000001p-1022"]
+        (low, _), traced = self._check(state, params, curve, window, 0.0)
         assert low[0].hex() == "0x0.0p+0"
+        assert traced is None
 
 
 class TestCccvShiftDecision:

@@ -365,7 +365,7 @@ class TestWindowLoops:
             (CHG, face) for face in faces | {"current_high_chg"}
         }
 
-    def test_one_cursor_per_solve(self, params, soa, monkeypatch):
+    def test_one_seek_per_solve(self, params, soa, monkeypatch):
         # Each solve seeks its rested SOC's OCV segment once, before its first
         # probe, and every probe starts its window loop from that seek: a CC
         # probe holds the segment, a CP probe also takes step one's OCV.
@@ -430,6 +430,32 @@ class TestWindowLoops:
         monkeypatch.setattr(ecm, "_seek", recording_seek)
         oracle_module._cc_feasible(current, BatteryState(soc, 0.1), params, NMC_CURVE, window, soa, None)
         assert looked_up == want
+
+    def test_cc_loop_reads_the_knot_it_lands_on(self, params, soa, monkeypatch):
+        # A charge from soc 0.25 that lands on the 0.5 knot at its last step,
+        # the window's highest vt. The lower segment's expression there is
+        # 3.6000000000000005, not the knot's 3.6: the loop must read the knot
+        # as ecm.step does, and both corners must be ecm.step's, bit for bit.
+        curve = OcvCurve(((0.0, 1.2), (0.5, 3.6), (1.0, 4.2)))
+        params = BatteryParams(params.r0, params.r1, params.tau, 1.0 / 3600.0)
+        state, current, window = BatteryState(0.25, 0.1), -0.125, Window(2, 1.0)
+        sim, vts, socs = state, [], []
+        for _ in range(window.steps):
+            sim, vt = step(sim, params, curve, current, window.dt)
+            vts.append(vt)
+            socs.append(sim.soc)
+        assert socs == [0.375, 0.5] and max(vts) == vts[-1]
+        corners, corner_probe = [], oracle_module._corner_probe
+
+        def recording_corner_probe(low, high, soa):
+            corners.append((low, high))
+            return corner_probe(low, high, soa)
+
+        monkeypatch.setattr(oracle_module, "_corner_probe", recording_corner_probe)
+        segment = ecm._seek(curve, state.soc)[1]
+        oracle_module._cc_feasible(current, state, params, curve, window, soa, segment)
+        want = ((min(vts), current, min(socs)), (max(vts), current, max(socs)))
+        assert repr(corners) == repr([want])
 
     @pytest.mark.parametrize("direction", [DIS, CHG])
     def test_cp_loop_keeps_negative_zero_at_rest(self, params, soa, direction, monkeypatch):
