@@ -13,12 +13,13 @@ worst-case bound whatever the truncation. The CC oracle runs ``ecm.step``'s
 recurrence inline and reads the OCV as ``ecm._window`` does, from the
 segment it holds, seeking the rested SOC's once per solve and a new one only
 when the SOC leaves it. The CP oracle steps its windows on ``ecm._window``,
-the window loop the stepwise engines share, under its own step law: each
-step's current by Newton's method, from Newton's first step from power /
-emf (from below the charge root at emf <= 0), which rises monotonically to
-the physical root, not the engines' closed-form root. It seeks step one's
-OCV segment once per solve. The oracle imports only ``ecm``, ``soa`` and the
-exceptions, nothing it validates.
+the window loop the stepwise engines share, under its own step law: a
+step's current counts only where its power residual certifies it and it
+lies on the physical branch. Newton's method starts at the quadratic's
+stable root (below the charge root at emf <= 0, whose residual bound there
+covers the rounding of large terms) and moves it until the residual holds.
+It seeks step one's OCV segment once per solve. The oracle imports only
+``ecm``, ``soa`` and the exceptions, nothing it validates.
 """
 
 from __future__ import annotations
@@ -263,21 +264,24 @@ def _newton_law(
     r0: float, power: float
 ) -> Callable[[int, float, float], tuple[float, float] | None]:
     """The CP oracle's step law for ``ecm._window``: each step's
-    physical-branch current with I*(emf - I*r0) = power, by Newton's method,
-    and the step's terminal voltage; None when no root is reachable within
-    ``NEWTON_MAX_ITER`` residuals. The iteration runs inside the law, one
-    call per step; zero power has a law of its own, which draws no current
-    whatever the emf.
+    physical-branch current with I*(emf - I*r0) = power, and the step's
+    terminal voltage; None when no current is certified within
+    ``NEWTON_MAX_ITER`` residuals. One call per step runs the iteration;
+    zero power has a law of its own, which draws no current at any emf.
 
-    The residual f(I) = I*(emf - I*r0) - power is concave, so from a start
-    where f <= 0 on the physical root's side the iterates rise
-    monotonically to that root, the one nearest zero (Fourier's
-    condition). At emf > 0 the iteration starts from Newton's first step
-    from I = power / emf, taken without evaluating f there: f(power / emf)
-    is -r0*(power / emf)**2 <= 0. At emf <= 0 only a charge has a root, and
-    the start is emf/r0 - sqrt(-power/r0), where f = emf*sqrt(-power/r0) <=
-    0; a discharge there has none. A slope emf - 2*I*r0 that is not > 0 puts
-    the iterate at or past the power vertex: there is no root."""
+    The start does not decide the verdict: a current counts only if its
+    residual f(I) = I*(emf - I*r0) - power is within 1e-12 * max(1, |power|)
+    and its slope emf - 2*I*r0 is >= 0 (the physical branch, vertex
+    included); Newton's method moves it until the residual passes. The
+    start at emf > 0 is the quadratic's physical root in its stable form,
+    2*power / (emf + sqrt(emf**2 - 4*r0*power)), refused where the
+    discriminant is not >= 0; it mostly passes at once. At emf <= 0 only a charge
+    has a root: the start is emf/r0 - sqrt(-power/r0), where the concave f
+    is emf*sqrt(-power/r0) <= 0, so the iterates rise monotonically to the
+    root (Fourier's condition). At emf < 0 the bound widens to 1e-14 *
+    |I*emf| at that start where that is larger: f's two terms, each about
+    |I*emf|, round by more. A failing residual whose slope is not > 0 means
+    no root."""
     if power == 0.0:
 
         def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
@@ -290,30 +294,35 @@ def _newton_law(
     magnitude = power if power > 0.0 else -power
     f_tol = 1e-12 * magnitude if magnitude > 1.0 else 1e-12
     max_iter = NEWTON_MAX_ITER
+    four_r0_power, two_power, sqrt = 4.0 * r0 * power, 2.0 * power, math.sqrt
     # A charge's start at emf <= 0 lies this far below emf / r0.
     charge_reach = (magnitude / r0) ** 0.5 if power < 0.0 else None
 
     def drive(j: int, soc: float, emf: float) -> tuple[float, float] | None:
         if emf > 0.0:
-            # Newton's first step from power / emf, whose residual is known.
-            current = power / emf
-            slope = emf - 2.0 * current * r0
-            if not slope > 0.0:
+            disc = emf * emf - four_r0_power
+            if not disc >= 0.0:  # past the ceiling, or NaN
                 return None
-            current += current * current * r0 / slope
+            current = two_power / (emf + sqrt(disc))
+            tol = f_tol
         elif charge_reach is not None:
             current = emf / r0 - charge_reach
+            tol = 1e-14 * current * emf  # |I*emf|: I < 0 and emf <= 0 here
+            if not tol > f_tol:
+                tol = f_tol
         else:
             return None
         residual = current * (emf - current * r0) - power
         evaluations = 1  # a counted loop: no range iterator per step
-        while not -f_tol <= residual <= f_tol:
+        while not -tol <= residual <= tol:
             slope = emf - 2.0 * current * r0
             if evaluations == max_iter or not slope > 0.0:
                 return None
             current -= residual / slope
             residual = current * (emf - current * r0) - power
             evaluations += 1
+        if not emf - 2.0 * current * r0 >= 0.0:  # past the vertex: not the physical branch
+            return None
         return current, emf - current * r0
 
     return drive
@@ -352,9 +361,9 @@ def brute_peak_power_cp(
     tol_watts: float = 1e-6,
     p_hi: float | None = None,
 ) -> BrutePower:
-    """Largest sustainable constant power magnitude, with the per-step current
-    recovered by Newton's method instead of the closed-form quadratic, found
-    by ``_search`` between zero and ``p_hi``.
+    """Largest sustainable constant power magnitude, with each step's current
+    certified by its power residual under ``_newton_law``, found by
+    ``_search`` between zero and ``p_hi``.
 
     A sustained ``p_hi`` is the answer, saturated; else the zero-power window
     must stay inside the SOA, or InfeasibleStateError is raised; else

@@ -21,7 +21,7 @@ PINNED = {
     "sop_cccv": "e42e0b37dd701b035a3648296c51f962e9decf78758cf2ff0667f8f37ee05650",
     "sop_cp": "a68b4f80a973ae884cf318a96c942363c213fd6937721959dc2567b9e463d1e9",
     "brute_peak_current_cc": "46590989b804656140ab8dc74687f989a3569aaad2e0b34194e61216262c68d3",
-    "brute_peak_power_cp": "e6fbbdc3830baba458e11c5606c37974e245a4f3985f6af536f6e7db567265e0",
+    "brute_peak_power_cp": "db2497940f469b2546663b12d340bbf646ab7a8647ad5f1a906598bea67b93ae",
     "peak_cc.window_terms": "723934f62b925cfaed9ccfda5992a545df044b40f0807b232619ad1287a7c998",
     "error_lab.sweep": "74a2e5c5ca51568c7ecf786684356508f659a2c7d5f5db747657e2aab4a9d0ad",
 }

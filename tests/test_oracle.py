@@ -3,10 +3,12 @@ plain bisection, their agreement with the closed forms, and the oracle
 module's independence from them."""
 
 import ast
+import decimal
 import itertools
 import math
 import random
 import statistics
+import sys
 from pathlib import Path
 
 import pytest
@@ -489,10 +491,38 @@ class TestWindowLoops:
             )
 
 
+def _exact_root(emf, r0, power):
+    """The physical root of r0*I**2 - emf*I + power = 0 at the given floats,
+    as a ``Decimal`` to 60 digits: the root nearest zero, 2P / (emf +
+    sqrt(disc)) at emf > 0 and (emf - sqrt(disc)) / (2 r0) at emf <= 0."""
+    with decimal.localcontext() as context:
+        context.prec = 60
+        e, r, p = decimal.Decimal(emf), decimal.Decimal(r0), decimal.Decimal(power)
+        root = (e * e - 4 * r * p).sqrt()
+        return 2 * p / (e + root) if e > 0 else (e - root) / (2 * r)
+
+
+def _relative_error(current, root):
+    """|current - root| / |root|, exactly but for the final rounding."""
+    return float(abs(decimal.Decimal(current) - root) / abs(root))
+
+
 class TestNewtonStep:
     @staticmethod
     def _passes_residual_test(current, emf, r0, power):
         return abs(current * (emf - current * r0) - power) <= 1e-12 * max(1.0, abs(power))
+
+    @staticmethod
+    def _check_exact(emf, r0, power):
+        # Within 1e-12 of the root where it is a normal float; where it is
+        # subnormal or zero, within the subnormals' spacing.
+        step = _newton_law(r0, power)(1, math.nan, emf)
+        assert step is not None
+        root = _exact_root(emf, r0, power)
+        if abs(root) >= sys.float_info.min:
+            assert _relative_error(step[0], root) <= 1e-12
+        else:
+            assert abs(decimal.Decimal(step[0]) - root) <= decimal.Decimal(math.ulp(0.0))
 
     @settings(max_examples=300, deadline=None)
     # Started from a guess above the root (0.25 A), Newton's method overshot
@@ -508,6 +538,7 @@ class TestNewtonStep:
         assert self._passes_residual_test(current, emf, r0, power)
         assert abs(current) <= vertex * (1.0 + 1e-9)
         assert current * power >= 0.0
+        self._check_exact(emf, r0, power)
 
     @pytest.mark.parametrize(
         "emf, power",
@@ -541,6 +572,75 @@ class TestNewtonStep:
         # vt = emf - I*r0 cancels as |P| falls (1e-7 V at -1e-6 W, emf -0.5 V):
         # its bound is relative to the ohmic drop it is computed from.
         assert abs(vt - want_vt) <= 1e-12 * abs(want * r0)
+
+    @pytest.mark.parametrize("power", [-1.0, -1e-6])
+    def test_charge_root_with_a_large_current(self, params, linear_curve, power):
+        # emf = 3.6 - 50 = -46.4 V: the root is near -928 A, and the
+        # residual's two terms, each about |I*emf| = 4.3e4 W, round by more
+        # than 1e-12 W. The law's bound there is 1e-14 * |I*emf| at its
+        # start; a residual test at 1e-12 * max(1, |P|) refused both powers.
+        r0 = params.r0
+        emf = ocv(linear_curve, 0.5) - 50.0
+        step = _newton_law(r0, power)(1, math.nan, emf)
+        assert step is not None
+        current, vt = step
+        assert vt == emf - current * r0
+        assert abs(current * (emf - current * r0) - power) <= 1e-14 * abs(current * emf)
+        assert _relative_error(current, _exact_root(emf, r0, power)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        emf=st.floats(0.1, 5.0),
+        r0=st.floats(0.001, 1.0),
+        exponent=st.floats(-300.0, 4.0),
+        charge=st.booleans(),
+    )
+    def test_finds_the_exact_root_at_any_scale(self, emf, r0, exponent, charge):
+        # |P| log-uniform from 1e-300 W to 1e4 W, below 0.999 of the ceiling
+        # for a discharge.
+        power = -(10.0**exponent) if charge else 10.0**exponent
+        assume(power <= 0.999 * emf * emf / (4.0 * r0))
+        self._check_exact(emf, r0, power)
+
+    def test_a_tiny_power_starts_at_the_stable_root(self):
+        # 5e-10 W at emf 3.6 V and r0 0.05 ohm: the conjugate form (emf -
+        # sqrt(disc)) / (2 r0) cancels and lies 8.3e-8 off the root, yet its
+        # residual passes the absolute 1e-12 W bound, so the residual alone
+        # cannot catch it; the stable form 2P / (emf + sqrt(disc)) does not
+        # cancel.
+        emf, r0, power = 3.6, 0.05, 5e-10
+        root = _exact_root(emf, r0, power)
+        conjugate = (emf - math.sqrt(emf * emf - 4.0 * r0 * power)) / (2.0 * r0)
+        assert self._passes_residual_test(conjugate, emf, r0, power)
+        assert _relative_error(conjugate, root) > 1e-8
+        current, vt = _newton_law(r0, power)(1, math.nan, emf)
+        assert _relative_error(current, root) <= 1e-12
+        assert vt == emf - current * r0
+
+    def test_the_vertex_is_accepted_and_one_ulp_past_it_refused(self):
+        # emf 4 V and r0 0.25 ohm: the vertex is 8 A and the ceiling 16 W,
+        # all exact in binary. The branch test accepts the vertex, whose
+        # slope is 0, as solve_cp_step does.
+        law = _newton_law(0.25, 16.0)
+        assert law(1, math.nan, 4.0) == (8.0, 2.0)
+        assert _newton_law(0.25, math.nextafter(16.0, math.inf))(1, math.nan, 4.0) is None
+
+    def test_a_start_rounded_past_the_vertex_is_refused(self):
+        # Just below the ceiling the stable form can round an ulp past the
+        # vertex, where its residual still passes: the branch test refuses
+        # it (149 of 199,944 seeded powers within 1e-14 of the ceiling).
+        emf, r0, power = 4.502926230100557, 0.7817379948968134, 6.484379922074793
+        start = 2.0 * power / (emf + math.sqrt(emf * emf - 4.0 * r0 * power))
+        assert emf - 2.0 * start * r0 < 0.0
+        assert self._passes_residual_test(start, emf, r0, power)
+        assert _newton_law(r0, power)(1, math.nan, emf) is None
+
+    def test_the_smallest_power_draws_its_rounded_root(self):
+        # 5e-324 W at emf 3.6 V: the exact root, 1.4e-324 A, is below half
+        # the smallest subnormal, so the nearest float is +0.0.
+        emf, r0, power = 3.6, 0.05, 5e-324
+        assert 0 < _exact_root(emf, r0, power) < decimal.Decimal(power) / 2
+        assert _newton_law(r0, power)(1, math.nan, emf) == (0.0, emf)
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan])
